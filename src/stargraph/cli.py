@@ -11,6 +11,7 @@ record.  Exit codes: 0 success, 2 bad usage, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -96,7 +97,10 @@ def _initial(name: str, m: int, grid: GridSpec) -> StarFunction:
             graph, grid, (_bump_profile,) * m, continuous_at_vertex=True
         )
     if name.startswith("file:"):
-        f = StarFunction.from_csv(name[5:])
+        try:
+            f = StarFunction.from_csv(name[5:])
+        except (OSError, ValueError, csv.Error) as exc:
+            raise StarGraphError(f"cannot read initial data {name[5:]!r}: {exc}") from exc
         if f.graph.m != m:
             raise StarGraphError(
                 f"initial data has {f.graph.m} edges but --m is {m}"

@@ -25,12 +25,11 @@ from .errors import (
     StencilError,
     VertexContinuityError,
 )
-from .geometry import GridSpec, StarFunction, StarGraph
+from .geometry import GridSpec, StarFunction, StarGraph, vertex_continuous, vertex_slopes
 
 __all__ = [
     "LineFunction",
     "CoefficientTriple",
-    "LineCoefficients",
     "ou_coefficients",
     "ho_coefficients",
     "reflect_extend",
@@ -107,17 +106,11 @@ def symmetric_line_grid(half_points: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoefficientTriple:
-    """Edge coefficients of q u'' + b u' + c u with growth bound sup c <= c_sup_bound."""
+    """Coefficients of q u'' + b u' + c u with growth bound sup c <= c_sup_bound.
 
-    q: Callable[[np.ndarray], np.ndarray]
-    b: Callable[[np.ndarray], np.ndarray]
-    c: Callable[[np.ndarray], np.ndarray]
-    c_sup_bound: float
-
-
-@dataclass(frozen=True)
-class LineCoefficients:
-    """Coefficients on the whole line produced by parity extension."""
+    The same type holds the edge coefficients and their parity extension to
+    the line (see ``extend_coefficients``).
+    """
 
     q: Callable[[np.ndarray], np.ndarray]
     b: Callable[[np.ndarray], np.ndarray]
@@ -198,7 +191,7 @@ def extend_coefficients(
     coeffs: CoefficientTriple,
     sample_cutoff: float = 12.0,
     sample_points: int = 1201,
-) -> LineCoefficients:
+) -> CoefficientTriple:
     """Extend edge coefficients to the line: q, c evenly and b oddly.
 
     The odd drift extension is well defined only when b vanishes at the
@@ -233,7 +226,7 @@ def extend_coefficients(
     def c_ext(x, _c=coeffs.c):
         return np.asarray(_c(np.abs(np.asarray(x, dtype=float))), dtype=float)
 
-    return LineCoefficients(q=q_ext, b=b_ext, c=c_ext, c_sup_bound=coeffs.c_sup_bound)
+    return CoefficientTriple(q=q_ext, b=b_ext, c=c_ext, c_sup_bound=coeffs.c_sup_bound)
 
 
 def even_odd_split(f: StarFunction) -> tuple[StarFunction, StarFunction]:
@@ -321,9 +314,7 @@ def fold_to_star(
 
     if n < 3:
         raise StencilError("vertex stencil needs >= 3 points per edge")
-    h = lines[0].h
-    slopes = (-3.0 * values[:, 0] + 4.0 * values[:, 1] - values[:, 2]) / (2.0 * h)
-    kirchhoff_defect = float(abs(slopes.sum()))
+    kirchhoff_defect = float(abs(vertex_slopes(values, lines[0].h).sum()))
 
     if continuity_tol is not None and continuity_defect > continuity_tol:
         raise FoldError(
@@ -343,12 +334,10 @@ def fold_to_star(
             f"explicit grid ({grid.points_per_edge} points, cutoff {grid.cutoff})"
             f" does not match the lines ({n} points, cutoff {float(x[-1])})"
         )
-    vscale = max(1.0, float(np.abs(vertex).max()))
-    continuous = continuity_defect <= 1e-9 * vscale
     return StarFunction(
         StarGraph(m),
         grid,
         values,
-        continuous_at_vertex=continuous,
+        continuous_at_vertex=vertex_continuous(vertex, 1e-9),
         vertex_tol=math.inf,
     )

@@ -38,6 +38,8 @@ __all__ = [
     "integrate_star",
     "sup_distance",
     "simpson_weights",
+    "vertex_continuous",
+    "vertex_slopes",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -189,6 +191,23 @@ def simpson_weights(n_points: int, h: float) -> np.ndarray:
     return w
 
 
+def vertex_continuous(col: np.ndarray, tol: float) -> bool:
+    """Whether the vertex samples ``col`` spread by at most tol * max(1, max |col|).
+
+    Reads ``col`` in place, so a column view of a sample array costs no copy.
+    """
+
+    hi = float(col.max())
+    lo = float(col.min())
+    return hi - lo <= tol * max(1.0, abs(hi), abs(lo))
+
+
+def vertex_slopes(values: np.ndarray, h: float) -> np.ndarray:
+    """Radial derivative at the vertex along the last axis, one-sided and second order."""
+
+    return (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (2.0 * h)
+
+
 Profile = Callable[[np.ndarray], np.ndarray]
 
 
@@ -230,12 +249,10 @@ class StarFunction:
             )
         if continuous_at_vertex:
             col = values[:, 0]
-            spread = float(col.max() - col.min())
-            scale = max(1.0, float(np.abs(col).max()))
-            if spread > vertex_tol * scale:
+            if not vertex_continuous(col, vertex_tol):
                 raise VertexContinuityError(
-                    f"vertex values disagree by {spread:.3e} "
-                    f"(tolerance {vertex_tol * scale:.3e})"
+                    f"vertex values disagree by {float(np.ptp(col)):.3e} "
+                    f"(tolerance {vertex_tol:.3e} times max(1, |vertex value|))"
                 )
             values[:, 0] = col[0]
         values.flags.writeable = False
@@ -291,9 +308,7 @@ class StarFunction:
         for i, fn in enumerate(profiles):
             values[i] = np.asarray(fn(nodes), dtype=float)
         if continuous_at_vertex is None:
-            col = values[:, 0]
-            scale = max(1.0, float(np.abs(col).max()))
-            continuous_at_vertex = float(col.max() - col.min()) <= 1e-12 * scale
+            continuous_at_vertex = vertex_continuous(values[:, 0], 1e-12)
         return cls(
             graph,
             grid,
@@ -396,9 +411,7 @@ class StarFunction:
         if radii_ref[0] != 0.0 or np.any(np.abs(spacing - spacing[0]) > 1e-9 * spacing[0]):
             raise ShapeError(f"radial grid must be uniform starting at 0 in {path}")
         grid = GridSpec(cutoff=float(radii_ref[-1]), points_per_edge=n)
-        col = values[:, 0]
-        scale = max(1.0, float(np.abs(col).max()))
-        continuous = float(col.max() - col.min()) <= 1e-12 * scale
+        continuous = vertex_continuous(values[:, 0], 1e-12)
         return cls(StarGraph(m), grid, values, continuous_at_vertex=continuous)
 
     def to_json(self, path) -> None:
@@ -426,8 +439,7 @@ class StarFunction:
         except (KeyError, TypeError) as exc:
             raise ShapeError(f"malformed StarFunction JSON in {path}: {exc}") from exc
         col = values[:, 0] if values.ndim == 2 and values.shape[1] else np.zeros(1)
-        scale = max(1.0, float(np.abs(col).max()))
-        continuous = float(col.max() - col.min()) <= 1e-12 * scale
+        continuous = vertex_continuous(col, 1e-12)
         return cls(StarGraph(int(m)), grid, values, continuous_at_vertex=continuous)
 
 

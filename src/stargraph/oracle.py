@@ -3,20 +3,20 @@
 Each edge of the star yields one parabolic problem on a symmetric interval
 (-n, n) with homogeneous Dirichlet ends: d_t u = q u'' + b u' + c u with the
 parity-extended coefficients.  A theta-weighted step (trapezoidal by
-default) advances the centered second-order discretization; the tridiagonal
-system is solved directly each step.  Folding the per-edge solutions back to
-the star tests the vertex conditions instead of imposing them: continuity
-holds because odd data stays odd, the flux balance holds at the stencil
-order.
+default) advances the centered second-order discretization.  All lines of a
+solve share one tridiagonal matrix, so they advance together: each step is
+one banded solve with one right-hand side per line (the m reflected edges of
+a star solve, or the unit hats of a kernel table).  Folding the line
+solutions back to the star tests the vertex conditions instead of imposing
+them: continuity holds because odd data stays odd, the flux balance holds at
+the stencil order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -24,12 +24,12 @@ from scipy.linalg import solve_banded
 from .errors import DomainError, NumericalInputError, ShapeError, StabilityError
 from .extension import (
     CoefficientTriple,
-    LineCoefficients,
     LineFunction,
     extend_coefficients,
     reflect_extend,
+    symmetric_line_grid,
 )
-from .geometry import GridSpec, StarFunction, StarGraph
+from .geometry import GridSpec, StarFunction, StarGraph, vertex_continuous, vertex_slopes
 from .kernels import TabulatedLineKernel
 
 __all__ = [
@@ -41,22 +41,7 @@ __all__ = [
     "solve_star",
     "truncation_study",
     "tabulate_kernel",
-    "worker_count",
 ]
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Worker cap for independent line solves; STARGRAPH_THREADS bounds it."""
-
-    env = os.environ.get("STARGRAPH_THREADS", "")
-    try:
-        cap = int(env) if env else 1
-    except ValueError:
-        cap = 1
-    cap = max(1, cap)
-    if requested is None:
-        return cap
-    return max(1, min(int(requested), cap))
 
 
 @dataclass(frozen=True)
@@ -103,8 +88,7 @@ class OracleConfig:
     def grid(self) -> np.ndarray:
         """Symmetric nodes (j - M) h; exact negation symmetry in floats."""
 
-        m = self.half_intervals
-        return (np.arange(2 * m + 1) - m) * self.h
+        return symmetric_line_grid(self.half_intervals + 1, self.h)
 
 
 @dataclass
@@ -146,7 +130,7 @@ def _initial_values(f0, x: np.ndarray) -> np.ndarray:
 
 
 def solve_line_dirichlet(
-    coeffs: LineCoefficients,
+    coeffs: CoefficientTriple,
     f0,
     cfg: OracleConfig,
 ) -> LineEvolution:
@@ -158,10 +142,35 @@ def solve_line_dirichlet(
     """
 
     x = cfg.grid()
-    h, dt, theta = cfg.h, cfg.dt, cfg.theta
-
     u0 = _initial_values(f0, x)
-    if u0.shape != x.shape or not np.all(np.isfinite(u0)):
+    if u0.shape != x.shape:
+        raise NumericalInputError("initial data must give one value per solver node")
+    steps = cfg.steps
+    values = _march(coeffs, u0[None, :], cfg, range(steps + 1), slice(None))[:, 0]
+    return LineEvolution(x=x, times=np.arange(steps + 1) * cfg.dt, values=values)
+
+
+def _march(
+    coeffs: CoefficientTriple,
+    u0: np.ndarray,
+    cfg: OracleConfig,
+    levels: Sequence[int],
+    nodes: slice | np.ndarray,
+) -> np.ndarray:
+    """Advance the k lines ``u0`` (shape (k, len(x))) together.
+
+    Every step is one tridiagonal solve with the k lines as its right-hand
+    side columns.  Lines are stored as rows so each line's samples stay
+    contiguous.  ``levels`` are increasing step indices; the march stops at
+    the last of them and keeps only those levels at only the grid ``nodes``
+    (an index or slice), shape (len(levels), k, len(x[nodes])).  Each line's
+    sup norm is held to 1.05 exp(c_sup t) max |u0[j]|; the first step at
+    which any line exceeds its bound raises.
+    """
+
+    x = cfg.grid()
+    h, dt, theta = cfg.h, cfg.dt, cfg.theta
+    if not np.all(np.isfinite(u0)):
         raise NumericalInputError("initial data must be finite on the solver grid")
 
     qv = np.asarray(coeffs.q(x), dtype=float)
@@ -182,37 +191,39 @@ def solve_line_dirichlet(
     diag = -2.0 * qi / h**2 + ci
     upper = qi / h**2 + bi / (2.0 * h)
 
-    n_int = x.size - 2
-    ab = np.zeros((3, n_int))
+    ab = np.zeros((3, x.size - 2))
     ab[0, 1:] = -theta * dt * upper[:-1]
     ab[1, :] = 1.0 - theta * dt * diag
     ab[2, :-1] = -theta * dt * lower[1:]
 
-    steps = cfg.steps
-    values = np.empty((steps + 1, x.size))
-    values[0] = u0
-    times = np.arange(steps + 1) * dt
-
-    bound_base = 1.05 * float(np.abs(u0).max())
+    bound_base = 1.05 * np.abs(u0).max(axis=1)
     c0 = coeffs.c_sup_bound
     explicit = (1.0 - theta) * dt
 
-    u = u0.copy()
-    for k in range(1, steps + 1):
-        rhs = u[1:-1] + explicit * (lower * u[:-2] + diag * u[1:-1] + upper * u[2:])
-        u_int = solve_banded((1, 1), ab, rhs, check_finite=False)
-        u = np.zeros_like(u)
-        u[1:-1] = u_int
-        sup = float(np.abs(u_int).max()) if n_int else 0.0
-        if not math.isfinite(sup):
-            raise StabilityError(f"solution became non-finite at step {k}")
-        if sup > bound_base * math.exp(c0 * k * dt):
-            raise StabilityError(
-                f"sup norm {sup:.6g} exceeds the growth bound "
-                f"{bound_base * math.exp(c0 * k * dt):.6g} at t = {k * dt:.6g}"
-            )
-        values[k] = u
-    return LineEvolution(x=x, times=times, values=values)
+    out = np.empty((len(levels), u0.shape[0], x[nodes].size))
+    stored = 0
+    u = u0
+    for k in range(levels[-1] + 1):
+        if k:
+            inner = u[:, 1:-1]
+            rhs = inner + explicit * (lower * u[:, :-2] + diag * inner + upper * u[:, 2:])
+            u = np.zeros_like(u0)
+            u[:, 1:-1] = solve_banded((1, 1), ab, rhs.T, check_finite=False).T
+            sup = np.abs(u).max(axis=1)
+            if not np.isfinite(sup).all():
+                raise StabilityError(f"solution became non-finite at step {k}")
+            bound = bound_base * math.exp(c0 * k * dt)
+            over = sup > bound
+            if over.any():
+                j = int(np.argmax(over))
+                raise StabilityError(
+                    f"sup norm {sup[j]:.6g} of line {j} exceeds the growth bound "
+                    f"{bound[j]:.6g} at t = {k * dt:.6g}"
+                )
+        if k == levels[stored]:
+            out[stored] = u[:, nodes]
+            stored += 1
+    return out
 
 
 @dataclass
@@ -231,14 +242,11 @@ class StarEvolution:
 
     def snapshot(self, k: int) -> StarFunction:
         vals = self.values[k]
-        col = vals[:, 0]
-        scale = max(1.0, float(np.abs(col).max()))
-        continuous = float(col.max() - col.min()) <= 1e-9 * scale
         return StarFunction(
             self.graph,
             self.grid,
             vals,
-            continuous_at_vertex=continuous,
+            continuous_at_vertex=vertex_continuous(vals[:, 0], 1e-9),
             vertex_tol=math.inf,
         )
 
@@ -267,42 +275,23 @@ def solve_star(
     coeffs: CoefficientTriple,
     f: StarFunction,
     cfg: OracleConfig,
-    *,
-    threads: int | None = None,
 ) -> StarEvolution:
-    """Reference evolution on the star: extend, solve per edge, fold back."""
+    """Reference evolution on the star: extend, solve the lines, fold back.
 
-    line_coeffs = extend_coefficients(coeffs)
+    The m reflected edge data are the lines of one march, so all edges
+    advance together in one banded solve per step.
+    """
+
     x = cfg.grid()
-    m = f.graph.m
-
-    initials = [_edge_initial(f, i, x) for i in range(1, m + 1)]
-
-    workers = worker_count(threads)
-    if workers > 1 and m > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, m)) as pool:
-            line_runs = list(
-                pool.map(lambda u0: solve_line_dirichlet(line_coeffs, lambda _: u0, cfg), initials)
-            )
-    else:
-        line_runs = [
-            solve_line_dirichlet(line_coeffs, lambda _, u0=u0: u0, cfg)
-            for u0 in initials
-        ]
-
-    mid = x.size // 2
+    u0 = np.stack([_edge_initial(f, i, x) for i in range(1, f.graph.m + 1)])
     steps = cfg.steps
-    n_half = x.size - mid
-    values = np.empty((steps + 1, m, n_half))
-    for i, run in enumerate(line_runs):
-        values[:, i, :] = run.values[:, mid:]
-
+    mid = x.size // 2
+    values = _march(extend_coefficients(coeffs), u0, cfg, range(steps + 1), slice(mid, None))
     vertex = values[:, :, 0]
     continuity = vertex.max(axis=1) - vertex.min(axis=1)
-    slopes = (-3.0 * values[:, :, 0] + 4.0 * values[:, :, 1] - values[:, :, 2]) / (2.0 * cfg.h)
-    kirchhoff = np.abs(slopes.sum(axis=1))
+    kirchhoff = np.abs(vertex_slopes(values, cfg.h).sum(axis=1))
 
-    grid = GridSpec(cutoff=float(cfg.n), points_per_edge=n_half)
+    grid = GridSpec(cutoff=float(cfg.n), points_per_edge=x.size - mid)
     return StarEvolution(
         graph=f.graph,
         grid=grid,
@@ -363,7 +352,7 @@ def truncation_study(
 
 
 def tabulate_kernel(
-    coeffs: LineCoefficients,
+    coeffs: CoefficientTriple,
     cfg: OracleConfig,
     times: Sequence[float],
     stride: int = 1,
@@ -372,8 +361,10 @@ def tabulate_kernel(
 
     Column y of the table is the solution at the requested times for initial
     data concentrated at y (height 1/h); Dirichlet ends give zero columns at
-    the truncation radius.  ``stride`` thins the tabulation grid; it must
-    divide n/h so the thinned grid stays symmetric.
+    the truncation radius.  The hats of all interior tabulation nodes are the
+    lines of one march, so they advance together in one banded solve per
+    step, and only the requested levels are kept.  ``stride`` thins the
+    tabulation grid; it must divide n/h so the thinned grid stays symmetric.
     """
 
     if stride < 1 or cfg.half_intervals % stride != 0:
@@ -384,19 +375,19 @@ def tabulate_kernel(
 
     x = cfg.grid()
     sub = np.arange(0, x.size, stride)
-    x_sub = x[sub]
     levels = [int(round(t / cfg.dt)) for t in times]
     for t, k in zip(times, levels):
         if abs(k * cfg.dt - t) > 1e-9 or k < 1 or k > cfg.steps:
             raise DomainError(f"time {t} is not a positive stored level")
+    if any(k2 <= k1 for k1, k2 in zip(levels, levels[1:])):
+        raise DomainError("tabulation times must be strictly increasing")
 
-    values = np.zeros((len(times), x_sub.size, x_sub.size))
-    for col, j in enumerate(sub):
-        if j == 0 or j == x.size - 1:
-            continue  # absorbed at the boundary: zero column
-        u0 = np.zeros_like(x)
-        u0[j] = 1.0 / cfg.h
-        run = solve_line_dirichlet(coeffs, lambda _, u0=u0: u0, cfg)
-        for ti, k in enumerate(levels):
-            values[ti, :, col] = run.values[k][sub]
-    return TabulatedLineKernel(times, x_sub, values)
+    # the end nodes are absorbed at the boundary: their columns stay zero
+    inner = sub[1:-1]
+    u0 = np.zeros((inner.size, x.size))
+    u0[np.arange(inner.size), inner] = 1.0 / cfg.h
+    lines = _march(coeffs, u0, cfg, levels, sub)
+
+    values = np.zeros((len(times), sub.size, sub.size))
+    values[:, :, 1:-1] = lines.transpose(0, 2, 1)
+    return TabulatedLineKernel(times, x[sub], values)

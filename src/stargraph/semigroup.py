@@ -23,7 +23,7 @@ from .errors import (
     StencilError,
     VertexContinuityError,
 )
-from .geometry import GridSpec, StarFunction, simpson_weights
+from .geometry import GridSpec, StarFunction, simpson_weights, vertex_slopes
 from .kernels import MIN_TIME, KernelSpec, line_kernel
 
 __all__ = ["apply", "vertex_defect", "evolve_sequence", "VertexDefect"]
@@ -123,9 +123,7 @@ def vertex_defect(u: StarFunction) -> VertexDefect:
 
     if u.grid.points_per_edge < 3:
         raise StencilError("vertex stencil needs >= 3 points per edge")
-    h = u.grid.h
-    slopes = (-3.0 * values[:, 0] + 4.0 * values[:, 1] - values[:, 2]) / (2.0 * h)
-    return VertexDefect(continuity, float(abs(slopes.sum())))
+    return VertexDefect(continuity, float(abs(vertex_slopes(values, u.grid.h).sum())))
 
 
 def evolve_sequence(

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import AssemblyError, DomainError, ShapeError, StencilError
-from .geometry import GridSpec, StarFunction, StarGraph, simpson_weights
+from .geometry import GridSpec, StarFunction, StarGraph, simpson_weights, vertex_continuous
 from .kernels import KernelSpec, ou_line_kernel
 
 __all__ = [
@@ -266,9 +266,7 @@ def apply_generator(kind, f: StarFunction) -> StarFunction:
         out = 0.5 * d2 - x * d1
     else:
         out = 0.5 * (d2 - (x * x) * f.values + f.values)
-    col = out[:, 0]
-    scale = max(1.0, float(np.abs(col).max()))
-    continuous = float(col.max() - col.min()) <= 1e-9 * scale
+    continuous = vertex_continuous(out[:, 0], 1e-9)
     return StarFunction(
         f.graph, f.grid, out, continuous_at_vertex=continuous, vertex_tol=math.inf
     )
@@ -385,11 +383,17 @@ class TracePair(NamedTuple):
     kernel_trace: float
 
 
+def _check_edge_count(m) -> None:
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
+        raise DomainError(f"edge count must be a positive integer, got {m!r}")
+
+
 def trace_closed_form(t: float, m: int) -> float:
     """(1 + (m-1) e^{-t}) / (1 - e^{-2t})."""
 
     if t <= 0:
         raise DomainError(f"time must be positive, got {t}")
+    _check_edge_count(m)
     return (1.0 + (m - 1) * math.exp(-t)) / (-math.expm1(-2.0 * t))
 
 
@@ -418,8 +422,7 @@ def trace_partial(t: float, m: int, terms: int) -> TracePair:
 
     if t < 0.05:
         raise DomainError(f"trace quadrature needs t >= 0.05, got {t}")
-    if m < 1:
-        raise DomainError(f"edge count must be >= 1, got {m}")
+    _check_edge_count(m)
     if terms < 0:
         raise DomainError(f"term count must be >= 0, got {terms}")
     partial = sum(multiplicity(k, m) * math.exp(-k * t) for k in range(terms + 1))

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
 from .geometry import GridSpec, StarFunction, StarGraph, sup_distance
 from .kernels import HARMONIC, OU
 from .semigroup import apply
@@ -36,7 +37,7 @@ def flat_factor(m: int) -> float:
     """sqrt(c_m) with c_m = 2 / (m sqrt(pi))."""
 
     if m < 1:
-        raise ValueError(f"edge count must be >= 1, got {m}")
+        raise DomainError(f"edge count must be >= 1, got {m}")
     return math.sqrt(2.0 / (m * math.sqrt(math.pi)))
 
 

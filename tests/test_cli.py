@@ -72,8 +72,16 @@ def test_evolve_file_initial_round_trip(tmp_path, capsys):
     assert main(["evolve", "--m", "3", "--times", "0.5", f"--init=file:{path}"]) == EXIT_USAGE
 
 
-def test_evolve_unknown_initial():
-    assert main(["evolve", "--init", "gibberish"]) == EXIT_USAGE
+def test_evolve_unknown_initial(tmp_path, capsys):
+    # unreadable file: inputs are usage errors too, never tracebacks
+    non_numeric = tmp_path / "non_numeric.csv"
+    non_numeric.write_text("edge,radius,value\n1,0,1\n1,1,zap\n")
+    fractional_edge = tmp_path / "fractional_edge.csv"
+    fractional_edge.write_text("edge,radius,value\n1.5,0,1\n1.5,1,1\n")
+    for init in ("gibberish", f"file:{tmp_path / 'missing.csv'}", f"file:{non_numeric}",
+                 f"file:{fractional_edge}"):
+        assert main(["evolve", "--m", "1", "--init", init]) == EXIT_USAGE, init
+        assert capsys.readouterr().err.startswith("error:"), init
 
 
 def test_bad_float_list():

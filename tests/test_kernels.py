@@ -131,6 +131,8 @@ def test_star_kernel_validation():
         star_kernel(OU, 2, 1.0, 1.0, StarPoint(1, 1.0))
     with pytest.raises(ShapeError):
         star_kernel(OU, 0, 1.0, StarPoint(1, 1.0), StarPoint(1, 1.0))
+    with pytest.raises(ShapeError):
+        star_kernel(OU, 2.5, 1.0, StarPoint(1, 0.5), StarPoint(2, 0.5))
 
 
 def test_kernel_spec_validation():

@@ -6,11 +6,13 @@ import pytest
 from stargraph.errors import DomainError, ShapeError, StabilityError
 from stargraph.extension import (
     CoefficientTriple,
+    LineFunction,
     extend_coefficients,
     ho_coefficients,
     ou_coefficients,
+    reflect_extend,
 )
-from stargraph.geometry import GridSpec, StarFunction, StarGraph
+from stargraph.geometry import GridSpec, StarFunction, StarGraph, vertex_slopes
 from stargraph.kernels import OU, ou_line_kernel
 from stargraph.oracle import (
     OracleConfig,
@@ -18,7 +20,6 @@ from stargraph.oracle import (
     solve_star,
     tabulate_kernel,
     truncation_study,
-    worker_count,
 )
 from stargraph.semigroup import apply
 
@@ -118,6 +119,24 @@ def test_growth_monitor_triggers():
     with pytest.raises(StabilityError):
         solve_line_dirichlet(extend_coefficients(sneaky), f0, cfg)
 
+    # a star solve holds each line to its own initial sup: edge 1 carries a
+    # small bump in the growth zone, edge 2 a large one outside it and edge 3
+    # minus both, so only line 0 outgrows its bound before t_final
+    def small(r):
+        return 1e-3 * f0(r)
+
+    def large(r):
+        r = np.asarray(r, dtype=float)
+        return r * np.exp(-((r - 3.0) ** 2))
+
+    grid = GridSpec(cutoff=16.0, points_per_edge=cfg.half_intervals + 1)
+    f = StarFunction.from_callables(
+        StarGraph(3), grid, (small, large, lambda r: -small(r) - large(r)),
+        continuous_at_vertex=True,
+    )
+    with pytest.raises(StabilityError, match="line 0 "):
+        solve_star(sneaky, f, cfg)
+
 
 def test_star_solver_matches_kernel_quadrature():
     cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=0.5)
@@ -139,6 +158,31 @@ def test_star_solver_matches_kernel_quadrature():
     defect = np.abs(u_fd.values[:, window] - u_kernel.values[:, window]).max()
     assert defect < 1e-3
     assert run.continuity_defects.max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])
+def test_star_solve_equals_edge_by_edge_line_solves(coeffs, m):
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, theta=0.5, t_final=0.1)
+    grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
+    profiles = tuple(
+        (lambda r, a=0.2 * i: np.exp(-np.square(r)) * (1.0 + a * np.asarray(r)))
+        for i in range(m)
+    )
+    f = StarFunction.from_callables(StarGraph(m), grid, profiles)
+    run = solve_star(coeffs(), f, cfg)
+
+    x = cfg.grid()
+    line_coeffs = extend_coefficients(coeffs())
+    lines = [
+        solve_line_dirichlet(line_coeffs, reflect_extend(f, i, x=x), cfg).values
+        for i in range(1, m + 1)
+    ]
+    folded = np.stack(lines, axis=1)[:, :, x.size // 2 :]
+    vertex = folded[:, :, 0]
+    assert np.array_equal(run.values, folded)
+    assert np.array_equal(run.continuity_defects, vertex.max(axis=1) - vertex.min(axis=1))
+    assert np.array_equal(run.kirchhoff_defects, np.abs(vertex_slopes(folded, cfg.h).sum(axis=1)))
 
 
 def test_sample_backed_initial_data_needs_matching_mesh():
@@ -192,6 +236,23 @@ def test_tabulated_kernel_matches_closed_form():
         tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.25], stride=5)
     with pytest.raises(DomainError):
         tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.1234], stride=4)
+    with pytest.raises(DomainError):
+        tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.5, 0.25], stride=4)
+
+
+def test_tabulated_kernel_columns_are_line_solves():
+    cfg = OracleConfig(n=2.0, h=1.0 / 8.0, dt=1e-2, theta=0.5, t_final=0.2)
+    coeffs = extend_coefficients(ho_coefficients())
+    times = [0.1, 0.2]
+    table = tabulate_kernel(coeffs, cfg, times)
+    x = cfg.grid()
+    assert not table.values[:, :, [0, -1]].any()  # absorbed at the ends
+    for j in range(1, x.size - 1):
+        hat = np.zeros_like(x)
+        hat[j] = 1.0 / cfg.h
+        run = solve_line_dirichlet(coeffs, LineFunction(x, hat), cfg)
+        for ti, t in enumerate(times):
+            assert np.array_equal(table.values[ti][:, j], run.at_time(t).values)
 
 
 def test_parity_preservation_smoke():
@@ -205,21 +266,6 @@ def test_parity_preservation_smoke():
     run = solve_line_dirichlet(line, even, cfg)
     final = run.values[-1]
     assert np.abs(final - final[::-1]).max() < 1e-12
-
-
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("STARGRAPH_THREADS", raising=False)
-    # the environment caps the pool; the default cap is serial
-    assert worker_count(4) == 1
-    assert worker_count(None) == 1
-    monkeypatch.setenv("STARGRAPH_THREADS", "8")
-    assert worker_count(4) == 4
-    assert worker_count(None) == 8
-    assert worker_count(0) == 1
-    monkeypatch.setenv("STARGRAPH_THREADS", "2")
-    assert worker_count(4) == 2
-    monkeypatch.setenv("STARGRAPH_THREADS", "not-a-number")
-    assert worker_count(None) == 1
 
 
 def test_line_evolution_accessors():

@@ -217,6 +217,9 @@ def test_trace_closed_form_frozen():
     assert trace_closed_form(0.5, 5) == pytest.approx(5.420046209539214, rel=1e-15)
     with pytest.raises(DomainError):
         trace_closed_form(0.0, 2)
+    for m in (0, -3, 2.5):
+        with pytest.raises(DomainError):
+            trace_closed_form(1.0, m)
 
 
 def test_trace_identity():
@@ -237,5 +240,7 @@ def test_trace_partial_edge_cases():
         trace_partial(0.01, 2, 10)
     with pytest.raises(DomainError):
         trace_partial(1.0, 0, 10)
+    with pytest.raises(DomainError):
+        trace_partial(1.0, 2.5, 10)
     with pytest.raises(DomainError):
         trace_partial(1.0, 2, -1)
