@@ -25,6 +25,7 @@ from .errors import (
     InvalidPointError,
     NumericalInputError,
     ShapeError,
+    StarGraphError,
     VertexContinuityError,
 )
 
@@ -38,11 +39,19 @@ __all__ = [
     "integrate_star",
     "sup_distance",
     "simpson_weights",
+    "check_edge_count",
     "vertex_continuous",
     "vertex_slopes",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def check_edge_count(m, error: type[StarGraphError] = InvalidGraphError) -> None:
+    """Raise ``error`` unless ``m`` is a positive integer (a bool is not one)."""
+
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
+        raise error(f"edge count must be a positive integer, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +62,7 @@ class StarGraph:
     truncation: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool):
-            raise InvalidGraphError(f"edge count must be an integer, got {self.m!r}")
-        if self.m < 1:
-            raise InvalidGraphError(f"edge count must be >= 1, got {self.m}")
+        check_edge_count(self.m)
         if self.truncation is not None:
             if not math.isfinite(self.truncation) or self.truncation <= 0:
                 raise InvalidGraphError(
@@ -147,8 +153,7 @@ def mu_density(p, m: int):
     the m edges it integrates to one.
     """
 
-    if m < 1:
-        raise InvalidGraphError(f"edge count must be >= 1, got {m}")
+    check_edge_count(m)
     if isinstance(p, StarPoint):
         r = p.radius
     else:

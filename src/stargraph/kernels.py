@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InvalidPointError, NumericalInputError, ShapeError
-from .geometry import StarPoint
+from .geometry import StarPoint, check_edge_count
 
 __all__ = [
     "MIN_TIME",
@@ -220,18 +220,13 @@ def line_kernel(spec: KernelSpec, t: float, x, y):
     return spec.table.evaluate(t, x, y)
 
 
-def _check_edge_count(m) -> None:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise ShapeError(f"edge count must be a positive integer, got {m!r}")
-
-
 def scattering_matrix(m: int) -> np.ndarray:
     """Vertex scattering weights: (2 - m)/m on the diagonal, 2/m elsewhere.
 
     Rows sum to one; the matrix is symmetric and orthogonal.
     """
 
-    _check_edge_count(m)
+    check_edge_count(m, ShapeError)
     sigma = np.full((m, m), 2.0 / m)
     np.fill_diagonal(sigma, (2.0 - m) / m)
     return sigma
@@ -248,7 +243,7 @@ def star_kernel(spec: KernelSpec, m: int, t: float, x: StarPoint, y: StarPoint) 
 
     if not isinstance(x, StarPoint) or not isinstance(y, StarPoint):
         raise InvalidPointError("x and y must be StarPoint instances")
-    _check_edge_count(m)
+    check_edge_count(m, ShapeError)
     if x.edge > m or y.edge > m:
         raise InvalidPointError(
             f"point uses edge beyond the {m}-edge star: {x.edge}, {y.edge}"

@@ -72,6 +72,8 @@ class OracleConfig:
             raise DomainError(f"t_final must be positive, got {self.t_final}")
         if abs(self.n / self.h - round(self.n / self.h)) > 1e-9:
             raise DomainError(f"n/h must be an integer, got {self.n / self.h}")
+        if self.half_intervals < 1:
+            raise DomainError(f"n must be at least one mesh width h, got n={self.n}, h={self.h}")
         if abs(self.t_final / self.dt - round(self.t_final / self.dt)) > 1e-6:
             raise DomainError(
                 f"t_final/dt must be an integer, got {self.t_final / self.dt}"

@@ -7,6 +7,12 @@ from differences of two edges (zero vertex value, flux balance by
 cancellation).  A piecewise-linear discretization of the Dirichlet form
 reproduces the levels with the same cluster sizes, and the sum of
 multiplicity-weighted exponentials matches the on-diagonal kernel integral.
+
+The discrete form splits the same way as the spectrum: its even sector is the
+one-edge form with the vertex node free, and each of its m - 1 odd sectors is
+the one-edge form with the vertex node deleted.  ``form_spectrum`` solves
+those two one-edge pencils; ``form_matrix`` assembles the dense star pencil
+as the reference.
 """
 
 from __future__ import annotations
@@ -19,7 +25,14 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import AssemblyError, DomainError, ShapeError, StencilError
-from .geometry import GridSpec, StarFunction, StarGraph, simpson_weights, vertex_continuous
+from .geometry import (
+    GridSpec,
+    StarFunction,
+    StarGraph,
+    check_edge_count,
+    simpson_weights,
+    vertex_continuous,
+)
 from .kernels import KernelSpec, ou_line_kernel
 
 __all__ = [
@@ -162,8 +175,9 @@ class SpectralDatum:
 def multiplicity(k: int, m: int) -> int:
     """Even levels are simple; odd levels have dimension m - 1."""
 
-    if k < 0 or m < 1:
-        raise DomainError(f"need level >= 0 and edges >= 1, got k={k}, m={m}")
+    check_edge_count(m, DomainError)
+    if k < 0:
+        raise DomainError(f"level must be >= 0, got {k}")
     return 1 if k % 2 == 0 else m - 1
 
 
@@ -309,14 +323,12 @@ _GL_U = 0.5 * (_GL_XI + 1.0)
 _GL_WU = 0.5 * _GL_W
 
 
-def form_matrix(m: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and mass of the Dirichlet form on hat functions.
+def _edge_form(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals of the one-edge stiffness and mass for unit edge density.
 
-    The form is half the invariant-measure integral of products of edge
-    derivatives; the vertex node is a single shared degree of freedom, which
-    encodes continuity and yields the flux condition naturally.  All edges
-    share one local element table, so symmetry under edge permutation is
-    exact.
+    Returns the stiffness diagonal and off-diagonal, then the mass diagonal
+    and off-diagonal, over the hat functions of one edge (node 0 is the
+    vertex).  Every element is integrated at once on the Gauss panels.
     """
 
     if grid.points_per_edge < 3:
@@ -324,7 +336,6 @@ def form_matrix(m: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     nodes = grid.nodes()
     a = nodes[:-1]
     h = np.diff(nodes)
-    c_m = 2.0 / (m * math.sqrt(math.pi))
 
     xq = a[None, :] + h[None, :] * _GL_U[:, None]
     wq = np.exp(-xq * xq) * (_GL_WU[:, None] * h[None, :])
@@ -335,43 +346,105 @@ def form_matrix(m: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     ll = (phi_l * phi_l * wq).sum(axis=0)
     lr = (phi_l * phi_r * wq).sum(axis=0)
     rr = (phi_r * phi_r * wq).sum(axis=0)
-    ss = wq.sum(axis=0) / (h * h)  # |phi'|^2 weight integral
+    s = 0.5 * wq.sum(axis=0) / (h * h)  # half the |phi'|^2 weight integral
 
-    n_edge = grid.points_per_edge - 1
-    dim = 1 + m * n_edge
-    stiff = np.zeros((dim, dim))
-    mass = np.zeros((dim, dim))
+    # node j collects the left end of element j and the right end of j - 1
+    stiff_diag = np.pad(s, (0, 1)) + np.pad(s, (1, 0))
+    mass_diag = np.pad(ll, (0, 1)) + np.pad(rr, (1, 0))
+    return stiff_diag, -s, mass_diag, lr
 
-    def dof(edge: int, j: int) -> int:
-        return 0 if j == 0 else 1 + edge * n_edge + (j - 1)
 
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _on_star(diag: np.ndarray, off: np.ndarray, m: int) -> np.ndarray:
+    """The one-edge matrix placed on m edges that share the vertex node."""
+
+    n_edge = diag.size - 1
+    interior = _tridiagonal(diag[1:], off[1:])
+    out = np.zeros((1 + m * n_edge, 1 + m * n_edge))
+    out[0, 0] = m * diag[0]
+    out[0, 1::n_edge] = out[1::n_edge, 0] = off[0]
     for e in range(m):
-        for k in range(n_edge):
-            g0, g1 = dof(e, k), dof(e, k + 1)
-            mass[g0, g0] += c_m * ll[k]
-            mass[g0, g1] += c_m * lr[k]
-            mass[g1, g0] += c_m * lr[k]
-            mass[g1, g1] += c_m * rr[k]
-            s = 0.5 * c_m * ss[k]
-            stiff[g0, g0] += s
-            stiff[g0, g1] -= s
-            stiff[g1, g0] -= s
-            stiff[g1, g1] += s
-    return stiff, mass
+        block = slice(1 + e * n_edge, 1 + (e + 1) * n_edge)
+        out[block, block] = interior
+    return out
+
+
+def form_matrix(m: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Stiffness and mass of the Dirichlet form on hat functions.
+
+    The form is half the invariant-measure integral of products of edge
+    derivatives; the vertex node is a single shared degree of freedom, which
+    encodes continuity and yields the flux condition naturally.  All edges
+    share one element table, so symmetry under edge permutation is exact.
+    This dense star assembly is the reference that ``form_spectrum``'s sector
+    split is tested against.
+    """
+
+    check_edge_count(m, DomainError)
+    c_m = 2.0 / (m * math.sqrt(math.pi))
+    stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
+    return (
+        _on_star(c_m * stiff_diag, c_m * stiff_off, m),
+        _on_star(c_m * mass_diag, c_m * mass_off, m),
+    )
+
+
+def _sector_eigenvalues(
+    stiff_diag: np.ndarray,
+    stiff_off: np.ndarray,
+    mass_diag: np.ndarray,
+    mass_off: np.ndarray,
+    count: int | None,
+) -> np.ndarray:
+    """Lowest ``count`` eigenvalues (all for None) of one tridiagonal pencil.
+
+    The pencil is rescaled by its mass diagonal on the diagonals, before the
+    dense matrices exist.
+    """
+
+    scale = 1.0 / np.sqrt(mass_diag)
+    pair = scale[:-1] * scale[1:]
+    a = _tridiagonal(stiff_diag * scale * scale, stiff_off * pair)
+    b = _tridiagonal(mass_diag * scale * scale, mass_off * pair)
+    if count is None or count >= mass_diag.size:
+        return eigh(a, b, eigvals_only=True)
+    return eigh(a, b, eigvals_only=True, subset_by_index=[0, count - 1])
 
 
 def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarray:
-    """Ascending eigenvalues of the discretized form (diagonally rescaled)."""
+    """Ascending eigenvalues of the discretized form on the m-edge star.
 
-    stiff, mass = form_matrix(m, grid)
-    diag = np.diag(mass)
-    if not np.all(diag > 0):
+    The P1 form splits exactly into an even sector (the same values on every
+    edge: the one-edge pencil with the vertex node free) and m - 1 copies of
+    an odd sector (vertex value 0, edges summing to 0: the one-edge pencil
+    with the vertex node deleted).  The density factor c_m cancels, so two
+    one-edge solves of size n and n - 1 replace the dense star problem of
+    size 1 + m(n - 1), and each odd value appears m - 1 times by
+    construction.  Each sector is rescaled by its mass diagonal before the
+    generalized symmetric solve.  ``count`` keeps the lowest values; it must
+    lie in 1 .. 1 + m(n - 1).
+    """
+
+    check_edge_count(m, DomainError)
+    dim = 1 + m * (grid.points_per_edge - 1)
+    if count is not None and (
+        not isinstance(count, (int, np.integer)) or isinstance(count, bool)
+        or not 1 <= count <= dim
+    ):
+        raise DomainError(f"count must be an integer in 1..{dim}, got {count!r}")
+    stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
+    if not np.all(mass_diag > 0):
         raise AssemblyError("mass matrix lost positivity; refine or shrink the grid")
-    scale = 1.0 / np.sqrt(diag)
-    a = stiff * scale[:, None] * scale[None, :]
-    b = mass * scale[:, None] * scale[None, :]
-    vals = eigh(a, b, eigvals_only=True)
-    vals = np.sort(vals)
+    even = _sector_eigenvalues(stiff_diag, stiff_off, mass_diag, mass_off, count)
+    odd = np.empty(0)
+    if m > 1:
+        odd = _sector_eigenvalues(
+            stiff_diag[1:], stiff_off[1:], mass_diag[1:], mass_off[1:], count
+        )
+    vals = np.sort(np.concatenate([even, np.repeat(odd, m - 1)]))
     return vals if count is None else vals[:count]
 
 
@@ -383,17 +456,12 @@ class TracePair(NamedTuple):
     kernel_trace: float
 
 
-def _check_edge_count(m) -> None:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"edge count must be a positive integer, got {m!r}")
-
-
 def trace_closed_form(t: float, m: int) -> float:
     """(1 + (m-1) e^{-t}) / (1 - e^{-2t})."""
 
     if t <= 0:
         raise DomainError(f"time must be positive, got {t}")
-    _check_edge_count(m)
+    check_edge_count(m, DomainError)
     return (1.0 + (m - 1) * math.exp(-t)) / (-math.expm1(-2.0 * t))
 
 
@@ -422,7 +490,7 @@ def trace_partial(t: float, m: int, terms: int) -> TracePair:
 
     if t < 0.05:
         raise DomainError(f"trace quadrature needs t >= 0.05, got {t}")
-    _check_edge_count(m)
+    check_edge_count(m, DomainError)
     if terms < 0:
         raise DomainError(f"term count must be >= 0, got {terms}")
     partial = sum(multiplicity(k, m) * math.exp(-k * t) for k in range(terms + 1))

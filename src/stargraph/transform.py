@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .geometry import GridSpec, StarFunction, StarGraph, sup_distance
+from .geometry import GridSpec, StarFunction, StarGraph, check_edge_count, sup_distance
 from .kernels import HARMONIC, OU
 from .semigroup import apply
 from .spectral import PolyGauss
@@ -36,8 +36,7 @@ TRUST_RADIUS = 5.5
 def flat_factor(m: int) -> float:
     """sqrt(c_m) with c_m = 2 / (m sqrt(pi))."""
 
-    if m < 1:
-        raise DomainError(f"edge count must be >= 1, got {m}")
+    check_edge_count(m, DomainError)
     return math.sqrt(2.0 / (m * math.sqrt(math.pi)))
 
 

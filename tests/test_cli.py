@@ -48,6 +48,13 @@ def test_spectrum_outputs(tmp_path):
     assert abs(float(first[1])) < 1e-6  # the constant sits at zero
 
 
+def test_spectrum_levels_beyond_the_grid_are_usage_errors(capsys):
+    # 10 levels on three edges need 15 eigenvalues; 4 points give 1 + 3 * 3
+    for levels in ("10", "0"):
+        assert main(["spectrum", "--m", "3", "--points", "4", "--levels", levels]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:"), levels
+
+
 def test_evolve_summary_and_snapshots(tmp_path):
     assert main(["evolve", "--m", "2", "--times", "0.3", "--init", "bump",
                  "--out", str(tmp_path)]) == EXIT_OK

@@ -74,6 +74,9 @@ def test_mu_density_frozen_values():
     arr = mu_density(np.array([0.0, 1.0, 2.0]), 4)
     assert arr.shape == (3,)
     assert arr[0] == pytest.approx(2.0 / (4 * math.sqrt(math.pi)), rel=1e-15)
+    for bad in (0, 2.5, True):
+        with pytest.raises(InvalidGraphError):
+            mu_density(1.0, bad)
 
 
 def test_mu_is_a_probability_measure(grid):

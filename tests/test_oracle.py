@@ -45,6 +45,8 @@ def test_config_validation():
         OracleConfig(n=8.0, h=1.0 / 64.0, dt=3e-4, theta=0.5, t_final=1.0)  # t/dt
     with pytest.raises(DomainError):
         OracleConfig(n=-8.0, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=1.0)
+    with pytest.raises(DomainError):
+        OracleConfig(n=1e-12, h=1.0, dt=0.1, t_final=0.1)  # no interior node
 
 
 def test_grid_negation_symmetry():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from stargraph.errors import AssemblyError, DomainError, ShapeError, StencilError
 from stargraph.geometry import GridSpec, StarFunction, StarGraph
@@ -110,8 +111,9 @@ def test_eigenbasis_structure():
 
     assert multiplicity(6, 5) == 1
     assert multiplicity(7, 5) == 4
-    with pytest.raises(DomainError):
-        multiplicity(-1, 3)
+    for k, m in ((-1, 3), (1, 0), (1, -1), (1, 2.5), (1, True)):
+        with pytest.raises(DomainError):
+            multiplicity(k, m)
 
 
 def test_generator_on_eigenbasis_is_scaling():
@@ -199,6 +201,16 @@ def test_form_matrix_invariants():
         assert np.all(np.diag(mass) > 0)
     with pytest.raises(AssemblyError):
         form_matrix(2, GridSpec(cutoff=1.0, points_per_edge=2))
+    for m in (0, -1, 2.5, True):
+        with pytest.raises(DomainError):
+            form_matrix(m, grid)
+        with pytest.raises(DomainError):
+            form_spectrum(m, grid)
+    # the star has 1 + m (n - 1) eigenvalues: 1 + 3 * 95 at m=3
+    for count in (0, -1, 287, 2.5, True):
+        with pytest.raises(DomainError):
+            form_spectrum(3, grid, count=count)
+    assert form_spectrum(3, grid, count=286).size == 286
 
 
 def test_form_spectrum_clusters():
@@ -209,6 +221,24 @@ def test_form_spectrum_clusters():
 
     vals2 = form_spectrum(2, grid, count=4)
     assert np.abs(vals2 - np.array([0.0, 1.0, 2.0, 3.0])).max() < 2e-2
+
+    # eight edges on a fine grid, far beyond what a dense star solve of
+    # size 8193 could do here: levels 0..3 with multiplicities 1, 7, 1, 7
+    vals8 = form_spectrum(8, GridSpec(cutoff=6.0, points_per_edge=1025), count=16)
+    want8 = np.array([0.0] + [1.0] * 7 + [2.0] + [3.0] * 7)
+    assert np.abs(vals8 - want8).max() < 2e-2
+
+
+def test_form_spectrum_equals_dense_reference():
+    # the sector split is exact: the same eigenvalues as the dense star pencil
+    grid = GridSpec(cutoff=6.0, points_per_edge=65)
+    for m in (1, 2, 3, 5, 8):
+        dense = eigh(*form_matrix(m, grid), eigvals_only=True)
+        split = form_spectrum(m, grid)
+        assert split.shape == dense.shape == (1 + 64 * m,)
+        assert np.all(np.abs(split - dense) <= 1e-9 * np.maximum(np.abs(dense), 1.0))
+        low = form_spectrum(m, grid, count=10)
+        assert np.abs(low - dense[:10]).max() <= 1e-9
 
 
 def test_trace_closed_form_frozen():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stargraph.errors import DomainError
 from stargraph.geometry import (
     GridSpec,
     MeasureKind,
@@ -29,6 +30,8 @@ def test_flat_factor_values():
     assert flat_factor(1) == pytest.approx(math.sqrt(2.0 / math.sqrt(math.pi)), rel=1e-15)
     with pytest.raises(ValueError):
         flat_factor(0)
+    with pytest.raises(DomainError):
+        flat_factor(2.5)
 
 
 def test_unit_maps_to_ground_state():
