@@ -29,12 +29,19 @@ __all__ = [
     "ou_line_kernel",
     "ho_line_kernel",
     "line_kernel",
+    "kernel_band",
     "scattering_matrix",
     "star_kernel",
 ]
 
-# below this horizon the quadrature consumers cannot resolve the kernel anyway
+# Smallest time any kernel accepts.  It does not mark where the quadrature in
+# ``semigroup.apply`` can still resolve the kernel: that already fails at
+# t = 1e-5 on 513 points, where constant 1 comes back as 0.848.
 MIN_TIME = 1e-8
+
+# kernel values farther than the band half-width from the band centre are
+# below e^{-BAND_EXPONENT} of their row's peak
+BAND_EXPONENT = 40.0
 
 
 def _check_time(t: float) -> float:
@@ -218,6 +225,26 @@ def line_kernel(spec: KernelSpec, t: float, x, y):
     if spec.tag == "harmonic_oscillator":
         return ho_line_kernel(t, x, y)
     return spec.table.evaluate(t, x, y)
+
+
+def kernel_band(spec: KernelSpec, t: float) -> tuple[float, float]:
+    """Band centre factor λ and half-width b of the line kernel at time ``t``.
+
+    Both closed forms are A(x) exp(-(λx - y)^2 / (2σ^2)) / sqrt(π s) with
+    s = 1 - e^{-2t}: OU has λ = e^{-t}, σ^2 = s/2 and A = 1; HO has
+    λ = 2e^{-t}/(1 + e^{-2t}), σ^2 = s/(1 + e^{-2t}).  For |λx - y| > b the
+    kernel is below e^{-40} of its peak over y, so b = sqrt(80 σ^2).  A
+    tabulated kernel has no known band: b is infinite.
+    """
+
+    t = _check_time(t)
+    if spec.tag == "tabulated":
+        return 1.0, math.inf
+    s = -math.expm1(-2.0 * t)
+    e = math.exp(-t)
+    if spec.tag == "ou":
+        return e, math.sqrt(BAND_EXPONENT * s)
+    return 2.0 * e / (1.0 + e * e), math.sqrt(2.0 * BAND_EXPONENT * s / (1.0 + e * e))
 
 
 def scattering_matrix(m: int) -> np.ndarray:

@@ -2,11 +2,16 @@
 
 The action on a star function is a per-edge integral of the star kernel:
 the direct line kernel against the same edge plus the reflected kernel
-against the 2/m-weighted edge sum.  Integrals use a composite rule on the
-sample grid, extended past the cutoff so that no kernel mass is lost for
-output radii near the cutoff; callable-backed inputs are re-sampled on the
-extension (and optionally oversampled), sample-backed inputs continue by
-zero.
+against the 2/m-weighted edge sum.  Integrals use a composite Simpson rule
+on the sample grid.  Both closed-form kernels are Gaussian bands around
+y = λx (see ``kernels.kernel_band``), so output rows are contracted in
+blocks, each against only the samples within the band half-width b of its
+rows, and the reflected kernel only for rows with λx <= b.  The grid reaches
+λ·(output cutoff) + b, past which every kernel value is below e^{-40} of its
+row's peak.  A tabulated kernel has no band (b is infinite), so every
+block takes the whole grid, which ends at the table's window.
+Callable-backed inputs are re-sampled on that grid (and oversampled),
+sample-backed inputs continue by zero.
 """
 
 from __future__ import annotations
@@ -24,9 +29,14 @@ from .errors import (
     VertexContinuityError,
 )
 from .geometry import GridSpec, StarFunction, simpson_weights, vertex_slopes
-from .kernels import MIN_TIME, KernelSpec, line_kernel
+from .kernels import MIN_TIME, KernelSpec, kernel_band, line_kernel
 
 __all__ = ["apply", "vertex_defect", "evolve_sequence", "VertexDefect"]
+
+# Output rows per block.  A block's kernel arrays then stay in cache, which
+# made blocks of 32 rows faster than both 16 and 64 on 65- to 1537-point grids;
+# smaller blocks lose more to per-block calls than their narrower windows save.
+BLOCK_ROWS = 32
 
 
 class VertexDefect(NamedTuple):
@@ -34,27 +44,36 @@ class VertexDefect(NamedTuple):
     kirchhoff: float
 
 
-def _quadrature_grid(f: StarFunction, pad: float, oversample: int):
-    """Radial quadrature nodes, matching samples and the zero/profile extension."""
+def _quadrature_grid(f: StarFunction, spec: KernelSpec, reach: float, oversample: int):
+    """Radial quadrature nodes j·hq over an even number of intervals, with the data.
 
-    if pad < 0 or not math.isfinite(pad):
-        raise DomainError(f"pad must be finite and >= 0, got {pad}")
-    if oversample < 1:
-        raise DomainError(f"oversample must be >= 1, got {oversample}")
+    A closed-form kernel needs the nodes up to ``reach``; a tabulated one is
+    integrated up to the last node inside its table's window.
+    """
+
     refine = oversample if f.has_profiles() else 1
     hq = f.grid.h / refine
-    n_base = (f.grid.points_per_edge - 1) * refine + 1
-    n_pad = int(math.ceil(pad / hq)) if pad > 0 else 0
-    if (n_base - 1 + n_pad) % 2 == 1:
-        n_pad += 1
-    y = np.arange(n_base + n_pad) * hq
+    if spec.table is None:
+        intervals = math.ceil(reach / hq)
+        intervals += intervals % 2
+    else:
+        window = float(spec.table.x[-1])
+        intervals = int(window / hq + 1e-12)
+        intervals -= intervals % 2
+    if not f.has_profiles():
+        # zeros past the last sample contribute nothing; keep one zero node
+        # so the last sample carries an interior Simpson weight
+        last = f.grid.points_per_edge - 1
+        intervals = min(intervals, last + 1 + (last + 1) % 2)
+    y = np.arange(intervals + 1) * hq
     if f.has_profiles():
         vals = f.evaluate_profiles(y)
         if not np.all(np.isfinite(vals)):
-            raise NumericalInputError("profiles must stay finite on the padded grid")
+            raise NumericalInputError("profiles must stay finite on the quadrature grid")
     else:
         vals = np.zeros((f.graph.m, y.size))
-        vals[:, : f.grid.points_per_edge] = f.values
+        n = min(y.size, f.grid.points_per_edge)
+        vals[:, :n] = f.values[:, :n]
     return y, hq, vals
 
 
@@ -65,36 +84,51 @@ def apply(
     f: StarFunction,
     grid: GridSpec | None = None,
     *,
-    pad: float = 6.5,
     oversample: int = 2,
 ) -> StarFunction:
     """Evolve ``f`` for time ``t`` and sample the result on ``grid``.
 
     Conservative for the drift kernel, positivity preserving, and a
-    sup-norm contraction up to quadrature tolerance.  The output is
-    vertex-continuous by construction: at radius zero the direct and
-    reflected kernels coincide, so every edge receives the same value.
+    sup-norm contraction up to quadrature tolerance.  Each block of output
+    rows is contracted against the samples within the kernel band
+    |λx - y| <= b of its rows (``kernels.kernel_band``); kernel values
+    outside it are below e^{-40} of their row's peak.  Callable-backed
+    inputs are sampled ``oversample`` times finer than their grid, up to
+    λ·(output cutoff) + b.  The output is vertex-continuous by construction:
+    at radius zero the direct and reflected kernels coincide, so every edge
+    receives the same value.
     """
 
     if m != f.graph.m:
         raise ShapeError(f"edge count {m} does not match the function ({f.graph.m})")
     if not f.continuous_at_vertex:
         raise VertexContinuityError("semigroup input must be vertex-continuous")
+    if (not isinstance(oversample, (int, np.integer)) or isinstance(oversample, bool)
+            or oversample < 1):
+        raise DomainError(f"oversample must be a positive integer, got {oversample!r}")
     if grid is None:
         grid = f.grid
 
-    y, hq, vals = _quadrature_grid(f, pad, oversample)
-    w = simpson_weights(y.size, hq)
-    fw = vals * w
+    lam, b = kernel_band(spec, t)
+    y, hq, vals = _quadrature_grid(f, spec, lam * grid.cutoff + b, oversample)
+    fw = vals * simpson_weights(y.size, hq)
     total_w = fw.sum(axis=0)
 
     x = grid.nodes()
-    k_direct = line_kernel(spec, t, x[:, None], y[None, :])
-    k_refl = line_kernel(spec, t, x[:, None], -y[None, :])
-
-    same = (k_direct - k_refl) @ fw.T            # (n_x, m)
-    shared = (2.0 / m) * (k_refl @ total_w)      # (n_x,)
-    out = (same + shared[:, None]).T
+    out = np.empty((m, x.size))
+    for i0 in range(0, x.size, BLOCK_ROWS):
+        xb = x[i0:i0 + BLOCK_ROWS, None]
+        j0 = int(np.searchsorted(y, lam * xb[0, 0] - b))
+        j1 = int(np.searchsorted(y, lam * xb[-1, 0] + b, side="right"))
+        yw = y[None, j0:j1]
+        k_direct = line_kernel(spec, t, xb, yw)
+        if lam * xb[0, 0] <= b:
+            k_refl = line_kernel(spec, t, xb, -yw)
+            block = (k_direct - k_refl) @ fw[:, j0:j1].T
+            block += (2.0 / m) * (k_refl @ total_w[j0:j1])[:, None]
+        else:
+            block = k_direct @ fw[:, j0:j1].T
+        out[:, i0:i0 + BLOCK_ROWS] = block.T
 
     return StarFunction(
         f.graph,

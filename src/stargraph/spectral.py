@@ -126,6 +126,13 @@ class PolyGauss:
 # -- Hermite polynomials ----------------------------------------------------
 
 
+def _check_nonnegative_int(value, what: str) -> None:
+    """Raise DomainError unless ``value`` is a nonnegative integer (a bool is not one)."""
+
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise DomainError(f"{what} must be a nonnegative integer, got {value!r}")
+
+
 def hermite_coefficients(k: int) -> tuple[float, ...]:
     """Coefficients (ascending) of the k-th physicists' Hermite polynomial.
 
@@ -133,8 +140,7 @@ def hermite_coefficients(k: int) -> tuple[float, ...]:
     exact in double precision through the degrees used here.
     """
 
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"level must be a nonnegative integer, got {k!r}")
+    _check_nonnegative_int(k, "level")
     prev = [1.0]
     if k == 0:
         return tuple(prev)
@@ -150,8 +156,7 @@ def hermite_coefficients(k: int) -> tuple[float, ...]:
 def hermite(k: int, x):
     """Evaluate the k-th physicists' Hermite polynomial by recurrence."""
 
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"level must be a nonnegative integer, got {k!r}")
+    _check_nonnegative_int(k, "level")
     x = np.asarray(x, dtype=float)
     h_prev = np.ones_like(x)
     if k == 0:
@@ -176,8 +181,7 @@ def multiplicity(k: int, m: int) -> int:
     """Even levels are simple; odd levels have dimension m - 1."""
 
     check_edge_count(m, DomainError)
-    if k < 0:
-        raise DomainError(f"level must be >= 0, got {k}")
+    _check_nonnegative_int(k, "level")
     return 1 if k % 2 == 0 else m - 1
 
 
@@ -491,8 +495,7 @@ def trace_partial(t: float, m: int, terms: int) -> TracePair:
     if t < 0.05:
         raise DomainError(f"trace quadrature needs t >= 0.05, got {t}")
     check_edge_count(m, DomainError)
-    if terms < 0:
-        raise DomainError(f"term count must be >= 0, got {terms}")
+    _check_nonnegative_int(terms, "term count")
     partial = sum(multiplicity(k, m) * math.exp(-k * t) for k in range(terms + 1))
     direct = _half_line_gaussian_quadrature(t, reflected=False)
     refl = _half_line_gaussian_quadrature(t, reflected=True)

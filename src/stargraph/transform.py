@@ -106,9 +106,10 @@ def similarity_defect(
     """Sup distance between the two routes from f to the oscillator picture.
 
     Route one applies the oscillator semigroup directly; route two conjugates
-    the drift semigroup by the flat map.  Both quadratures share the same
-    nodes, so the defect isolates the kernel identity itself and sits near
-    rounding level inside the trusted ball.
+    the drift semigroup by the flat map.  Both quadratures use the same
+    nodes, each as far as its own kernel band reaches, so the defect isolates
+    the kernel identity itself and sits near rounding level inside the
+    trusted ball.
     """
 
     left = apply(HARMONIC, m, t, f, grid, **apply_kwargs)

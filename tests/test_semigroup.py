@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from stargraph.errors import DomainError, VertexContinuityError
+from stargraph.extension import extend_coefficients, ou_coefficients
 from stargraph.geometry import (
     GridSpec,
     MeasureKind,
     StarFunction,
     StarGraph,
     integrate_star,
+    simpson_weights,
+    sup_distance,
 )
-from stargraph.kernels import HARMONIC, OU
+from stargraph.kernels import HARMONIC, OU, KernelSpec, line_kernel
+from stargraph.oracle import OracleConfig, tabulate_kernel
 from stargraph.semigroup import apply, evolve_sequence, vertex_defect
 from stargraph.spectral import RotationOperator
 from stargraph.transform import ground_state
@@ -84,6 +88,10 @@ def test_conservativity_smoke(grid):
     one = StarFunction.constant(StarGraph(3), grid, 1.0)
     u = apply(OU, 3, 0.7, one, grid)
     assert abs(u.values - 1.0).max() < 1e-10
+    # an output grid far past the input's cutoff still sees all kernel mass
+    one = StarFunction.constant(StarGraph(3), GridSpec(6.0, 129), 1.0)
+    u = apply(OU, 3, 0.5, one, GridSpec(20.0, 129))
+    assert abs(u.values - 1.0).max() < 1e-8
 
 
 def test_positivity_and_contraction(grid, rng):
@@ -166,3 +174,78 @@ def test_output_flags(grid):
     u = apply(HARMONIC, 2, 0.3, f, grid)
     assert u.continuous_at_vertex
     assert not u.has_profiles()
+
+
+def dense_apply(spec, m, t, f):
+    """Every kernel value on the input grid padded by 6.5 units: the reference contraction."""
+
+    refine = 2 if f.has_profiles() else 1  # apply's default oversample
+    hq = f.grid.h / refine
+    n_base = (f.grid.points_per_edge - 1) * refine + 1
+    n_pad = math.ceil(6.5 / hq)
+    n_pad += (n_base - 1 + n_pad) % 2
+    y = np.arange(n_base + n_pad) * hq
+    if f.has_profiles():
+        vals = f.evaluate_profiles(y)
+    else:
+        vals = np.zeros((m, y.size))
+        vals[:, : f.grid.points_per_edge] = f.values
+    fw = vals * simpson_weights(y.size, hq)
+    x = f.grid.nodes()
+    k_direct = line_kernel(spec, t, x[:, None], y[None, :])
+    k_refl = line_kernel(spec, t, x[:, None], -y[None, :])
+    same = (k_direct - k_refl) @ fw.T
+    shared = (2.0 / m) * (k_refl @ fw.sum(axis=0))
+    return (same + shared[:, None]).T
+
+
+def test_apply_equals_dense_reference(rng):
+    # the banded contraction skips only kernel values below e^-40 of their
+    # row's peak, so it agrees with the dense one to rounding
+    for points in (65, 513):
+        grid = GridSpec(cutoff=6.0, points_per_edge=points)
+        for m in (1, 2, 3, 8):
+            graph = StarGraph(m)
+            vals = rng.normal(size=(m, points))
+            vals[:, 0] = vals[0, 0]
+            profiles = tuple(
+                (lambda x, a=0.4 * i: (1.0 + a * np.asarray(x)) * np.exp(-0.2 * np.asarray(x) ** 2))
+                for i in range(m)
+            )
+            inputs = (
+                StarFunction.from_samples(graph, grid, vals, continuous_at_vertex=True),
+                StarFunction.from_callables(graph, grid, profiles, continuous_at_vertex=True),
+            )
+            for spec in (OU, HARMONIC):
+                for t in (1e-3, 1e-2, 0.1, 1.0, 5.0):
+                    for f in inputs:
+                        got = apply(spec, m, t, f).values
+                        want = dense_apply(spec, m, t, f)
+                        scale = max(1.0, float(np.abs(got).max()))
+                        assert np.abs(got - want).max() <= 1e-14 * scale
+                        assert got[:, 0].max() == got[:, 0].min()
+
+
+def test_apply_through_a_tabulated_kernel():
+    # a tabulated kernel has no band: its table's window is integrated whole
+    cfg = OracleConfig(n=6.0, h=1.0 / 32.0, dt=2e-3, theta=0.5, t_final=0.5)
+    table = tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.25, 0.5], stride=2)
+    spec = KernelSpec("tabulated", table)
+    grid = GridSpec(cutoff=4.0, points_per_edge=65)
+    f = StarFunction.from_callables(
+        StarGraph(3), grid,
+        (gauss_profile, lambda x: gauss_profile(x) + xgauss_profile(x), gauss_profile),
+        continuous_at_vertex=True,
+    )
+    for t in (0.25, 0.5):
+        u = apply(spec, 3, t, f)
+        assert u.values[:, 0].max() == u.values[:, 0].min()
+        assert sup_distance(u, apply(OU, 3, t, f), radius_max=3.0) < 1e-3
+
+
+def test_oversample_validation(grid):
+    one = StarFunction.constant(StarGraph(2), grid, 1.0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(DomainError):
+            apply(OU, 2, 0.5, one, oversample=bad)
+    assert abs(apply(OU, 2, 0.5, one, oversample=np.int64(3)).values - 1.0).max() < 1e-10

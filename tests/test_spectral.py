@@ -111,7 +111,7 @@ def test_eigenbasis_structure():
 
     assert multiplicity(6, 5) == 1
     assert multiplicity(7, 5) == 4
-    for k, m in ((-1, 3), (1, 0), (1, -1), (1, 2.5), (1, True)):
+    for k, m in ((-1, 3), (1.5, 3), (True, 3), (1, 0), (1, -1), (1, 2.5), (1, True)):
         with pytest.raises(DomainError):
             multiplicity(k, m)
 
@@ -274,3 +274,7 @@ def test_trace_partial_edge_cases():
         trace_partial(1.0, 2.5, 10)
     with pytest.raises(DomainError):
         trace_partial(1.0, 2, -1)
+    with pytest.raises(DomainError):
+        trace_partial(1.0, 3, 2.5)
+    with pytest.raises(DomainError):
+        trace_partial(1.0, 3, True)
