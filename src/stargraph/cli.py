@@ -113,9 +113,12 @@ def _initial(name: str, m: int, grid: GridSpec) -> StarFunction:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise StarGraphError(f"could not parse float list {text!r}") from exc
+    if not values:
+        raise StarGraphError(f"float list {text!r} holds no numbers")
+    return values
 
 
 def _add_common(p: argparse.ArgumentParser, model: bool = True) -> None:

@@ -11,7 +11,6 @@ reaction evenly, drift oddly.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -187,19 +186,15 @@ def reflect_extend(f: StarFunction, i: int, x: np.ndarray | None = None) -> Line
     return LineFunction(x, profile(x), profile=profile)
 
 
-def extend_coefficients(
-    coeffs: CoefficientTriple,
-    sample_cutoff: float = 12.0,
-    sample_points: int = 1201,
-) -> CoefficientTriple:
+def extend_coefficients(coeffs: CoefficientTriple) -> CoefficientTriple:
     """Extend edge coefficients to the line: q, c evenly and b oddly.
 
     The odd drift extension is well defined only when b vanishes at the
     vertex (tolerance 1e-12); ellipticity q > 0 and the growth bound
-    c <= c_sup_bound are spot-checked on a sample grid.
+    c <= c_sup_bound are spot-checked on 1201 points of [0, 12].
     """
 
-    r = np.linspace(0.0, sample_cutoff, sample_points)
+    r = np.linspace(0.0, 12.0, 1201)
     b0 = float(np.asarray(coeffs.b(np.zeros(1)), dtype=float)[0])
     if abs(b0) > 1e-12:
         raise ExtensionError(
@@ -265,7 +260,6 @@ def even_odd_split(f: StarFunction) -> tuple[StarFunction, StarFunction]:
         np.array(even_values),
         continuous_at_vertex=True,
         profiles=even_profiles,
-        vertex_tol=math.inf,
     )
     odd = StarFunction(
         f.graph,
@@ -273,7 +267,6 @@ def even_odd_split(f: StarFunction) -> tuple[StarFunction, StarFunction]:
         odd_values,
         continuous_at_vertex=f.continuous_at_vertex,
         profiles=odd_profiles,
-        vertex_tol=math.inf,
     )
     return even, odd
 
@@ -339,5 +332,4 @@ def fold_to_star(
         grid,
         values,
         continuous_at_vertex=vertex_continuous(vertex, 1e-9),
-        vertex_tol=math.inf,
     )

@@ -40,6 +40,7 @@ __all__ = [
     "sup_distance",
     "simpson_weights",
     "check_edge_count",
+    "is_integer",
     "vertex_continuous",
     "vertex_slopes",
 ]
@@ -47,34 +48,27 @@ __all__ = [
 SQRT_PI = math.sqrt(math.pi)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_edge_count(m, error: type[StarGraphError] = InvalidGraphError) -> None:
     """Raise ``error`` unless ``m`` is a positive integer (a bool is not one)."""
 
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
+    if not is_integer(m) or m < 1:
         raise error(f"edge count must be a positive integer, got {m!r}")
 
 
 @dataclass(frozen=True)
 class StarGraph:
-    """Star with ``m`` half-line edges; ``truncation`` limits each edge to [0, n]."""
+    """Star with ``m`` half-line edges."""
 
     m: int
-    truncation: float | None = None
 
     def __post_init__(self) -> None:
         check_edge_count(self.m)
-        if self.truncation is not None:
-            if not math.isfinite(self.truncation) or self.truncation <= 0:
-                raise InvalidGraphError(
-                    f"truncation must be a positive finite radius, got {self.truncation}"
-                )
-
-    def contains(self, p: "StarPoint") -> bool:
-        if p.edge > self.m:
-            return False
-        if self.truncation is not None and p.radius > self.truncation:
-            return False
-        return True
 
 
 class StarPoint:
@@ -86,7 +80,7 @@ class StarPoint:
     __slots__ = ("edge", "radius")
 
     def __init__(self, edge: int, radius: float):
-        if not isinstance(edge, (int, np.integer)) or isinstance(edge, bool):
+        if not is_integer(edge):
             raise InvalidPointError(f"edge index must be an integer, got {edge!r}")
         if edge < 1:
             raise InvalidPointError(f"edge index must be >= 1, got {edge}")
@@ -98,9 +92,6 @@ class StarPoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("StarPoint is immutable")
-
-    def is_vertex(self) -> bool:
-        return self.radius == 0.0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StarPoint):
@@ -128,9 +119,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.cutoff) or self.cutoff <= 0:
             raise ShapeError(f"cutoff must be positive and finite, got {self.cutoff}")
-        if self.points_per_edge < 2:
+        if not is_integer(self.points_per_edge) or self.points_per_edge < 2:
             raise ShapeError(
-                f"points_per_edge must be >= 2, got {self.points_per_edge}"
+                f"points_per_edge must be an integer >= 2, got {self.points_per_edge!r}"
             )
 
     @property
@@ -238,7 +229,6 @@ class StarFunction:
         continuous_at_vertex: bool = False,
         profiles: tuple[Profile, ...] | None = None,
         trusted_cutoff: float | None = None,
-        vertex_tol: float = 1e-9,
     ):
         values = np.array(values, dtype=float)
         if values.shape != (graph.m, grid.points_per_edge):
@@ -254,10 +244,10 @@ class StarFunction:
             )
         if continuous_at_vertex:
             col = values[:, 0]
-            if not vertex_continuous(col, vertex_tol):
+            if not vertex_continuous(col, 1e-9):
                 raise VertexContinuityError(
                     f"vertex values disagree by {float(np.ptp(col)):.3e} "
-                    f"(tolerance {vertex_tol:.3e} times max(1, |vertex value|))"
+                    f"(tolerance 1e-9 times max(1, |vertex value|))"
                 )
             values[:, 0] = col[0]
         values.flags.writeable = False
@@ -281,15 +271,8 @@ class StarFunction:
         values: np.ndarray,
         *,
         continuous_at_vertex: bool = False,
-        vertex_tol: float = 1e-9,
     ) -> "StarFunction":
-        return cls(
-            graph,
-            grid,
-            values,
-            continuous_at_vertex=continuous_at_vertex,
-            vertex_tol=vertex_tol,
-        )
+        return cls(graph, grid, values, continuous_at_vertex=continuous_at_vertex)
 
     @classmethod
     def from_callables(
@@ -451,7 +434,6 @@ class StarFunction:
 def integrate_star(
     f: StarFunction,
     measure: MeasureKind | str = MeasureKind.GAUSSIAN_MU,
-    grid: GridSpec | None = None,
 ) -> float:
     """Integrate a StarFunction over the truncated star.
 
@@ -460,8 +442,6 @@ def integrate_star(
     """
 
     measure = MeasureKind(measure)
-    if grid is not None and grid != f.grid:
-        raise ShapeError("explicit grid must match the sample grid of f")
     g = f.grid
     w = simpson_weights(g.points_per_edge, g.h)
     if measure is MeasureKind.GAUSSIAN_MU:
@@ -470,7 +450,7 @@ def integrate_star(
 
 
 def sup_distance(f: StarFunction, g: StarFunction, radius_max: float | None = None) -> float:
-    """Supremum distance over shared grid nodes, optionally windowed in radius."""
+    """Supremum distance over shared grid nodes, optionally windowed to [0, radius_max]."""
 
     if f.graph.m != g.graph.m:
         raise ShapeError("functions live on stars with different edge counts")
@@ -478,6 +458,8 @@ def sup_distance(f: StarFunction, g: StarFunction, radius_max: float | None = No
         raise ShapeError("functions are sampled on different grids")
     diff = np.abs(f.values - g.values)
     if radius_max is not None:
+        if not radius_max >= 0:
+            raise InvalidPointError(f"window radius must be >= 0, got {radius_max}")
         mask = f.grid.nodes() <= radius_max + 1e-12
         diff = diff[:, mask]
     return float(diff.max())

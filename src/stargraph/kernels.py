@@ -3,9 +3,9 @@
 Closed forms cover the drift-toward-origin diffusion (Gaussian kernel with
 exponentially shrinking mean) and the quadratic-potential propagator; a
 tabulated variant carries solver output for coefficients without a closed
-form.  On the star the line kernel is combined with a scattering matrix:
-same-edge propagation keeps the direct part, every edge pair shares the
-reflected part with weight 2/m.
+form.  On the star the line kernel is combined through the reflection
+weights: same-edge propagation adds the reflected part with weight
+(2 - m)/m to the direct part, every other edge sees it with weight 2/m.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "ho_line_kernel",
     "line_kernel",
     "kernel_band",
-    "scattering_matrix",
     "star_kernel",
 ]
 
@@ -245,18 +244,6 @@ def kernel_band(spec: KernelSpec, t: float) -> tuple[float, float]:
     if spec.tag == "ou":
         return e, math.sqrt(BAND_EXPONENT * s)
     return 2.0 * e / (1.0 + e * e), math.sqrt(2.0 * BAND_EXPONENT * s / (1.0 + e * e))
-
-
-def scattering_matrix(m: int) -> np.ndarray:
-    """Vertex scattering weights: (2 - m)/m on the diagonal, 2/m elsewhere.
-
-    Rows sum to one; the matrix is symmetric and orthogonal.
-    """
-
-    check_edge_count(m, ShapeError)
-    sigma = np.full((m, m), 2.0 / m)
-    np.fill_diagonal(sigma, (2.0 - m) / m)
-    return sigma
 
 
 def star_kernel(spec: KernelSpec, m: int, t: float, x: StarPoint, y: StarPoint) -> float:

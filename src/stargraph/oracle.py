@@ -29,7 +29,7 @@ from .extension import (
     reflect_extend,
     symmetric_line_grid,
 )
-from .geometry import GridSpec, StarFunction, StarGraph, vertex_continuous, vertex_slopes
+from .geometry import GridSpec, StarFunction, StarGraph, is_integer, vertex_continuous, vertex_slopes
 from .kernels import TabulatedLineKernel
 
 __all__ = [
@@ -249,7 +249,6 @@ class StarEvolution:
             self.grid,
             vals,
             continuous_at_vertex=vertex_continuous(vals[:, 0], 1e-9),
-            vertex_tol=math.inf,
         )
 
     def at_time(self, t: float) -> StarFunction:
@@ -316,9 +315,8 @@ def truncation_study(
     f: StarFunction,
     cfg: OracleConfig,
     n_list: Sequence[float],
-    times: Sequence[float] | None = None,
 ) -> list[TruncationRow]:
-    """Sup distance between successive truncation radii on the window [0, n_min].
+    """Sup distance at t_final between successive truncation radii on the window [0, n_min].
 
     Rows are keyed by the larger radius of each consecutive pair; identical
     radii give zero rows.  Confinement shows up as defects collapsing with n.
@@ -329,28 +327,16 @@ def truncation_study(
         raise DomainError("need at least two truncation radii")
     if any(n2 < n1 for n1, n2 in zip(n_list, n_list[1:])):
         raise DomainError("truncation radii must be non-decreasing")
-    if times is None:
-        times = [cfg.t_final]
-    times = [float(t) for t in times]
 
     window = int(round(min(n_list) / cfg.h)) + 1
-    runs = []
+    finals = []
     for n in n_list:
         run = solve_star(coeffs, f, replace(cfg, n=n))
-        levels = [_time_level(run.times, t) for t in times]
-        runs.append(run.values[levels][:, :, :window])
-
-    rows: list[TruncationRow] = []
-    for prev, cur, n in zip(runs, runs[1:], n_list[1:]):
-        for ti, t in enumerate(times):
-            rows.append(
-                TruncationRow(
-                    n=n,
-                    t=t,
-                    sup_defect=float(np.abs(cur[ti] - prev[ti]).max()),
-                )
-            )
-    return rows
+        finals.append(run.values[_time_level(run.times, cfg.t_final), :, :window])
+    return [
+        TruncationRow(n=n, t=cfg.t_final, sup_defect=float(np.abs(cur - prev).max()))
+        for prev, cur, n in zip(finals, finals[1:], n_list[1:])
+    ]
 
 
 def tabulate_kernel(
@@ -369,8 +355,8 @@ def tabulate_kernel(
     tabulation grid; it must divide n/h so the thinned grid stays symmetric.
     """
 
-    if stride < 1 or cfg.half_intervals % stride != 0:
-        raise DomainError("stride must be >= 1 and divide n/h")
+    if not is_integer(stride) or stride < 1 or cfg.half_intervals % stride != 0:
+        raise DomainError(f"stride must be a positive integer dividing n/h, got {stride!r}")
     times = [float(t) for t in times]
     if not times:
         raise DomainError("need at least one tabulation time")

@@ -10,7 +10,7 @@ rows, and the reflected kernel only for rows with λx <= b.  The grid reaches
 λ·(output cutoff) + b, past which every kernel value is below e^{-40} of its
 row's peak.  A tabulated kernel has no band (b is infinite), so every
 block takes the whole grid, which ends at the table's window.
-Callable-backed inputs are re-sampled on that grid (and oversampled),
+Callable-backed inputs are re-sampled on that grid at half their grid step,
 sample-backed inputs continue by zero.
 """
 
@@ -38,20 +38,22 @@ __all__ = ["apply", "vertex_defect", "evolve_sequence", "VertexDefect"]
 # smaller blocks lose more to per-block calls than their narrower windows save.
 BLOCK_ROWS = 32
 
+OVERSAMPLE = 2  # callable-backed inputs are sampled this many times finer than their grid
+
 
 class VertexDefect(NamedTuple):
     continuity: float
     kirchhoff: float
 
 
-def _quadrature_grid(f: StarFunction, spec: KernelSpec, reach: float, oversample: int):
+def _quadrature_grid(f: StarFunction, spec: KernelSpec, reach: float):
     """Radial quadrature nodes j·hq over an even number of intervals, with the data.
 
     A closed-form kernel needs the nodes up to ``reach``; a tabulated one is
     integrated up to the last node inside its table's window.
     """
 
-    refine = oversample if f.has_profiles() else 1
+    refine = OVERSAMPLE if f.has_profiles() else 1
     hq = f.grid.h / refine
     if spec.table is None:
         intervals = math.ceil(reach / hq)
@@ -83,8 +85,6 @@ def apply(
     t: float,
     f: StarFunction,
     grid: GridSpec | None = None,
-    *,
-    oversample: int = 2,
 ) -> StarFunction:
     """Evolve ``f`` for time ``t`` and sample the result on ``grid``.
 
@@ -93,7 +93,7 @@ def apply(
     rows is contracted against the samples within the kernel band
     |λx - y| <= b of its rows (``kernels.kernel_band``); kernel values
     outside it are below e^{-40} of their row's peak.  Callable-backed
-    inputs are sampled ``oversample`` times finer than their grid, up to
+    inputs are sampled twice as finely as their grid, up to
     λ·(output cutoff) + b.  The output is vertex-continuous by construction:
     at radius zero the direct and reflected kernels coincide, so every edge
     receives the same value.
@@ -103,14 +103,11 @@ def apply(
         raise ShapeError(f"edge count {m} does not match the function ({f.graph.m})")
     if not f.continuous_at_vertex:
         raise VertexContinuityError("semigroup input must be vertex-continuous")
-    if (not isinstance(oversample, (int, np.integer)) or isinstance(oversample, bool)
-            or oversample < 1):
-        raise DomainError(f"oversample must be a positive integer, got {oversample!r}")
     if grid is None:
         grid = f.grid
 
     lam, b = kernel_band(spec, t)
-    y, hq, vals = _quadrature_grid(f, spec, lam * grid.cutoff + b, oversample)
+    y, hq, vals = _quadrature_grid(f, spec, lam * grid.cutoff + b)
     fw = vals * simpson_weights(y.size, hq)
     total_w = fw.sum(axis=0)
 
@@ -135,7 +132,6 @@ def apply(
         grid,
         out,
         continuous_at_vertex=True,
-        vertex_tol=math.inf,
         trusted_cutoff=f.trusted_cutoff,
     )
 
@@ -166,7 +162,6 @@ def evolve_sequence(
     times: Sequence[float],
     f: StarFunction,
     grid: GridSpec | None = None,
-    **kwargs,
 ) -> list[StarFunction]:
     """Apply the semigroup at each listed time, always from the initial data."""
 
@@ -175,4 +170,4 @@ def evolve_sequence(
         raise DomainError(f"times must be finite and >= {MIN_TIME}")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise DomainError("times must be strictly increasing")
-    return [apply(spec, m, t, f, grid, **kwargs) for t in times]
+    return [apply(spec, m, t, f, grid) for t in times]

@@ -11,8 +11,7 @@ multiplicity-weighted exponentials matches the on-diagonal kernel integral.
 The discrete form splits the same way as the spectrum: its even sector is the
 one-edge form with the vertex node free, and each of its m - 1 odd sectors is
 the one-edge form with the vertex node deleted.  ``form_spectrum`` solves
-those two one-edge pencils; ``form_matrix`` assembles the dense star pencil
-as the reference.
+those two one-edge pencils.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .geometry import (
     StarFunction,
     StarGraph,
     check_edge_count,
+    is_integer,
     simpson_weights,
     vertex_continuous,
 )
@@ -43,7 +43,6 @@ __all__ = [
     "hermite_coefficients",
     "eigenbasis",
     "apply_generator",
-    "form_matrix",
     "form_spectrum",
     "multiplicity",
     "trace_closed_form",
@@ -129,7 +128,7 @@ class PolyGauss:
 def _check_nonnegative_int(value, what: str) -> None:
     """Raise DomainError unless ``value`` is a nonnegative integer (a bool is not one)."""
 
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+    if not is_integer(value) or value < 0:
         raise DomainError(f"{what} must be a nonnegative integer, got {value!r}")
 
 
@@ -285,9 +284,7 @@ def apply_generator(kind, f: StarFunction) -> StarFunction:
     else:
         out = 0.5 * (d2 - (x * x) * f.values + f.values)
     continuous = vertex_continuous(out[:, 0], 1e-9)
-    return StarFunction(
-        f.graph, f.grid, out, continuous_at_vertex=continuous, vertex_tol=math.inf
-    )
+    return StarFunction(f.graph, f.grid, out, continuous_at_vertex=continuous)
 
 
 @dataclass(frozen=True)
@@ -310,7 +307,6 @@ class RotationOperator:
             values,
             continuous_at_vertex=f.continuous_at_vertex,
             profiles=profiles,
-            vertex_tol=math.inf,
             trusted_cutoff=f.trusted_cutoff,
         )
 
@@ -362,40 +358,6 @@ def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def _on_star(diag: np.ndarray, off: np.ndarray, m: int) -> np.ndarray:
-    """The one-edge matrix placed on m edges that share the vertex node."""
-
-    n_edge = diag.size - 1
-    interior = _tridiagonal(diag[1:], off[1:])
-    out = np.zeros((1 + m * n_edge, 1 + m * n_edge))
-    out[0, 0] = m * diag[0]
-    out[0, 1::n_edge] = out[1::n_edge, 0] = off[0]
-    for e in range(m):
-        block = slice(1 + e * n_edge, 1 + (e + 1) * n_edge)
-        out[block, block] = interior
-    return out
-
-
-def form_matrix(m: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and mass of the Dirichlet form on hat functions.
-
-    The form is half the invariant-measure integral of products of edge
-    derivatives; the vertex node is a single shared degree of freedom, which
-    encodes continuity and yields the flux condition naturally.  All edges
-    share one element table, so symmetry under edge permutation is exact.
-    This dense star assembly is the reference that ``form_spectrum``'s sector
-    split is tested against.
-    """
-
-    check_edge_count(m, DomainError)
-    c_m = 2.0 / (m * math.sqrt(math.pi))
-    stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
-    return (
-        _on_star(c_m * stiff_diag, c_m * stiff_off, m),
-        _on_star(c_m * mass_diag, c_m * mass_off, m),
-    )
-
-
 def _sector_eigenvalues(
     stiff_diag: np.ndarray,
     stiff_off: np.ndarray,
@@ -434,10 +396,7 @@ def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarra
 
     check_edge_count(m, DomainError)
     dim = 1 + m * (grid.points_per_edge - 1)
-    if count is not None and (
-        not isinstance(count, (int, np.integer)) or isinstance(count, bool)
-        or not 1 <= count <= dim
-    ):
+    if count is not None and (not is_integer(count) or not 1 <= count <= dim):
         raise DomainError(f"count must be an integer in 1..{dim}, got {count!r}")
     stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
     if not np.all(mass_diag > 0):
@@ -463,8 +422,8 @@ class TracePair(NamedTuple):
 def trace_closed_form(t: float, m: int) -> float:
     """(1 + (m-1) e^{-t}) / (1 - e^{-2t})."""
 
-    if t <= 0:
-        raise DomainError(f"time must be positive, got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise DomainError(f"time must be positive and finite, got {t}")
     check_edge_count(m, DomainError)
     return (1.0 + (m - 1) * math.exp(-t)) / (-math.expm1(-2.0 * t))
 
@@ -492,8 +451,8 @@ def trace_partial(t: float, m: int, terms: int) -> TracePair:
     window grow.
     """
 
-    if t < 0.05:
-        raise DomainError(f"trace quadrature needs t >= 0.05, got {t}")
+    if not (math.isfinite(t) and t >= 0.05):
+        raise DomainError(f"trace quadrature needs a finite time t >= 0.05, got {t}")
     check_edge_count(m, DomainError)
     _check_nonnegative_int(terms, "term count")
     partial = sum(multiplicity(k, m) * math.exp(-k * t) for k in range(terms + 1))

@@ -65,7 +65,6 @@ def _scaled(f: StarFunction, scale: float, gauss_delta: float,
         values,
         continuous_at_vertex=f.continuous_at_vertex,
         profiles=profiles,
-        vertex_tol=math.inf,
         trusted_cutoff=trusted_cutoff,
     )
 
@@ -99,9 +98,6 @@ def similarity_defect(
     t: float,
     f: StarFunction,
     grid: GridSpec | None = None,
-    *,
-    radius_max: float = TRUST_RADIUS,
-    **apply_kwargs,
 ) -> float:
     """Sup distance between the two routes from f to the oscillator picture.
 
@@ -109,9 +105,9 @@ def similarity_defect(
     the drift semigroup by the flat map.  Both quadratures use the same
     nodes, each as far as its own kernel band reaches, so the defect isolates
     the kernel identity itself and sits near rounding level inside the
-    trusted ball.
+    trusted ball of radius TRUST_RADIUS.
     """
 
-    left = apply(HARMONIC, m, t, f, grid, **apply_kwargs)
-    right = to_flat(apply(OU, m, t, from_flat(f), grid, **apply_kwargs))
-    return sup_distance(left, right, radius_max=radius_max)
+    left = apply(HARMONIC, m, t, f, grid)
+    right = to_flat(apply(OU, m, t, from_flat(f), grid))
+    return sup_distance(left, right, radius_max=TRUST_RADIUS)

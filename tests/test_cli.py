@@ -95,6 +95,25 @@ def test_bad_float_list():
     assert main(["evolve", "--times", "0.5,zap"]) == EXIT_USAGE
 
 
+def test_empty_float_list_is_usage_error(capsys):
+    # a check that checked nothing must not pass
+    for argv in (["invariance", "--times", ",", "--m", "2", "--points", "33"],
+                 ["evolve", "--times", ",", "--m", "2", "--points", "33"]):
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "float list ','" in captured.err, argv
+
+
+def test_non_finite_or_negative_numbers_are_usage_errors(capsys):
+    oracle = ["oracle", "--n", "2", "--h", "0.125", "--dt", "0.1", "--t", "0.2", "--m", "2"]
+    for argv, named in ((oracle + ["--window", "-1"], "window radius must be >= 0, got -1"),
+                        (oracle + ["--window", "nan"], "window radius must be >= 0, got nan"),
+                        (["trace", "--t", "nan"], "time t >= 0.05, got nan")):
+        assert main(argv) == EXIT_USAGE, argv
+        assert named in capsys.readouterr().err, argv
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--no-such-flag"])

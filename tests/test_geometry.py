@@ -53,10 +53,12 @@ def test_grid_spec_basics():
     assert nodes[0] == 0.0
     assert nodes[-1] == 6.0
     assert nodes.size == 513
-    with pytest.raises(ShapeError):
-        GridSpec(cutoff=6.0, points_per_edge=1)
+    for bad in (1, 2.5, 3.0, True):
+        with pytest.raises(ShapeError):
+            GridSpec(cutoff=6.0, points_per_edge=bad)
     with pytest.raises(ShapeError):
         GridSpec(cutoff=-1.0, points_per_edge=65)
+    assert GridSpec(cutoff=6.0, points_per_edge=np.int64(65)).nodes().size == 65
 
 
 def test_mu_density_frozen_values():
@@ -151,6 +153,13 @@ def test_star_function_construction(grid):
     bad[1, 0] = 2.0
     with pytest.raises(VertexContinuityError):
         StarFunction.from_samples(g, grid, bad, continuous_at_vertex=True)
+    # the vertex values may spread by 1e-9 times max(1, |vertex value|)
+    bad[1, 0] = 1.0 + 1e-8
+    with pytest.raises(VertexContinuityError):
+        StarFunction.from_samples(g, grid, bad, continuous_at_vertex=True)
+    bad[1, 0] = 1.0 + 1e-10
+    near = StarFunction.from_samples(g, grid, bad, continuous_at_vertex=True)
+    assert near.values[1, 0] == near.values[0, 0] == 1.0
 
     with pytest.raises(ShapeError):
         StarFunction.from_samples(g, grid, vals[:, :-1])
@@ -224,5 +233,8 @@ def test_sup_distance_window(grid):
     b = StarFunction.from_samples(g, grid, np.tile(bump_far, (2, 1)))
     assert sup_distance(a, b) == 1.0
     assert sup_distance(a, b, radius_max=3.0) == 0.0
+    for bad in (-1.0, math.nan):
+        with pytest.raises(InvalidPointError):
+            sup_distance(a, b, radius_max=bad)
     with pytest.raises(ShapeError):
         sup_distance(a, StarFunction.constant(StarGraph(3), grid, 0.0))

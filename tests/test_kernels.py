@@ -16,7 +16,6 @@ from stargraph.kernels import (
     ho_line_kernel,
     line_kernel,
     ou_line_kernel,
-    scattering_matrix,
     star_kernel,
 )
 
@@ -84,20 +83,32 @@ def test_time_domain():
 
 
 def test_scattering_frozen():
-    sigma = scattering_matrix(4)
-    assert sigma[0, 0] == pytest.approx(-0.5, rel=0)
-    assert sigma[0, 1] == pytest.approx(0.5, rel=0)
-    assert scattering_matrix(2)[0, 0] == 0.0
-    assert scattering_matrix(1)[0, 0] == 1.0
+    # the reflection weights of star_kernel: (2 - m)/m on the same edge and
+    # 2/m across edges, i.e. -1/2 and 1/2 at m = 4, 0 at m = 2, 1 at m = 1
+    t, x, y = 1.0, 1.0, 0.5
+    k_direct = line_kernel(OU, t, x, y)
+    k_refl = line_kernel(OU, t, x, -y)
+    assert star_kernel(OU, 4, t, StarPoint(1, x), StarPoint(1, y)) == float(
+        k_direct + (-0.5) * k_refl
+    )
+    assert star_kernel(OU, 4, t, StarPoint(1, x), StarPoint(3, y)) == float(0.5 * k_refl)
+    assert star_kernel(OU, 2, t, StarPoint(1, x), StarPoint(1, y)) == float(k_direct)
+    assert star_kernel(OU, 1, t, StarPoint(1, x), StarPoint(1, y)) == float(
+        k_direct + k_refl
+    )
 
 
-@given(m=st.integers(min_value=1, max_value=12))
-def test_scattering_structure(m):
-    sigma = scattering_matrix(m)
-    assert np.allclose(sigma.sum(axis=1), 1.0, rtol=0, atol=1e-14)
-    assert np.array_equal(sigma, sigma.T)
-    # the scattering matrix is an involution, hence orthogonal
-    assert np.allclose(sigma @ sigma, np.eye(m), rtol=0, atol=1e-14)
+@given(m=st.integers(min_value=1, max_value=12), t=times, x=radii, y=radii)
+def test_scattering_structure(m, t, x, y):
+    # the vertex weights (2 - m)/m and 2/m sum to one over a row, so the
+    # kernels from edge 1 to every edge add up to direct + reflected; they
+    # form an involution, so same-edge minus cross-edge is direct - reflected
+    k_direct = float(line_kernel(OU, t, x, y))
+    k_refl = float(line_kernel(OU, t, x, -y))
+    row = [star_kernel(OU, m, t, StarPoint(1, x), StarPoint(j, y)) for j in range(1, m + 1)]
+    assert sum(row) == pytest.approx(k_direct + k_refl, rel=1e-13)
+    for cross in row[1:]:
+        assert abs(row[0] - cross - (k_direct - k_refl)) <= 1e-12 * (k_direct + k_refl)
 
 
 def test_two_edges_reduce_to_the_line():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,6 +215,11 @@ def test_truncation_study_confinement():
     rows = truncation_study(ou_coefficients(), f, cfg, [3.0, 4.0, 6.0])
     assert len(rows) == 2
     assert rows[0].n == 4.0 and rows[1].n == 6.0
+    assert rows[0].t == rows[1].t == 0.25
+    # the rows compare the final levels on the window [0, 3]
+    short, long = (solve_star(ou_coefficients(), f, replace(cfg, n=n)).at_time(0.25).values
+                   for n in (3.0, 4.0))
+    assert rows[0].sup_defect == np.abs(long[:, : short.shape[1]] - short).max()
     assert rows[0].sup_defect > rows[1].sup_defect
     assert rows[1].sup_defect < 1e-3
 
@@ -234,8 +240,9 @@ def test_tabulated_kernel_matches_closed_form():
                 want = float(ou_line_kernel(t, x, y))
                 worst = max(worst, abs(got - want))
     assert worst < 5e-4
-    with pytest.raises(DomainError):
-        tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.25], stride=5)
+    for bad in (5, 2.0, True):
+        with pytest.raises(DomainError):
+            tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.25], stride=bad)
     with pytest.raises(DomainError):
         tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.1234], stride=4)
     with pytest.raises(DomainError):

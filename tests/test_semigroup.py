@@ -179,7 +179,7 @@ def test_output_flags(grid):
 def dense_apply(spec, m, t, f):
     """Every kernel value on the input grid padded by 6.5 units: the reference contraction."""
 
-    refine = 2 if f.has_profiles() else 1  # apply's default oversample
+    refine = 2 if f.has_profiles() else 1  # apply samples profiles twice as finely
     hq = f.grid.h / refine
     n_base = (f.grid.points_per_edge - 1) * refine + 1
     n_pad = math.ceil(6.5 / hq)
@@ -242,10 +242,3 @@ def test_apply_through_a_tabulated_kernel():
         assert u.values[:, 0].max() == u.values[:, 0].min()
         assert sup_distance(u, apply(OU, 3, t, f), radius_max=3.0) < 1e-3
 
-
-def test_oversample_validation(grid):
-    one = StarFunction.constant(StarGraph(2), grid, 1.0)
-    for bad in (0, 2.5, True):
-        with pytest.raises(DomainError):
-            apply(OU, 2, 0.5, one, oversample=bad)
-    assert abs(apply(OU, 2, 0.5, one, oversample=np.int64(3)).values - 1.0).max() < 1e-10
