@@ -19,12 +19,20 @@ import numpy as np
 from .errors import (
     ExtensionError,
     FoldError,
+    InvalidPointError,
     NumericalInputError,
     ShapeError,
     StencilError,
     VertexContinuityError,
 )
-from .geometry import GridSpec, StarFunction, StarGraph, vertex_continuous, vertex_slopes
+from .geometry import (
+    GridSpec,
+    StarFunction,
+    StarGraph,
+    is_integer,
+    vertex_continuous,
+    vertex_slopes,
+)
 
 __all__ = [
     "LineFunction",
@@ -148,6 +156,8 @@ def reflect_extend(f: StarFunction, i: int, x: np.ndarray | None = None) -> Line
     """
 
     m = f.graph.m
+    if not is_integer(i):
+        raise InvalidPointError(f"edge index must be an integer, got {i!r}")
     if i < 1 or i > m:
         raise ShapeError(f"edge must be in 1..{m}, got {i}")
     if not f.continuous_at_vertex:

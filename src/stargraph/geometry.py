@@ -329,6 +329,8 @@ class StarFunction:
         return float(self.values[0, 0])
 
     def edge_values(self, edge: int) -> np.ndarray:
+        if not is_integer(edge):
+            raise InvalidPointError(f"edge index must be an integer, got {edge!r}")
         if edge < 1 or edge > self.graph.m:
             raise InvalidPointError(f"edge must be in 1..{self.graph.m}, got {edge}")
         return self.values[edge - 1]

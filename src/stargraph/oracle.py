@@ -4,9 +4,11 @@ Each edge of the star yields one parabolic problem on a symmetric interval
 (-n, n) with homogeneous Dirichlet ends: d_t u = q u'' + b u' + c u with the
 parity-extended coefficients.  A theta-weighted step (trapezoidal by
 default) advances the centered second-order discretization.  All lines of a
-solve share one tridiagonal matrix, so they advance together: each step is
-one banded solve with one right-hand side per line (the m reflected edges of
-a star solve, or the unit hats of a kernel table).  Folding the line
+solve share one tridiagonal step matrix A = I - theta dt T, so they advance
+together: each step is one LAPACK gtsv solve with one right-hand side per
+line (the m reflected edges of a star solve, or the unit hats of a kernel
+table).  The explicit half needs no stencil product, because
+B = I + (1 - theta) dt T = (I - (1 - theta) A) / theta.  Folding the line
 solutions back to the star tests the vertex conditions instead of imposing
 them: continuity holds because odd data stays odd, the flux balance holds at
 the stencil order.
@@ -19,7 +21,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded  # noqa: F401  the hook bench/tracing.py counts
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalInputError, ShapeError, StabilityError
 from .extension import (
@@ -74,9 +77,10 @@ class OracleConfig:
             raise DomainError(f"n/h must be an integer, got {self.n / self.h}")
         if self.half_intervals < 1:
             raise DomainError(f"n must be at least one mesh width h, got n={self.n}, h={self.h}")
-        if abs(self.t_final / self.dt - round(self.t_final / self.dt)) > 1e-6:
+        if abs(self.steps * self.dt - self.t_final) > _time_tol(self.t_final):
             raise DomainError(
-                f"t_final/dt must be an integer, got {self.t_final / self.dt}"
+                f"t_final must be a whole number of steps dt to within "
+                f"{_time_tol(self.t_final):.0e}, got t_final/dt = {self.t_final / self.dt!r}"
             )
 
     @property
@@ -112,8 +116,14 @@ class LineEvolution:
         return LineFunction(self.x, self.values[k])
 
 
+def _time_tol(t: float) -> float:
+    """How far from t a multiple of dt may lie and still be the level at t."""
+
+    return 1e-9 * max(1.0, abs(t))
+
+
 def _time_level(times: np.ndarray, t: float) -> int:
-    hits = np.nonzero(np.abs(times - t) <= 1e-9 * max(1.0, abs(t)))[0]
+    hits = np.nonzero(np.abs(times - t) <= _time_tol(t))[0]
     if hits.size == 0:
         raise DomainError(f"time {t} is not a stored level")
     return int(hits[0])
@@ -161,13 +171,15 @@ def _march(
 ) -> np.ndarray:
     """Advance the k lines ``u0`` (shape (k, len(x))) together.
 
-    Every step is one tridiagonal solve with the k lines as its right-hand
-    side columns.  Lines are stored as rows so each line's samples stay
-    contiguous.  ``levels`` are increasing step indices; the march stops at
-    the last of them and keeps only those levels at only the grid ``nodes``
-    (an index or slice), shape (len(levels), k, len(x[nodes])).  Each line's
-    sup norm is held to 1.05 exp(c_sup t) max |u0[j]|; the first step at
-    which any line exceeds its bound raises.
+    Every step is one gtsv solve of A w = u / theta, with the k lines as its
+    right-hand side columns, and the update u <- w - ((1 - theta) / theta) u,
+    which is A^-1 B u for B = (I - (1 - theta) A) / theta.  Lines are stored
+    as rows so each line's samples stay contiguous.  ``levels`` are
+    increasing step indices; the march stops at the last of them and keeps
+    only those levels at only the grid ``nodes`` (an index or slice), shape
+    (len(levels), k, len(x[nodes])).  Each line's sup norm is held to
+    1.05 exp(c_sup t) max |u0[j]|; the first step at which any line exceeds
+    its bound, or whose step matrix is singular, raises.
     """
 
     x = cfg.grid()
@@ -193,38 +205,52 @@ def _march(
     diag = -2.0 * qi / h**2 + ci
     upper = qi / h**2 + bi / (2.0 * h)
 
-    ab = np.zeros((3, x.size - 2))
-    ab[0, 1:] = -theta * dt * upper[:-1]
-    ab[1, :] = 1.0 - theta * dt * diag
-    ab[2, :-1] = -theta * dt * lower[1:]
+    # diagonals of the implicit half A = I - theta dt T
+    a_lower = -theta * dt * lower[1:]
+    a_diag = 1.0 - theta * dt * diag
+    a_upper = -theta * dt * upper[:-1]
+    if a_diag.size == 1:  # f2py wants one (unused) off-diagonal entry, not zero
+        a_lower = a_upper = np.zeros(1)
+    keep = (1.0 - theta) / theta
 
     bound_base = 1.05 * np.abs(u0).max(axis=1)
     c0 = coeffs.c_sup_bound
-    explicit = (1.0 - theta) * dt
 
     out = np.empty((len(levels), u0.shape[0], x[nodes].size))
     stored = 0
-    u = u0
-    for k in range(levels[-1] + 1):
-        if k:
-            inner = u[:, 1:-1]
-            rhs = inner + explicit * (lower * u[:, :-2] + diag * inner + upper * u[:, 2:])
-            u = np.zeros_like(u0)
-            u[:, 1:-1] = solve_banded((1, 1), ab, rhs.T, check_finite=False).T
-            sup = np.abs(u).max(axis=1)
-            if not np.isfinite(sup).all():
-                raise StabilityError(f"solution became non-finite at step {k}")
-            bound = bound_base * math.exp(c0 * k * dt)
-            over = sup > bound
-            if over.any():
-                j = int(np.argmax(over))
-                raise StabilityError(
-                    f"sup norm {sup[j]:.6g} of line {j} exceeds the growth bound "
-                    f"{bound[j]:.6g} at t = {k * dt:.6g}"
-                )
+    u = np.array(u0, dtype=float)
+    inner = u[:, 1:-1]
+    # the right-hand side of the next step, contiguous so that its transpose
+    # is the Fortran-ordered (nodes, lines) block gtsv solves in place; the
+    # boundary samples enter the explicit half of the first step only
+    w = inner / theta
+    w[:, 0] += (1.0 - theta) * dt * lower[0] * u[:, 0]
+    w[:, -1] += (1.0 - theta) * dt * upper[-1] * u[:, -1]
+    if levels[0] == 0:
+        out[0] = u[:, nodes]
+        stored = 1
+    u[:, [0, -1]] = 0.0
+    for k in range(1, levels[-1] + 1):
+        info = dgtsv(a_lower, a_diag, a_upper, w.T, overwrite_b=1)[-1]
+        if info:
+            raise StabilityError(f"step matrix is singular at step {k} (gtsv info {info})")
+        inner *= -keep
+        inner += w
+        sup = np.abs(inner).max(axis=1)
+        if not np.isfinite(sup).all():
+            raise StabilityError(f"solution became non-finite at step {k}")
+        bound = bound_base * math.exp(c0 * k * dt)
+        over = sup > bound
+        if over.any():
+            j = int(np.argmax(over))
+            raise StabilityError(
+                f"sup norm {sup[j]:.6g} of line {j} exceeds the growth bound "
+                f"{bound[j]:.6g} at t = {k * dt:.6g}"
+            )
         if k == levels[stored]:
             out[stored] = u[:, nodes]
             stored += 1
+        np.divide(inner, theta, out=w)
     return out
 
 
@@ -280,7 +306,7 @@ def solve_star(
     """Reference evolution on the star: extend, solve the lines, fold back.
 
     The m reflected edge data are the lines of one march, so all edges
-    advance together in one banded solve per step.
+    advance together in one gtsv solve per step.
     """
 
     x = cfg.grid()
@@ -350,7 +376,7 @@ def tabulate_kernel(
     Column y of the table is the solution at the requested times for initial
     data concentrated at y (height 1/h); Dirichlet ends give zero columns at
     the truncation radius.  The hats of all interior tabulation nodes are the
-    lines of one march, so they advance together in one banded solve per
+    lines of one march, so they advance together in one gtsv solve per
     step, and only the requested levels are kept.  ``stride`` thins the
     tabulation grid; it must divide n/h so the thinned grid stays symmetric.
     """
@@ -365,7 +391,7 @@ def tabulate_kernel(
     sub = np.arange(0, x.size, stride)
     levels = [int(round(t / cfg.dt)) for t in times]
     for t, k in zip(times, levels):
-        if abs(k * cfg.dt - t) > 1e-9 or k < 1 or k > cfg.steps:
+        if abs(k * cfg.dt - t) > _time_tol(t) or k < 1 or k > cfg.steps:
             raise DomainError(f"time {t} is not a positive stored level")
     if any(k2 <= k1 for k1, k2 in zip(levels, levels[1:])):
         raise DomainError("tabulation times must be strictly increasing")

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import AssemblyError, DomainError, ShapeError, StencilError
+from .errors import AssemblyError, DomainError, InvalidPointError, ShapeError, StencilError
 from .geometry import (
     GridSpec,
     StarFunction,
@@ -296,6 +296,8 @@ class RotationOperator:
     def __call__(self, f: StarFunction, shift: int = 1) -> StarFunction:
         if f.graph.m != self.m:
             raise ShapeError(f"function lives on {f.graph.m} edges, operator on {self.m}")
+        if not is_integer(shift):
+            raise InvalidPointError(f"rotation shift must be an integer, got {shift!r}")
         shift = shift % self.m
         values = np.roll(f.values, shift, axis=0)
         profiles = None

@@ -114,6 +114,14 @@ def test_non_finite_or_negative_numbers_are_usage_errors(capsys):
         assert named in capsys.readouterr().err, argv
 
 
+def test_time_between_steps_is_usage_error(capsys):
+    # t/dt = 9.9999999 is within 1e-6 of 10, but 10 dt misses t by 1e-8:
+    # refused before any march, not after it when the final level is missing
+    argv = ["oracle", "--m", "2", "--n", "2", "--h", "0.25", "--dt", "0.100000001", "--t", "1.0"]
+    assert main(argv) == EXIT_USAGE
+    assert "t_final must be a whole number of steps dt" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--no-such-flag"])

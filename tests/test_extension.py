@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from stargraph.errors import (
     ExtensionError,
     FoldError,
+    InvalidPointError,
     ShapeError,
     StencilError,
     VertexContinuityError,
@@ -58,6 +59,10 @@ def test_reflect_frozen_values(coarse_grid):
     assert line2.values[center + 5] == 0.0
     assert line2.values[center - 5] == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert line1.is_symmetric_grid()
+    assert np.array_equal(reflect_extend(f, np.int64(2)).values, line2.values)
+    for bad in (1.5, True):
+        with pytest.raises(InvalidPointError):
+            reflect_extend(f, bad)
 
 
 def test_reflect_explicit_grid_needs_profiles(coarse_grid):

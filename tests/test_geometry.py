@@ -147,6 +147,10 @@ def test_star_function_construction(grid):
     assert f.edge_values(2)[0] == 1.0
     with pytest.raises(InvalidPointError):
         f.edge_values(3)
+    for bad in (1.5, True):
+        with pytest.raises(InvalidPointError):
+            f.edge_values(bad)
+    assert f.edge_values(np.int64(2))[0] == 1.0
 
     # claiming continuity with mismatched vertex values must fail loudly
     bad = vals.copy()

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from stargraph.errors import DomainError, ShapeError, StabilityError
 from stargraph.extension import (
@@ -48,6 +49,9 @@ def test_config_validation():
         OracleConfig(n=-8.0, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=1.0)
     with pytest.raises(DomainError):
         OracleConfig(n=1e-12, h=1.0, dt=0.1, t_final=0.1)  # no interior node
+    with pytest.raises(DomainError):
+        # t_final/dt = 9.9999999 is within 1e-6 of 10, but 10 dt misses t_final by 1e-8
+        OracleConfig(n=2.0, h=0.25, dt=0.100000001, t_final=1.0)
 
 
 def test_grid_negation_symmetry():
@@ -141,6 +145,19 @@ def test_growth_monitor_triggers():
         solve_star(sneaky, f, cfg)
 
 
+def test_singular_step_matrix_is_refused():
+    # one interior node, where A = 1 - theta dt (c - 2 q / h^2) = 1 - 0.05 * 20 = 0
+    react = CoefficientTriple(
+        q=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
+        b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        c=lambda x: np.full_like(np.asarray(x, dtype=float), 21.0),
+        c_sup_bound=21.0,
+    )
+    cfg = OracleConfig(n=1.0, h=1.0, dt=0.1, theta=0.5, t_final=0.1)
+    with pytest.raises(StabilityError, match="singular"):
+        solve_line_dirichlet(react, lambda x: 1.0 - np.abs(x), cfg)
+
+
 def test_star_solver_matches_kernel_quadrature():
     cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=0.5)
     grid = GridSpec(cutoff=8.0, points_per_edge=cfg.half_intervals + 1)
@@ -186,6 +203,63 @@ def test_star_solve_equals_edge_by_edge_line_solves(coeffs, m):
     assert np.array_equal(run.values, folded)
     assert np.array_equal(run.continuity_defects, vertex.max(axis=1) - vertex.min(axis=1))
     assert np.array_equal(run.kirchhoff_defects, np.abs(vertex_slopes(folded, cfg.h).sum(axis=1)))
+
+
+def _stencil_march(line_coeffs, u0, cfg):
+    """Every level of the theta method on the lines ``u0`` (shape (k, len(x))),
+    stepped as an explicit stencil right-hand side and one banded solve."""
+
+    x = cfg.grid()
+    h, dt, theta = cfg.h, cfg.dt, cfg.theta
+    q, b, c = (
+        np.asarray(fn(x), dtype=float)[1:-1]
+        for fn in (line_coeffs.q, line_coeffs.b, line_coeffs.c)
+    )
+    lower = q / h**2 - b / (2.0 * h)
+    diag = -2.0 * q / h**2 + c
+    upper = q / h**2 + b / (2.0 * h)
+    ab = np.zeros((3, x.size - 2))
+    ab[0, 1:] = -theta * dt * upper[:-1]
+    ab[1, :] = 1.0 - theta * dt * diag
+    ab[2, :-1] = -theta * dt * lower[1:]
+    levels = [u0]
+    for _ in range(cfg.steps):
+        u = levels[-1]
+        inner = u[:, 1:-1]
+        rhs = inner + (1.0 - theta) * dt * (lower * u[:, :-2] + diag * inner + upper * u[:, 2:])
+        nxt = np.zeros_like(u)
+        nxt[:, 1:-1] = solve_banded((1, 1), ab, rhs.T).T
+        levels.append(nxt)
+    return np.stack(levels)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients, heat_coefficients])
+def test_march_matches_the_stencil_step(coeffs, theta):
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, theta=theta, t_final=0.1)
+    x = cfg.grid()
+    line_coeffs = extend_coefficients(coeffs())
+
+    # nonzero at both ends, so the boundary samples enter the first step
+    def f0(r):
+        r = np.asarray(r, dtype=float)
+        return (1.5 + np.cos(r)) * (1.0 + 0.3 * r)
+
+    line = solve_line_dirichlet(line_coeffs, f0, cfg)
+    want = _stencil_march(line_coeffs, f0(x)[None, :], cfg)[:, 0]
+    assert f0(x[0]) != 0.0 and f0(x[-1]) != 0.0
+    assert np.abs(line.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    m = 3
+    grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
+    profiles = tuple(
+        (lambda r, a=0.2 * i: (1.5 + np.cos(r)) * (1.0 + a * np.asarray(r))) for i in range(m)
+    )
+    f = StarFunction.from_callables(StarGraph(m), grid, profiles)
+    star = solve_star(coeffs(), f, cfg)
+    u0 = np.stack([reflect_extend(f, i, x=x).values for i in range(1, m + 1)])
+    want = _stencil_march(line_coeffs, u0, cfg)[:, :, x.size // 2 :]
+    assert np.abs(star.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_sample_backed_initial_data_needs_matching_mesh():

@@ -1,6 +1,7 @@
 import inspect
 
 import stargraph
+import stargraph.oracle
 
 # The public API, frozen: a name added to or dropped from the package must be
 # added to or dropped from this list in the same change.
@@ -72,6 +73,11 @@ def test_public_names_resolve_once_and_match_the_frozen_list():
     for name in names:
         assert getattr(stargraph, name) is not None, name
     assert sorted(names) == sorted(PUBLIC)
+
+
+def test_bench_tracer_hook_names_resolve():
+    # bench/tracing.py rebinds this module attribute to count its calls
+    assert callable(stargraph.oracle.solve_banded)
 
 
 def test_public_options_match_the_frozen_list():

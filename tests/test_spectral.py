@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from stargraph.errors import AssemblyError, DomainError, ShapeError, StencilError
+from stargraph.errors import (
+    AssemblyError,
+    DomainError,
+    InvalidPointError,
+    ShapeError,
+    StencilError,
+)
 from stargraph.geometry import GridSpec, StarFunction, StarGraph
 from stargraph.kernels import OU, KernelSpec, TabulatedLineKernel, ou_line_kernel
 from stargraph.semigroup import apply
@@ -185,6 +191,10 @@ def test_rotation_operator():
     assert np.array_equal(h.values, f.values)
     with pytest.raises(ShapeError):
         RotationOperator(4)(f)
+    assert np.array_equal(rot(f, np.int64(-1)).values, rot(rot(f)).values)
+    for bad in (1.5, True):
+        with pytest.raises(InvalidPointError):
+            rot(f, bad)
 
 
 def _on_star(diag, off, m):
