@@ -81,11 +81,6 @@ def _verdict(check: str, value: float, expected: float, tolerance: float) -> dic
     }
 
 
-def _bump_profile(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-2.0 * (x - 2.0) ** 2)
-
-
 def _initial(name: str, m: int, grid: GridSpec) -> StarFunction:
     graph = StarGraph(m)
     if name == "one":
@@ -93,9 +88,11 @@ def _initial(name: str, m: int, grid: GridSpec) -> StarFunction:
     if name == "ground":
         return ground_state(m, grid)
     if name == "bump":
-        return StarFunction.from_callables(
-            graph, grid, (_bump_profile,) * m, continuous_at_vertex=True
-        )
+        def bump(x):
+            x = np.asarray(x, dtype=float)
+            return np.exp(-2.0 * (x - 2.0) ** 2)
+
+        return StarFunction.from_callables(graph, grid, (bump,) * m, continuous_at_vertex=True)
     if name.startswith("file:"):
         try:
             f = StarFunction.from_csv(name[5:])
@@ -261,10 +258,8 @@ def cmd_invariance(args) -> int:
     times = _parse_floats(args.times)
     verdicts = []
     if args.model == "ou":
-        one = StarFunction.constant(StarGraph(args.m), grid, 1.0)
-        bump = StarFunction.from_callables(
-            StarGraph(args.m), grid, (_bump_profile,) * args.m, continuous_at_vertex=True
-        )
+        one = _initial("one", args.m, grid)
+        bump = _initial("bump", args.m, grid)
         base = integrate_star(bump, MeasureKind.GAUSSIAN_MU)
         for t in times:
             u = apply(OU, args.m, t, one, grid)
@@ -280,12 +275,11 @@ def cmd_invariance(args) -> int:
                     args.tol,
                 )
             )
-        g = StarFunction.constant(StarGraph(args.m), grid, 1.0)
         for t in times:
             verdicts.append(
                 _verdict(
                     f"similar_pictures_agree_t{_short(t)}",
-                    similarity_defect(args.m, t, g, grid),
+                    similarity_defect(args.m, t, one, grid),
                     0.0,
                     args.tol,
                 )

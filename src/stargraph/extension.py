@@ -22,7 +22,6 @@ from .errors import (
     InvalidPointError,
     NumericalInputError,
     ShapeError,
-    StencilError,
     VertexContinuityError,
 )
 from .geometry import (
@@ -31,7 +30,7 @@ from .geometry import (
     StarGraph,
     is_integer,
     vertex_continuous,
-    vertex_slopes,
+    vertex_defects,
 )
 
 __all__ = [
@@ -39,6 +38,7 @@ __all__ = [
     "CoefficientTriple",
     "ou_coefficients",
     "ho_coefficients",
+    "reflect",
     "reflect_extend",
     "extend_coefficients",
     "even_odd_split",
@@ -147,12 +147,24 @@ def ho_coefficients() -> CoefficientTriple:
     )
 
 
+def reflect(values: np.ndarray) -> np.ndarray:
+    """What each edge's line carries at -r: 2/m times the edge sum minus the edge.
+
+    ``values`` holds per-edge samples with the edge along axis 0.  The edge
+    average (the even sector) is kept and the deviations from it (the odd
+    sectors) change sign.
+    """
+
+    values = np.asarray(values, dtype=float)
+    return (2.0 / values.shape[0]) * values.sum(axis=0) - values
+
+
 def reflect_extend(f: StarFunction, i: int, x: np.ndarray | None = None) -> LineFunction:
     """Extend the star function to the line as seen from edge ``i``.
 
     For x >= 0 the extension equals the edge itself; for x <= 0 it equals
-    2/m times the sum over all edges minus edge ``i``, evaluated at -x.  The
-    two clauses agree at the vertex exactly when f is continuous there.
+    the ``reflect`` of the edges at -x.  The two clauses agree at the vertex
+    exactly when f is continuous there.
     """
 
     m = f.graph.m
@@ -168,24 +180,15 @@ def reflect_extend(f: StarFunction, i: int, x: np.ndarray | None = None) -> Line
 
     profile = None
     if f.has_profiles():
-        fns = f.profiles
 
-        def profile(t, _fns=fns, _idx=idx, _m=m):
+        def profile(t, _f=f, _idx=idx):
             t = np.asarray(t, dtype=float)
-            r = np.abs(t)
-            own = np.asarray(_fns[_idx](r), dtype=float)
-            total = np.zeros_like(own)
-            for fn in _fns:
-                total = total + np.asarray(fn(r), dtype=float)
-            return np.where(t >= 0, own, (2.0 / _m) * total - own)
+            edges = _f.evaluate_profiles(np.abs(t).ravel()).reshape(-1, *t.shape)
+            return np.where(t >= 0, edges[_idx], reflect(edges)[_idx])
 
     if x is None:
-        n = f.grid.points_per_edge
-        x = symmetric_line_grid(n, f.grid.h)
-        own = f.values[idx]
-        total = f.values.sum(axis=0)
-        negative = (2.0 / m) * total - own
-        values = np.concatenate([negative[:0:-1], own])
+        x = symmetric_line_grid(f.grid.points_per_edge, f.grid.h)
+        values = np.concatenate([reflect(f.values)[idx, :0:-1], f.values[idx]])
         return LineFunction(x, values, profile=profile)
 
     x = np.asarray(x, dtype=float)
@@ -312,12 +315,7 @@ def fold_to_star(
     n = x.size - center
 
     values = np.stack([ln.values[center:] for ln in lines])
-    vertex = values[:, 0]
-    continuity_defect = float(vertex.max() - vertex.min())
-
-    if n < 3:
-        raise StencilError("vertex stencil needs >= 3 points per edge")
-    kirchhoff_defect = float(abs(vertex_slopes(values, lines[0].h).sum()))
+    continuity_defect, kirchhoff_defect = map(float, vertex_defects(values, lines[0].h))
 
     if continuity_tol is not None and continuity_defect > continuity_tol:
         raise FoldError(
@@ -341,5 +339,5 @@ def fold_to_star(
         StarGraph(m),
         grid,
         values,
-        continuous_at_vertex=vertex_continuous(vertex, 1e-9),
+        continuous_at_vertex=vertex_continuous(values[:, 0], 1e-9),
     )

@@ -26,6 +26,7 @@ from .errors import (
     NumericalInputError,
     ShapeError,
     StarGraphError,
+    StencilError,
     VertexContinuityError,
 )
 
@@ -43,6 +44,7 @@ __all__ = [
     "is_integer",
     "vertex_continuous",
     "vertex_slopes",
+    "vertex_defects",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -202,6 +204,19 @@ def vertex_slopes(values: np.ndarray, h: float) -> np.ndarray:
     """Radial derivative at the vertex along the last axis, one-sided and second order."""
 
     return (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (2.0 * h)
+
+
+def vertex_defects(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Continuity spread and absolute flux sum at the vertex of samples (..., edge, radius).
+
+    The flux sums the edges' ``vertex_slopes``, so it needs >= 3 points per edge.
+    """
+
+    if values.shape[-1] < 3:
+        raise StencilError("vertex stencil needs >= 3 points per edge")
+    vertex = values[..., 0]
+    continuity = vertex.max(axis=-1) - vertex.min(axis=-1)
+    return continuity, np.abs(vertex_slopes(values, h).sum(axis=-1))
 
 
 Profile = Callable[[np.ndarray], np.ndarray]

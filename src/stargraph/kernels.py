@@ -268,6 +268,8 @@ def star_kernel(spec: KernelSpec, m: int, t: float, x: StarPoint, y: StarPoint) 
         x = StarPoint(y.edge, 0.0)
     elif y.radius == 0.0:
         y = StarPoint(x.edge, 0.0)
+    # the weights of extension.reflect, written as scalars: an array round
+    # trip through reflect would nearly double the cost of a call
     k_refl = line_kernel(spec, t, x.radius, -y.radius)
     if x.edge == y.edge:
         k_direct = line_kernel(spec, t, x.radius, y.radius)

@@ -24,15 +24,15 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  the hook bench/tracing.py counts
 from scipy.linalg.lapack import dgtsv
 
-from .errors import DomainError, NumericalInputError, ShapeError, StabilityError
+from .errors import DomainError, NumericalInputError, ShapeError, StabilityError, VertexContinuityError
 from .extension import (
     CoefficientTriple,
     LineFunction,
     extend_coefficients,
-    reflect_extend,
+    reflect,
     symmetric_line_grid,
 )
-from .geometry import GridSpec, StarFunction, StarGraph, is_integer, vertex_continuous, vertex_slopes
+from .geometry import GridSpec, StarFunction, StarGraph, is_integer, vertex_continuous, vertex_defects
 from .kernels import TabulatedLineKernel
 
 __all__ = [
@@ -190,8 +190,11 @@ def _march(
     qv = np.asarray(coeffs.q(x), dtype=float)
     bv = np.asarray(coeffs.b(x), dtype=float)
     cv = np.asarray(coeffs.c(x), dtype=float)
-    if np.any(qv <= 0):
+    c0 = coeffs.c_sup_bound
+    if not np.all(qv > 0):  # NaN fails too
         raise DomainError("diffusion coefficient must be positive on the grid")
+    if not (np.isfinite(qv + bv + cv).all() and math.isfinite(c0)):
+        raise DomainError(f"coefficients and c_sup_bound must be finite, got c_sup_bound {c0}")
     peclet = float(np.max(np.abs(bv) * h / (2.0 * qv)))
     if peclet > 1.0:
         raise DomainError(
@@ -214,7 +217,6 @@ def _march(
     keep = (1.0 - theta) / theta
 
     bound_base = 1.05 * np.abs(u0).max(axis=1)
-    c0 = coeffs.c_sup_bound
 
     out = np.empty((len(levels), u0.shape[0], x[nodes].size))
     stored = 0
@@ -281,23 +283,6 @@ class StarEvolution:
         return self.snapshot(_time_level(self.times, t))
 
 
-def _edge_initial(f: StarFunction, edge: int, x: np.ndarray) -> np.ndarray:
-    if f.has_profiles():
-        return reflect_extend(f, edge, x=x).values
-    # sample-backed data must already live on the oracle mesh
-    half = x[x >= -1e-15]
-    n_half = half.size
-    if f.grid.points_per_edge < n_half or abs(f.grid.h - float(x[1] - x[0])) > 1e-12:
-        raise ShapeError(
-            "sample-backed initial data must share the oracle mesh width and "
-            "reach the truncation radius; provide callable profiles otherwise"
-        )
-    line = reflect_extend(f, edge)
-    center = line.x.size // 2
-    lo = center - (n_half - 1)
-    return np.array(line.values[lo : center + n_half], dtype=float)
-
-
 def solve_star(
     coeffs: CoefficientTriple,
     f: StarFunction,
@@ -305,18 +290,29 @@ def solve_star(
 ) -> StarEvolution:
     """Reference evolution on the star: extend, solve the lines, fold back.
 
-    The m reflected edge data are the lines of one march, so all edges
-    advance together in one gtsv solve per step.
+    Each edge's line carries the edge on the half grid r >= 0 and the
+    ``reflect`` of the edges at -r.  The m lines are the lines of one march,
+    so all edges advance together in one gtsv solve per step.
     """
 
+    if not f.continuous_at_vertex:
+        raise VertexContinuityError("reflection extension requires a vertex-continuous function")
     x = cfg.grid()
-    u0 = np.stack([_edge_initial(f, i, x) for i in range(1, f.graph.m + 1)])
-    steps = cfg.steps
     mid = x.size // 2
+    if f.has_profiles():
+        half = f.evaluate_profiles(x[mid:])
+    elif f.grid.points_per_edge < x.size - mid or abs(f.grid.h - cfg.h) > 1e-12:
+        raise ShapeError(
+            "sample-backed initial data must share the oracle mesh width and "
+            "reach the truncation radius; provide callable profiles otherwise"
+        )
+    else:
+        half = f.values[:, : x.size - mid]
+    vertex_defects(half, cfg.h)  # refuse a mesh too coarse for the vertex stencil before marching
+    u0 = np.concatenate([reflect(half)[:, :0:-1], half], axis=1)
+    steps = cfg.steps
     values = _march(extend_coefficients(coeffs), u0, cfg, range(steps + 1), slice(mid, None))
-    vertex = values[:, :, 0]
-    continuity = vertex.max(axis=1) - vertex.min(axis=1)
-    kirchhoff = np.abs(vertex_slopes(values, cfg.h).sum(axis=1))
+    continuity, kirchhoff = vertex_defects(values, cfg.h)
 
     grid = GridSpec(cutoff=float(cfg.n), points_per_edge=x.size - mid)
     return StarEvolution(

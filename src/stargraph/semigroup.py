@@ -1,17 +1,18 @@
 """Quadrature application of diffusion semigroups on the star.
 
-The action on a star function is a per-edge integral of the star kernel:
-the direct line kernel against the same edge plus the reflected kernel
-against the 2/m-weighted edge sum.  Integrals use a composite Simpson rule
-on the sample grid.  Both closed-form kernels are Gaussian bands around
-y = λx (see ``kernels.kernel_band``), so output rows are contracted in
-blocks, each against only the samples within the band half-width b of its
-rows, and the reflected kernel only for rows with λx <= b.  The grid reaches
+Each edge of the star sees the line kernel against the reflected extension
+of the data: the edge itself on y >= 0, and ``extension.reflect`` of the
+edges (2/m times the edge sum minus the edge) at -y.  Integrals use a
+composite Simpson rule on the sample grid, weighted before the extension,
+so the vertex node carries its weight once on each side.  Both closed-form
+kernels are Gaussian bands around y = λx (see ``kernels.kernel_band``), so
+output rows are contracted in blocks, each against only the extended
+samples within the band half-width b of its rows.  The grid reaches
 λ·(output cutoff) + b, past which every kernel value is below e^{-40} of its
-row's peak.  A tabulated kernel has no band (b is infinite), so every
-block takes the whole grid, which ends at the table's window.
-Callable-backed inputs are re-sampled on that grid at half their grid step,
-sample-backed inputs continue by zero.
+row's peak.  A tabulated kernel has no band (b is infinite), so every block
+takes the whole extended grid, which ends at the table's window on both
+sides.  Callable-backed inputs are re-sampled on that grid at half their
+grid step, sample-backed inputs continue by zero.
 """
 
 from __future__ import annotations
@@ -21,14 +22,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NumericalInputError,
-    ShapeError,
-    StencilError,
-    VertexContinuityError,
-)
-from .geometry import GridSpec, StarFunction, simpson_weights, vertex_slopes
+from .errors import DomainError, NumericalInputError, ShapeError, VertexContinuityError
+from .extension import reflect
+from .geometry import GridSpec, StarFunction, simpson_weights, vertex_defects
 from .kernels import MIN_TIME, KernelSpec, kernel_band, line_kernel
 
 __all__ = ["apply", "vertex_defect", "evolve_sequence", "VertexDefect"]
@@ -89,14 +85,15 @@ def apply(
     """Evolve ``f`` for time ``t`` and sample the result on ``grid``.
 
     Conservative for the drift kernel, positivity preserving, and a
-    sup-norm contraction up to quadrature tolerance.  Each block of output
-    rows is contracted against the samples within the kernel band
+    sup-norm contraction up to quadrature tolerance.  Every edge is the line
+    kernel against its reflected extension, and each block of output rows
+    is contracted against the extended samples within the kernel band
     |λx - y| <= b of its rows (``kernels.kernel_band``); kernel values
     outside it are below e^{-40} of their row's peak.  Callable-backed
     inputs are sampled twice as finely as their grid, up to
-    λ·(output cutoff) + b.  The output is vertex-continuous by construction:
-    at radius zero the direct and reflected kernels coincide, so every edge
-    receives the same value.
+    λ·(output cutoff) + b.  The output is vertex-continuous: at radius zero
+    the line kernel is even in y, and every edge's extension has the same
+    even part.
     """
 
     if m != f.graph.m:
@@ -109,7 +106,8 @@ def apply(
     lam, b = kernel_band(spec, t)
     y, hq, vals = _quadrature_grid(f, spec, lam * grid.cutoff + b)
     fw = vals * simpson_weights(y.size, hq)
-    total_w = fw.sum(axis=0)
+    y = np.concatenate([-y[::-1], y])
+    fw = np.concatenate([reflect(fw)[:, ::-1], fw], axis=1)
 
     x = grid.nodes()
     out = np.empty((m, x.size))
@@ -117,15 +115,7 @@ def apply(
         xb = x[i0:i0 + BLOCK_ROWS, None]
         j0 = int(np.searchsorted(y, lam * xb[0, 0] - b))
         j1 = int(np.searchsorted(y, lam * xb[-1, 0] + b, side="right"))
-        yw = y[None, j0:j1]
-        k_direct = line_kernel(spec, t, xb, yw)
-        if lam * xb[0, 0] <= b:
-            k_refl = line_kernel(spec, t, xb, -yw)
-            block = (k_direct - k_refl) @ fw[:, j0:j1].T
-            block += (2.0 / m) * (k_refl @ total_w[j0:j1])[:, None]
-        else:
-            block = k_direct @ fw[:, j0:j1].T
-        out[:, i0:i0 + BLOCK_ROWS] = block.T
+        out[:, i0:i0 + BLOCK_ROWS] = fw[:, j0:j1] @ line_kernel(spec, t, xb, y[j0:j1]).T
 
     return StarFunction(
         f.graph,
@@ -143,17 +133,11 @@ def vertex_defect(u: StarFunction) -> VertexDefect:
     samples, or exact derivatives when the profiles expose them.
     """
 
-    values = u.values
-    continuity = float(values[:, 0].max() - values[:, 0].min())
-
     if u.has_profiles() and all(hasattr(p, "derivative") for p in u.profiles):
         zero = np.zeros(1)
         flux = sum(float(np.asarray(p.derivative()(zero))[0]) for p in u.profiles)
-        return VertexDefect(continuity, abs(flux))
-
-    if u.grid.points_per_edge < 3:
-        raise StencilError("vertex stencil needs >= 3 points per edge")
-    return VertexDefect(continuity, float(abs(vertex_slopes(values, u.grid.h).sum())))
+        return VertexDefect(float(np.ptp(u.values[:, 0])), abs(flux))
+    return VertexDefect(*map(float, vertex_defects(u.values, u.grid.h)))
 
 
 def evolve_sequence(

@@ -109,7 +109,10 @@ def test_non_finite_or_negative_numbers_are_usage_errors(capsys):
     oracle = ["oracle", "--n", "2", "--h", "0.125", "--dt", "0.1", "--t", "0.2", "--m", "2"]
     for argv, named in ((oracle + ["--window", "-1"], "window radius must be >= 0, got -1"),
                         (oracle + ["--window", "nan"], "window radius must be >= 0, got nan"),
-                        (["trace", "--t", "nan"], "time t >= 0.05, got nan")):
+                        (["trace", "--t", "nan"], "time t >= 0.05, got nan"),
+                        # two points per edge are too few for the vertex stencil
+                        (["oracle", "--m", "2", "--n", "0.25", "--h", "0.25", "--dt", "0.1",
+                          "--t", "0.2"], "vertex stencil needs >= 3 points per edge")):
         assert main(argv) == EXIT_USAGE, argv
         assert named in capsys.readouterr().err, argv
 
@@ -157,8 +160,10 @@ def test_output_is_deterministic(tmp_path):
     for out in (a, b):
         assert main(["kernel", "--m", "5", "--t", "0.3", "--out", str(out)]) == EXIT_OK
         assert main(["trace", "--m", "5", "--out", str(out)]) == EXIT_OK
-    assert (a / "kernel.csv").read_bytes() == (b / "kernel.csv").read_bytes()
-    assert (a / "trace_verdict.json").read_bytes() == (b / "trace_verdict.json").read_bytes()
+        assert main(["invariance", "--m", "2", "--points", "129", "--times", "0.5",
+                     "--out", str(out)]) == EXIT_OK
+    for name in ("kernel.csv", "trace_verdict.json", "invariance.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
     # JSON ends with a newline and is sorted
     text = (a / "trace_verdict.json").read_text()
     assert text.endswith("}\n")

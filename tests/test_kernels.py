@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stargraph.errors import DomainError, InvalidPointError, ShapeError
+from stargraph.extension import reflect
 from stargraph.geometry import StarPoint, simpson_weights
 from stargraph.kernels import (
     HARMONIC,
@@ -109,6 +110,11 @@ def test_scattering_structure(m, t, x, y):
     assert sum(row) == pytest.approx(k_direct + k_refl, rel=1e-13)
     for cross in row[1:]:
         assert abs(row[0] - cross - (k_direct - k_refl)) <= 1e-12 * (k_direct + k_refl)
+    # the scalar weights are row 1 of the reflection that apply and the oracle use
+    weights = reflect(np.eye(m))[0]
+    for j, value in enumerate(row):
+        want = (j == 0) * k_direct + weights[j] * k_refl
+        assert abs(value - want) <= 1e-14 * abs(want)
 
 
 def test_two_edges_reduce_to_the_line():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from stargraph.errors import DomainError, ShapeError, StabilityError
+from stargraph.errors import DomainError, ShapeError, StabilityError, VertexContinuityError
 from stargraph.extension import (
     CoefficientTriple,
     LineFunction,
@@ -107,6 +107,16 @@ def test_peclet_guard():
         # max |b| h / (2 q) = 8 * 0.25 / 1 = 2 at the boundary
         solve_line_dirichlet(extend_coefficients(ou_coefficients()), lambda x: 0 * x, cfg)
 
+    # non-finite coefficients are refused before any step; a NaN q must not
+    # pass as positive and end in a StabilityError
+    def nan(x):
+        return np.full_like(np.asarray(x, dtype=float), np.nan)
+
+    heat = heat_coefficients()
+    for bad in (replace(heat, q=nan), replace(heat, b=nan), replace(heat, c=nan)):
+        with pytest.raises(DomainError):
+            solve_line_dirichlet(bad, lambda x: 1.0 - np.abs(x) / 8.0, cfg)
+
 
 def test_growth_monitor_triggers():
     # reaction hidden beyond the coefficient sampling window: the declared
@@ -143,6 +153,15 @@ def test_growth_monitor_triggers():
     )
     with pytest.raises(StabilityError, match="line 0 "):
         solve_star(sneaky, f, cfg)
+
+    # a NaN growth bound would switch the monitor off: c = 5 must not pass
+    growing = replace(
+        heat_coefficients(),
+        c=lambda x: np.full_like(np.asarray(x, dtype=float), 5.0),
+        c_sup_bound=math.nan,
+    )
+    with pytest.raises(DomainError, match="c_sup_bound"):
+        solve_line_dirichlet(growing, f0, cfg)
 
 
 def test_singular_step_matrix_is_refused():
@@ -276,6 +295,22 @@ def test_sample_backed_initial_data_needs_matching_mesh():
     )
     run = solve_star(ou_coefficients(), g, cfg)
     assert run.values.shape[0] == cfg.steps + 1
+
+
+def test_star_solve_refuses_vertex_discontinuous_data():
+    # the reflected extension is defined only for vertex-continuous data
+    cfg = OracleConfig(n=4.0, h=1.0 / 16.0, dt=5e-3, theta=0.5, t_final=0.1)
+    grid = GridSpec(cutoff=4.0, points_per_edge=65)
+    profiled = StarFunction.from_callables(
+        StarGraph(2), grid, (lambda r: np.exp(-np.square(r)), lambda r: 0.0 * np.asarray(r))
+    )
+    vals = np.ones((2, 65))
+    vals[1] = 0.5
+    sampled = StarFunction.from_samples(StarGraph(2), grid, vals)
+    for f in (profiled, sampled):
+        assert not f.continuous_at_vertex
+        with pytest.raises(VertexContinuityError):
+            solve_star(ou_coefficients(), f, cfg)
 
 
 def test_truncation_study_confinement():
