@@ -12,7 +12,6 @@ from .errors import (
     AssemblyError,
     DomainError,
     ExtensionError,
-    FoldError,
     InvalidGraphError,
     InvalidPointError,
     NumericalInputError,
@@ -24,14 +23,10 @@ from .errors import (
 )
 from .extension import (
     CoefficientTriple,
-    LineFunction,
     even_odd_split,
     extend_coefficients,
-    fold_to_star,
     ho_coefficients,
     ou_coefficients,
-    reflect_extend,
-    symmetric_line_grid,
 )
 from .geometry import (
     GridSpec,
@@ -56,7 +51,6 @@ from .kernels import (
     star_kernel,
 )
 from .oracle import (
-    LineEvolution,
     OracleConfig,
     StarEvolution,
     TruncationRow,
@@ -96,14 +90,11 @@ __all__ = [
     "CoefficientTriple",
     "DomainError",
     "ExtensionError",
-    "FoldError",
     "GridSpec",
     "HARMONIC",
     "InvalidGraphError",
     "InvalidPointError",
     "KernelSpec",
-    "LineEvolution",
-    "LineFunction",
     "MIN_TIME",
     "MeasureKind",
     "NumericalInputError",
@@ -133,7 +124,6 @@ __all__ = [
     "even_odd_split",
     "extend_coefficients",
     "flat_factor",
-    "fold_to_star",
     "form_spectrum",
     "from_flat",
     "ground_state",
@@ -147,14 +137,12 @@ __all__ = [
     "multiplicity",
     "ou_coefficients",
     "ou_line_kernel",
-    "reflect_extend",
     "similarity_defect",
     "simpson_weights",
     "solve_line_dirichlet",
     "solve_star",
     "star_kernel",
     "sup_distance",
-    "symmetric_line_grid",
     "tabulate_kernel",
     "to_flat",
     "trace_closed_form",

@@ -29,10 +29,6 @@ class ExtensionError(StarGraphError):
     """Coefficients cannot be extended to the line (parity obstruction)."""
 
 
-class FoldError(StarGraphError):
-    """Line functions are inconsistent at the vertex when folding."""
-
-
 class DomainError(StarGraphError):
     """Scalar argument outside the supported range (e.g. time too small)."""
 

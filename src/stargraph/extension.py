@@ -2,113 +2,32 @@
 
 A continuous function on the star extends to one function per edge on the
 whole line: the positive half-axis carries the edge itself, the negative
-half-axis carries twice the edge average minus the edge.  Folding restricts
-line functions back to the star and tests vertex consistency instead of
-imposing it.  Second-order coefficients extend by parity: diffusion and
-reaction evenly, drift oddly.
+half-axis carries twice the edge average minus the edge (``reflect``).  The
+extension works on plain per-edge sample arrays: a line is restricted back
+to the star by slicing it at its centre node, and ``geometry.vertex_defects``
+measures how well the restricted edges still meet at the vertex.
+Second-order coefficients extend by parity: diffusion and reaction evenly,
+drift oddly.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ExtensionError,
-    FoldError,
-    InvalidPointError,
-    NumericalInputError,
-    ShapeError,
-    VertexContinuityError,
-)
-from .geometry import (
-    GridSpec,
-    StarFunction,
-    StarGraph,
-    is_integer,
-    vertex_continuous,
-    vertex_defects,
-)
+from .errors import ExtensionError, NumericalInputError
+from .geometry import StarFunction
 
 __all__ = [
-    "LineFunction",
     "CoefficientTriple",
     "ou_coefficients",
     "ho_coefficients",
     "reflect",
-    "reflect_extend",
     "extend_coefficients",
     "even_odd_split",
-    "fold_to_star",
 ]
-
-
-@dataclass
-class LineFunction:
-    """Samples on a symmetric uniform grid on [-L, L], optionally callable-backed."""
-
-    x: np.ndarray
-    values: np.ndarray
-    profile: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.x.ndim != 1 or self.x.shape != self.values.shape:
-            raise ShapeError("x and values must be 1-D arrays of equal length")
-        if self.x.size < 2:
-            raise ShapeError("line grid needs >= 2 points")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.values))):
-            raise NumericalInputError("line data must be finite")
-        steps = np.diff(self.x)
-        if np.any(steps <= 0):
-            raise ShapeError("line grid must be strictly increasing")
-        if np.any(np.abs(steps - steps[0]) > 1e-9 * steps[0]):
-            raise ShapeError("line grid must be uniform")
-
-    @property
-    def h(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
-    def is_symmetric_grid(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.x + self.x[::-1]) <= tol * max(1.0, -self.x[0])))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "value"])
-            for xj, vj in zip(self.x, self.values):
-                writer.writerow([f"{xj:.17g}", f"{vj:.17g}"])
-
-    @classmethod
-    def from_csv(cls, path) -> "LineFunction":
-        xs: list[float] = []
-        vs: list[float] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header[:2]] != ["x", "value"]:
-                raise ShapeError(f"expected header 'x,value' in {path}")
-            for row in reader:
-                if not row:
-                    continue
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
-        order = np.argsort(xs)
-        return cls(np.asarray(xs)[order], np.asarray(vs)[order])
-
-
-def symmetric_line_grid(half_points: int, h: float) -> np.ndarray:
-    """Grid (j - M) h for j = 0..2M; negation-symmetric in exact floats."""
-
-    m = half_points - 1
-    return (np.arange(2 * m + 1) - m) * h
 
 
 @dataclass(frozen=True)
@@ -157,46 +76,6 @@ def reflect(values: np.ndarray) -> np.ndarray:
 
     values = np.asarray(values, dtype=float)
     return (2.0 / values.shape[0]) * values.sum(axis=0) - values
-
-
-def reflect_extend(f: StarFunction, i: int, x: np.ndarray | None = None) -> LineFunction:
-    """Extend the star function to the line as seen from edge ``i``.
-
-    For x >= 0 the extension equals the edge itself; for x <= 0 it equals
-    the ``reflect`` of the edges at -x.  The two clauses agree at the vertex
-    exactly when f is continuous there.
-    """
-
-    m = f.graph.m
-    if not is_integer(i):
-        raise InvalidPointError(f"edge index must be an integer, got {i!r}")
-    if i < 1 or i > m:
-        raise ShapeError(f"edge must be in 1..{m}, got {i}")
-    if not f.continuous_at_vertex:
-        raise VertexContinuityError(
-            "reflection extension requires a vertex-continuous function"
-        )
-    idx = i - 1
-
-    profile = None
-    if f.has_profiles():
-
-        def profile(t, _f=f, _idx=idx):
-            t = np.asarray(t, dtype=float)
-            edges = _f.evaluate_profiles(np.abs(t).ravel()).reshape(-1, *t.shape)
-            return np.where(t >= 0, edges[_idx], reflect(edges)[_idx])
-
-    if x is None:
-        x = symmetric_line_grid(f.grid.points_per_edge, f.grid.h)
-        values = np.concatenate([reflect(f.values)[idx, :0:-1], f.values[idx]])
-        return LineFunction(x, values, profile=profile)
-
-    x = np.asarray(x, dtype=float)
-    if profile is None:
-        raise ShapeError(
-            "evaluating the extension on an explicit grid requires callable profiles"
-        )
-    return LineFunction(x, profile(x), profile=profile)
 
 
 def extend_coefficients(coeffs: CoefficientTriple) -> CoefficientTriple:
@@ -282,62 +161,3 @@ def even_odd_split(f: StarFunction) -> tuple[StarFunction, StarFunction]:
         profiles=odd_profiles,
     )
     return even, odd
-
-
-def fold_to_star(
-    lines: Sequence[LineFunction],
-    *,
-    grid: GridSpec | None = None,
-    continuity_tol: float | None = None,
-    kirchhoff_tol: float | None = None,
-) -> StarFunction:
-    """Restrict one line function per edge to the star.
-
-    Consistency at the vertex (equal values; edge derivatives summing to
-    zero, measured with one-sided second-order stencils) is tested against
-    the caller-supplied tolerances; ``None`` records the defect but does not
-    raise.
-    """
-
-    m = len(lines)
-    if m < 1:
-        raise ShapeError("need at least one line function")
-    x = lines[0].x
-    for ln in lines[1:]:
-        if ln.x.shape != x.shape or np.any(np.abs(ln.x - x) > 1e-12 * max(1.0, float(x[-1]))):
-            raise ShapeError("line functions live on different grids")
-    scale = max(1.0, float(x[-1]))
-    if np.any(np.abs(x + x[::-1]) > 1e-9 * scale):
-        raise ShapeError("folding needs a symmetric line grid")
-    if x.size % 2 == 0:
-        raise ShapeError("symmetric grid must contain the origin")
-    center = x.size // 2
-    n = x.size - center
-
-    values = np.stack([ln.values[center:] for ln in lines])
-    continuity_defect, kirchhoff_defect = map(float, vertex_defects(values, lines[0].h))
-
-    if continuity_tol is not None and continuity_defect > continuity_tol:
-        raise FoldError(
-            f"vertex continuity defect {continuity_defect:.3e} exceeds "
-            f"{continuity_tol:.3e} (flux defect {kirchhoff_defect:.3e})"
-        )
-    if kirchhoff_tol is not None and kirchhoff_defect > kirchhoff_tol:
-        raise FoldError(
-            f"vertex flux defect {kirchhoff_defect:.3e} exceeds "
-            f"{kirchhoff_tol:.3e} (continuity defect {continuity_defect:.3e})"
-        )
-
-    if grid is None:
-        grid = GridSpec(cutoff=float(x[-1]), points_per_edge=n)
-    elif grid.points_per_edge != n or abs(grid.cutoff - float(x[-1])) > 1e-9 * scale:
-        raise ShapeError(
-            f"explicit grid ({grid.points_per_edge} points, cutoff {grid.cutoff})"
-            f" does not match the lines ({n} points, cutoff {float(x[-1])})"
-        )
-    return StarFunction(
-        StarGraph(m),
-        grid,
-        values,
-        continuous_at_vertex=vertex_continuous(values[:, 0], 1e-9),
-    )

@@ -12,7 +12,6 @@ re-sample beyond the stored cutoff.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -389,8 +388,14 @@ class StarFunction:
             for row in reader:
                 if not row:
                     continue
-                edge = int(row[0])
-                per_edge.setdefault(edge, []).append((float(row[1]), float(row[2])))
+                if len(row) < 3:
+                    raise ShapeError(f"row {reader.line_num} has {len(row)} of 3 fields in {path}")
+                edge, radius, value = int(row[0]), float(row[1]), float(row[2])
+                if not math.isfinite(radius):
+                    raise ShapeError(
+                        f"radius {row[1]!r} on row {reader.line_num} is not finite in {path}"
+                    )
+                per_edge.setdefault(edge, []).append((radius, value))
         if not per_edge:
             raise ShapeError(f"no data rows in {path}")
         m = max(per_edge)
@@ -418,34 +423,6 @@ class StarFunction:
         grid = GridSpec(cutoff=float(radii_ref[-1]), points_per_edge=n)
         continuous = vertex_continuous(values[:, 0], 1e-12)
         return cls(StarGraph(m), grid, values, continuous_at_vertex=continuous)
-
-    def to_json(self, path) -> None:
-        payload = {
-            "m": self.graph.m,
-            "cutoff": self.grid.cutoff,
-            "points_per_edge": self.grid.points_per_edge,
-            "values": [[float(v) for v in row] for row in self.values],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "StarFunction":
-        with open(path) as fh:
-            payload = json.load(fh)
-        try:
-            m = payload["m"]
-            grid = GridSpec(
-                cutoff=float(payload["cutoff"]),
-                points_per_edge=int(payload["points_per_edge"]),
-            )
-            values = np.asarray(payload["values"], dtype=float)
-        except (KeyError, TypeError) as exc:
-            raise ShapeError(f"malformed StarFunction JSON in {path}: {exc}") from exc
-        col = values[:, 0] if values.ndim == 2 and values.shape[1] else np.zeros(1)
-        continuous = vertex_continuous(col, 1e-12)
-        return cls(StarGraph(int(m)), grid, values, continuous_at_vertex=continuous)
 
 
 def integrate_star(

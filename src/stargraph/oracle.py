@@ -8,10 +8,10 @@ solve share one tridiagonal step matrix A = I - theta dt T, so they advance
 together: each step is one LAPACK gtsv solve with one right-hand side per
 line (the m reflected edges of a star solve, or the unit hats of a kernel
 table).  The explicit half needs no stencil product, because
-B = I + (1 - theta) dt T = (I - (1 - theta) A) / theta.  Folding the line
-solutions back to the star tests the vertex conditions instead of imposing
-them: continuity holds because odd data stays odd, the flux balance holds at
-the stencil order.
+B = I + (1 - theta) dt T = (I - (1 - theta) A) / theta.  The star solution
+is the half r >= 0 of each edge's line, and the vertex conditions are
+measured there instead of imposed: continuity holds because odd data stays
+odd, the flux balance holds at the stencil order.
 """
 
 from __future__ import annotations
@@ -25,19 +25,12 @@ from scipy.linalg import solve_banded  # noqa: F401  the hook bench/tracing.py c
 from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalInputError, ShapeError, StabilityError, VertexContinuityError
-from .extension import (
-    CoefficientTriple,
-    LineFunction,
-    extend_coefficients,
-    reflect,
-    symmetric_line_grid,
-)
+from .extension import CoefficientTriple, extend_coefficients, reflect
 from .geometry import GridSpec, StarFunction, StarGraph, is_integer, vertex_continuous, vertex_defects
 from .kernels import TabulatedLineKernel
 
 __all__ = [
     "OracleConfig",
-    "LineEvolution",
     "StarEvolution",
     "TruncationRow",
     "solve_line_dirichlet",
@@ -94,26 +87,8 @@ class OracleConfig:
     def grid(self) -> np.ndarray:
         """Symmetric nodes (j - M) h; exact negation symmetry in floats."""
 
-        return symmetric_line_grid(self.half_intervals + 1, self.h)
-
-
-@dataclass
-class LineEvolution:
-    """All time levels of one line solve."""
-
-    x: np.ndarray
-    times: np.ndarray
-    values: np.ndarray  # (steps + 1, len(x))
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __getitem__(self, k: int) -> LineFunction:
-        return LineFunction(self.x, self.values[k])
-
-    def at_time(self, t: float) -> LineFunction:
-        k = _time_level(self.times, t)
-        return LineFunction(self.x, self.values[k])
+        m = self.half_intervals
+        return (np.arange(2 * m + 1) - m) * self.h
 
 
 def _time_tol(t: float) -> float:
@@ -129,37 +104,30 @@ def _time_level(times: np.ndarray, t: float) -> int:
     return int(hits[0])
 
 
-def _initial_values(f0, x: np.ndarray) -> np.ndarray:
-    if isinstance(f0, LineFunction):
-        if f0.x.shape == x.shape and np.all(np.abs(f0.x - x) <= 1e-12 * max(1.0, float(x[-1]))):
-            return np.array(f0.values, dtype=float)
-        if f0.profile is not None:
-            return np.asarray(f0.profile(x), dtype=float)
-        raise ShapeError("initial line data lives on a different grid and has no profile")
-    if callable(f0):
-        return np.asarray(f0(x), dtype=float)
-    raise ShapeError("initial data must be a LineFunction or a callable")
-
-
 def solve_line_dirichlet(
     coeffs: CoefficientTriple,
-    f0,
+    u0: np.ndarray,
     cfg: OracleConfig,
-) -> LineEvolution:
+) -> np.ndarray:
     """Theta-method solve of d_t u = q u'' + b u' + c u on (-n, n), u(±n) = 0.
 
-    The initial level keeps the boundary samples of the data; from the first
-    step on the ends are pinned to zero.  The sup norm is monitored against
-    the growth bound 1.05 exp(c_sup t) ||f0||.
+    ``u0`` holds one sample per node of ``cfg.grid()``.  Row k of the result,
+    shape (steps + 1, len(x)), is the level at time k dt.  The initial level
+    keeps the boundary samples of the data; from the first step on the ends
+    are pinned to zero.  The sup norm is monitored against the growth bound
+    1.05 exp(c_sup t) ||u0||.
     """
 
     x = cfg.grid()
-    u0 = _initial_values(f0, x)
+    try:
+        u0 = np.asarray(u0, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise NumericalInputError(f"initial data must be an array of numbers: {exc}") from exc
     if u0.shape != x.shape:
-        raise NumericalInputError("initial data must give one value per solver node")
-    steps = cfg.steps
-    values = _march(coeffs, u0[None, :], cfg, range(steps + 1), slice(None))[:, 0]
-    return LineEvolution(x=x, times=np.arange(steps + 1) * cfg.dt, values=values)
+        raise ShapeError(
+            f"initial data must give one value per solver node, shape {x.shape}, got {u0.shape}"
+        )
+    return _march(coeffs, u0[None, :], cfg, range(cfg.steps + 1), slice(None))[:, 0]
 
 
 def _march(

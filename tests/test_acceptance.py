@@ -250,13 +250,12 @@ def test_criterion_10_parity_preservation():
         x = np.asarray(x, dtype=float)
         return np.exp(-x * x)
 
-    run_odd = solve_line_dirichlet(coeffs, odd, cfg)
-    final = run_odd.values[-1]
+    x = cfg.grid()
+    final = solve_line_dirichlet(coeffs, odd(x), cfg)[-1]
     worst = float(np.abs(final + final[::-1]).max())
     center = final.size // 2
     worst = max(worst, abs(final[center]))
 
-    run_even = solve_line_dirichlet(coeffs, even, cfg)
-    final = run_even.values[-1]
+    final = solve_line_dirichlet(coeffs, even(x), cfg)[-1]
     worst = max(worst, float(np.abs(final - final[::-1]).max()))
     _report(10, "odd stays odd and even stays even", worst, 1e-12)

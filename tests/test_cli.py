@@ -85,8 +85,12 @@ def test_evolve_unknown_initial(tmp_path, capsys):
     non_numeric.write_text("edge,radius,value\n1,0,1\n1,1,zap\n")
     fractional_edge = tmp_path / "fractional_edge.csv"
     fractional_edge.write_text("edge,radius,value\n1.5,0,1\n1.5,1,1\n")
+    short_row = tmp_path / "short_row.csv"
+    short_row.write_text("edge,radius,value\n1,0.0\n")
+    nan_radius = tmp_path / "nan_radius.csv"  # every NaN spacing comparison is false
+    nan_radius.write_text("edge,radius,value\n1,0,1\n1,nan,1\n1,2,1\n")
     for init in ("gibberish", f"file:{tmp_path / 'missing.csv'}", f"file:{non_numeric}",
-                 f"file:{fractional_edge}"):
+                 f"file:{fractional_edge}", f"file:{short_row}", f"file:{nan_radius}"):
         assert main(["evolve", "--m", "1", "--init", init]) == EXIT_USAGE, init
         assert capsys.readouterr().err.startswith("error:"), init
 

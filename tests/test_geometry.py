@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from stargraph.errors import (
     InvalidPointError,
     NumericalInputError,
     ShapeError,
+    StencilError,
     VertexContinuityError,
 )
 from stargraph.geometry import (
@@ -23,6 +23,7 @@ from stargraph.geometry import (
     mu_density,
     simpson_weights,
     sup_distance,
+    vertex_defects,
 )
 
 
@@ -216,17 +217,18 @@ def test_csv_round_trip(tmp_path, grid, rng):
     assert back.continuous_at_vertex
 
 
-def test_json_round_trip(tmp_path, grid, rng):
-    g = StarGraph(2)
-    vals = rng.normal(size=(2, grid.points_per_edge))
-    f = StarFunction.from_samples(g, grid, vals)
-    path = tmp_path / "f.json"
-    f.to_json(path)
-    back = StarFunction.from_json(path)
-    assert np.array_equal(back.values, f.values)
-    assert back.grid == f.grid
-    payload = json.loads(path.read_text())
-    assert payload["m"] == 2
+def test_vertex_defects_measure_continuity_and_flux():
+    # two edges sampled at h = 0.5 with outgoing slopes +1 and -1 balance exactly;
+    # two slopes +1 leave flux 2, and shifting one edge leaves spread 1
+    r = 0.5 * np.arange(5)
+    continuity, flux = vertex_defects(np.stack([r, -r]), 0.5)
+    assert continuity == 0.0 and flux == 0.0
+    continuity, flux = vertex_defects(np.stack([r, r]), 0.5)
+    assert continuity == 0.0 and flux == pytest.approx(2.0, rel=1e-15)
+    continuity, _ = vertex_defects(np.stack([r, r + 1.0]), 0.5)
+    assert continuity == 1.0
+    with pytest.raises(StencilError):
+        vertex_defects(np.stack([r[:2], -r[:2]]), 0.5)
 
 
 def test_sup_distance_window(grid):

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from stargraph.errors import DomainError, ShapeError, StabilityError, VertexContinuityError
+from stargraph.errors import (
+    DomainError,
+    NumericalInputError,
+    ShapeError,
+    StabilityError,
+    VertexContinuityError,
+)
 from stargraph.extension import (
     CoefficientTriple,
-    LineFunction,
     extend_coefficients,
     ho_coefficients,
     ou_coefficients,
-    reflect_extend,
 )
 from stargraph.geometry import GridSpec, StarFunction, StarGraph, vertex_slopes
 from stargraph.kernels import OU, ou_line_kernel
@@ -73,9 +77,10 @@ def test_heat_sine_mode_decay():
     def f0(x):
         return np.sin(math.pi * (x + n) / (2 * n))
 
-    run = solve_line_dirichlet(extend_coefficients(heat_coefficients()), f0, cfg)
-    exact = math.exp(-lam) * f0(run.x)
-    assert np.abs(run.values[-1] - exact).max() < 1e-5
+    x = cfg.grid()
+    run = solve_line_dirichlet(extend_coefficients(heat_coefficients()), f0(x), cfg)
+    exact = math.exp(-lam) * f0(x)
+    assert np.abs(run[-1] - exact).max() < 1e-5
 
 
 def test_crank_nicolson_beats_implicit_euler():
@@ -90,12 +95,12 @@ def test_crank_nicolson_beats_implicit_euler():
 
     coeffs = extend_coefficients(heat_coefficients())
     ref_cfg = OracleConfig(dt=2.5e-5, theta=0.5, **kw)
-    ref = solve_line_dirichlet(coeffs, f0, ref_cfg).values[-1]
+    ref = solve_line_dirichlet(coeffs, f0(ref_cfg.grid()), ref_cfg)[-1]
     errs = {}
     for theta in (0.5, 1.0):
         cfg = OracleConfig(dt=2e-3, theta=theta, **kw)
-        run = solve_line_dirichlet(coeffs, f0, cfg)
-        errs[theta] = np.abs(run.values[-1] - ref).max()
+        run = solve_line_dirichlet(coeffs, f0(cfg.grid()), cfg)
+        errs[theta] = np.abs(run[-1] - ref).max()
     assert errs[0.5] < 1e-9  # second order in dt
     assert errs[1.0] > 1e-6  # first order in dt
     assert errs[0.5] < errs[1.0] / 1000
@@ -103,9 +108,10 @@ def test_crank_nicolson_beats_implicit_euler():
 
 def test_peclet_guard():
     cfg = OracleConfig(n=8.0, h=0.25, dt=1e-3, theta=0.5, t_final=0.01)
+    x = cfg.grid()
     with pytest.raises(DomainError):
         # max |b| h / (2 q) = 8 * 0.25 / 1 = 2 at the boundary
-        solve_line_dirichlet(extend_coefficients(ou_coefficients()), lambda x: 0 * x, cfg)
+        solve_line_dirichlet(extend_coefficients(ou_coefficients()), 0 * x, cfg)
 
     # non-finite coefficients are refused before any step; a NaN q must not
     # pass as positive and end in a StabilityError
@@ -115,7 +121,7 @@ def test_peclet_guard():
     heat = heat_coefficients()
     for bad in (replace(heat, q=nan), replace(heat, b=nan), replace(heat, c=nan)):
         with pytest.raises(DomainError):
-            solve_line_dirichlet(bad, lambda x: 1.0 - np.abs(x) / 8.0, cfg)
+            solve_line_dirichlet(bad, 1.0 - np.abs(x) / 8.0, cfg)
 
 
 def test_growth_monitor_triggers():
@@ -134,7 +140,7 @@ def test_growth_monitor_triggers():
         return np.exp(-((np.abs(x) - 14.0) ** 2))
 
     with pytest.raises(StabilityError):
-        solve_line_dirichlet(extend_coefficients(sneaky), f0, cfg)
+        solve_line_dirichlet(extend_coefficients(sneaky), f0(cfg.grid()), cfg)
 
     # a star solve holds each line to its own initial sup: edge 1 carries a
     # small bump in the growth zone, edge 2 a large one outside it and edge 3
@@ -161,7 +167,7 @@ def test_growth_monitor_triggers():
         c_sup_bound=math.nan,
     )
     with pytest.raises(DomainError, match="c_sup_bound"):
-        solve_line_dirichlet(growing, f0, cfg)
+        solve_line_dirichlet(growing, f0(cfg.grid()), cfg)
 
 
 def test_singular_step_matrix_is_refused():
@@ -174,7 +180,7 @@ def test_singular_step_matrix_is_refused():
     )
     cfg = OracleConfig(n=1.0, h=1.0, dt=0.1, theta=0.5, t_final=0.1)
     with pytest.raises(StabilityError, match="singular"):
-        solve_line_dirichlet(react, lambda x: 1.0 - np.abs(x), cfg)
+        solve_line_dirichlet(react, 1.0 - np.abs(cfg.grid()), cfg)
 
 
 def test_star_solver_matches_kernel_quadrature():
@@ -213,15 +219,22 @@ def test_star_solve_equals_edge_by_edge_line_solves(coeffs, m):
 
     x = cfg.grid()
     line_coeffs = extend_coefficients(coeffs())
-    lines = [
-        solve_line_dirichlet(line_coeffs, reflect_extend(f, i, x=x), cfg).values
-        for i in range(1, m + 1)
-    ]
+    lines = [solve_line_dirichlet(line_coeffs, u0, cfg) for u0 in _reflected_lines(profiles, x)]
     folded = np.stack(lines, axis=1)[:, :, x.size // 2 :]
     vertex = folded[:, :, 0]
     assert np.array_equal(run.values, folded)
     assert np.array_equal(run.continuity_defects, vertex.max(axis=1) - vertex.min(axis=1))
     assert np.array_equal(run.kirchhoff_defects, np.abs(vertex_slopes(folded, cfg.h).sum(axis=1)))
+
+
+def _reflected_lines(profiles, x):
+    """Each edge's line on the grid ``x``: f_i(r) at r >= 0 and
+    (2/m) sum_j f_j(r) - f_i(r) at -r."""
+
+    r = np.abs(x)
+    edges = [np.asarray(p(r), dtype=float) for p in profiles]
+    total = sum(edges)
+    return np.stack([np.where(x >= 0, e, (2.0 / len(edges)) * total - e) for e in edges])
 
 
 def _stencil_march(line_coeffs, u0, cfg):
@@ -264,10 +277,10 @@ def test_march_matches_the_stencil_step(coeffs, theta):
         r = np.asarray(r, dtype=float)
         return (1.5 + np.cos(r)) * (1.0 + 0.3 * r)
 
-    line = solve_line_dirichlet(line_coeffs, f0, cfg)
+    line = solve_line_dirichlet(line_coeffs, f0(x), cfg)
     want = _stencil_march(line_coeffs, f0(x)[None, :], cfg)[:, 0]
     assert f0(x[0]) != 0.0 and f0(x[-1]) != 0.0
-    assert np.abs(line.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert np.abs(line - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     m = 3
     grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
@@ -276,8 +289,7 @@ def test_march_matches_the_stencil_step(coeffs, theta):
     )
     f = StarFunction.from_callables(StarGraph(m), grid, profiles)
     star = solve_star(coeffs(), f, cfg)
-    u0 = np.stack([reflect_extend(f, i, x=x).values for i in range(1, m + 1)])
-    want = _stencil_march(line_coeffs, u0, cfg)[:, :, x.size // 2 :]
+    want = _stencil_march(line_coeffs, _reflected_lines(profiles, x), cfg)[:, :, x.size // 2 :]
     assert np.abs(star.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
@@ -368,9 +380,9 @@ def test_tabulated_kernel_columns_are_line_solves():
     for j in range(1, x.size - 1):
         hat = np.zeros_like(x)
         hat[j] = 1.0 / cfg.h
-        run = solve_line_dirichlet(coeffs, LineFunction(x, hat), cfg)
+        run = solve_line_dirichlet(coeffs, hat, cfg)
         for ti, t in enumerate(times):
-            assert np.array_equal(table.values[ti][:, j], run.at_time(t).values)
+            assert np.array_equal(table.values[ti][:, j], run[round(t / cfg.dt)])
 
 
 def test_parity_preservation_smoke():
@@ -381,18 +393,23 @@ def test_parity_preservation_smoke():
         return np.exp(-x * x)
 
     line = extend_coefficients(ho_coefficients())
-    run = solve_line_dirichlet(line, even, cfg)
-    final = run.values[-1]
+    final = solve_line_dirichlet(line, even(cfg.grid()), cfg)[-1]
     assert np.abs(final - final[::-1]).max() < 1e-12
 
 
-def test_line_evolution_accessors():
+def test_line_solve_returns_every_level():
     cfg = OracleConfig(n=4.0, h=1.0 / 16.0, dt=5e-3, theta=0.5, t_final=0.1)
-    run = solve_line_dirichlet(
-        extend_coefficients(heat_coefficients()), lambda x: np.exp(-x * x), cfg
-    )
-    assert len(run) == cfg.steps + 1
-    snap = run[0]
-    assert snap.values.shape == run.x.shape
-    at = run.at_time(0.05)
-    assert np.array_equal(at.values, run[10].values)
+    coeffs = extend_coefficients(heat_coefficients())
+    x = cfg.grid()
+    u0 = np.exp(-x * x)
+    run = solve_line_dirichlet(coeffs, u0, cfg)
+    # row k is the level at time k dt; row 0 keeps the data, ends included
+    assert run.shape == (cfg.steps + 1, x.size)
+    assert np.array_equal(run[0], u0)
+    assert not run[1:, [0, -1]].any()
+    # anything but one finite number per solver node is refused
+    for bad in (u0[1:], u0[None, :], np.exp, "u0"):
+        with pytest.raises((ShapeError, NumericalInputError)):
+            solve_line_dirichlet(coeffs, bad, cfg)
+    with pytest.raises(NumericalInputError):
+        solve_line_dirichlet(coeffs, np.where(x == 0.0, np.nan, u0), cfg)

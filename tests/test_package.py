@@ -1,4 +1,6 @@
+import importlib
 import inspect
+import pkgutil
 
 import stargraph
 import stargraph.oracle
@@ -6,19 +8,18 @@ import stargraph.oracle
 # The public API, frozen: a name added to or dropped from the package must be
 # added to or dropped from this list in the same change.
 PUBLIC = """
-AssemblyError CoefficientTriple DomainError ExtensionError FoldError GridSpec
-HARMONIC InvalidGraphError InvalidPointError KernelSpec LineEvolution LineFunction
-MIN_TIME MeasureKind NumericalInputError OU OracleConfig PolyGauss RotationOperator
-ShapeError SpectralDatum StabilityError StarEvolution StarFunction StarGraph
-StarGraphError StarPoint StencilError TRUST_RADIUS TabulatedLineKernel TracePair
-TruncationRow VertexContinuityError VertexDefect apply apply_generator eigenbasis
-even_odd_split evolve_sequence extend_coefficients flat_factor fold_to_star
-form_spectrum from_flat ground_state hermite hermite_coefficients
-ho_coefficients ho_line_kernel integrate_star line_kernel mu_density multiplicity
-ou_coefficients ou_line_kernel reflect_extend similarity_defect
-simpson_weights solve_line_dirichlet solve_star star_kernel sup_distance
-symmetric_line_grid tabulate_kernel to_flat trace_closed_form trace_partial
-truncation_study vertex_defect
+AssemblyError CoefficientTriple DomainError ExtensionError GridSpec HARMONIC
+InvalidGraphError InvalidPointError KernelSpec MIN_TIME MeasureKind
+NumericalInputError OU OracleConfig PolyGauss RotationOperator ShapeError
+SpectralDatum StabilityError StarEvolution StarFunction StarGraph StarGraphError
+StarPoint StencilError TRUST_RADIUS TabulatedLineKernel TracePair TruncationRow
+VertexContinuityError VertexDefect apply apply_generator eigenbasis
+even_odd_split evolve_sequence extend_coefficients flat_factor form_spectrum
+from_flat ground_state hermite hermite_coefficients ho_coefficients
+ho_line_kernel integrate_star line_kernel mu_density multiplicity
+ou_coefficients ou_line_kernel similarity_defect simpson_weights
+solve_line_dirichlet solve_star star_kernel sup_distance tabulate_kernel
+to_flat trace_closed_form trace_partial truncation_study vertex_defect
 """.split()
 
 # The public options, frozen: every parameter with a default, and every
@@ -26,14 +27,13 @@ truncation_study vertex_defect
 # and public methods.  Each one doubles the configurations that tests and
 # benchmarks must cover, so adding one must show up here.
 KNOBS = """
-GridSpec.cutoff GridSpec.points_per_edge KernelSpec.table LineFunction.profile
-LineFunction.is_symmetric_grid.tol OracleConfig.dt OracleConfig.h OracleConfig.n
-OracleConfig.t_final OracleConfig.theta PolyGauss.gauss
-StarFunction.continuous_at_vertex StarFunction.from_callables.continuous_at_vertex
+GridSpec.cutoff GridSpec.points_per_edge KernelSpec.table OracleConfig.dt
+OracleConfig.h OracleConfig.n OracleConfig.t_final OracleConfig.theta
+PolyGauss.gauss StarFunction.continuous_at_vertex
+StarFunction.from_callables.continuous_at_vertex
 StarFunction.from_samples.continuous_at_vertex StarFunction.profiles
 StarFunction.trusted_cutoff apply.grid eigenbasis.grid evolve_sequence.grid
-fold_to_star.continuity_tol fold_to_star.grid fold_to_star.kirchhoff_tol
-form_spectrum.count ground_state.grid integrate_star.measure reflect_extend.x
+form_spectrum.count ground_state.grid integrate_star.measure
 similarity_defect.grid sup_distance.radius_max tabulate_kernel.stride
 """.split()
 
@@ -75,6 +75,17 @@ def test_public_names_resolve_once_and_match_the_frozen_list():
     assert sorted(names) == sorted(PUBLIC)
 
 
+def test_module_all_names_resolve():
+    # a stale entry would only trip ``from stargraph.<module> import *``
+    checked = 0
+    for info in pkgutil.iter_modules(stargraph.__path__):
+        module = importlib.import_module(f"stargraph.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"stargraph.{info.name}.{name}"
+            checked += 1
+    assert checked > 0
+
+
 def test_bench_tracer_hook_names_resolve():
     # bench/tracing.py rebinds this module attribute to count its calls
     assert callable(stargraph.oracle.solve_banded)
@@ -84,4 +95,4 @@ def test_public_options_match_the_frozen_list():
     knobs = public_knobs()
     assert len(knobs) == len(set(knobs))
     assert sorted(knobs) == sorted(KNOBS)
-    assert len(KNOBS) == 29
+    assert len(KNOBS) == 23
