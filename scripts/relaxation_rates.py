@@ -18,13 +18,7 @@ import sys
 
 import numpy as np
 
-from stargraph.geometry import (
-    GridSpec,
-    MeasureKind,
-    StarFunction,
-    StarGraph,
-    integrate_star,
-)
+from stargraph.geometry import GridSpec, StarFunction, StarGraph, integrate_star
 from stargraph.kernels import OU
 from stargraph.semigroup import evolve_sequence
 
@@ -39,7 +33,7 @@ def _zero(x):
 
 
 def _distances(m, times, f, grid):
-    mean = integrate_star(f, MeasureKind.GAUSSIAN_MU)
+    mean = integrate_star(f)
     snapshots = evolve_sequence(OU, m, times, f, grid)
     return [float(np.abs(u.values - mean).max()) for u in snapshots]
 

@@ -30,7 +30,6 @@ from .extension import (
 )
 from .geometry import (
     GridSpec,
-    MeasureKind,
     StarFunction,
     StarGraph,
     StarPoint,
@@ -62,13 +61,11 @@ from .oracle import (
 from .semigroup import VertexDefect, apply, evolve_sequence, vertex_defect
 from .spectral import (
     PolyGauss,
-    RotationOperator,
     SpectralDatum,
     TracePair,
     apply_generator,
     eigenbasis,
     form_spectrum,
-    hermite,
     hermite_coefficients,
     multiplicity,
     trace_closed_form,
@@ -96,12 +93,10 @@ __all__ = [
     "InvalidPointError",
     "KernelSpec",
     "MIN_TIME",
-    "MeasureKind",
     "NumericalInputError",
     "OU",
     "OracleConfig",
     "PolyGauss",
-    "RotationOperator",
     "ShapeError",
     "SpectralDatum",
     "StabilityError",
@@ -127,7 +122,6 @@ __all__ = [
     "form_spectrum",
     "from_flat",
     "ground_state",
-    "hermite",
     "hermite_coefficients",
     "ho_coefficients",
     "ho_line_kernel",

@@ -22,7 +22,6 @@ from .errors import StabilityError, StarGraphError
 from .extension import ho_coefficients, ou_coefficients
 from .geometry import (
     GridSpec,
-    MeasureKind,
     StarFunction,
     StarGraph,
     StarPoint,
@@ -133,8 +132,6 @@ def _add_common(p: argparse.ArgumentParser, model: bool = True) -> None:
 def cmd_evolve(args) -> int:
     grid = GridSpec(cutoff=args.cutoff, points_per_edge=args.points)
     f = _initial(args.init, args.m, grid)
-    if f.grid != grid:
-        grid = f.grid
     times = _parse_floats(args.times)
     spec = _MODELS[args.model]
     snapshots = evolve_sequence(spec, args.m, times, f, grid)
@@ -149,7 +146,7 @@ def cmd_evolve(args) -> int:
                 "sup_norm": u.sup_norm(),
                 "vertex_continuity": defect.continuity,
                 "vertex_flux": defect.kirchhoff,
-                "mu_integral": integrate_star(u, MeasureKind.GAUSSIAN_MU),
+                "mu_integral": integrate_star(u),
             }
         )
         if args.out is not None:
@@ -260,7 +257,7 @@ def cmd_invariance(args) -> int:
     if args.model == "ou":
         one = _initial("one", args.m, grid)
         bump = _initial("bump", args.m, grid)
-        base = integrate_star(bump, MeasureKind.GAUSSIAN_MU)
+        base = integrate_star(bump)
         for t in times:
             u = apply(OU, args.m, t, one, grid)
             verdicts.append(
@@ -269,10 +266,7 @@ def cmd_invariance(args) -> int:
             v = apply(OU, args.m, t, bump, grid)
             verdicts.append(
                 _verdict(
-                    f"invariant_measure_preserved_t{_short(t)}",
-                    integrate_star(v, MeasureKind.GAUSSIAN_MU),
-                    base,
-                    args.tol,
+                    f"invariant_measure_preserved_t{_short(t)}", integrate_star(v), base, args.tol
                 )
             )
         for t in times:

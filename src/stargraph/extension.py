@@ -117,47 +117,18 @@ def extend_coefficients(coeffs: CoefficientTriple) -> CoefficientTriple:
 
 
 def even_odd_split(f: StarFunction) -> tuple[StarFunction, StarFunction]:
-    """Split into the edge-average part and the zero-edge-sum remainder.
+    """Split the samples into the edge-average part and the zero-edge-sum remainder.
 
-    The even part carries the same profile on every edge; the odd part sums
+    The even part carries the same samples on every edge; the odd part sums
     to zero across edges at every radius.  The two recombine to f exactly and
     are orthogonal in the invariant-measure inner product.
     """
 
     avg = f.values.mean(axis=0)
-    even_values = np.broadcast_to(avg, f.values.shape)
-    odd_values = f.values - avg
-
-    even_profiles = odd_profiles = None
-    if f.has_profiles():
-        fns = f.profiles
-        m = f.graph.m
-
-        def avg_fn(x, _fns=fns, _m=m):
-            x = np.asarray(x, dtype=float)
-            total = np.zeros_like(x)
-            for fn in _fns:
-                total = total + np.asarray(fn(x), dtype=float)
-            return total / _m
-
-        even_profiles = tuple(avg_fn for _ in range(m))
-        odd_profiles = tuple(
-            (lambda x, _fn=fn, _avg=avg_fn: np.asarray(_fn(x), dtype=float) - _avg(x))
-            for fn in fns
-        )
-
     even = StarFunction(
-        f.graph,
-        f.grid,
-        np.array(even_values),
-        continuous_at_vertex=True,
-        profiles=even_profiles,
+        f.graph, f.grid, np.broadcast_to(avg, f.values.shape), continuous_at_vertex=True
     )
     odd = StarFunction(
-        f.graph,
-        f.grid,
-        odd_values,
-        continuous_at_vertex=f.continuous_at_vertex,
-        profiles=odd_profiles,
+        f.graph, f.grid, f.values - avg, continuous_at_vertex=f.continuous_at_vertex
     )
     return even, odd

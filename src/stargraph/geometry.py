@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "StarGraph",
     "StarPoint",
     "GridSpec",
-    "MeasureKind",
     "StarFunction",
     "mu_density",
     "integrate_star",
@@ -131,11 +129,6 @@ class GridSpec:
 
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.cutoff, self.points_per_edge)
-
-
-class MeasureKind(str, Enum):
-    LEBESGUE = "lebesgue"
-    GAUSSIAN_MU = "gaussian_mu"
 
 
 def mu_density(p, m: int):
@@ -328,26 +321,11 @@ class StarFunction:
         )
         return cls.from_callables(graph, grid, profiles, continuous_at_vertex=True)
 
-    @classmethod
-    def zero(cls, graph: StarGraph, grid: GridSpec) -> "StarFunction":
-        return cls.constant(graph, grid, 0.0)
-
     # -- basic queries -----------------------------------------------------
 
     @property
     def m(self) -> int:
         return self.graph.m
-
-    @property
-    def vertex_value(self) -> float:
-        return float(self.values[0, 0])
-
-    def edge_values(self, edge: int) -> np.ndarray:
-        if not is_integer(edge):
-            raise InvalidPointError(f"edge index must be an integer, got {edge!r}")
-        if edge < 1 or edge > self.graph.m:
-            raise InvalidPointError(f"edge must be in 1..{self.graph.m}, got {edge}")
-        return self.values[edge - 1]
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
@@ -383,13 +361,15 @@ class StarFunction:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or [c.strip() for c in header[:3]] != ["edge", "radius", "value"]:
+            if header is None or [c.strip() for c in header] != ["edge", "radius", "value"]:
                 raise ShapeError(f"expected header 'edge,radius,value' in {path}")
             for row in reader:
                 if not row:
                     continue
-                if len(row) < 3:
-                    raise ShapeError(f"row {reader.line_num} has {len(row)} of 3 fields in {path}")
+                if len(row) != 3:
+                    raise ShapeError(
+                        f"row {reader.line_num} has {len(row)} fields, not 3, in {path}"
+                    )
                 edge, radius, value = int(row[0]), float(row[1]), float(row[2])
                 if not math.isfinite(radius):
                     raise ShapeError(
@@ -425,21 +405,11 @@ class StarFunction:
         return cls(StarGraph(m), grid, values, continuous_at_vertex=continuous)
 
 
-def integrate_star(
-    f: StarFunction,
-    measure: MeasureKind | str = MeasureKind.GAUSSIAN_MU,
-) -> float:
-    """Integrate a StarFunction over the truncated star.
+def integrate_star(f: StarFunction) -> float:
+    """Integrate against the invariant probability measure over the truncated star."""
 
-    ``gaussian_mu`` integrates against the invariant probability measure,
-    ``lebesgue`` against edge arclength on [0, cutoff].
-    """
-
-    measure = MeasureKind(measure)
     g = f.grid
-    w = simpson_weights(g.points_per_edge, g.h)
-    if measure is MeasureKind.GAUSSIAN_MU:
-        w = w * mu_density(g.nodes(), f.graph.m)
+    w = simpson_weights(g.points_per_edge, g.h) * mu_density(g.nodes(), f.graph.m)
     return float(np.dot(f.values, w).sum())
 
 

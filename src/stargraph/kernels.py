@@ -10,7 +10,6 @@ weights: same-edge propagation adds the reflected part with weight
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -153,47 +152,6 @@ class TabulatedLineKernel:
             + ax * (1 - ay) * v10
             + ax * ay * v11
         )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "x", "y", "value"])
-            for ti, t in enumerate(self.times):
-                for xi, xv in enumerate(self.x):
-                    for yi, yv in enumerate(self.x):
-                        writer.writerow(
-                            [
-                                f"{t:.17g}",
-                                f"{xv:.17g}",
-                                f"{yv:.17g}",
-                                f"{self.values[ti, xi, yi]:.17g}",
-                            ]
-                        )
-
-    @classmethod
-    def from_csv(cls, path) -> "TabulatedLineKernel":
-        rows: list[tuple[float, float, float, float]] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header[:4]] != ["t", "x", "y", "value"]:
-                raise ShapeError(f"expected header 't,x,y,value' in {path}")
-            for row in reader:
-                if not row:
-                    continue
-                rows.append((float(row[0]), float(row[1]), float(row[2]), float(row[3])))
-        if not rows:
-            raise ShapeError(f"no data rows in {path}")
-        times = np.unique([r[0] for r in rows])
-        xs = np.unique([r[1] for r in rows])
-        values = np.full((times.size, xs.size, xs.size), np.nan)
-        t_idx = {t: i for i, t in enumerate(times)}
-        x_idx = {x: i for i, x in enumerate(xs)}
-        for t, x, y, v in rows:
-            values[t_idx[t], x_idx[x], x_idx[y]] = v
-        if np.any(np.isnan(values)):
-            raise ShapeError(f"kernel table in {path} is not a full (t, x, y) product")
-        return cls(times, xs, values)
 
 
 @dataclass(frozen=True)

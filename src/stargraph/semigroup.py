@@ -130,13 +130,9 @@ def vertex_defect(u: StarFunction) -> VertexDefect:
     """Continuity spread and absolute edge-derivative sum at the vertex.
 
     Derivatives use the one-sided second-order stencil on the first three
-    samples, or exact derivatives when the profiles expose them.
+    samples (``geometry.vertex_defects``).
     """
 
-    if u.has_profiles() and all(hasattr(p, "derivative") for p in u.profiles):
-        zero = np.zeros(1)
-        flux = sum(float(np.asarray(p.derivative()(zero))[0]) for p in u.profiles)
-        return VertexDefect(float(np.ptp(u.values[:, 0])), abs(flux))
     return VertexDefect(*map(float, vertex_defects(u.values, u.grid.h)))
 
 

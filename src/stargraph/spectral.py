@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import AssemblyError, DomainError, InvalidPointError, ShapeError, StencilError
+from .errors import AssemblyError, DomainError, ShapeError
 from .geometry import (
     GridSpec,
     StarFunction,
@@ -31,15 +31,12 @@ from .geometry import (
     check_edge_count,
     is_integer,
     simpson_weights,
-    vertex_continuous,
 )
 from .kernels import KernelSpec, ou_line_kernel
 
 __all__ = [
     "PolyGauss",
     "SpectralDatum",
-    "RotationOperator",
-    "hermite",
     "hermite_coefficients",
     "eigenbasis",
     "apply_generator",
@@ -152,20 +149,6 @@ def hermite_coefficients(k: int) -> tuple[float, ...]:
     return _strip(cur)
 
 
-def hermite(k: int, x):
-    """Evaluate the k-th physicists' Hermite polynomial by recurrence."""
-
-    _check_nonnegative_int(k, "level")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if k == 0:
-        return h_prev
-    h_cur = 2.0 * x
-    for j in range(1, k):
-        h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * j * h_prev
-    return h_cur
-
-
 # -- eigenbasis ---------------------------------------------------------------
 
 
@@ -236,81 +219,19 @@ def _apply_generator_profile(tag: str, p: PolyGauss) -> PolyGauss:
     return d2.plus(p.times_x().times_x().scaled(-1.0)).plus(p).scaled(0.5)
 
 
-def _derivatives_grid(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fourth-order first and second derivatives along the last axis."""
-
-    n = values.shape[-1]
-    if n < 6:
-        raise StencilError("fourth-order stencils need >= 6 points per edge")
-    v = values
-    d1 = np.empty_like(v)
-    d2 = np.empty_like(v)
-    d1[..., 2:-2] = (-v[..., 4:] + 8 * v[..., 3:-1] - 8 * v[..., 1:-3] + v[..., :-4]) / (12 * h)
-    d2[..., 2:-2] = (
-        -v[..., 4:] + 16 * v[..., 3:-1] - 30 * v[..., 2:-2] + 16 * v[..., 1:-3] - v[..., :-4]
-    ) / (12 * h * h)
-    c1_edge = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    c1_next = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-    d1[..., 0] = v[..., :5] @ c1_edge / h
-    d1[..., 1] = v[..., :5] @ c1_next / h
-    d1[..., -1] = -(v[..., -1:-6:-1] @ c1_edge) / h
-    d1[..., -2] = -(v[..., -1:-6:-1] @ c1_next) / h
-    c2_edge = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-    c2_next = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
-    d2[..., 0] = v[..., :6] @ c2_edge / (h * h)
-    d2[..., 1] = v[..., :6] @ c2_next / (h * h)
-    d2[..., -1] = v[..., -1:-7:-1] @ c2_edge / (h * h)
-    d2[..., -2] = v[..., -1:-7:-1] @ c2_next / (h * h)
-    return d1, d2
-
-
 def apply_generator(kind, f: StarFunction) -> StarFunction:
-    """Apply the generator edge by edge.
+    """Apply the generator edge by edge to exact ``PolyGauss`` profiles.
 
-    Analytic profiles are differentiated exactly (polynomial-with-Gaussian
-    algebra), so eigen-identities hold at coefficient level; plain samples
-    fall back to fourth-order stencils.
+    Profiles are differentiated exactly (polynomial-with-Gaussian algebra),
+    so eigen-identities hold at coefficient level.  Input without a
+    ``PolyGauss`` profile on every edge is refused with ``ShapeError``.
     """
 
     tag = _generator_tag(kind)
-    if f.has_profiles() and all(isinstance(p, PolyGauss) for p in f.profiles):
-        out_profiles = tuple(_apply_generator_profile(tag, p) for p in f.profiles)
-        return StarFunction.from_callables(f.graph, f.grid, out_profiles)
-
-    x = f.grid.nodes()
-    d1, d2 = _derivatives_grid(f.values, f.grid.h)
-    if tag == "ou":
-        out = 0.5 * d2 - x * d1
-    else:
-        out = 0.5 * (d2 - (x * x) * f.values + f.values)
-    continuous = vertex_continuous(out[:, 0], 1e-9)
-    return StarFunction(f.graph, f.grid, out, continuous_at_vertex=continuous)
-
-
-@dataclass(frozen=True)
-class RotationOperator:
-    """Cyclic relabeling of the edges; unitary for the invariant measure."""
-
-    m: int
-
-    def __call__(self, f: StarFunction, shift: int = 1) -> StarFunction:
-        if f.graph.m != self.m:
-            raise ShapeError(f"function lives on {f.graph.m} edges, operator on {self.m}")
-        if not is_integer(shift):
-            raise InvalidPointError(f"rotation shift must be an integer, got {shift!r}")
-        shift = shift % self.m
-        values = np.roll(f.values, shift, axis=0)
-        profiles = None
-        if f.has_profiles():
-            profiles = tuple(np.roll(np.asarray(f.profiles, dtype=object), shift))
-        return StarFunction(
-            f.graph,
-            f.grid,
-            values,
-            continuous_at_vertex=f.continuous_at_vertex,
-            profiles=profiles,
-            trusted_cutoff=f.trusted_cutoff,
-        )
+    if not (f.has_profiles() and all(isinstance(p, PolyGauss) for p in f.profiles)):
+        raise ShapeError("the generator needs a PolyGauss profile on every edge")
+    out_profiles = tuple(_apply_generator_profile(tag, p) for p in f.profiles)
+    return StarFunction.from_callables(f.graph, f.grid, out_profiles)
 
 
 # -- quadratic form -----------------------------------------------------------

@@ -75,6 +75,12 @@ def test_evolve_file_initial_round_trip(tmp_path, capsys):
     f.to_csv(path)
     assert main(["evolve", "--m", "2", "--times", "0.5", f"--init=file:{path}"]) == EXIT_OK
     capsys.readouterr()
+    # the output lives on the --cutoff/--points grid, not on the file's own grid
+    out = tmp_path / "out"
+    assert main(["evolve", "--m", "2", "--times", "0.5", "--points", "33",
+                 f"--init=file:{path}", "--out", str(out)]) == EXIT_OK
+    snapshot = StarFunction.from_csv(out / "evolve_ou_t0.5.csv")
+    assert snapshot.grid == GridSpec(cutoff=6.0, points_per_edge=33)
     # edge-count mismatch is a usage error
     assert main(["evolve", "--m", "3", "--times", "0.5", f"--init=file:{path}"]) == EXIT_USAGE
 
@@ -89,8 +95,11 @@ def test_evolve_unknown_initial(tmp_path, capsys):
     short_row.write_text("edge,radius,value\n1,0.0\n")
     nan_radius = tmp_path / "nan_radius.csv"  # every NaN spacing comparison is false
     nan_radius.write_text("edge,radius,value\n1,0,1\n1,nan,1\n1,2,1\n")
+    decimal_comma = tmp_path / "decimal_comma.csv"  # 1,5 meant as 1.5
+    decimal_comma.write_text("edge,radius,value\n1,0,1,5\n1,1,1,5\n1,2,1,5\n")
     for init in ("gibberish", f"file:{tmp_path / 'missing.csv'}", f"file:{non_numeric}",
-                 f"file:{fractional_edge}", f"file:{short_row}", f"file:{nan_radius}"):
+                 f"file:{fractional_edge}", f"file:{short_row}", f"file:{nan_radius}",
+                 f"file:{decimal_comma}"):
         assert main(["evolve", "--m", "1", "--init", init]) == EXIT_USAGE, init
         assert capsys.readouterr().err.startswith("error:"), init
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from stargraph.errors import ExtensionError
 from stargraph.extension import (

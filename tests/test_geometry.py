@@ -15,7 +15,6 @@ from stargraph.errors import (
 )
 from stargraph.geometry import (
     GridSpec,
-    MeasureKind,
     StarFunction,
     StarGraph,
     StarPoint,
@@ -85,7 +84,7 @@ def test_mu_density_frozen_values():
 def test_mu_is_a_probability_measure(grid):
     for m in (1, 2, 3, 5):
         one = StarFunction.constant(StarGraph(m), grid, 1.0)
-        total = integrate_star(one, MeasureKind.GAUSSIAN_MU)
+        total = integrate_star(one)
         assert abs(total - 1.0) < 1e-10
 
 
@@ -96,19 +95,7 @@ def test_second_moment_of_mu(grid):
         g = StarGraph(m)
         x = grid.nodes()
         f = StarFunction.from_samples(g, grid, np.tile(x * x, (m, 1)))
-        assert integrate_star(f, MeasureKind.GAUSSIAN_MU) == pytest.approx(
-            0.5, abs=1e-10
-        )
-
-
-def test_lebesgue_integration(grid):
-    # per-edge integral of e^{-x} over [0, 6] is 1 - e^{-6}
-    g = StarGraph(3)
-    x = grid.nodes()
-    f = StarFunction.from_samples(g, grid, np.tile(np.exp(-x), (3, 1)))
-    assert integrate_star(f, MeasureKind.LEBESGUE) == pytest.approx(
-        3 * 0.9975212478233336, rel=1e-9
-    )
+        assert integrate_star(f) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_simpson_weights_basics():
@@ -143,15 +130,8 @@ def test_star_function_construction(grid):
     x = grid.nodes()
     vals = np.stack([np.exp(-x), np.exp(-x)])
     f = StarFunction.from_samples(g, grid, vals, continuous_at_vertex=True)
-    assert f.vertex_value == 1.0
+    assert np.array_equal(f.values, vals)
     assert f.sup_norm() == 1.0
-    assert f.edge_values(2)[0] == 1.0
-    with pytest.raises(InvalidPointError):
-        f.edge_values(3)
-    for bad in (1.5, True):
-        with pytest.raises(InvalidPointError):
-            f.edge_values(bad)
-    assert f.edge_values(np.int64(2))[0] == 1.0
 
     # claiming continuity with mismatched vertex values must fail loudly
     bad = vals.copy()

@@ -200,13 +200,3 @@ def test_tabulated_star_dispatch():
     got = star_kernel(spec, 3, t, StarPoint(1, x), StarPoint(1, y))
     want = star_kernel(OU, 3, t, StarPoint(1, x), StarPoint(1, y))
     assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_tabulated_csv_round_trip(tmp_path):
-    table = _ou_table(nt=2, nx=33, span=2.0)
-    path = tmp_path / "table.csv"
-    table.to_csv(path)
-    back = TabulatedLineKernel.from_csv(path)
-    assert np.array_equal(back.times, table.times)
-    assert np.array_equal(back.x, table.x)
-    assert np.array_equal(back.values, table.values)

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import stargraph
 import stargraph.oracle
@@ -9,14 +11,13 @@ import stargraph.oracle
 # added to or dropped from this list in the same change.
 PUBLIC = """
 AssemblyError CoefficientTriple DomainError ExtensionError GridSpec HARMONIC
-InvalidGraphError InvalidPointError KernelSpec MIN_TIME MeasureKind
-NumericalInputError OU OracleConfig PolyGauss RotationOperator ShapeError
-SpectralDatum StabilityError StarEvolution StarFunction StarGraph StarGraphError
-StarPoint StencilError TRUST_RADIUS TabulatedLineKernel TracePair TruncationRow
-VertexContinuityError VertexDefect apply apply_generator eigenbasis
-even_odd_split evolve_sequence extend_coefficients flat_factor form_spectrum
-from_flat ground_state hermite hermite_coefficients ho_coefficients
-ho_line_kernel integrate_star line_kernel mu_density multiplicity
+InvalidGraphError InvalidPointError KernelSpec MIN_TIME NumericalInputError OU
+OracleConfig PolyGauss ShapeError SpectralDatum StabilityError StarEvolution
+StarFunction StarGraph StarGraphError StarPoint StencilError TRUST_RADIUS
+TabulatedLineKernel TracePair TruncationRow VertexContinuityError VertexDefect
+apply apply_generator eigenbasis even_odd_split evolve_sequence
+extend_coefficients flat_factor form_spectrum from_flat ground_state
+hermite_coefficients ho_coefficients ho_line_kernel integrate_star line_kernel mu_density multiplicity
 ou_coefficients ou_line_kernel similarity_defect simpson_weights
 solve_line_dirichlet solve_star star_kernel sup_distance tabulate_kernel
 to_flat trace_closed_form trace_partial truncation_study vertex_defect
@@ -33,8 +34,7 @@ PolyGauss.gauss StarFunction.continuous_at_vertex
 StarFunction.from_callables.continuous_at_vertex
 StarFunction.from_samples.continuous_at_vertex StarFunction.profiles
 StarFunction.trusted_cutoff apply.grid eigenbasis.grid evolve_sequence.grid
-form_spectrum.count ground_state.grid integrate_star.measure
-similarity_defect.grid sup_distance.radius_max tabulate_kernel.stride
+form_spectrum.count ground_state.grid similarity_defect.grid sup_distance.radius_max tabulate_kernel.stride
 """.split()
 
 
@@ -95,4 +95,43 @@ def test_public_options_match_the_frozen_list():
     knobs = public_knobs()
     assert len(knobs) == len(set(knobs))
     assert sorted(knobs) == sorted(KNOBS)
-    assert len(KNOBS) == 23
+    assert len(KNOBS) == 22
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_modules_import_only_what_they_use():
+    # the package's stand-in for a linter's unused-import rule: a name counts
+    # as used when the module reads it, lists it in __all__, or imports it on
+    # a line marked ``# noqa``
+    paths = sorted((ROOT / "src" / "stargraph").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py")
+    )
+    assert paths
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert unused == []

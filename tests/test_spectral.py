@@ -6,30 +6,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from stargraph.errors import (
-    AssemblyError,
-    DomainError,
-    InvalidPointError,
-    ShapeError,
-    StencilError,
-)
+from stargraph.errors import AssemblyError, DomainError, ShapeError
 from stargraph.geometry import GridSpec, StarFunction, StarGraph
-from stargraph.kernels import OU, KernelSpec, TabulatedLineKernel, ou_line_kernel
+from stargraph.kernels import OU, KernelSpec, TabulatedLineKernel
 from stargraph.semigroup import apply
 from stargraph.spectral import (
     PolyGauss,
-    RotationOperator,
     _edge_form,
     _tridiagonal,
     apply_generator,
     eigenbasis,
     form_spectrum,
-    hermite,
     hermite_coefficients,
     multiplicity,
     trace_closed_form,
     trace_partial,
 )
+
+
+def hermite(k, x):
+    return PolyGauss(hermite_coefficients(k))(x)
 
 
 def test_hermite_frozen():
@@ -50,10 +46,9 @@ def test_hermite_parity_and_consistency(k, x):
     direct = float(hermite(k, x))
     mirrored = float(hermite(k, -x))
     assert mirrored == pytest.approx(((-1.0) ** k) * direct, rel=1e-12, abs=1e-9)
-    via_coeffs = float(
-        np.polynomial.polynomial.polyval(x, np.asarray(hermite_coefficients(k)))
-    )
-    assert via_coeffs == pytest.approx(direct, rel=1e-10, abs=1e-8)
+    # numpy's physicists' Hermite series is an independent evaluation
+    via_series = float(np.polynomial.hermite.hermval(x, [0.0] * k + [1.0]))
+    assert via_series == pytest.approx(direct, rel=1e-10, abs=1e-8)
 
 
 def test_poly_gauss_algebra():
@@ -142,25 +137,9 @@ def test_semigroup_scales_eigenfunctions():
     assert np.abs(u.values[:, window] - pred * b.values[:, window]).max() < 1e-10
 
 
-def test_generator_grid_path():
-    grid = GridSpec(cutoff=6.0, points_per_edge=513)
-    x = grid.nodes()
-    vals = np.tile(np.exp(-0.5 * x * x), (2, 1))
-    f = StarFunction.from_samples(StarGraph(2), grid, vals, continuous_at_vertex=True)
-    out = apply_generator("harmonic_oscillator", f)
-    # the ground state is annihilated; only stencil error remains
-    assert np.abs(out.values).max() < 1e-6
-
-    tiny = GridSpec(cutoff=1.0, points_per_edge=5)
-    g = StarFunction.constant(StarGraph(1), tiny, 1.0)
-    g_plain = StarFunction.from_samples(StarGraph(1), tiny, g.values, continuous_at_vertex=True)
-    with pytest.raises(StencilError):
-        apply_generator("ou", g_plain)
-
-
 def test_generator_kind_validation():
     grid = GridSpec(cutoff=2.0, points_per_edge=17)
-    f = StarFunction.constant(StarGraph(1), grid, 1.0)
+    f = StarFunction.from_callables(StarGraph(1), grid, (PolyGauss((1.0,)),))
     with pytest.raises(DomainError):
         apply_generator("brownian", f)
     table = TabulatedLineKernel(
@@ -170,31 +149,15 @@ def test_generator_kind_validation():
     )
     with pytest.raises(DomainError):
         apply_generator(KernelSpec(tag="tabulated", table=table), f)
-    # KernelSpec tags map to the closed-form generators; the constant is
-    # killed up to stencil rounding
+    # KernelSpec tags map to the closed-form generators; the constant is killed
     out = apply_generator(OU, f)
     assert np.abs(out.values).max() < 1e-12
-
-
-def test_rotation_operator():
-    grid = GridSpec(cutoff=3.0, points_per_edge=33)
-    vals = np.zeros((3, 33))
-    vals[0, :] = 1.0
-    vals[:, 0] = 1.0
-    f = StarFunction.from_samples(StarGraph(3), grid, vals, continuous_at_vertex=True)
-    rot = RotationOperator(3)
-    g = rot(f)
-    assert np.array_equal(g.values[1], f.values[0])
-    assert np.array_equal(g.values[0], f.values[2])
-    # three rotations return the original labeling
-    h = rot(rot(rot(f)))
-    assert np.array_equal(h.values, f.values)
-    with pytest.raises(ShapeError):
-        RotationOperator(4)(f)
-    assert np.array_equal(rot(f, np.int64(-1)).values, rot(rot(f)).values)
-    for bad in (1.5, True):
-        with pytest.raises(InvalidPointError):
-            rot(f, bad)
+    # only exact profiles are differentiated: samples and plain callables are refused
+    sampled = StarFunction.from_samples(StarGraph(1), grid, f.values, continuous_at_vertex=True)
+    plain = StarFunction.constant(StarGraph(1), grid, 1.0)
+    for g in (sampled, plain):
+        with pytest.raises(ShapeError):
+            apply_generator(OU, g)
 
 
 def _on_star(diag, off, m):

@@ -6,7 +6,6 @@ import pytest
 from stargraph.errors import DomainError
 from stargraph.geometry import (
     GridSpec,
-    MeasureKind,
     StarFunction,
     StarGraph,
     integrate_star,
@@ -39,7 +38,7 @@ def test_unit_maps_to_ground_state():
     one = StarFunction.constant(StarGraph(2), grid, 1.0)
     flat = to_flat(one)
     # the constant becomes pi^{-1/4} e^{-x^2/2} on a two-edge star
-    assert flat.vertex_value == pytest.approx(math.pi ** -0.25, rel=1e-14)
+    assert flat.values[0, 0] == pytest.approx(math.pi ** -0.25, rel=1e-14)
     x = grid.nodes()
     want = math.pi ** -0.25 * np.exp(-0.5 * x * x)
     assert np.abs(flat.values - want).max() < 1e-14
@@ -55,7 +54,7 @@ def test_transform_is_isometry():
     flat = to_flat(f)
     # squared mu-norm of f equals the flat squared Lebesgue norm
     f2 = StarFunction.from_samples(f.graph, grid, f.values**2, continuous_at_vertex=True)
-    lhs = integrate_star(f2, MeasureKind.GAUSSIAN_MU)
+    lhs = integrate_star(f2)
     x = grid.nodes()
     h = grid.h
     w = np.ones_like(x)
