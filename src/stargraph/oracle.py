@@ -1,17 +1,20 @@
-"""Finite-difference reference solver for the extended line problems.
+"""Finite-difference reference solver for the line and the star.
 
-Each edge of the star yields one parabolic problem on a symmetric interval
-(-n, n) with homogeneous Dirichlet ends: d_t u = q u'' + b u' + c u with the
-parity-extended coefficients.  A theta-weighted step (trapezoidal by
-default) advances the centered second-order discretization.  All lines of a
-solve share one tridiagonal step matrix A = I - theta dt T, so they advance
-together: each step is one LAPACK gtsv solve with one right-hand side per
-line (the m reflected edges of a star solve, or the unit hats of a kernel
-table).  The explicit half needs no stencil product, because
-B = I + (1 - theta) dt T = (I - (1 - theta) A) / theta.  The star solution
-is the half r >= 0 of each edge's line, and the vertex conditions are
-measured there instead of imposed: continuity holds because odd data stays
-odd, the flux balance holds at the stencil order.
+A line problem d_t u = q u'' + b u' + c u on (-n, n) with homogeneous
+Dirichlet ends is advanced by a theta-weighted step (trapezoidal by default)
+of the centered second-order discretization.  The star is marched in its
+sectors on the half grid r >= 0, with the parity-extended coefficients:
+the edge average (the even sector) is one line with Neumann conditions at
+the vertex, and the m deviations from it (the odd sectors) are lines with
+the vertex pinned at zero.  Edge i is the average plus its deviation, the
+same scheme as the line through the edge and its ``reflect``; continuity at
+the vertex holds by construction, and the flux balance holds at the stencil
+order and is measured.  The lines of a march advance together: each step is
+one LAPACK gtsv solve per tridiagonal step matrix A = I - theta dt T, with
+the lines as right-hand sides (the unit hats of a kernel table, or the m
+odd lines of a star, whose even line takes a second solve).  The explicit
+half needs no stencil product, because
+B = I + (1 - theta) dt T = (I - (1 - theta) A) / theta.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from scipy.linalg import solve_banded  # noqa: F401  the hook bench/tracing.py c
 from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalInputError, ShapeError, StabilityError, VertexContinuityError
-from .extension import CoefficientTriple, extend_coefficients, reflect
+from .extension import CoefficientTriple, extend_coefficients
 from .geometry import GridSpec, StarFunction, StarGraph, is_integer, vertex_continuous, vertex_defects
 from .kernels import TabulatedLineKernel
 
@@ -127,33 +130,22 @@ def solve_line_dirichlet(
         raise ShapeError(
             f"initial data must give one value per solver node, shape {x.shape}, got {u0.shape}"
         )
-    return _march(coeffs, u0[None, :], cfg, range(cfg.steps + 1), slice(None))[:, 0]
+    out = np.zeros((cfg.steps + 1, 1, x.size))
+    out[0] = u0
+    blocks = [(slice(1, None), *_stencil(coeffs, x, cfg.h))]
+    state = np.stack([np.zeros_like(u0), u0])
+    _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, len(out)), out[1:, :, 1:-1], slice(None))
+    return out[:, 0]
 
 
-def _march(
-    coeffs: CoefficientTriple,
-    u0: np.ndarray,
-    cfg: OracleConfig,
-    levels: Sequence[int],
-    nodes: slice | np.ndarray,
-) -> np.ndarray:
-    """Advance the k lines ``u0`` (shape (k, len(x))) together.
+def _stencil(
+    coeffs: CoefficientTriple, x: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower, main and upper stencil entries of q u'' + b u' + c u at x[1:-1].
 
-    Every step is one gtsv solve of A w = u / theta, with the k lines as its
-    right-hand side columns, and the update u <- w - ((1 - theta) / theta) u,
-    which is A^-1 B u for B = (I - (1 - theta) A) / theta.  Lines are stored
-    as rows so each line's samples stay contiguous.  ``levels`` are
-    increasing step indices; the march stops at the last of them and keeps
-    only those levels at only the grid ``nodes`` (an index or slice), shape
-    (len(levels), k, len(x[nodes])).  Each line's sup norm is held to
-    1.05 exp(c_sup t) max |u0[j]|; the first step at which any line exceeds
-    its bound, or whose step matrix is singular, raises.
+    Refuses, anywhere on x, a q that is not positive, coefficients or a
+    c_sup_bound that are not finite, and a cell Peclet number above 1.
     """
-
-    x = cfg.grid()
-    h, dt, theta = cfg.h, cfg.dt, cfg.theta
-    if not np.all(np.isfinite(u0)):
-        raise NumericalInputError("initial data must be finite on the solver grid")
 
     qv = np.asarray(coeffs.q(x), dtype=float)
     bv = np.asarray(coeffs.b(x), dtype=float)
@@ -169,59 +161,83 @@ def _march(
             f"cell Peclet number {peclet:.3f} > 1; refine h to keep the "
             "centered discretization monotone"
         )
-
-    # interior stencil coefficients of q u'' + b u' + c u
     qi, bi, ci = qv[1:-1], bv[1:-1], cv[1:-1]
-    lower = qi / h**2 - bi / (2.0 * h)
-    diag = -2.0 * qi / h**2 + ci
-    upper = qi / h**2 + bi / (2.0 * h)
+    return qi / h**2 - bi / (2.0 * h), -2.0 * qi / h**2 + ci, qi / h**2 + bi / (2.0 * h)
 
-    # diagonals of the implicit half A = I - theta dt T
-    a_lower = -theta * dt * lower[1:]
-    a_diag = 1.0 - theta * dt * diag
-    a_upper = -theta * dt * upper[:-1]
-    if a_diag.size == 1:  # f2py wants one (unused) off-diagonal entry, not zero
-        a_lower = a_upper = np.zeros(1)
+
+def _march(
+    blocks: Sequence[tuple[slice, np.ndarray, np.ndarray, np.ndarray]],
+    u: np.ndarray,
+    c0: float,
+    cfg: OracleConfig,
+    levels: Sequence[int],
+    out: np.ndarray,
+    nodes: slice | np.ndarray,
+) -> None:
+    """Advance the state ``u`` (shape (1 + k, columns)) and write its k lines.
+
+    Line i is u[0] + u[i] on the stored side and u[0] - u[i] mirrored, so
+    row 0 is what every line shares; a full line shares nothing, and its
+    row 0 stays zero and unmarched.  The first and last columns lie beyond
+    the stencil rows, and their samples enter the first step only.  Each
+    block (rows, lower, diag, upper) holds the stencil T of its rows; a step
+    is one in-place gtsv solve of A w = u / theta per block, A = I - theta dt
+    T, then u <- w - ((1 - theta) / theta) u, which is A^-1 B u for
+    B = (I - (1 - theta) A) / theta.  ``levels`` are increasing step
+    indices >= 1; the lines after step levels[j] go to out[j], at the marched
+    ``nodes``.
+    Each line's sup, max |u[0]| + |u[i]|, is held to 1.05 exp(c0 t) times its
+    initial sup; a step that breaks a bound, turns non-finite or meets a
+    singular step matrix raises.
+    """
+
+    dt, theta = cfg.dt, cfg.theta
+    if not np.all(np.isfinite(u)):
+        raise NumericalInputError("initial data must be finite on the solver grid")
+    bound_base = 1.05 * (np.abs(u[0]) + np.abs(u[1:])).max(axis=1)
     keep = (1.0 - theta) / theta
-
-    bound_base = 1.05 * np.abs(u0).max(axis=1)
-
-    out = np.empty((len(levels), u0.shape[0], x[nodes].size))
-    stored = 0
-    u = np.array(u0, dtype=float)
-    inner = u[:, 1:-1]
-    # the right-hand side of the next step, contiguous so that its transpose
-    # is the Fortran-ordered (nodes, lines) block gtsv solves in place; the
-    # boundary samples enter the explicit half of the first step only
+    inner = u[:, 1:-1].copy()
+    # the right-hand side of the next step, contiguous so that the transpose
+    # of each block's rows is the Fortran-ordered (nodes, rows) array gtsv
+    # solves in place; the boundary samples enter the explicit half of the
+    # first step only
     w = inner / theta
-    w[:, 0] += (1.0 - theta) * dt * lower[0] * u[:, 0]
-    w[:, -1] += (1.0 - theta) * dt * upper[-1] * u[:, -1]
-    if levels[0] == 0:
-        out[0] = u[:, nodes]
-        stored = 1
-    u[:, [0, -1]] = 0.0
+    solves = []
+    for rows, lower, diag, upper in blocks:
+        w[rows, 0] += (1.0 - theta) * dt * lower[0] * u[rows, 0]
+        w[rows, -1] += (1.0 - theta) * dt * upper[-1] * u[rows, -1]
+        if diag.size == 1:  # f2py wants one (unused) off-diagonal entry, not zero
+            a_lower = a_upper = np.zeros(1)
+        else:
+            a_lower, a_upper = -theta * dt * lower[1:], -theta * dt * upper[:-1]
+        solves.append((rows, a_lower, 1.0 - theta * dt * diag, a_upper))
+
+    line_abs = np.empty_like(inner[1:])
+    stored = 0
     for k in range(1, levels[-1] + 1):
-        info = dgtsv(a_lower, a_diag, a_upper, w.T, overwrite_b=1)[-1]
-        if info:
-            raise StabilityError(f"step matrix is singular at step {k} (gtsv info {info})")
+        for rows, a_lower, a_diag, a_upper in solves:
+            info = dgtsv(a_lower, a_diag, a_upper, w[rows].T, overwrite_b=1)[-1]
+            if info:
+                raise StabilityError(f"step matrix is singular at step {k} (gtsv info {info})")
         inner *= -keep
         inner += w
-        sup = np.abs(inner).max(axis=1)
-        if not np.isfinite(sup).all():
-            raise StabilityError(f"solution became non-finite at step {k}")
+        np.abs(inner[1:], out=line_abs)
+        line_abs += np.abs(inner[0])
+        sup = line_abs.max(axis=1)
         bound = bound_base * math.exp(c0 * k * dt)
-        over = sup > bound
-        if over.any():
-            j = int(np.argmax(over))
+        held = sup <= bound  # NaN fails too
+        if not held.all():
+            if not np.isfinite(sup).all():
+                raise StabilityError(f"solution became non-finite at step {k}")
+            j = int(np.argmin(held))
             raise StabilityError(
                 f"sup norm {sup[j]:.6g} of line {j} exceeds the growth bound "
                 f"{bound[j]:.6g} at t = {k * dt:.6g}"
             )
         if k == levels[stored]:
-            out[stored] = u[:, nodes]
+            np.add(inner[0, nodes], inner[1:, nodes], out=out[stored])
             stored += 1
         np.divide(inner, theta, out=w)
-    return out
 
 
 @dataclass
@@ -256,11 +272,16 @@ def solve_star(
     f: StarFunction,
     cfg: OracleConfig,
 ) -> StarEvolution:
-    """Reference evolution on the star: extend, solve the lines, fold back.
+    """Reference evolution on the star, marched in its two sectors on r >= 0.
 
-    Each edge's line carries the edge on the half grid r >= 0 and the
-    ``reflect`` of the edges at -r.  The m lines are the lines of one march,
-    so all edges advance together in one gtsv solve per step.
+    The edge average (the even sector) is one line with Neumann conditions
+    at the vertex: its row at r = 0 is the mirrored row, in which u(-h) =
+    u(h) folds the lower stencil entry into the upper one, 2 q(0) / h^2.
+    The m deviations from it (the odd sectors) are lines with the vertex
+    pinned at 0: an identity row at r = 0 that nothing couples to.  Edge i
+    is the average plus its deviation, which is what the line through the
+    edge and its ``reflect`` gives, so each edge's growth bound is that
+    line's.  Level 0 is the data itself.
     """
 
     if not f.continuous_at_vertex:
@@ -277,12 +298,27 @@ def solve_star(
     else:
         half = f.values[:, : x.size - mid]
     vertex_defects(half, cfg.h)  # refuse a mesh too coarse for the vertex stencil before marching
-    u0 = np.concatenate([reflect(half)[:, :0:-1], half], axis=1)
+
+    # the state's columns are r = -h, 0, h, ..., n, and no row reaches r = -h:
+    # the even row at r = 0 folds u(-h) = u(h) into its upper entry, and the
+    # odd rows pin the vertex at 0, uncoupled from row 1
+    lower, diag, upper = _stencil(extend_coefficients(coeffs), x[mid - 1 :], cfg.h)
+    even_lower, even_diag, even_upper = lower.copy(), diag.copy(), upper.copy()
+    even_upper[0] += even_lower[0]
+    even_lower[0] = 0.0
+    lower[:2] = diag[0] = upper[0] = 0.0
+    state = np.zeros((f.graph.m + 1, half.shape[1] + 1))
+    state[0, 1:] = half.mean(axis=0)
+    state[1:, 2:] = half[:, 1:] - state[0, 2:]
+
     steps = cfg.steps
-    values = _march(extend_coefficients(coeffs), u0, cfg, range(steps + 1), slice(mid, None))
+    values = np.zeros((steps + 1,) + half.shape)
+    values[0] = half
+    blocks = [(slice(0, 1), even_lower, even_diag, even_upper), (slice(1, None), lower, diag, upper)]
+    _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, steps + 1), values[1:, :, :-1], slice(None))
     continuity, kirchhoff = vertex_defects(values, cfg.h)
 
-    grid = GridSpec(cutoff=float(cfg.n), points_per_edge=x.size - mid)
+    grid = GridSpec(cutoff=float(cfg.n), points_per_edge=half.shape[1])
     return StarEvolution(
         graph=f.graph,
         grid=grid,
@@ -362,10 +398,12 @@ def tabulate_kernel(
 
     # the end nodes are absorbed at the boundary: their columns stay zero
     inner = sub[1:-1]
-    u0 = np.zeros((inner.size, x.size))
-    u0[np.arange(inner.size), inner] = 1.0 / cfg.h
-    lines = _march(coeffs, u0, cfg, levels, sub)
+    state = np.zeros((1 + inner.size, x.size))
+    state[1 + np.arange(inner.size), inner] = 1.0 / cfg.h
+    lines = np.empty((len(levels), inner.size, inner.size))
+    blocks = [(slice(1, None), *_stencil(coeffs, x, cfg.h))]
+    _march(blocks, state, coeffs.c_sup_bound, cfg, levels, lines, inner - 1)
 
     values = np.zeros((len(times), sub.size, sub.size))
-    values[:, :, 1:-1] = lines.transpose(0, 2, 1)
+    values[:, 1:-1, 1:-1] = lines.transpose(0, 2, 1)
     return TabulatedLineKernel(times, x[sub], values)

@@ -29,10 +29,16 @@ from .kernels import MIN_TIME, KernelSpec, kernel_band, line_kernel
 
 __all__ = ["apply", "vertex_defect", "evolve_sequence", "VertexDefect"]
 
-# Output rows per block.  A block's kernel arrays then stay in cache, which
-# made blocks of 32 rows faster than both 16 and 64 on 65- to 1537-point grids;
-# smaller blocks lose more to per-block calls than their narrower windows save.
+# Output rows per block: BLOCK_ROWS, or fewer where the band is so wide that
+# a block's kernel array would exceed BLOCK_VALUES values.  32 rows were
+# faster than both 16 and 64 on 65- to 1537-point grids, where smaller blocks
+# lose more to per-block calls than their narrower windows save.  Larger
+# arrays make each of the kernel's temporaries fresh pages: at 2049 points
+# and t = 0.5 one call took 80k page faults and 250 ms at 32 rows, and 300
+# faults and 80 ms at this budget, the fastest of 16k to 64k values on 1025-
+# to 2049-point grids.
 BLOCK_ROWS = 32
+BLOCK_VALUES = 24576
 
 OVERSAMPLE = 2  # callable-backed inputs are sampled this many times finer than their grid
 
@@ -110,12 +116,13 @@ def apply(
     fw = np.concatenate([reflect(fw)[:, ::-1], fw], axis=1)
 
     x = grid.nodes()
+    rows = min(BLOCK_ROWS, max(1, BLOCK_VALUES // int(min(y.size, 2.0 * b / hq + 1.0))))
     out = np.empty((m, x.size))
-    for i0 in range(0, x.size, BLOCK_ROWS):
-        xb = x[i0:i0 + BLOCK_ROWS, None]
+    for i0 in range(0, x.size, rows):
+        xb = x[i0:i0 + rows, None]
         j0 = int(np.searchsorted(y, lam * xb[0, 0] - b))
         j1 = int(np.searchsorted(y, lam * xb[-1, 0] + b, side="right"))
-        out[:, i0:i0 + BLOCK_ROWS] = fw[:, j0:j1] @ line_kernel(spec, t, xb, y[j0:j1]).T
+        out[:, i0:i0 + rows] = fw[:, j0:j1] @ line_kernel(spec, t, xb, y[j0:j1]).T
 
     return StarFunction(
         f.graph,

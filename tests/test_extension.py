@@ -90,8 +90,8 @@ def test_reflect_is_an_involution_keeping_the_edge_sum(m, seed):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_fold_inverts_reflection(m, seed):
-    # solve_star extends the samples with reflect and keeps the half r >= 0
-    # of each line, so its level 0 gives the samples back bit for bit
+    # solve_star marches the edge average and the deviations from it, and
+    # its level 0 is the samples themselves, bit for bit
     rng = np.random.default_rng(seed)
     grid = GridSpec(cutoff=2.0, points_per_edge=17)
     vals = rng.normal(size=(m, 17))

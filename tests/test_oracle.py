@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from stargraph.errors import (
     DomainError,
@@ -28,6 +31,7 @@ from stargraph.oracle import (
     truncation_study,
 )
 from stargraph.semigroup import apply
+from stargraph.spectral import PolyGauss, hermite_coefficients
 
 
 def heat_coefficients():
@@ -208,6 +212,9 @@ def test_star_solver_matches_kernel_quadrature():
 @pytest.mark.parametrize("m", [1, 3, 8])
 @pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])
 def test_star_solve_equals_edge_by_edge_line_solves(coeffs, m):
+    # the sector march and the m reflected lines are the same scheme and
+    # round differently; continuity holds by construction, and the flux sum
+    # carries the value tolerance through m vertex stencils of weight 4/h
     cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, theta=0.5, t_final=0.1)
     grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
     profiles = tuple(
@@ -217,14 +224,21 @@ def test_star_solve_equals_edge_by_edge_line_solves(coeffs, m):
     f = StarFunction.from_callables(StarGraph(m), grid, profiles)
     run = solve_star(coeffs(), f, cfg)
 
+    folded = _edge_by_edge(coeffs(), profiles, cfg)
+    tol = 1e-13 * max(1.0, np.abs(folded).max())
+    assert np.abs(run.values - folded).max() <= tol
+    assert not run.continuity_defects.any()
+    flux = np.abs(vertex_slopes(folded, cfg.h).sum(axis=1))
+    assert np.abs(run.kirchhoff_defects - flux).max() <= 4.0 * m / cfg.h * tol
+
+
+def _edge_by_edge(coeffs, profiles, cfg):
+    """Every level of each edge's reflected line, solved alone, on its half r >= 0."""
+
     x = cfg.grid()
-    line_coeffs = extend_coefficients(coeffs())
+    line_coeffs = extend_coefficients(coeffs)
     lines = [solve_line_dirichlet(line_coeffs, u0, cfg) for u0 in _reflected_lines(profiles, x)]
-    folded = np.stack(lines, axis=1)[:, :, x.size // 2 :]
-    vertex = folded[:, :, 0]
-    assert np.array_equal(run.values, folded)
-    assert np.array_equal(run.continuity_defects, vertex.max(axis=1) - vertex.min(axis=1))
-    assert np.array_equal(run.kirchhoff_defects, np.abs(vertex_slopes(folded, cfg.h).sum(axis=1)))
+    return np.stack(lines, axis=1)[:, :, x.size // 2 :]
 
 
 def _reflected_lines(profiles, x):
@@ -291,6 +305,159 @@ def test_march_matches_the_stencil_step(coeffs, theta):
     star = solve_star(coeffs(), f, cfg)
     want = _stencil_march(line_coeffs, _reflected_lines(profiles, x), cfg)[:, :, x.size // 2 :]
     assert np.abs(star.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def _kirchhoff_march(coeffs, half, cfg):
+    """Every level of the theta method on the star itself, with no reflection.
+
+    One vertex node is shared by the m edges, and its row is the
+    finite-volume Kirchhoff balance du0/dt = (2 q(0) / (m h^2)) sum_i
+    (u_i1 - u0) + c(0) u0; the centred stencil holds on each edge's nodes
+    1..N-1, and u = 0 at r = n from the first step on.  Each step solves for
+    the vertex by its Schur complement: one batched gtsv over the m edges,
+    with the unit coupling column, and one scalar equation.
+    """
+
+    m, points = half.shape
+    h, dt, theta = cfg.h, cfg.dt, cfg.theta
+    r = np.arange(points) * h
+    q, b, c = (np.asarray(fn(r), dtype=float) for fn in (coeffs.q, coeffs.b, coeffs.c))
+    lower = q / h**2 - b / (2.0 * h)
+    diag = -2.0 * q / h**2 + c
+    upper = q / h**2 + b / (2.0 * h)
+    g = 2.0 * q[0] / (m * h**2)  # vertex coupling to each edge's first node
+
+    def stencil(u):
+        """T u for the edges u (m, points), whose column 0 is the vertex."""
+
+        tu = np.zeros_like(u)
+        tu[:, 0] = g * (u[:, 1] - u[:, 0]).sum() + c[0] * u[0, 0]
+        tu[:, 1:-1] = lower[1:-1] * u[:, :-2] + diag[1:-1] * u[:, 1:-1] + upper[1:-1] * u[:, 2:]
+        return tu
+
+    a_lower = -theta * dt * lower[2:-1]
+    a_diag = 1.0 - theta * dt * diag[1:-1]
+    a_upper = -theta * dt * upper[1:-2]
+    to_vertex = -theta * dt * lower[1]  # edge row 1 on the vertex
+    levels = [half]
+    for _ in range(cfg.steps):
+        u = levels[-1]
+        rhs = u + (1.0 - theta) * dt * stencil(u)
+        cols = np.zeros((points - 2, m + 1), order="F")
+        cols[:, :m] = rhs[:, 1:-1].T
+        cols[0, m] = 1.0
+        cols = dgtsv(a_lower, a_diag, a_upper, cols)[3]
+        y, z = cols[:, :m], cols[:, m]
+        vertex = (rhs[0, 0] + theta * dt * g * y[0].sum()) / (
+            1.0 - theta * dt * diag[0] + theta * dt * g * m * to_vertex * z[0]
+        )
+        nxt = np.zeros_like(u)
+        nxt[:, 0] = vertex
+        nxt[:, 1:-1] = (y - vertex * to_vertex * z[:, None]).T
+        levels.append(nxt)
+    return np.stack(levels)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])
+def test_star_solve_is_the_direct_kirchhoff_march(coeffs, m, theta):
+    # the reflection rule and the Kirchhoff vertex row give the same discrete
+    # scheme, not only the same limit
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, theta=theta, t_final=0.1)
+    grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
+    profiles = tuple(
+        (lambda r, a=0.4 * i - 1.0: np.exp(-np.square(r)) * (1.0 + a * r + 0.3 * a * r**3))
+        for i in range(m)
+    )
+    f = StarFunction.from_callables(StarGraph(m), grid, profiles)
+    run = solve_star(coeffs(), f, cfg)
+    want = _kirchhoff_march(coeffs(), f.values, cfg)
+    assert np.abs(run.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def _even_hermite(r):
+    # levels 0, 2 and 4 of the oscillator: even sector only
+    return sum(w * PolyGauss(hermite_coefficients(k), gauss=1.0)(r)
+               for w, k in ((0.6, 0), (-0.3, 2), (0.05, 4)))
+
+
+@pytest.mark.parametrize(
+    "coeffs, edges",
+    [
+        (ou_coefficients, (lambda r: np.exp(-np.square(r)),)),
+        (ou_coefficients, (lambda r: np.exp(-np.square(r)),) * 6),
+        (ho_coefficients, (_even_hermite,) * 6),
+        # odd content on edges 0 and 1 only; the other four carry none
+        (ho_coefficients, (lambda r: _even_hermite(r) + 0.2 * r * np.exp(-0.5 * r * r),
+                           lambda r: _even_hermite(r) - 0.2 * r * np.exp(-0.5 * r * r))
+         + (_even_hermite,) * 4),
+    ],
+)
+def test_edges_without_odd_content_keep_their_growth_bound(coeffs, edges):
+    # an edge with no deviation from the average still has the average's
+    # bound: the deviation alone sits at rounding level and would trip any
+    # bound of its own
+    cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=0.5)
+    grid = GridSpec(cutoff=8.0, points_per_edge=cfg.half_intervals + 1)
+    f = StarFunction.from_callables(StarGraph(len(edges)), grid, edges)
+    run = solve_star(coeffs(), f, cfg)
+    assert np.isfinite(run.values).all()
+
+
+def test_growth_bound_is_per_edge_line():
+    # a deviation from the edge average is held to its edge's bound: here
+    # it grows e^{5} = 148-fold in a reaction zone the declared bound hides,
+    # from 1e-3 to 0.15, which is far above its own initial sup but within
+    # 1.05 times the sup of its edge's line, set by the average
+    sneaky = CoefficientTriple(
+        q=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
+        b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        c=lambda x: np.where(np.asarray(x, dtype=float) > 12.5, 50.0, 0.0),
+        c_sup_bound=0.0,
+    )
+    cfg = OracleConfig(n=16.0, h=1.0 / 8.0, dt=1e-3, theta=0.5, t_final=0.1)
+    grid = GridSpec(cutoff=16.0, points_per_edge=cfg.half_intervals + 1)
+
+    def average(r):
+        return np.exp(-((np.asarray(r, dtype=float) - 3.0) ** 2))
+
+    def deviation(r):
+        return 1e-3 * np.exp(-((np.asarray(r, dtype=float) - 14.0) ** 2))
+
+    f = StarFunction.from_callables(
+        StarGraph(3), grid,
+        (lambda r: average(r) + deviation(r), lambda r: average(r) - deviation(r), average),
+        continuous_at_vertex=True,
+    )
+    final = solve_star(sneaky, f, cfg).values[-1]
+    assert 0.1 < np.abs(final[0] - final[2]).max() < 1.0
+
+
+@given(
+    m=st.integers(min_value=1, max_value=8),
+    theta=st.floats(min_value=0.5, max_value=1.0),
+    model=st.sampled_from(["ou", "ho", "heat"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_star_solve_equals_line_solves_property(m, theta, model, seed):
+    coeffs = {"ou": ou_coefficients, "ho": ho_coefficients, "heat": heat_coefficients}[model]()
+    cfg = OracleConfig(n=2.0, h=1.0 / 8.0, dt=1e-2, theta=theta, t_final=0.1)
+    grid = GridSpec(cutoff=2.0, points_per_edge=cfg.half_intervals + 1)
+    rng = np.random.default_rng(seed)
+    # smooth edges through one vertex value: a shared constant plus r times
+    # a random cubic, under a Gaussian envelope
+    base = rng.normal()
+    cubics = rng.normal(size=(m, 4))
+    profiles = tuple(
+        (lambda r, p=p: (base + np.asarray(r) * np.polynomial.polynomial.polyval(r, p))
+         * np.exp(-np.square(r)))
+        for p in cubics
+    )
+    f = StarFunction.from_callables(StarGraph(m), grid, profiles)
+    run = solve_star(coeffs, f, cfg)
+    folded = _edge_by_edge(coeffs, profiles, cfg)
+    assert np.abs(run.values - folded).max() <= 1e-13 * max(1.0, np.abs(folded).max())
 
 
 def test_sample_backed_initial_data_needs_matching_mesh():
