@@ -43,7 +43,6 @@ from .kernels import (
     MIN_TIME,
     OU,
     KernelSpec,
-    TabulatedLineKernel,
     ho_line_kernel,
     line_kernel,
     ou_line_kernel,
@@ -52,6 +51,7 @@ from .kernels import (
 from .oracle import (
     OracleConfig,
     StarEvolution,
+    TabulatedLineKernel,
     TruncationRow,
     solve_line_dirichlet,
     solve_star,

@@ -121,9 +121,12 @@ def _add_common(p: argparse.ArgumentParser, model: bool = True) -> None:
     if model:
         p.add_argument("--model", choices=sorted(_MODELS), default="ou")
     p.add_argument("--m", type=int, default=3, help="number of edges")
-    p.add_argument("--cutoff", type=float, default=6.0)
-    p.add_argument("--points", type=int, default=513)
     p.add_argument("--out", type=Path, default=None, help="directory for output files")
+
+
+def _add_grid(p: argparse.ArgumentParser, points: int = 513) -> None:
+    p.add_argument("--cutoff", type=float, default=6.0)
+    p.add_argument("--points", type=int, default=points)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -302,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="apply the semigroup at a list of times")
     _add_common(p)
+    _add_grid(p)
     p.add_argument("--times", default="0.1,1.0", help="comma-separated times")
     p.add_argument("--init", default="one", help="one, ground, bump or file:PATH")
     p.set_defaults(func=cmd_evolve)
@@ -317,9 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues of the discretized form")
     _add_common(p, model=False)
+    _add_grid(p, points=256)
     p.add_argument("--levels", type=int, default=6)
     p.add_argument("--tol", type=float, default=0.05)
-    p.set_defaults(func=cmd_spectrum, points=256)
+    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("trace", help="heat trace against the closed form")
     _add_common(p, model=False)
@@ -342,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariance", help="structural checks of the semigroup")
     _add_common(p)
+    _add_grid(p)
     p.add_argument("--times", default="0.1,1.0")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_invariance)

@@ -1,18 +1,16 @@
 """Transition kernels on the line and their star-graph assembly.
 
 Closed forms cover the drift-toward-origin diffusion (Gaussian kernel with
-exponentially shrinking mean) and the quadratic-potential propagator; a
-tabulated variant carries solver output for coefficients without a closed
-form.  On the star the line kernel is combined through the reflection
-weights: same-edge propagation adds the reflected part with weight
-(2 - m)/m to the direct part, every other edge sees it with weight 2/m.
+exponentially shrinking mean) and the quadratic-potential propagator.  On
+the star the line kernel is combined through the reflection weights:
+same-edge propagation adds the reflected part with weight (2 - m)/m to the
+direct part, every other edge sees it with weight 2/m.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from .geometry import StarPoint, check_edge_count
 __all__ = [
     "MIN_TIME",
     "KernelSpec",
-    "TabulatedLineKernel",
     "OU",
     "HARMONIC",
     "ou_line_kernel",
@@ -81,93 +78,15 @@ def ho_line_kernel(t: float, x, y):
     return np.exp(expo) / math.sqrt(math.pi * s)
 
 
-class TabulatedLineKernel:
-    """Kernel values on a symmetric line grid at a fixed list of times.
-
-    Exists so that solver output for general coefficients can feed the same
-    star assembly as the closed forms; evaluation interpolates bilinearly in
-    (x, y) and is only defined at the stored times.
-    """
-
-    def __init__(self, times, x, values):
-        times = np.asarray(times, dtype=float)
-        x = np.asarray(x, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.size < 1:
-            raise ShapeError("need at least one stored time")
-        if np.any(np.diff(times) <= 0):
-            raise ShapeError("stored times must be strictly increasing")
-        if np.any(times < MIN_TIME):
-            raise DomainError(f"stored times must be >= {MIN_TIME}")
-        if x.ndim != 1 or x.size < 2:
-            raise ShapeError("x grid must be 1-D with >= 2 points")
-        steps = np.diff(x)
-        if np.any(steps <= 0) or np.any(np.abs(steps - steps[0]) > 1e-9 * steps[0]):
-            raise ShapeError("x grid must be uniform and increasing")
-        if np.any(np.abs(x + x[::-1]) > 1e-9 * max(1.0, float(x[-1]))):
-            raise ShapeError("x grid must be symmetric about the origin")
-        if values.shape != (times.size, x.size, x.size):
-            raise ShapeError(
-                f"values must have shape {(times.size, x.size, x.size)}, got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise NumericalInputError("kernel table must be finite")
-        self.times = times
-        self.x = x
-        self.values = values
-
-    def _time_index(self, t: float) -> int:
-        hits = np.nonzero(np.abs(self.times - t) <= 1e-12 * max(1.0, abs(t)))[0]
-        if hits.size == 0:
-            raise DomainError(
-                f"kernel tabulated only at times {self.times.tolist()}, got {t}"
-            )
-        return int(hits[0])
-
-    def evaluate(self, t: float, x, y):
-        ti = self._time_index(_check_time(t))
-        table = self.values[ti]
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
-        lo, hi = self.x[0], self.x[-1]
-        tol = 1e-12 * max(1.0, hi)
-        if np.any(x < lo - tol) or np.any(x > hi + tol) or np.any(y < lo - tol) or np.any(y > hi + tol):
-            raise DomainError("query point outside the tabulated window")
-        h = float(self.x[1] - self.x[0])
-        n = self.x.size
-        fx = np.clip((x - lo) / h, 0.0, n - 1 - 1e-12)
-        fy = np.clip((y - lo) / h, 0.0, n - 1 - 1e-12)
-        ix = fx.astype(int)
-        iy = fy.astype(int)
-        ax = fx - ix
-        ay = fy - iy
-        v00 = table[ix, iy]
-        v01 = table[ix, iy + 1]
-        v10 = table[ix + 1, iy]
-        v11 = table[ix + 1, iy + 1]
-        return (
-            (1 - ax) * (1 - ay) * v00
-            + (1 - ax) * ay * v01
-            + ax * (1 - ay) * v10
-            + ax * ay * v11
-        )
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which line kernel to use: a closed form or an attached table."""
+    """Which closed-form line kernel to use."""
 
     tag: str
-    table: Optional[TabulatedLineKernel] = None
 
     def __post_init__(self) -> None:
-        if self.tag not in ("ou", "harmonic_oscillator", "tabulated"):
+        if self.tag not in ("ou", "harmonic_oscillator"):
             raise ShapeError(f"unknown kernel tag {self.tag!r}")
-        if self.tag == "tabulated" and self.table is None:
-            raise ShapeError("tabulated kernel spec needs a table")
-        if self.tag != "tabulated" and self.table is not None:
-            raise ShapeError("closed-form kernel spec must not carry a table")
 
 
 OU = KernelSpec("ou")
@@ -179,9 +98,7 @@ def line_kernel(spec: KernelSpec, t: float, x, y):
 
     if spec.tag == "ou":
         return ou_line_kernel(t, x, y)
-    if spec.tag == "harmonic_oscillator":
-        return ho_line_kernel(t, x, y)
-    return spec.table.evaluate(t, x, y)
+    return ho_line_kernel(t, x, y)
 
 
 def kernel_band(spec: KernelSpec, t: float) -> tuple[float, float]:
@@ -190,13 +107,10 @@ def kernel_band(spec: KernelSpec, t: float) -> tuple[float, float]:
     Both closed forms are A(x) exp(-(λx - y)^2 / (2σ^2)) / sqrt(π s) with
     s = 1 - e^{-2t}: OU has λ = e^{-t}, σ^2 = s/2 and A = 1; HO has
     λ = 2e^{-t}/(1 + e^{-2t}), σ^2 = s/(1 + e^{-2t}).  For |λx - y| > b the
-    kernel is below e^{-40} of its peak over y, so b = sqrt(80 σ^2).  A
-    tabulated kernel has no known band: b is infinite.
+    kernel is below e^{-40} of its peak over y, so b = sqrt(80 σ^2).
     """
 
     t = _check_time(t)
-    if spec.tag == "tabulated":
-        return 1.0, math.inf
     s = -math.expm1(-2.0 * t)
     e = math.exp(-t)
     if spec.tag == "ou":

@@ -20,8 +20,9 @@ B = I + (1 - theta) dt T = (I - (1 - theta) A) / theta.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  the hook bench/tracing.py counts
@@ -29,8 +30,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalInputError, ShapeError, StabilityError, VertexContinuityError
 from .extension import CoefficientTriple, extend_coefficients
-from .geometry import GridSpec, StarFunction, StarGraph, is_integer, vertex_continuous, vertex_defects
-from .kernels import TabulatedLineKernel
+from .geometry import GridSpec, StarFunction, StarGraph, vertex_continuous, vertex_defects
 
 __all__ = [
     "OracleConfig",
@@ -40,6 +40,7 @@ __all__ = [
     "solve_star",
     "truncation_study",
     "tabulate_kernel",
+    "TabulatedLineKernel",
 ]
 
 
@@ -134,7 +135,7 @@ def solve_line_dirichlet(
     out[0] = u0
     blocks = [(slice(1, None), *_stencil(coeffs, x, cfg.h))]
     state = np.stack([np.zeros_like(u0), u0])
-    _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, len(out)), out[1:, :, 1:-1], slice(None))
+    _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, len(out)), out[1:, :, 1:-1])
     return out[:, 0]
 
 
@@ -172,7 +173,6 @@ def _march(
     cfg: OracleConfig,
     levels: Sequence[int],
     out: np.ndarray,
-    nodes: slice | np.ndarray,
 ) -> None:
     """Advance the state ``u`` (shape (1 + k, columns)) and write its k lines.
 
@@ -184,14 +184,20 @@ def _march(
     is one in-place gtsv solve of A w = u / theta per block, A = I - theta dt
     T, then u <- w - ((1 - theta) / theta) u, which is A^-1 B u for
     B = (I - (1 - theta) A) / theta.  ``levels`` are increasing step
-    indices >= 1; the lines after step levels[j] go to out[j], at the marched
-    ``nodes``.
+    indices >= 1; the lines after step levels[j], at the stencil rows, go to
+    out[j].
     Each line's sup, max |u[0]| + |u[i]|, is held to 1.05 exp(c0 t) times its
     initial sup; a step that breaks a bound, turns non-finite or meets a
-    singular step matrix raises.
+    singular step matrix raises, and a bound that overflows at the last
+    level is refused before the first step.
     """
 
     dt, theta = cfg.dt, cfg.theta
+    growth = c0 * dt * levels[-1]
+    if growth > math.log(sys.float_info.max):
+        raise DomainError(
+            f"c_sup_bound * dt * steps = {growth:.6g} overflows the growth bound exp(c_sup_bound t)"
+        )
     if not np.all(np.isfinite(u)):
         raise NumericalInputError("initial data must be finite on the solver grid")
     bound_base = 1.05 * (np.abs(u[0]) + np.abs(u[1:])).max(axis=1)
@@ -235,14 +241,14 @@ def _march(
                 f"{bound[j]:.6g} at t = {k * dt:.6g}"
             )
         if k == levels[stored]:
-            np.add(inner[0, nodes], inner[1:, nodes], out=out[stored])
+            np.add(inner[0], inner[1:], out=out[stored])
             stored += 1
         np.divide(inner, theta, out=w)
 
 
 @dataclass
 class StarEvolution:
-    """Folded star snapshots of the per-edge line solves."""
+    """Star snapshots of the sector march, one (m, points_per_edge) level per step."""
 
     graph: StarGraph
     grid: GridSpec
@@ -315,7 +321,7 @@ def solve_star(
     values = np.zeros((steps + 1,) + half.shape)
     values[0] = half
     blocks = [(slice(0, 1), even_lower, even_diag, even_upper), (slice(1, None), lower, diag, upper)]
-    _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, steps + 1), values[1:, :, :-1], slice(None))
+    _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, steps + 1), values[1:, :, :-1])
     continuity, kirchhoff = vertex_defects(values, cfg.h)
 
     grid = GridSpec(cutoff=float(cfg.n), points_per_edge=half.shape[1])
@@ -365,30 +371,36 @@ def truncation_study(
     ]
 
 
+class TabulatedLineKernel(NamedTuple):
+    """The marched line kernel on the oracle grid ``x`` at the listed times.
+
+    ``values[i][a, b]`` is the kernel at ``times[i]`` from ``x[a]`` to
+    ``x[b]``, so it compares with ``ou_line_kernel(t, xx, yy)`` for
+    ``xx, yy = np.meshgrid(x, x, indexing="ij")``.
+    """
+
+    times: np.ndarray
+    x: np.ndarray
+    values: np.ndarray
+
+
 def tabulate_kernel(
     coeffs: CoefficientTriple,
     cfg: OracleConfig,
     times: Sequence[float],
-    stride: int = 1,
 ) -> TabulatedLineKernel:
     """Tabulate the line kernel by propagating unit-mass hats from each node.
 
-    Column y of the table is the solution at the requested times for initial
-    data concentrated at y (height 1/h); Dirichlet ends give zero columns at
-    the truncation radius.  The hats of all interior tabulation nodes are the
-    lines of one march, so they advance together in one gtsv solve per
-    step, and only the requested levels are kept.  ``stride`` thins the
-    tabulation grid; it must divide n/h so the thinned grid stays symmetric.
+    Column b of the table is the solution at the requested times for initial
+    data concentrated at x[b] (height 1/h); Dirichlet ends give zero rows and
+    columns at the truncation radius.  The hats of all interior nodes are the
+    lines of one march, so they advance together in one gtsv solve per step,
+    and only the requested levels are kept.
     """
 
-    if not is_integer(stride) or stride < 1 or cfg.half_intervals % stride != 0:
-        raise DomainError(f"stride must be a positive integer dividing n/h, got {stride!r}")
     times = [float(t) for t in times]
     if not times:
         raise DomainError("need at least one tabulation time")
-
-    x = cfg.grid()
-    sub = np.arange(0, x.size, stride)
     levels = [int(round(t / cfg.dt)) for t in times]
     for t, k in zip(times, levels):
         if abs(k * cfg.dt - t) > _time_tol(t) or k < 1 or k > cfg.steps:
@@ -396,14 +408,14 @@ def tabulate_kernel(
     if any(k2 <= k1 for k1, k2 in zip(levels, levels[1:])):
         raise DomainError("tabulation times must be strictly increasing")
 
-    # the end nodes are absorbed at the boundary: their columns stay zero
-    inner = sub[1:-1]
-    state = np.zeros((1 + inner.size, x.size))
-    state[1 + np.arange(inner.size), inner] = 1.0 / cfg.h
-    lines = np.empty((len(levels), inner.size, inner.size))
+    # row j is the hat at node j, and row 0 stays zero (a full line shares
+    # nothing); the end nodes are absorbed, so their rows and columns of the
+    # table stay zero
+    x = cfg.grid()
+    state = np.zeros((x.size - 1, x.size))
+    np.fill_diagonal(state[1:, 1:], 1.0 / cfg.h)
+    values = np.zeros((len(times), x.size, x.size))
+    lines = values[:, 1:-1, 1:-1].transpose(0, 2, 1)  # (level, line, node) view
     blocks = [(slice(1, None), *_stencil(coeffs, x, cfg.h))]
-    _march(blocks, state, coeffs.c_sup_bound, cfg, levels, lines, inner - 1)
-
-    values = np.zeros((len(times), sub.size, sub.size))
-    values[:, 1:-1, 1:-1] = lines.transpose(0, 2, 1)
-    return TabulatedLineKernel(times, x[sub], values)
+    _march(blocks, state, coeffs.c_sup_bound, cfg, levels, lines)
+    return TabulatedLineKernel(np.asarray(times), x, values)

@@ -9,10 +9,8 @@ kernels are Gaussian bands around y = λx (see ``kernels.kernel_band``), so
 output rows are contracted in blocks, each against only the extended
 samples within the band half-width b of its rows.  The grid reaches
 λ·(output cutoff) + b, past which every kernel value is below e^{-40} of its
-row's peak.  A tabulated kernel has no band (b is infinite), so every block
-takes the whole extended grid, which ends at the table's window on both
-sides.  Callable-backed inputs are re-sampled on that grid at half their
-grid step, sample-backed inputs continue by zero.
+row's peak.  Callable-backed inputs are re-sampled on that grid at half
+their grid step, sample-backed inputs continue by zero.
 """
 
 from __future__ import annotations
@@ -48,22 +46,13 @@ class VertexDefect(NamedTuple):
     kirchhoff: float
 
 
-def _quadrature_grid(f: StarFunction, spec: KernelSpec, reach: float):
-    """Radial quadrature nodes j·hq over an even number of intervals, with the data.
-
-    A closed-form kernel needs the nodes up to ``reach``; a tabulated one is
-    integrated up to the last node inside its table's window.
-    """
+def _quadrature_grid(f: StarFunction, reach: float):
+    """Radial quadrature nodes j·hq up to ``reach`` (even interval count), with the data."""
 
     refine = OVERSAMPLE if f.has_profiles() else 1
     hq = f.grid.h / refine
-    if spec.table is None:
-        intervals = math.ceil(reach / hq)
-        intervals += intervals % 2
-    else:
-        window = float(spec.table.x[-1])
-        intervals = int(window / hq + 1e-12)
-        intervals -= intervals % 2
+    intervals = math.ceil(reach / hq)
+    intervals += intervals % 2
     if not f.has_profiles():
         # zeros past the last sample contribute nothing; keep one zero node
         # so the last sample carries an interior Simpson weight
@@ -110,7 +99,7 @@ def apply(
         grid = f.grid
 
     lam, b = kernel_band(spec, t)
-    y, hq, vals = _quadrature_grid(f, spec, lam * grid.cutoff + b)
+    y, hq, vals = _quadrature_grid(f, lam * grid.cutoff + b)
     fw = vals * simpson_weights(y.size, hq)
     y = np.concatenate([-y[::-1], y])
     fw = np.concatenate([reflect(fw)[:, ::-1], fw], axis=1)

@@ -202,35 +202,29 @@ def eigenbasis(m: int, k: int, grid: GridSpec | None = None) -> SpectralDatum:
 # -- generator application ----------------------------------------------------
 
 
-def _generator_tag(kind) -> str:
-    if isinstance(kind, KernelSpec):
-        kind = kind.tag
-    if kind not in ("ou", "harmonic_oscillator"):
-        raise DomainError(f"no closed-form generator for kind {kind!r}")
-    return kind
-
-
-def _apply_generator_profile(tag: str, p: PolyGauss) -> PolyGauss:
+def _apply_generator_profile(spec: KernelSpec, p: PolyGauss) -> PolyGauss:
     d1 = p.derivative()
     d2 = d1.derivative()
-    if tag == "ou":
+    if spec.tag == "ou":
         return d2.scaled(0.5).plus(d1.times_x().scaled(-1.0))
     # (f'' - x^2 f + f) / 2
     return d2.plus(p.times_x().times_x().scaled(-1.0)).plus(p).scaled(0.5)
 
 
-def apply_generator(kind, f: StarFunction) -> StarFunction:
+def apply_generator(spec: KernelSpec, f: StarFunction) -> StarFunction:
     """Apply the generator edge by edge to exact ``PolyGauss`` profiles.
 
     Profiles are differentiated exactly (polynomial-with-Gaussian algebra),
-    so eigen-identities hold at coefficient level.  Input without a
-    ``PolyGauss`` profile on every edge is refused with ``ShapeError``.
+    so eigen-identities hold at coefficient level.  A ``spec`` that is not a
+    ``KernelSpec`` is refused with ``DomainError``, and input without a
+    ``PolyGauss`` profile on every edge with ``ShapeError``.
     """
 
-    tag = _generator_tag(kind)
+    if not isinstance(spec, KernelSpec):
+        raise DomainError(f"no closed-form generator for {spec!r}; pass OU or HARMONIC")
     if not (f.has_profiles() and all(isinstance(p, PolyGauss) for p in f.profiles)):
         raise ShapeError("the generator needs a PolyGauss profile on every edge")
-    out_profiles = tuple(_apply_generator_profile(tag, p) for p in f.profiles)
+    out_profiles = tuple(_apply_generator_profile(spec, p) for p in f.profiles)
     return StarFunction.from_callables(f.graph, f.grid, out_profiles)
 
 

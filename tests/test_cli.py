@@ -139,9 +139,12 @@ def test_time_between_steps_is_usage_error(capsys):
 
 
 def test_unknown_flag_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["trace", "--no-such-flag"])
-    assert exc.value.code == EXIT_USAGE
+    # --cutoff and --points belong to the commands that sample a grid only
+    for argv in (["trace", "--no-such-flag"], ["kernel", "--points", "7"],
+                 ["trace", "--cutoff", "1"], ["oracle", "--points", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
 
 
 def test_invariance_both_models(capsys):

@@ -13,7 +13,6 @@ from stargraph.kernels import (
     MIN_TIME,
     OU,
     KernelSpec,
-    TabulatedLineKernel,
     ho_line_kernel,
     line_kernel,
     ou_line_kernel,
@@ -153,50 +152,7 @@ def test_star_kernel_validation():
 
 
 def test_kernel_spec_validation():
-    with pytest.raises(ShapeError):
-        KernelSpec(tag="brownian")
-    with pytest.raises(ShapeError):
-        KernelSpec(tag="tabulated")  # needs a table
-    with pytest.raises(ShapeError):
-        KernelSpec(
-            tag="ou",
-            table=TabulatedLineKernel(
-                times=np.array([1.0]),
-                x=np.array([-1.0, 0.0, 1.0]),
-                values=np.zeros((1, 3, 3)),
-            ),
-        )
-
-
-def _ou_table(nt=2, nx=129, span=6.0):
-    ts = np.array([0.5, 1.0])[:nt]
-    x = np.linspace(-span, span, nx)
-    vals = np.empty((nt, nx, nx))
-    for i, t in enumerate(ts):
-        vals[i] = ou_line_kernel(t, x[:, None], x[None, :])
-    return TabulatedLineKernel(times=ts, x=x, values=vals)
-
-
-def test_tabulated_kernel_evaluation():
-    table = _ou_table()
-    # node values are returned exactly
-    assert table.evaluate(0.5, table.x[3], table.x[7]) == table.values[0, 3, 7]
-    # bilinear interpolation stays close to the closed form between nodes
-    approx = table.evaluate(1.0, 0.21, -0.37)
-    exact = float(ou_line_kernel(1.0, 0.21, -0.37))
-    assert approx == pytest.approx(exact, abs=5e-4)
-    with pytest.raises(DomainError):
-        table.evaluate(0.75, 0.0, 0.0)  # time not tabulated
-    with pytest.raises(DomainError):
-        table.evaluate(0.5, 7.0, 0.0)  # outside the window
-
-
-def test_tabulated_star_dispatch():
-    table = _ou_table()
-    spec = KernelSpec(tag="tabulated", table=table)
-    t = 0.5
-    xi, yi = 10, 40
-    x, y = abs(float(table.x[xi])), abs(float(table.x[yi]))
-    got = star_kernel(spec, 3, t, StarPoint(1, x), StarPoint(1, y))
-    want = star_kernel(OU, 3, t, StarPoint(1, x), StarPoint(1, y))
-    assert got == pytest.approx(want, rel=1e-10)
+    # only the two closed forms are kernels; a table is not one
+    for tag in ("brownian", "tabulated"):
+        with pytest.raises(ShapeError):
+            KernelSpec(tag=tag)

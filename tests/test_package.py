@@ -28,13 +28,13 @@ to_flat trace_closed_form trace_partial truncation_study vertex_defect
 # and public methods.  Each one doubles the configurations that tests and
 # benchmarks must cover, so adding one must show up here.
 KNOBS = """
-GridSpec.cutoff GridSpec.points_per_edge KernelSpec.table OracleConfig.dt
+GridSpec.cutoff GridSpec.points_per_edge OracleConfig.dt
 OracleConfig.h OracleConfig.n OracleConfig.t_final OracleConfig.theta
 PolyGauss.gauss StarFunction.continuous_at_vertex
 StarFunction.from_callables.continuous_at_vertex
 StarFunction.from_samples.continuous_at_vertex StarFunction.profiles
 StarFunction.trusted_cutoff apply.grid eigenbasis.grid evolve_sequence.grid
-form_spectrum.count ground_state.grid similarity_defect.grid sup_distance.radius_max tabulate_kernel.stride
+form_spectrum.count ground_state.grid similarity_defect.grid sup_distance.radius_max
 """.split()
 
 
@@ -95,7 +95,7 @@ def test_public_options_match_the_frozen_list():
     knobs = public_knobs()
     assert len(knobs) == len(set(knobs))
     assert sorted(knobs) == sorted(KNOBS)
-    assert len(KNOBS) == 22
+    assert len(KNOBS) == 20
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,9 +129,8 @@ def test_modules_import_only_what_they_use():
     # the package's stand-in for a linter's unused-import rule: a name counts
     # as used when the module reads it, lists it in __all__, or imports it on
     # a line marked ``# noqa``
-    paths = sorted((ROOT / "src" / "stargraph").glob("*.py")) + sorted(
-        (ROOT / "scripts").glob("*.py")
-    )
+    paths = [path for folder in ("src/stargraph", "scripts", "tests")
+             for path in sorted((ROOT / folder).glob("*.py"))]
     assert paths
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == []

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from stargraph.errors import DomainError, VertexContinuityError
-from stargraph.extension import extend_coefficients, ou_coefficients
 from stargraph.geometry import (
     GridSpec,
     StarFunction,
     StarGraph,
     integrate_star,
     simpson_weights,
-    sup_distance,
 )
-from stargraph.kernels import HARMONIC, OU, KernelSpec, line_kernel
-from stargraph.oracle import OracleConfig, tabulate_kernel
+from stargraph.kernels import HARMONIC, OU, line_kernel
 from stargraph.semigroup import apply, evolve_sequence, vertex_defect
 from stargraph.transform import ground_state
 
@@ -223,21 +220,3 @@ def test_apply_equals_dense_reference(rng):
                         scale = max(1.0, float(np.abs(got).max()))
                         assert np.abs(got - want).max() <= 1e-14 * scale
                         assert got[:, 0].max() == got[:, 0].min()
-
-
-def test_apply_through_a_tabulated_kernel():
-    # a tabulated kernel has no band: its table's window is integrated whole
-    cfg = OracleConfig(n=6.0, h=1.0 / 32.0, dt=2e-3, theta=0.5, t_final=0.5)
-    table = tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.25, 0.5], stride=2)
-    spec = KernelSpec("tabulated", table)
-    grid = GridSpec(cutoff=4.0, points_per_edge=65)
-    f = StarFunction.from_callables(
-        StarGraph(3), grid,
-        (gauss_profile, lambda x: gauss_profile(x) + xgauss_profile(x), gauss_profile),
-        continuous_at_vertex=True,
-    )
-    for t in (0.25, 0.5):
-        u = apply(spec, 3, t, f)
-        assert u.values[:, 0].max() == u.values[:, 0].min()
-        assert sup_distance(u, apply(OU, 3, t, f), radius_max=3.0) < 1e-3
-

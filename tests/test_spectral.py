@@ -8,7 +8,7 @@ from scipy.linalg import eigh
 
 from stargraph.errors import AssemblyError, DomainError, ShapeError
 from stargraph.geometry import GridSpec, StarFunction, StarGraph
-from stargraph.kernels import OU, KernelSpec, TabulatedLineKernel
+from stargraph.kernels import HARMONIC, OU
 from stargraph.semigroup import apply
 from stargraph.spectral import (
     PolyGauss,
@@ -76,7 +76,7 @@ def test_generator_eigenrelation_exact():
     # coefficient arithmetic, so the identity holds without rounding
     for k in range(13):
         p = PolyGauss(hermite_coefficients(k))
-        out = apply_generator("ou", _one_edge(p)).profiles[0]
+        out = apply_generator(OU, _one_edge(p)).profiles[0]
         want = p.scaled(-float(k))
         assert out.coeffs == want.coeffs
 
@@ -88,7 +88,7 @@ def _one_edge(profile):
 
 def test_oscillator_annihilates_ground_state_exactly():
     g = PolyGauss((1.0,), gauss=1.0)
-    out = apply_generator("harmonic_oscillator", _one_edge(g)).profiles[0]
+    out = apply_generator(HARMONIC, _one_edge(g)).profiles[0]
     assert out.is_zero()
 
 
@@ -123,7 +123,7 @@ def test_generator_on_eigenbasis_is_scaling():
     for m, k in ((2, 1), (3, 2), (3, 5)):
         datum = eigenbasis(m, k, grid)
         for b in datum.basis:
-            g = apply_generator("ou", b)
+            g = apply_generator(OU, b)
             assert np.array_equal(g.values, datum.eigenvalue * b.values)
 
 
@@ -140,16 +140,11 @@ def test_semigroup_scales_eigenfunctions():
 def test_generator_kind_validation():
     grid = GridSpec(cutoff=2.0, points_per_edge=17)
     f = StarFunction.from_callables(StarGraph(1), grid, (PolyGauss((1.0,)),))
-    with pytest.raises(DomainError):
-        apply_generator("brownian", f)
-    table = TabulatedLineKernel(
-        times=np.array([0.5]),
-        x=np.linspace(-2, 2, 17),
-        values=np.zeros((1, 17, 17)),
-    )
-    with pytest.raises(DomainError):
-        apply_generator(KernelSpec(tag="tabulated", table=table), f)
-    # KernelSpec tags map to the closed-form generators; the constant is killed
+    # a model is named by its KernelSpec only, never by a string tag
+    for kind in ("brownian", "ou"):
+        with pytest.raises(DomainError):
+            apply_generator(kind, f)
+    # the constant is killed by the drift generator
     out = apply_generator(OU, f)
     assert np.abs(out.values).max() < 1e-12
     # only exact profiles are differentiated: samples and plain callables are refused
