@@ -178,9 +178,17 @@ def cmd_kernel(args) -> int:
 
 def cmd_spectrum(args) -> int:
     grid = GridSpec(cutoff=args.cutoff, points_per_edge=args.points)
+    if args.levels < 1:
+        raise StarGraphError(f"--levels must be at least 1, got {args.levels}")
     expected: list[int] = []
     for k in range(args.levels):
         expected.extend([k] * multiplicity(k, args.m))
+    dim = 1 + args.m * (args.points - 1)
+    if len(expected) > dim:
+        raise StarGraphError(
+            f"--levels {args.levels} needs {len(expected)} eigenvalues, but {args.points} "
+            f"points on {args.m} edges give only {dim}"
+        )
     numeric = form_spectrum(args.m, grid, count=len(expected))
     rows = []
     worst = 0.0

@@ -93,9 +93,17 @@ OU = KernelSpec("ou")
 HARMONIC = KernelSpec("harmonic_oscillator")
 
 
+def check_spec(spec) -> None:
+    """Raise DomainError unless ``spec`` is a ``KernelSpec``; a string tag is not one."""
+
+    if not isinstance(spec, KernelSpec):
+        raise DomainError(f"no closed-form kernel or generator for {spec!r}; pass OU or HARMONIC")
+
+
 def line_kernel(spec: KernelSpec, t: float, x, y):
     """Evaluate the line kernel selected by ``spec`` (broadcasts over x, y)."""
 
+    check_spec(spec)
     if spec.tag == "ou":
         return ou_line_kernel(t, x, y)
     return ho_line_kernel(t, x, y)
@@ -110,6 +118,7 @@ def kernel_band(spec: KernelSpec, t: float) -> tuple[float, float]:
     kernel is below e^{-40} of its peak over y, so b = sqrt(80 σ^2).
     """
 
+    check_spec(spec)
     t = _check_time(t)
     s = -math.expm1(-2.0 * t)
     e = math.exp(-t)

@@ -401,6 +401,8 @@ def tabulate_kernel(
     times = [float(t) for t in times]
     if not times:
         raise DomainError("need at least one tabulation time")
+    if not all(math.isfinite(t) for t in times):
+        raise NumericalInputError(f"tabulation times must be finite, got {times}")
     levels = [int(round(t / cfg.dt)) for t in times]
     for t, k in zip(times, levels):
         if abs(k * cfg.dt - t) > _time_tol(t) or k < 1 or k > cfg.steps:

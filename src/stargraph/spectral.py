@@ -11,7 +11,12 @@ multiplicity-weighted exponentials matches the on-diagonal kernel integral.
 The discrete form splits the same way as the spectrum: its even sector is the
 one-edge form with the vertex node free, and each of its m - 1 odd sectors is
 the one-edge form with the vertex node deleted.  ``form_spectrum`` solves
-those two one-edge pencils.
+those two tridiagonal one-edge pencils.  By interlacing, the lowest ``count``
+star values need only about count/m values of each sector.  A sector asked
+for at most ``LANCZOS_SHARE`` of its size gets them from a shift-invert
+Lanczos iteration, O(n k^2), checked by a Sylvester inertia count that raises
+``AssemblyError`` on a missed eigenvalue; larger counts and the whole
+spectrum come from a dense solve of the whole sector, O(n^3).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dpttrf, dpttrs, dstemr
 
 from .errors import AssemblyError, DomainError, ShapeError
 from .geometry import (
@@ -32,7 +38,7 @@ from .geometry import (
     is_integer,
     simpson_weights,
 )
-from .kernels import KernelSpec, ou_line_kernel
+from .kernels import KernelSpec, check_spec, ou_line_kernel
 
 __all__ = [
     "PolyGauss",
@@ -220,8 +226,7 @@ def apply_generator(spec: KernelSpec, f: StarFunction) -> StarFunction:
     ``PolyGauss`` profile on every edge with ``ShapeError``.
     """
 
-    if not isinstance(spec, KernelSpec):
-        raise DomainError(f"no closed-form generator for {spec!r}; pass OU or HARMONIC")
+    check_spec(spec)
     if not (f.has_profiles() and all(isinstance(p, PolyGauss) for p in f.profiles)):
         raise ShapeError("the generator needs a PolyGauss profile on every edge")
     out_profiles = tuple(_apply_generator_profile(spec, p) for p in f.profiles)
@@ -275,26 +280,136 @@ def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+# A sector count above this share of the sector size n goes to the dense
+# solve.  The dense solve costs O(n^3) whatever the count; the Lanczos cost
+# grows as n k^2 and, at these sizes, is mostly per-step overhead.  Per
+# sector on one core (1 BLAS thread), dense against Lanczos for n/16, n/8
+# and n/4 values: 129 nodes 1.1 ms against 0.8, 1.35 and 4.0 ms; 257 nodes
+# 6.1 ms against 1.5, 5.2 and 7.3 ms; 513 nodes 33 ms against 7.6, 11.7 and
+# 37 ms; 1025 nodes 370 ms against 14, 62 and 262 ms.  The break-even share
+# grows with n, so one eighth loses at most ~0.3 ms on small grids.
+LANCZOS_SHARE = 0.125
+
+# Lanczos stops once every wanted Ritz value theta has residual at most
+# this share of theta.  The residual bounds |theta - theta_true|, so each
+# returned value sigma + 1/theta is within this share of 1 + |lambda| of the
+# pencil's own, before the quadratic gain that isolated Ritz values enjoy.
+LANCZOS_TOL = 1e-11
+
+# The inertia check counts eigenvalues below the largest returned value
+# plus this share of max(1, |value|): far above the Lanczos and the LDL^T
+# rounding (~1e-11 at |A| ~ 1e5), far below the unit level spacing.
+STURM_MARGIN = 1e-8
+
+
+def _sturm_count(a_diag, a_off, b_diag, b_off, tau: float) -> int:
+    """Number of eigenvalues of the tridiagonal pencil (A, B) below ``tau``.
+
+    By Sylvester's law of inertia (B positive definite) this is the number
+    of negative pivots in the LDL^T factorization of A - tau B.
+    """
+
+    diag = (a_diag - tau * b_diag).tolist()
+    off_sq = ((a_off - tau * b_off) ** 2).tolist()
+    tiny = np.finfo(float).tiny
+    pivot = diag[0]
+    negative = int(pivot < 0.0)
+    for d, e2 in zip(diag[1:], off_sq):
+        if pivot == 0.0:
+            pivot = tiny
+        pivot = d - e2 / pivot
+        negative += pivot < 0.0
+    return negative
+
+
+def _lanczos_lowest(a_diag, a_off, b_diag, b_off, count: int) -> np.ndarray:
+    """Lowest ``count`` eigenvalues of the tridiagonal pencil (A, B), ascending.
+
+    Shift-invert Lanczos with sigma = -1: T = A + B is positive definite
+    (A semidefinite, B definite), so T^{-1} B is factored once with
+    ``dpttrf`` and applied with ``dpttrs``.  The basis is B-orthonormal
+    (classical Gram-Schmidt, applied twice) from a fixed start vector, so
+    the values are reproducible.  The iteration stops when the ``count``
+    largest Ritz values of T^{-1} B have converged, or when the Krylov
+    space is the whole space.
+    """
+
+    n = a_diag.size
+    t_diag, t_off, info = dpttrf(a_diag + b_diag, a_off + b_off)
+    if info != 0:
+        raise AssemblyError(f"the shifted sector pencil is not positive definite (info={info})")
+
+    def times_b(v):
+        out = b_diag * v
+        out[1:] += b_off * v[:-1]
+        out[:-1] += b_off * v[1:]
+        return out
+
+    rows = min(n, 2 * count + 30)  # convergence takes about 2 count + 20 steps
+    basis, b_basis = np.empty((rows, n)), np.empty((rows, n))
+    alpha, beta = np.empty(n), np.empty(n)
+    w = np.random.default_rng(0).standard_normal(n)
+    bw = times_b(w)
+    norm = math.sqrt(w @ bw)
+    for j in range(n):
+        if j == rows:
+            rows = min(n, 2 * rows)
+            basis = np.concatenate([basis, np.empty((rows - j, n))])
+            b_basis = np.concatenate([b_basis, np.empty((rows - j, n))])
+        basis[j], b_basis[j] = w / norm, bw / norm
+        w = dpttrs(t_diag, t_off, b_basis[j])[0]
+        h = b_basis[: j + 1] @ w
+        w -= h @ basis[: j + 1]
+        h2 = b_basis[: j + 1] @ w
+        w -= h2 @ basis[: j + 1]
+        alpha[j] = h[j] + h2[j]
+        bw = times_b(w)
+        beta[j] = norm = math.sqrt(max(w @ bw, 0.0))
+        if (j + 1) % count and j + 1 < n:
+            continue  # a Ritz solve for count pairs costs up to about count steps
+        # the count largest Ritz pairs (dstemr overwrites its off-diagonal)
+        _, theta, ritz, info = dstemr(alpha[: j + 1], beta[: j + 1].copy(), 2, 0.0, 0.0,
+                                      j + 2 - count, j + 1)
+        if info != 0:
+            raise AssemblyError(f"the Lanczos Ritz solve failed (dstemr info={info})")
+        theta, last = theta[:count], ritz[j, :count]
+        if j + 1 == n or np.all(np.abs(norm * last) <= LANCZOS_TOL * theta):
+            break
+    return -1.0 + 1.0 / theta[::-1]
+
+
 def _sector_eigenvalues(
     stiff_diag: np.ndarray,
     stiff_off: np.ndarray,
     mass_diag: np.ndarray,
     mass_off: np.ndarray,
     count: int | None,
+    sector: str,
 ) -> np.ndarray:
     """Lowest ``count`` eigenvalues (all for None) of one tridiagonal pencil.
 
-    The pencil is rescaled by its mass diagonal on the diagonals, before the
-    dense matrices exist.
+    The pencil is rescaled by its mass diagonal on the diagonals.  All of
+    its values, or a count above ``LANCZOS_SHARE`` of its size, come from
+    the dense solve of the whole pencil; a smaller count from the Lanczos
+    iteration, whose result an inertia count then confirms.
     """
 
     scale = 1.0 / np.sqrt(mass_diag)
     pair = scale[:-1] * scale[1:]
-    a = _tridiagonal(stiff_diag * scale * scale, stiff_off * pair)
-    b = _tridiagonal(mass_diag * scale * scale, mass_off * pair)
-    if count is None or count >= mass_diag.size:
-        return eigh(a, b, eigvals_only=True)
-    return eigh(a, b, eigvals_only=True, subset_by_index=[0, count - 1])
+    a_diag, a_off = stiff_diag * scale * scale, stiff_off * pair
+    b_diag, b_off = mass_diag * scale * scale, mass_off * pair
+    if count is None or count > LANCZOS_SHARE * a_diag.size:
+        vals = eigh(_tridiagonal(a_diag, a_off), _tridiagonal(b_diag, b_off), eigvals_only=True)
+        return vals[:count]
+    vals = _lanczos_lowest(a_diag, a_off, b_diag, b_off, count)
+    tau = vals[-1] + STURM_MARGIN * max(1.0, abs(vals[-1]))
+    below = _sturm_count(a_diag, a_off, b_diag, b_off, tau)
+    if below != count:
+        raise AssemblyError(
+            f"the {sector} sector has {below} eigenvalues below {tau:.6g}, but the "
+            f"Lanczos iteration returned {count}; an eigenvalue was missed"
+        )
+    return vals
 
 
 def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarray:
@@ -306,9 +421,19 @@ def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarra
     with the vertex node deleted).  The density factor c_m cancels, so two
     one-edge solves of size n and n - 1 replace the dense star problem of
     size 1 + m(n - 1), and each odd value appears m - 1 times by
-    construction.  Each sector is rescaled by its mass diagonal before the
-    generalized symmetric solve.  ``count`` keeps the lowest values; it must
-    lie in 1 .. 1 + m(n - 1).
+    construction.  Each sector is rescaled by its mass diagonal.
+
+    ``count`` keeps the lowest values; it must lie in 1 .. 1 + m(n - 1).
+    The odd pencil is the even one with the vertex row and column deleted,
+    so by Cauchy interlacing e_j <= o_j <= e_{j+1}, and the merged list runs
+    e_1, o_1 (m - 1 times), e_2, ...  Its lowest ``count`` values therefore
+    use only the lowest (count - 1)//m + 1 even values and (count - 2)//m + 1
+    odd ones.  A sector count up to ``LANCZOS_SHARE`` of the sector size is
+    solved by shift-invert Lanczos on the tridiagonal pencil, O(n k^2) for k
+    values, and confirmed by a Sylvester inertia count of A - tau B just
+    above the largest value: a missed eigenvalue raises ``AssemblyError``.
+    Larger counts, and the whole spectrum, come from one dense solve of each
+    whole pencil, O(n^3).
     """
 
     check_edge_count(m, DomainError)
@@ -318,14 +443,18 @@ def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarra
     stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
     if not np.all(mass_diag > 0):
         raise AssemblyError("mass matrix lost positivity; refine or shrink the grid")
-    even = _sector_eigenvalues(stiff_diag, stiff_off, mass_diag, mass_off, count)
+    even_count = odd_count = count
+    if count is not None:
+        even_count = count if m == 1 else (count - 1) // m + 1
+        odd_count = (count - 2) // m + 1
+    even = _sector_eigenvalues(stiff_diag, stiff_off, mass_diag, mass_off, even_count, "even")
     odd = np.empty(0)
-    if m > 1:
+    if m > 1 and odd_count != 0:
         odd = _sector_eigenvalues(
-            stiff_diag[1:], stiff_off[1:], mass_diag[1:], mass_off[1:], count
+            stiff_diag[1:], stiff_off[1:], mass_diag[1:], mass_off[1:], odd_count, "odd"
         )
     vals = np.sort(np.concatenate([even, np.repeat(odd, m - 1)]))
-    return vals if count is None else vals[:count]
+    return vals[:count]
 
 
 # -- trace --------------------------------------------------------------------

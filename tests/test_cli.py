@@ -50,9 +50,11 @@ def test_spectrum_outputs(tmp_path):
 
 def test_spectrum_levels_beyond_the_grid_are_usage_errors(capsys):
     # 10 levels on three edges need 15 eigenvalues; 4 points give 1 + 3 * 3
-    for levels in ("10", "0"):
+    for levels, why in (("10", "needs 15 eigenvalues"), ("0", "at least 1"), ("-1", "at least 1")):
         assert main(["spectrum", "--m", "3", "--points", "4", "--levels", levels]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error:"), levels
+        err = capsys.readouterr().err
+        assert err.startswith("error: --levels"), levels
+        assert why in err, levels
 
 
 def test_evolve_summary_and_snapshots(tmp_path):

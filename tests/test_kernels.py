@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 
 from stargraph.errors import DomainError, InvalidPointError, ShapeError
 from stargraph.extension import reflect
-from stargraph.geometry import StarPoint, simpson_weights
+from stargraph.geometry import GridSpec, StarFunction, StarGraph, StarPoint, simpson_weights
 from stargraph.kernels import (
     HARMONIC,
     MIN_TIME,
     OU,
     KernelSpec,
     ho_line_kernel,
+    kernel_band,
     line_kernel,
     ou_line_kernel,
     star_kernel,
 )
+from stargraph.semigroup import apply
 
 times = st.floats(min_value=0.05, max_value=5.0)
 radii = st.floats(min_value=0.0, max_value=4.0)
@@ -156,3 +158,17 @@ def test_kernel_spec_validation():
     for tag in ("brownian", "tabulated"):
         with pytest.raises(ShapeError):
             KernelSpec(tag=tag)
+
+
+_CONSTANT = StarFunction.constant(StarGraph(3), GridSpec(cutoff=3.0, points_per_edge=17), 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: apply(spec, 3, 0.5, _CONSTANT),
+    lambda spec: star_kernel(spec, 3, 0.5, StarPoint(1, 0.5), StarPoint(2, 0.5)),
+    lambda spec: line_kernel(spec, 0.5, 0.5, 0.5),
+    lambda spec: kernel_band(spec, 0.5),
+], ids=["apply", "star_kernel", "line_kernel", "kernel_band"])
+def test_a_string_tag_is_not_a_kernel_spec(call):
+    with pytest.raises(DomainError, match="pass OU or HARMONIC"):
+        call("ou")

@@ -546,6 +546,9 @@ def test_tabulated_kernel_matches_closed_form():
         tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.1234])
     with pytest.raises(DomainError):
         tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.5, 0.25])
+    for times in ([math.nan], [math.inf], [0.2, math.nan]):
+        with pytest.raises(NumericalInputError, match="finite"):
+            tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, times)
 
 
 def test_tabulated_kernel_columns_are_line_solves():

@@ -1,8 +1,13 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import stargraph
 import stargraph.oracle
@@ -134,3 +139,12 @@ def test_modules_import_only_what_they_use():
     assert paths
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == []
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_scripts_run_with_default_arguments(script):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

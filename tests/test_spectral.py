@@ -13,6 +13,7 @@ from stargraph.semigroup import apply
 from stargraph.spectral import (
     PolyGauss,
     _edge_form,
+    _sturm_count,
     _tridiagonal,
     apply_generator,
     eigenbasis,
@@ -237,6 +238,33 @@ def test_form_spectrum_equals_dense_reference():
         assert np.all(np.abs(split - dense) <= 1e-9 * np.maximum(np.abs(dense), 1.0))
         low = form_spectrum(m, grid, count=10)
         assert np.abs(low - dense[:10]).max() <= 1e-9
+
+
+@given(
+    m=st.integers(min_value=1, max_value=8),
+    points=st.integers(min_value=9, max_value=129),
+    cutoff=st.floats(min_value=3.0, max_value=8.0),
+    data=st.data(),
+)
+def test_counted_spectrum_equals_dense_reference(m, points, cutoff, data):
+    # small counts take the Lanczos path, large ones the dense sector solve
+    grid = GridSpec(cutoff=cutoff, points_per_edge=points)
+    dim = 1 + m * (points - 1)
+    count = data.draw(st.one_of(st.integers(1, max(1, dim // 10)), st.integers(1, dim)))
+    dense = eigh(*form_matrix(m, grid), eigvals_only=True)[:count]
+    got = form_spectrum(m, grid, count=count)
+    assert got.shape == (count,)
+    assert np.all(np.abs(got - dense) <= 1e-10 * np.maximum(np.abs(dense), 1.0))
+
+
+def test_sturm_count_matches_dense_counts():
+    grid = GridSpec(cutoff=6.0, points_per_edge=65)
+    stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
+    for lo in (0, 1):  # the even pencil and the odd one, its vertex row deleted
+        pencil = (stiff_diag[lo:], stiff_off[lo:], mass_diag[lo:], mass_off[lo:])
+        values = eigh(_tridiagonal(*pencil[:2]), _tridiagonal(*pencil[2:]), eigvals_only=True)
+        for tau in (-1.0, 0.5, 1.5, 2.5, 7.0, 40.0, 1e3, 1e7):
+            assert _sturm_count(*pencil, tau) == np.sum(values < tau), (lo, tau)
 
 
 def test_trace_closed_form_frozen():
