@@ -39,12 +39,17 @@ __all__ = [
     "simpson_weights",
     "check_edge_count",
     "is_integer",
+    "VERTEX_TOL",
     "vertex_continuous",
     "vertex_slopes",
     "vertex_defects",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
+
+# vertex samples that spread by at most this share of max(1, |value|) are one
+# vertex value, whether continuity is claimed or detected
+VERTEX_TOL = 1e-9
 
 
 def is_integer(value) -> bool:
@@ -181,15 +186,15 @@ def simpson_weights(n_points: int, h: float) -> np.ndarray:
     return w
 
 
-def vertex_continuous(col: np.ndarray, tol: float) -> bool:
-    """Whether the vertex samples ``col`` spread by at most tol * max(1, max |col|).
+def vertex_continuous(col: np.ndarray) -> bool:
+    """Whether the vertex samples ``col`` spread by at most VERTEX_TOL * max(1, max |col|).
 
     Reads ``col`` in place, so a column view of a sample array costs no copy.
     """
 
     hi = float(col.max())
     lo = float(col.min())
-    return hi - lo <= tol * max(1.0, abs(hi), abs(lo))
+    return hi - lo <= VERTEX_TOL * max(1.0, abs(hi), abs(lo))
 
 
 def vertex_slopes(values: np.ndarray, h: float) -> np.ndarray:
@@ -212,6 +217,15 @@ def vertex_defects(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray
 
 
 Profile = Callable[[np.ndarray], np.ndarray]
+
+
+def _sample(profiles: tuple[Profile, ...], radii: np.ndarray) -> np.ndarray:
+    """Evaluate per-edge callables on ``radii``, shape (len(profiles), radii.size)."""
+
+    out = np.empty((len(profiles), radii.size))
+    for i, fn in enumerate(profiles):
+        out[i] = fn(radii)
+    return out
 
 
 class StarFunction:
@@ -251,10 +265,10 @@ class StarFunction:
             )
         if continuous_at_vertex:
             col = values[:, 0]
-            if not vertex_continuous(col, 1e-9):
+            if not vertex_continuous(col):
                 raise VertexContinuityError(
                     f"vertex values disagree by {float(np.ptp(col)):.3e} "
-                    f"(tolerance 1e-9 times max(1, |vertex value|))"
+                    f"(tolerance {VERTEX_TOL:.0e} times max(1, |vertex value|))"
                 )
             values[:, 0] = col[0]
         values.flags.writeable = False
@@ -298,12 +312,9 @@ class StarFunction:
             raise ShapeError(
                 f"need one profile per edge ({graph.m}), got {len(profiles)}"
             )
-        nodes = grid.nodes()
-        values = np.empty((graph.m, grid.points_per_edge))
-        for i, fn in enumerate(profiles):
-            values[i] = np.asarray(fn(nodes), dtype=float)
+        values = _sample(profiles, grid.nodes())
         if continuous_at_vertex is None:
-            continuous_at_vertex = vertex_continuous(values[:, 0], 1e-12)
+            continuous_at_vertex = vertex_continuous(values[:, 0])
         return cls(
             graph,
             grid,
@@ -323,10 +334,6 @@ class StarFunction:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def m(self) -> int:
-        return self.graph.m
-
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
 
@@ -338,11 +345,7 @@ class StarFunction:
 
         if self.profiles is None:
             raise ShapeError("this StarFunction has no callable profiles")
-        radii = np.asarray(radii, dtype=float)
-        out = np.empty((self.graph.m, radii.size))
-        for i, fn in enumerate(self.profiles):
-            out[i] = np.asarray(fn(radii), dtype=float)
-        return out
+        return _sample(self.profiles, np.asarray(radii, dtype=float))
 
     # -- serialization -----------------------------------------------------
 
@@ -401,7 +404,7 @@ class StarFunction:
         if radii_ref[0] != 0.0 or np.any(np.abs(spacing - spacing[0]) > 1e-9 * spacing[0]):
             raise ShapeError(f"radial grid must be uniform starting at 0 in {path}")
         grid = GridSpec(cutoff=float(radii_ref[-1]), points_per_edge=n)
-        continuous = vertex_continuous(values[:, 0], 1e-12)
+        continuous = vertex_continuous(values[:, 0])
         return cls(StarGraph(m), grid, values, continuous_at_vertex=continuous)
 
 

@@ -257,16 +257,13 @@ class StarEvolution:
     continuity_defects: np.ndarray
     kirchhoff_defects: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.times)
-
     def snapshot(self, k: int) -> StarFunction:
         vals = self.values[k]
         return StarFunction(
             self.graph,
             self.grid,
             vals,
-            continuous_at_vertex=vertex_continuous(vals[:, 0], 1e-9),
+            continuous_at_vertex=vertex_continuous(vals[:, 0]),
         )
 
     def at_time(self, t: float) -> StarFunction:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import polynomial as P, polyutils
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dpttrf, dpttrs, dstemr
 
@@ -57,13 +58,6 @@ __all__ = [
 # -- analytic edge profiles -------------------------------------------------
 
 
-def _strip(coeffs) -> tuple[float, ...]:
-    coeffs = [float(c) for c in coeffs]
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
 class PolyGauss:
     """p(x) exp(-a x^2 / 2) with exact coefficient arithmetic.
@@ -77,26 +71,18 @@ class PolyGauss:
     gauss: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _strip(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(float, polyutils.trimseq(self.coeffs))))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
+        out = P.polyval(x, np.asarray(self.coeffs))
         if self.gauss != 0.0:
             out = out * np.exp(-0.5 * self.gauss * x * x)
         return out
 
     def derivative(self) -> "PolyGauss":
-        c = self.coeffs
-        dp = [i * c[i] for i in range(1, len(c))] or [0.0]
-        if self.gauss != 0.0:
-            shifted = [0.0] + [self.gauss * ci for ci in c]
-            n = max(len(dp), len(shifted))
-            dp = [
-                (dp[i] if i < len(dp) else 0.0) - (shifted[i] if i < len(shifted) else 0.0)
-                for i in range(n)
-            ]
-        return PolyGauss(dp, self.gauss)
+        c = np.asarray(self.coeffs)
+        return PolyGauss(P.polysub(P.polyder(c), P.polymulx(self.gauss * c)), self.gauss)
 
     def times_x(self) -> "PolyGauss":
         return PolyGauss((0.0,) + self.coeffs, self.gauss)
@@ -108,13 +94,7 @@ class PolyGauss:
         if other.gauss != self.gauss and other.coeffs != (0.0,) and self.coeffs != (0.0,):
             raise ShapeError("cannot add profiles with different Gaussian factors")
         gauss = self.gauss if self.coeffs != (0.0,) else other.gauss
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        out = [
-            (a[i] if i < len(a) else 0.0) + (b[i] if i < len(b) else 0.0)
-            for i in range(n)
-        ]
-        return PolyGauss(out, gauss)
+        return PolyGauss(P.polyadd(self.coeffs, other.coeffs), gauss)
 
     def shift_gauss(self, delta: float) -> "PolyGauss":
         """Multiply by exp(-delta x^2 / 2)."""
@@ -138,21 +118,11 @@ def _check_nonnegative_int(value, what: str) -> None:
 def hermite_coefficients(k: int) -> tuple[float, ...]:
     """Coefficients (ascending) of the k-th physicists' Hermite polynomial.
 
-    Recurrence H_{k+1} = 2x H_k - 2k H_{k-1}; all coefficients are integers,
-    exact in double precision through the degrees used here.
+    They are integers, exact in double precision through k = 28.
     """
 
     _check_nonnegative_int(k, "level")
-    prev = [1.0]
-    if k == 0:
-        return tuple(prev)
-    cur = [0.0, 2.0]
-    for j in range(1, k):
-        nxt = [0.0] + [2.0 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= 2.0 * j * c
-        prev, cur = cur, nxt
-    return _strip(cur)
+    return tuple(np.polynomial.hermite.herm2poly([0.0] * k + [1.0]).tolist())
 
 
 # -- eigenbasis ---------------------------------------------------------------
@@ -165,12 +135,16 @@ class SpectralDatum:
     basis: tuple[StarFunction, ...]
 
 
+def _multiplicity(k: int, m: int) -> int:
+    return 1 if k % 2 == 0 else m - 1
+
+
 def multiplicity(k: int, m: int) -> int:
     """Even levels are simple; odd levels have dimension m - 1."""
 
     check_edge_count(m, DomainError)
     _check_nonnegative_int(k, "level")
-    return 1 if k % 2 == 0 else m - 1
+    return _multiplicity(k, m)
 
 
 def eigenbasis(m: int, k: int, grid: GridSpec | None = None) -> SpectralDatum:
@@ -501,7 +475,7 @@ def trace_partial(t: float, m: int, terms: int) -> TracePair:
         raise DomainError(f"trace quadrature needs a finite time t >= 0.05, got {t}")
     check_edge_count(m, DomainError)
     _check_nonnegative_int(terms, "term count")
-    partial = sum(multiplicity(k, m) * math.exp(-k * t) for k in range(terms + 1))
+    partial = sum(_multiplicity(k, m) * math.exp(-k * t) for k in range(terms + 1))
     direct = _half_line_gaussian_quadrature(t, reflected=False)
     refl = _half_line_gaussian_quadrature(t, reflected=True)
     return TracePair(partial_sum=float(partial), kernel_trace=m * direct + (2.0 - m) * refl)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import stargraph.cli
 from stargraph.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from stargraph.errors import StabilityError
 from stargraph.geometry import GridSpec, StarFunction, StarGraph, StarPoint
 from stargraph.kernels import OU, star_kernel
 
@@ -76,7 +78,13 @@ def test_evolve_file_initial_round_trip(tmp_path, capsys):
     path = tmp_path / "init.csv"
     f.to_csv(path)
     assert main(["evolve", "--m", "2", "--times", "0.5", f"--init=file:{path}"]) == EXIT_OK
-    capsys.readouterr()
+    plain = capsys.readouterr().out
+    # blank rows are skipped
+    lines = path.read_text().splitlines(keepends=True)
+    blank = tmp_path / "blank.csv"
+    blank.write_text("".join(lines[:5] + ["\n"] + lines[5:] + ["\n"]))
+    assert main(["evolve", "--m", "2", "--times", "0.5", f"--init=file:{blank}"]) == EXIT_OK
+    assert capsys.readouterr().out == plain
     # the output lives on the --cutoff/--points grid, not on the file's own grid
     out = tmp_path / "out"
     assert main(["evolve", "--m", "2", "--times", "0.5", "--points", "33",
@@ -88,22 +96,48 @@ def test_evolve_file_initial_round_trip(tmp_path, capsys):
 
 
 def test_evolve_unknown_initial(tmp_path, capsys):
-    # unreadable file: inputs are usage errors too, never tracebacks
-    non_numeric = tmp_path / "non_numeric.csv"
-    non_numeric.write_text("edge,radius,value\n1,0,1\n1,1,zap\n")
-    fractional_edge = tmp_path / "fractional_edge.csv"
-    fractional_edge.write_text("edge,radius,value\n1.5,0,1\n1.5,1,1\n")
-    short_row = tmp_path / "short_row.csv"
-    short_row.write_text("edge,radius,value\n1,0.0\n")
-    nan_radius = tmp_path / "nan_radius.csv"  # every NaN spacing comparison is false
-    nan_radius.write_text("edge,radius,value\n1,0,1\n1,nan,1\n1,2,1\n")
-    decimal_comma = tmp_path / "decimal_comma.csv"  # 1,5 meant as 1.5
-    decimal_comma.write_text("edge,radius,value\n1,0,1,5\n1,1,1,5\n1,2,1,5\n")
-    for init in ("gibberish", f"file:{tmp_path / 'missing.csv'}", f"file:{non_numeric}",
-                 f"file:{fractional_edge}", f"file:{short_row}", f"file:{nan_radius}",
-                 f"file:{decimal_comma}"):
-        assert main(["evolve", "--m", "1", "--init", init]) == EXIT_USAGE, init
-        assert capsys.readouterr().err.startswith("error:"), init
+    assert main(["evolve", "--m", "1", "--init", "gibberish"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: unknown initial condition")
+    # unreadable or malformed files are usage errors too, never tracebacks,
+    # and the message names the file and what is wrong with it
+    header = "edge,radius,value\n"
+    files = {
+        "missing": (None, "No such file"),
+        "non_numeric": (header + "1,0,1\n1,1,zap\n", "could not convert"),
+        "fractional_edge": (header + "1.5,0,1\n1.5,1,1\n", "invalid literal for int()"),
+        "short_row": (header + "1,0.0\n", "row 2 has 2 fields, not 3"),
+        # every NaN spacing comparison is false
+        "nan_radius": (header + "1,0,1\n1,nan,1\n1,2,1\n", "is not finite"),
+        # 1,5 meant as 1.5
+        "decimal_comma": (header + "1,0,1,5\n1,1,1,5\n1,2,1,5\n", "row 2 has 4 fields"),
+        "wrong_header": ("edge,r,value\n1,0,1\n1,1,1\n", "expected header"),
+        "header_only": (header, "no data rows"),
+        "edge_gap": (header + "1,0,1\n1,1,1\n3,0,1\n3,1,1\n", "must cover 1..3"),
+        "unequal_counts": (header + "1,0,1\n1,1,1\n1,2,1\n2,0,1\n2,1,1\n",
+                           "different sample counts"),
+        "one_sample": (header + "1,0,1\n", "need >= 2 samples per edge"),
+        "grids_differ": (header + "1,0,1\n1,1,1\n2,0,1\n2,1.5,1\n", "different radial grids"),
+        "not_uniform": (header + "1,0,1\n1,1,1\n1,3,1\n", "uniform starting at 0"),
+        "not_from_zero": (header + "1,0.5,1\n1,1.5,1\n", "uniform starting at 0"),
+    }
+    for name, (text, refusal) in files.items():
+        path = tmp_path / f"{name}.csv"
+        if text is not None:
+            path.write_text(text)
+        assert main(["evolve", "--m", "1", f"--init=file:{path}"]) == EXIT_USAGE, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert captured.err.startswith("error:"), name
+        assert str(path) in captured.err and refusal in captured.err, (name, captured.err)
+
+
+def test_evolve_ground_state_initial(capsys):
+    # the oscillator semigroup fixes its ground state
+    assert main(["evolve", "--model", "ho", "--m", "3", "--points", "65", "--times", "0.5",
+                 "--init", "ground"]) == EXIT_OK
+    snap = json.loads(capsys.readouterr().out)["snapshots"][0]
+    assert snap["sup_norm"] == pytest.approx(1.0, abs=1e-10)
+    assert snap["vertex_continuity"] == 0.0
 
 
 def test_bad_float_list():
@@ -171,6 +205,29 @@ def test_oracle_quick(capsys):
     assert verdict["check"] == "evolution_matches_kernel_quadrature"
     assert verdict["pass"] is True
     assert verdict["vertex_continuity_max"] < 1e-12
+
+
+def test_oracle_truncation_table(capsys):
+    # the far field is irrelevant: successive truncation radii agree ever closer
+    assert main(["oracle", "--m", "2", "--n-list", "2,3,4,6", "--h", "0.125", "--dt", "0.01",
+                 "--t", "0.5"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,t,sup_defect"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [row[:2] for row in rows] == [[3.0, 0.5], [4.0, 0.5], [6.0, 0.5]]
+    assert rows[-1][2] < 1e-6 * rows[0][2]
+
+
+def test_numerical_failure_exits_3(monkeypatch, capsys):
+    def unstable(*args, **kwargs):
+        raise StabilityError("sup norm exceeds the growth bound")
+
+    monkeypatch.setattr(stargraph.cli, "solve_star", unstable)
+    assert main(["oracle", "--m", "2", "--n", "2", "--h", "0.25", "--dt", "0.1",
+                 "--t", "0.2"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: sup norm exceeds the growth bound\n"
 
 
 def test_output_is_deterministic(tmp_path):

@@ -14,6 +14,7 @@ from stargraph.errors import (
     VertexContinuityError,
 )
 from stargraph.geometry import (
+    VERTEX_TOL,
     GridSpec,
     StarFunction,
     StarGraph,
@@ -168,6 +169,17 @@ def test_from_callables_detects_continuity(grid):
         ),
     )
     assert not disc.continuous_at_vertex
+    # one tolerance decides continuity, claimed or detected: a spread the
+    # constructor accepts is detected as continuous, and snapped
+    assert VERTEX_TOL == 1e-9
+    for spread, continuous in ((5e-10, True), (2e-9, False)):
+        f = StarFunction.from_callables(
+            StarGraph(2), grid,
+            (lambda x: np.ones_like(np.asarray(x, dtype=float)),
+             lambda x, s=spread: np.full_like(np.asarray(x, dtype=float), 1.0 + s)),
+        )
+        assert f.continuous_at_vertex is continuous, spread
+        assert bool(f.values[1, 0] == f.values[0, 0]) is continuous, spread
 
 
 def test_evaluate_profiles(grid):
