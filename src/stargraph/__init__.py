@@ -58,7 +58,7 @@ from .oracle import (
     tabulate_kernel,
     truncation_study,
 )
-from .semigroup import VertexDefect, apply, evolve_sequence, vertex_defect
+from .semigroup import apply, evolve_sequence
 from .spectral import (
     PolyGauss,
     SpectralDatum,
@@ -111,7 +111,6 @@ __all__ = [
     "TracePair",
     "TruncationRow",
     "VertexContinuityError",
-    "VertexDefect",
     "apply",
     "apply_generator",
     "eigenbasis",
@@ -142,5 +141,4 @@ __all__ = [
     "trace_closed_form",
     "trace_partial",
     "truncation_study",
-    "vertex_defect",
 ]

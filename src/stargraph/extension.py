@@ -4,8 +4,8 @@ A continuous function on the star extends to one function per edge on the
 whole line: the positive half-axis carries the edge itself, the negative
 half-axis carries twice the edge average minus the edge (``reflect``).  The
 extension works on plain per-edge sample arrays: a line is restricted back
-to the star by slicing it at its centre node, and ``geometry.vertex_defects``
-measures how well the restricted edges still meet at the vertex.
+to the star by slicing it at its centre node, and ``geometry.vertex_flux``
+measures how well the restricted edges still balance their fluxes there.
 Second-order coefficients extend by parity: diffusion and reaction evenly,
 drift oddly.
 """

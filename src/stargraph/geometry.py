@@ -42,7 +42,7 @@ __all__ = [
     "VERTEX_TOL",
     "vertex_continuous",
     "vertex_slopes",
-    "vertex_defects",
+    "vertex_flux",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -203,17 +203,17 @@ def vertex_slopes(values: np.ndarray, h: float) -> np.ndarray:
     return (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (2.0 * h)
 
 
-def vertex_defects(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Continuity spread and absolute flux sum at the vertex of samples (..., edge, radius).
+def vertex_flux(values: np.ndarray, h: float) -> np.ndarray:
+    """Absolute Kirchhoff flux sum at the vertex of samples (..., edge, radius).
 
-    The flux sums the edges' ``vertex_slopes``, so it needs >= 3 points per edge.
+    The flux sums the edges' ``vertex_slopes``, so it needs >= 3 points per
+    edge.  Continuity needs no measure: a vertex-continuous ``StarFunction``
+    stores one vertex value by construction.
     """
 
     if values.shape[-1] < 3:
         raise StencilError("vertex stencil needs >= 3 points per edge")
-    vertex = values[..., 0]
-    continuity = vertex.max(axis=-1) - vertex.min(axis=-1)
-    return continuity, np.abs(vertex_slopes(values, h).sum(axis=-1))
+    return np.abs(vertex_slopes(values, h).sum(axis=-1))
 
 
 Profile = Callable[[np.ndarray], np.ndarray]

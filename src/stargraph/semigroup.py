@@ -16,16 +16,16 @@ their grid step, sample-backed inputs continue by zero.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, NumericalInputError, ShapeError, VertexContinuityError
 from .extension import reflect
-from .geometry import GridSpec, StarFunction, simpson_weights, vertex_defects
+from .geometry import GridSpec, StarFunction, simpson_weights
 from .kernels import MIN_TIME, KernelSpec, kernel_band, line_kernel
 
-__all__ = ["apply", "vertex_defect", "evolve_sequence", "VertexDefect"]
+__all__ = ["apply", "evolve_sequence"]
 
 # Output rows per block: BLOCK_ROWS, or fewer where the band is so wide that
 # a block's kernel array would exceed BLOCK_VALUES values.  32 rows were
@@ -39,11 +39,6 @@ BLOCK_ROWS = 32
 BLOCK_VALUES = 24576
 
 OVERSAMPLE = 2  # callable-backed inputs are sampled this many times finer than their grid
-
-
-class VertexDefect(NamedTuple):
-    continuity: float
-    kirchhoff: float
 
 
 def _quadrature_grid(f: StarFunction, reach: float):
@@ -120,16 +115,6 @@ def apply(
         continuous_at_vertex=True,
         trusted_cutoff=f.trusted_cutoff,
     )
-
-
-def vertex_defect(u: StarFunction) -> VertexDefect:
-    """Continuity spread and absolute edge-derivative sum at the vertex.
-
-    Derivatives use the one-sided second-order stencil on the first three
-    samples (``geometry.vertex_defects``).
-    """
-
-    return VertexDefect(*map(float, vertex_defects(u.values, u.grid.h)))
 
 
 def evolve_sequence(

@@ -23,7 +23,7 @@ from stargraph.geometry import (
     mu_density,
     simpson_weights,
     sup_distance,
-    vertex_defects,
+    vertex_flux,
 )
 
 
@@ -209,18 +209,17 @@ def test_csv_round_trip(tmp_path, grid, rng):
     assert back.continuous_at_vertex
 
 
-def test_vertex_defects_measure_continuity_and_flux():
-    # two edges sampled at h = 0.5 with outgoing slopes +1 and -1 balance exactly;
-    # two slopes +1 leave flux 2, and shifting one edge leaves spread 1
+def test_vertex_flux_sums_the_edge_slopes():
+    # two edges sampled at h = 0.5 with outgoing slopes +1 and -1 balance
+    # exactly, and two slopes +1 leave flux 2
     r = 0.5 * np.arange(5)
-    continuity, flux = vertex_defects(np.stack([r, -r]), 0.5)
-    assert continuity == 0.0 and flux == 0.0
-    continuity, flux = vertex_defects(np.stack([r, r]), 0.5)
-    assert continuity == 0.0 and flux == pytest.approx(2.0, rel=1e-15)
-    continuity, _ = vertex_defects(np.stack([r, r + 1.0]), 0.5)
-    assert continuity == 1.0
+    assert vertex_flux(np.stack([r, -r]), 0.5) == 0.0
+    assert vertex_flux(np.stack([r, r]), 0.5) == pytest.approx(2.0, rel=1e-15)
+    # a Gaussian's zero slope on three edges: the one-sided stencil error only
+    r = np.linspace(0.0, 8.0, 513)
+    assert vertex_flux(np.tile(np.exp(-0.5 * r * r), (3, 1)), r[1]) < 1e-4
     with pytest.raises(StencilError):
-        vertex_defects(np.stack([r[:2], -r[:2]]), 0.5)
+        vertex_flux(np.stack([r[:2], -r[:2]]), 0.5)
 
 
 def test_sup_distance_window(grid):

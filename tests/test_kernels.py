@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stargraph.errors import DomainError, InvalidPointError, ShapeError
+from stargraph.errors import DomainError, InvalidPointError, NumericalInputError, ShapeError
 from stargraph.extension import reflect
 from stargraph.geometry import GridSpec, StarFunction, StarGraph, StarPoint, simpson_weights
 from stargraph.kernels import (
@@ -68,6 +68,16 @@ def test_ho_kernel_symmetric(t, x, y):
     assert float(ho_line_kernel(t, x, y)) == float(ho_line_kernel(t, y, x))
 
 
+def test_ho_kernel_underflows_at_huge_radii():
+    # the exponent is minus a sum of two squares: squares that overflow make
+    # it -inf and the kernel 0, never inf - inf and NaN
+    with np.errstate(over="ignore"):
+        for x, y in ((1e200, 1e200), (1e200, -1e200), (1e154, 1e154), (0.0, 1e200)):
+            assert float(ho_line_kernel(1.0, x, y)) == 0.0, (x, y)
+        value = star_kernel(HARMONIC, 3, 1.0, StarPoint(1, 1e200), StarPoint(1, 1e200))
+    assert value == 0.0
+
+
 @given(t=times, x=signed, y=signed)
 def test_kernels_conjugate(t, x, y):
     # the two line kernels differ by the factor e^{(y^2 - x^2)/2}
@@ -81,6 +91,8 @@ def test_time_domain():
         ou_line_kernel(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         ho_line_kernel(MIN_TIME / 2, 1.0, 1.0)
+    with pytest.raises(NumericalInputError, match="finite"):
+        ou_line_kernel(math.nan, 1.0, 1.0)
     assert float(ou_line_kernel(MIN_TIME, 0.0, 0.0)) > 0
 
 

@@ -19,13 +19,13 @@ AssemblyError CoefficientTriple DomainError ExtensionError GridSpec HARMONIC
 InvalidGraphError InvalidPointError KernelSpec MIN_TIME NumericalInputError OU
 OracleConfig PolyGauss ShapeError SpectralDatum StabilityError StarEvolution
 StarFunction StarGraph StarGraphError StarPoint StencilError TRUST_RADIUS
-TabulatedLineKernel TracePair TruncationRow VertexContinuityError VertexDefect
+TabulatedLineKernel TracePair TruncationRow VertexContinuityError
 apply apply_generator eigenbasis even_odd_split evolve_sequence
 extend_coefficients flat_factor form_spectrum from_flat ground_state
 hermite_coefficients ho_coefficients ho_line_kernel integrate_star line_kernel mu_density multiplicity
 ou_coefficients ou_line_kernel similarity_defect simpson_weights
 solve_line_dirichlet solve_star star_kernel sup_distance tabulate_kernel
-to_flat trace_closed_form trace_partial truncation_study vertex_defect
+to_flat trace_closed_form trace_partial truncation_study
 """.split()
 
 # The public options, frozen: every parameter with a default, and every

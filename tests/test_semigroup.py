@@ -12,8 +12,7 @@ from stargraph.geometry import (
     simpson_weights,
 )
 from stargraph.kernels import HARMONIC, OU, line_kernel
-from stargraph.semigroup import apply, evolve_sequence, vertex_defect
-from stargraph.transform import ground_state
+from stargraph.semigroup import apply, evolve_sequence
 
 # h = 1/64 puts the probe radii 0.5, 1, 2 on grid nodes
 GRID8 = GridSpec(cutoff=8.0, points_per_edge=513)
@@ -140,16 +139,6 @@ def test_semigroup_law_smoke(grid):
     window = grid.nodes() <= 4.0
     defect = np.abs(direct.values[:, window] - composed.values[:, window]).max()
     assert defect < 1e-7
-
-
-def test_vertex_defect_paths():
-    g = ground_state(3, GRID8)
-    sampled = StarFunction.from_samples(
-        StarGraph(3), GRID8, g.values, continuous_at_vertex=True
-    )
-    ds = vertex_defect(sampled)
-    assert ds.continuity == 0.0
-    assert abs(ds.kirchhoff) < 1e-4  # one-sided stencil error only
 
 
 def test_evolve_sequence_validation(grid):

@@ -10,9 +10,11 @@ from stargraph.errors import AssemblyError, DomainError, ShapeError
 from stargraph.geometry import GridSpec, StarFunction, StarGraph
 from stargraph.kernels import HARMONIC, OU
 from stargraph.semigroup import apply
+import stargraph.spectral
 from stargraph.spectral import (
     PolyGauss,
     _edge_form,
+    _lanczos_lowest,
     _sturm_count,
     _tridiagonal,
     apply_generator,
@@ -265,6 +267,27 @@ def test_sturm_count_matches_dense_counts():
         values = eigh(_tridiagonal(*pencil[:2]), _tridiagonal(*pencil[2:]), eigvals_only=True)
         for tau in (-1.0, 0.5, 1.5, 2.5, 7.0, 40.0, 1e3, 1e7):
             assert _sturm_count(*pencil, tau) == np.sum(values < tau), (lo, tau)
+
+
+def test_lanczos_grows_its_basis_for_clustered_values():
+    # values 1e-3 apart converge slowly, so the iteration outgrows its first
+    # 2 count + 30 basis rows; the values still match the dense solve
+    n, count = 400, 3
+    pencil = (1e-3 * np.arange(n), np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
+    got = _lanczos_lowest(*pencil, count)
+    dense = eigh(_tridiagonal(*pencil[:2]), _tridiagonal(*pencil[2:]), eigvals_only=True)
+    assert np.abs(got - dense[:count]).max() <= 1e-12
+
+
+def test_missed_eigenvalue_is_refused(monkeypatch):
+    # a Lanczos run that skips the lowest value returns as many values as
+    # asked, and the inertia count finds one more below the last of them
+    def skips_lowest(a_diag, a_off, b_diag, b_off, count):
+        return _lanczos_lowest(a_diag, a_off, b_diag, b_off, count + 1)[1:]
+
+    monkeypatch.setattr(stargraph.spectral, "_lanczos_lowest", skips_lowest)
+    with pytest.raises(AssemblyError, match="the even sector has 3 eigenvalues .* returned 2"):
+        form_spectrum(3, GridSpec(cutoff=6.0, points_per_edge=65), count=4)
 
 
 def test_trace_closed_form_frozen():
