@@ -23,6 +23,7 @@ from stargraph.geometry import (
     mu_density,
     simpson_weights,
     sup_distance,
+    vertex_continuous,
     vertex_flux,
 )
 
@@ -209,15 +210,21 @@ def test_csv_round_trip(tmp_path, grid, rng):
     assert back.continuous_at_vertex
 
 
-def test_vertex_flux_sums_the_edge_slopes():
+def test_vertex_defects_measure_continuity_and_flux():
+    # continuity is a check, not a measure: equal vertex samples pass and a
+    # spread of 1 fails, so a StarFunction refuses it when built continuous
+    r = 0.5 * np.arange(5)
+    assert vertex_continuous(np.zeros(2))
+    assert not vertex_continuous(np.array([0.0, 1.0]))
+    with pytest.raises(VertexContinuityError):
+        StarFunction.from_samples(
+            StarGraph(2), GridSpec(cutoff=2.0, points_per_edge=5),
+            np.stack([r, r + 1.0]), continuous_at_vertex=True,
+        )
     # two edges sampled at h = 0.5 with outgoing slopes +1 and -1 balance
     # exactly, and two slopes +1 leave flux 2
-    r = 0.5 * np.arange(5)
     assert vertex_flux(np.stack([r, -r]), 0.5) == 0.0
     assert vertex_flux(np.stack([r, r]), 0.5) == pytest.approx(2.0, rel=1e-15)
-    # a Gaussian's zero slope on three edges: the one-sided stencil error only
-    r = np.linspace(0.0, 8.0, 513)
-    assert vertex_flux(np.tile(np.exp(-0.5 * r * r), (3, 1)), r[1]) < 1e-4
     with pytest.raises(StencilError):
         vertex_flux(np.stack([r[:2], -r[:2]]), 0.5)
 

@@ -10,9 +10,11 @@ from stargraph.geometry import (
     StarGraph,
     integrate_star,
     simpson_weights,
+    vertex_flux,
 )
 from stargraph.kernels import HARMONIC, OU, line_kernel
 from stargraph.semigroup import apply, evolve_sequence
+from stargraph.transform import ground_state
 
 # h = 1/64 puts the probe radii 0.5, 1, 2 on grid nodes
 GRID8 = GridSpec(cutoff=8.0, points_per_edge=513)
@@ -139,6 +141,16 @@ def test_semigroup_law_smoke(grid):
     window = grid.nodes() <= 4.0
     defect = np.abs(direct.values[:, window] - composed.values[:, window]).max()
     assert defect < 1e-7
+
+
+def test_vertex_defect_paths():
+    g = ground_state(3, GRID8)
+    sampled = StarFunction.from_samples(
+        StarGraph(3), GRID8, g.values, continuous_at_vertex=True
+    )
+    assert np.ptp(sampled.values[:, 0]) == 0.0
+    # one-sided stencil error only
+    assert vertex_flux(sampled.values, sampled.grid.h) < 1e-4
 
 
 def test_evolve_sequence_validation(grid):
