@@ -23,7 +23,6 @@ from .errors import (
 )
 from .extension import (
     CoefficientTriple,
-    even_odd_split,
     extend_coefficients,
     ho_coefficients,
     ou_coefficients,
@@ -115,7 +114,6 @@ __all__ = [
     "apply_generator",
     "eigenbasis",
     "evolve_sequence",
-    "even_odd_split",
     "extend_coefficients",
     "flat_factor",
     "form_spectrum",

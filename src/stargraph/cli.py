@@ -379,7 +379,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow to inf or NaN is reported through the results (strict JSON
+        # refuses them with exit 3), not through numpy's warnings on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except StabilityError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ExtensionError, NumericalInputError
-from .geometry import StarFunction
 
 __all__ = [
     "CoefficientTriple",
@@ -26,7 +25,6 @@ __all__ = [
     "ho_coefficients",
     "reflect",
     "extend_coefficients",
-    "even_odd_split",
 ]
 
 
@@ -115,20 +113,3 @@ def extend_coefficients(coeffs: CoefficientTriple) -> CoefficientTriple:
 
     return CoefficientTriple(q=q_ext, b=b_ext, c=c_ext, c_sup_bound=coeffs.c_sup_bound)
 
-
-def even_odd_split(f: StarFunction) -> tuple[StarFunction, StarFunction]:
-    """Split the samples into the edge-average part and the zero-edge-sum remainder.
-
-    The even part carries the same samples on every edge; the odd part sums
-    to zero across edges at every radius.  The two recombine to f exactly and
-    are orthogonal in the invariant-measure inner product.
-    """
-
-    avg = f.values.mean(axis=0)
-    even = StarFunction(
-        f.graph, f.grid, np.broadcast_to(avg, f.values.shape), continuous_at_vertex=True
-    )
-    odd = StarFunction(
-        f.graph, f.grid, f.values - avg, continuous_at_vertex=f.continuous_at_vertex
-    )
-    return even, odd

@@ -48,7 +48,7 @@ __all__ = [
 SQRT_PI = math.sqrt(math.pi)
 
 # vertex samples that spread by at most this share of max(1, |value|) are one
-# vertex value, whether continuity is claimed or detected
+# vertex value
 VERTEX_TOL = 1e-9
 
 
@@ -216,6 +216,13 @@ def vertex_flux(values: np.ndarray, h: float) -> np.ndarray:
     return np.abs(vertex_slopes(values, h).sum(axis=-1))
 
 
+def _disagreement(col: np.ndarray) -> str:
+    return (
+        f"vertex values disagree by {float(np.ptp(col)):.3e} "
+        f"(tolerance {VERTEX_TOL:.0e} times max(1, |vertex value|))"
+    )
+
+
 Profile = Callable[[np.ndarray], np.ndarray]
 
 
@@ -231,11 +238,14 @@ def _sample(profiles: tuple[Profile, ...], radii: np.ndarray) -> np.ndarray:
 class StarFunction:
     """Scalar function on a star graph, sampled per edge on a shared grid.
 
-    ``values`` has shape (m, points_per_edge).  When the function is flagged
-    continuous at the vertex the radius-zero sample is stored once and
-    mirrored to every edge, so continuity is structural rather than checked
-    downstream.  Optional per-edge ``profiles`` (callables of the radius)
-    allow re-evaluation beyond the stored grid.
+    ``values`` has shape (m, points_per_edge).  Vertex continuity is read
+    from the samples: when the radius-zero samples agree within VERTEX_TOL
+    they are stored as one value mirrored to every edge, and
+    ``continuous_at_vertex`` is set, so continuity is structural rather than
+    checked downstream.  Passing ``continuous_at_vertex=True`` asks for a
+    ``VertexContinuityError`` when they do not agree.  Optional per-edge
+    ``profiles`` (callables of the radius) allow re-evaluation beyond the
+    stored grid.
     """
 
     __slots__ = ("graph", "grid", "values", "continuous_at_vertex", "profiles",
@@ -251,6 +261,10 @@ class StarFunction:
         profiles: tuple[Profile, ...] | None = None,
         trusted_cutoff: float | None = None,
     ):
+        if profiles is not None and len(profiles) != graph.m:
+            raise ShapeError(
+                f"need one profile per edge ({graph.m}), got {len(profiles)}"
+            )
         values = np.array(values, dtype=float)
         if values.shape != (graph.m, grid.points_per_edge):
             raise ShapeError(
@@ -259,28 +273,28 @@ class StarFunction:
             )
         if not np.all(np.isfinite(values)):
             raise NumericalInputError("values must be finite")
-        if profiles is not None and len(profiles) != graph.m:
-            raise ShapeError(
-                f"need one profile per edge ({graph.m}), got {len(profiles)}"
-            )
-        if continuous_at_vertex:
-            col = values[:, 0]
-            if not vertex_continuous(col):
-                raise VertexContinuityError(
-                    f"vertex values disagree by {float(np.ptp(col)):.3e} "
-                    f"(tolerance {VERTEX_TOL:.0e} times max(1, |vertex value|))"
-                )
+        col = values[:, 0]
+        continuous = vertex_continuous(col)
+        if continuous:
             values[:, 0] = col[0]
+        elif continuous_at_vertex:
+            raise VertexContinuityError(_disagreement(col))
         values.flags.writeable = False
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "continuous_at_vertex", bool(continuous_at_vertex))
+        object.__setattr__(self, "continuous_at_vertex", continuous)
         object.__setattr__(self, "profiles", profiles)
         object.__setattr__(self, "trusted_cutoff", trusted_cutoff)
 
     def __setattr__(self, name, value):
         raise AttributeError("StarFunction is immutable")
+
+    def require_continuous(self, context: str) -> None:
+        """Raise VertexContinuityError, naming the vertex spread, unless continuous."""
+
+        if not self.continuous_at_vertex:
+            raise VertexContinuityError(f"{context}: {_disagreement(self.values[:, 0])}")
 
     # -- constructors ------------------------------------------------------
 
@@ -302,23 +316,15 @@ class StarFunction:
         grid: GridSpec,
         profiles: Sequence[Profile],
         *,
-        continuous_at_vertex: bool | None = None,
+        continuous_at_vertex: bool = False,
     ) -> "StarFunction":
-        """Sample per-edge callables; vertex continuity is auto-detected when
-        ``continuous_at_vertex`` is None."""
+        """Sample per-edge callables on the grid and keep them for re-sampling."""
 
         profiles = tuple(profiles)
-        if len(profiles) != graph.m:
-            raise ShapeError(
-                f"need one profile per edge ({graph.m}), got {len(profiles)}"
-            )
-        values = _sample(profiles, grid.nodes())
-        if continuous_at_vertex is None:
-            continuous_at_vertex = vertex_continuous(values[:, 0])
         return cls(
             graph,
             grid,
-            values,
+            _sample(profiles, grid.nodes()),
             continuous_at_vertex=continuous_at_vertex,
             profiles=profiles,
         )
@@ -404,8 +410,7 @@ class StarFunction:
         if radii_ref[0] != 0.0 or np.any(np.abs(spacing - spacing[0]) > 1e-9 * spacing[0]):
             raise ShapeError(f"radial grid must be uniform starting at 0 in {path}")
         grid = GridSpec(cutoff=float(radii_ref[-1]), points_per_edge=n)
-        continuous = vertex_continuous(values[:, 0])
-        return cls(StarGraph(m), grid, values, continuous_at_vertex=continuous)
+        return cls(StarGraph(m), grid, values)
 
 
 def integrate_star(f: StarFunction) -> float:

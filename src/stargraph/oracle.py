@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  the hook bench/tracing.py counts
 from scipy.linalg.lapack import dgtsv
 
-from .errors import DomainError, NumericalInputError, ShapeError, StabilityError, VertexContinuityError
+from .errors import DomainError, NumericalInputError, ShapeError, StabilityError
 from .extension import CoefficientTriple, extend_coefficients
 from .geometry import GridSpec, StarFunction, StarGraph, vertex_flux
 
@@ -282,8 +282,7 @@ def solve_star(
     line's.  Level 0 is the data itself.
     """
 
-    if not f.continuous_at_vertex:
-        raise VertexContinuityError("reflection extension requires a vertex-continuous function")
+    f.require_continuous("reflection extension requires a vertex-continuous function")
     x = cfg.grid()
     mid = x.size // 2
     if f.has_profiles():

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalInputError, ShapeError, VertexContinuityError
+from .errors import DomainError, NumericalInputError, ShapeError
 from .extension import reflect
 from .geometry import GridSpec, StarFunction, simpson_weights
 from .kernels import MIN_TIME, KernelSpec, kernel_band, line_kernel
@@ -88,8 +88,7 @@ def apply(
 
     if m != f.graph.m:
         raise ShapeError(f"edge count {m} does not match the function ({f.graph.m})")
-    if not f.continuous_at_vertex:
-        raise VertexContinuityError("semigroup input must be vertex-continuous")
+    f.require_continuous("semigroup input must be vertex-continuous")
     if grid is None:
         grid = f.grid
 

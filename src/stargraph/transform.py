@@ -63,7 +63,6 @@ def _scaled(f: StarFunction, scale: float, gauss_delta: float,
         f.graph,
         f.grid,
         values,
-        continuous_at_vertex=f.continuous_at_vertex,
         profiles=profiles,
         trusted_cutoff=trusted_cutoff,
     )

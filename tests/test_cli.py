@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,15 @@ def test_evolve_file_initial_round_trip(tmp_path, capsys):
     assert snapshot.grid == GridSpec(cutoff=6.0, points_per_edge=33)
     # edge-count mismatch is a usage error
     assert main(["evolve", "--m", "3", "--times", "0.5", f"--init=file:{path}"]) == EXIT_USAGE
+    # so is data whose vertex samples disagree, and the refusal names the spread
+    split = tmp_path / "split.csv"
+    split.write_text("edge,radius,value\n1,0,1\n1,1,1\n1,2,1\n2,0,0\n2,1,0\n2,2,0\n")
+    capsys.readouterr()
+    assert main(["evolve", "--m", "2", "--times", "0.5", f"--init=file:{split}"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: semigroup input must be vertex-continuous: vertex values disagree by "
+        "1.000e+00 (tolerance 1e-09 times max(1, |vertex value|))\n"
+    )
 
 
 def test_evolve_unknown_initial(tmp_path, capsys):
@@ -257,6 +267,24 @@ def test_non_finite_output_is_a_numerical_failure(capsys):
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: summary.json would hold a non-finite")
     assert captured.err.count("\n") == 1
+
+
+def test_overflow_prints_no_numpy_warnings(capsys):
+    # overflow shows in the results (a kernel value of 0, a refused summary),
+    # not as numpy RuntimeWarnings on stderr around them
+    runs = [
+        (["kernel", "--model", "ho", "--m", "3", "--t", "1", "--x", "0,1e200",
+          "--y", "1e200"], EXIT_OK),
+        (["evolve", "--cutoff", "1e300", "--points", "33", "--times", "0.5"], EXIT_NUMERIC),
+    ]
+    for argv, code in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code, argv
+        assert [str(w.message) for w in caught] == [], argv
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err, argv
+    assert captured.err.startswith("numerical failure: summary.json would hold a non-finite")
 
 
 def test_run_too_large_to_allocate_is_usage_error(capsys):

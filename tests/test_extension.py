@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from stargraph.errors import ExtensionError
 from stargraph.extension import (
     CoefficientTriple,
-    even_odd_split,
     extend_coefficients,
     ho_coefficients,
     ou_coefficients,
@@ -37,39 +36,6 @@ def test_reflect_frozen_values(coarse_grid):
     assert mirrored[2, 5] == pytest.approx(2.0 / 3.0, rel=1e-15)
     # at the shared vertex value the reflection is the identity
     assert np.allclose(mirrored[:, 0], 1.0, rtol=1e-15, atol=0)
-
-
-def test_even_odd_split_frozen(coarse_grid):
-    vals = indicator_star(coarse_grid)
-    f = StarFunction.from_samples(StarGraph(3), coarse_grid, vals, continuous_at_vertex=True)
-    even, odd = even_odd_split(f)
-    interior = slice(1, None)
-    assert np.allclose(even.values[:, interior], 1.0 / 3.0, rtol=1e-15)
-    assert np.allclose(odd.values[0, interior], 2.0 / 3.0, rtol=1e-15)
-    assert np.allclose(odd.values[1, interior], -1.0 / 3.0, rtol=1e-15)
-    assert even.continuous_at_vertex
-
-
-@given(
-    m=st.integers(min_value=1, max_value=5),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_even_odd_recombines_exactly(m, seed):
-    rng = np.random.default_rng(seed)
-    grid = GridSpec(cutoff=3.0, points_per_edge=33)
-    vals = rng.normal(size=(m, 33))
-    vals[:, 0] = vals[0, 0]
-    f = StarFunction.from_samples(StarGraph(m), grid, vals, continuous_at_vertex=True)
-    even, odd = even_odd_split(f)
-    scale = max(1.0, np.abs(vals).max())
-    # two roundings (subtract, then add back) keep us within a few ulps
-    assert np.abs(even.values + odd.values - f.values).max() < 1e-13 * scale
-    # odd part sums to zero over edges at every radius
-    assert np.abs(odd.values.sum(axis=0)).max() < 1e-12 * max(1.0, np.abs(vals).max())
-    # pointwise product of even and odd parts sums to zero across edges,
-    # which is the integrand of their inner product
-    prod = (even.values * odd.values).sum(axis=0)
-    assert np.abs(prod).max() < 1e-12 * max(1.0, np.abs(vals).max() ** 2)
 
 
 @given(

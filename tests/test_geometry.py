@@ -26,6 +26,8 @@ from stargraph.geometry import (
     vertex_continuous,
     vertex_flux,
 )
+from stargraph.kernels import OU
+from stargraph.semigroup import apply
 
 
 def test_star_graph_validation():
@@ -181,6 +183,41 @@ def test_from_callables_detects_continuity(grid):
         )
         assert f.continuous_at_vertex is continuous, spread
         assert bool(f.values[1, 0] == f.values[0, 0]) is continuous, spread
+
+
+@given(
+    m=st.integers(min_value=2, max_value=5),
+    value=st.floats(min_value=-1e3, max_value=1e3),
+    share=st.floats(min_value=0.0, max_value=0.9) | st.floats(min_value=1.1, max_value=4.0),
+)
+def test_admission_routes_decide_continuity_alike(tmp_path_factory, m, value, share):
+    # edges constant at one value, the last one higher by share * VERTEX_TOL
+    # * max(1, |value|): every way of building a StarFunction reads the same
+    # continuity off the samples, and apply accepts exactly the continuous
+    graph, grid = StarGraph(m), GridSpec(cutoff=2.0, points_per_edge=9)
+    levels = np.full(m, value)
+    levels[-1] += share * VERTEX_TOL * max(1.0, abs(value))
+    vals = np.repeat(levels[:, None], grid.points_per_edge, axis=1)
+    profiles = tuple(
+        (lambda x, v=v: np.full_like(np.asarray(x, dtype=float), v)) for v in levels
+    )
+    routes = [
+        StarFunction(graph, grid, vals),
+        StarFunction.from_samples(graph, grid, vals),
+        StarFunction.from_callables(graph, grid, profiles),
+    ]
+    path = tmp_path_factory.mktemp("route") / "f.csv"
+    routes[0].to_csv(path)
+    routes.append(StarFunction.from_csv(path))
+    continuous = share < 1.0
+    for f in routes:
+        assert f.continuous_at_vertex is continuous
+        if continuous:
+            assert np.ptp(f.values[:, 0]) == 0.0
+            apply(OU, m, 0.5, f)
+        else:
+            with pytest.raises(VertexContinuityError):
+                apply(OU, m, 0.5, f)
 
 
 def test_evaluate_profiles(grid):

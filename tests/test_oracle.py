@@ -513,8 +513,14 @@ def test_star_solve_refuses_vertex_discontinuous_data():
     sampled = StarFunction.from_samples(StarGraph(2), grid, vals)
     for f in (profiled, sampled):
         assert not f.continuous_at_vertex
-        with pytest.raises(VertexContinuityError):
+        with pytest.raises(VertexContinuityError, match=r"disagree by .* \(tolerance 1e-09"):
             solve_star(ou_coefficients(), f, cfg)
+    # continuity is read from the samples, so a constant needs no flag
+    ones = np.ones((2, 65))
+    asked = solve_star(ou_coefficients(), StarFunction.from_samples(
+        StarGraph(2), grid, ones, continuous_at_vertex=True), cfg)
+    read = solve_star(ou_coefficients(), StarFunction(StarGraph(2), grid, ones), cfg)
+    assert np.array_equal(read.values, asked.values)
 
 
 def test_truncation_study_confinement():

@@ -20,7 +20,7 @@ InvalidGraphError InvalidPointError KernelSpec MIN_TIME NumericalInputError OU
 OracleConfig PolyGauss ShapeError SpectralDatum StabilityError StarEvolution
 StarFunction StarGraph StarGraphError StarPoint StencilError TRUST_RADIUS
 TabulatedLineKernel TracePair TruncationRow VertexContinuityError
-apply apply_generator eigenbasis even_odd_split evolve_sequence
+apply apply_generator eigenbasis evolve_sequence
 extend_coefficients flat_factor form_spectrum from_flat ground_state
 hermite_coefficients ho_coefficients ho_line_kernel integrate_star line_kernel mu_density multiplicity
 ou_coefficients ou_line_kernel similarity_defect simpson_weights

@@ -76,8 +76,16 @@ def test_requires_vertex_continuity(grid):
     vals = np.zeros((2, grid.points_per_edge))
     vals[0, :] = 1.0
     f = StarFunction.from_samples(StarGraph(2), grid, vals)
-    with pytest.raises(VertexContinuityError):
+    # the refusal names the measured vertex spread and the tolerance
+    with pytest.raises(VertexContinuityError, match=r"disagree by 1\.000e\+00 \(tolerance 1e-09"):
         apply(OU, 2, 0.5, f)
+    # continuity is read from the samples: a constant built with no flag is
+    # accepted and evolves bit for bit as when continuity is asked for
+    graph, coarse, ones = StarGraph(3), GridSpec(6.0, 65), np.ones((3, 65))
+    asked = apply(OU, 3, 0.5, StarFunction(graph, coarse, ones, continuous_at_vertex=True))
+    for f in (StarFunction(graph, coarse, ones), StarFunction.from_samples(graph, coarse, ones)):
+        assert f.continuous_at_vertex
+        assert np.array_equal(apply(OU, 3, 0.5, f).values, asked.values)
 
 
 def test_conservativity_smoke(grid):
