@@ -48,6 +48,50 @@ def _check_time(t: float) -> float:
     return t
 
 
+def _ou_values(t: float, x, y, out=None, spare=None):
+    """OU kernel at a checked time, written into ``out`` when it is given.
+
+    With ``out`` (the broadcast shape of x and y) every step writes in place,
+    so a block of ``apply`` allocates nothing; ``spare`` is not used.
+    Without it no ufunc is passed ``out=``: scalar calls stay on numpy
+    scalars, where ``np.exp(..., out=)`` on 0-d arrays is three times slower
+    and even ``out=None`` costs a third of a microsecond per ufunc.
+    """
+
+    s = -math.expm1(-2.0 * t)  # 1 - e^{-2t}, accurate for small t
+    z = math.exp(-t) * x
+    k = z - y if out is None else np.subtract(z, y, out=out)
+    k *= k
+    k /= -s  # -(z^2)/s to the last bit: IEEE division rounds |z^2|/s alike for either sign
+    k = np.exp(k) if out is None else np.exp(k, out=out)
+    k /= math.sqrt(math.pi * s)
+    return k
+
+
+def _ho_values(t: float, x, y, out=None, spare=None):
+    """HO kernel at a checked time, written into ``out`` when it is given.
+
+    ``spare``, a second buffer of the same shape, takes the (x + y)^2 term,
+    so with both buffers a block of ``apply`` allocates nothing.
+    """
+
+    s = -math.expm1(-2.0 * t)
+    e = math.exp(-t)
+    # the exponent (4xye - (x^2 + y^2)(1 + e^2)) / (2s) as minus a sum of two
+    # squares, -[(1 + e)^2 (x - y)^2 + (1 - e)^2 (x + y)^2] / (4s): no inf - inf
+    # at huge radii, where it underflows to 0, and no cancellation at small t
+    k = x - y if out is None else np.subtract(x, y, out=out)
+    k *= k
+    k *= -(1.0 + e) ** 2 / (4.0 * s)
+    p = x + y if out is None else np.add(x, y, out=spare)
+    p *= p
+    p *= math.expm1(-t) ** 2 / (4.0 * s)
+    k -= p
+    k = np.exp(k) if out is None else np.exp(k, out=out)
+    k /= math.sqrt(math.pi * s)
+    return k
+
+
 def ou_line_kernel(t: float, x, y):
     """Transition density of the unit-rate drift-to-origin diffusion.
 
@@ -55,12 +99,7 @@ def ou_line_kernel(t: float, x, y):
     to one over the line and converges to exp(-y^2)/sqrt(pi) as t grows.
     """
 
-    t = _check_time(t)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = -math.expm1(-2.0 * t)  # 1 - e^{-2t}, accurate for small t
-    z = math.exp(-t) * x - y
-    return np.exp(-(z * z) / s) / math.sqrt(math.pi * s)
+    return _ou_values(_check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def ho_line_kernel(t: float, x, y):
@@ -69,27 +108,7 @@ def ho_line_kernel(t: float, x, y):
     Symmetric in (x, y); fixes the Gaussian ground state exp(-x^2/2).
     """
 
-    t = _check_time(t)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = -math.expm1(-2.0 * t)
-    e = math.exp(-t)
-    # the exponent (4xye - (x^2 + y^2)(1 + e^2)) / (2s) as minus a sum of two
-    # squares, -[(1 + e)^2 (x - y)^2 + (1 - e)^2 (x + y)^2] / (4s): no inf - inf
-    # at huge radii, where it underflows to 0, and no cancellation at small t
-    d = x - y
-    d *= d
-    d *= -(1.0 + e) ** 2 / (4.0 * s)
-    p = x + y
-    p *= p
-    p *= math.expm1(-t) ** 2 / (4.0 * s)
-    d -= p
-    # dividing in place saves one block-sized temporary; with it, glibc gave
-    # the blocks' pages back and apply refaulted them (9k page faults per
-    # call and twice the time at 1025 points, t = 0.05)
-    k = np.exp(d)
-    k /= math.sqrt(math.pi * s)
-    return k
+    return _ho_values(_check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -114,13 +133,22 @@ def check_spec(spec) -> None:
         raise DomainError(f"no closed-form kernel or generator for {spec!r}; pass OU or HARMONIC")
 
 
+def kernel_writer(spec: KernelSpec):
+    """The formula of the line kernel selected by ``spec``, as ``f(t, x, y, out, spare)``.
+
+    ``t`` must already be checked.  ``apply`` passes two buffers of the
+    broadcast shape of x and y, and the values are written into ``out``.
+    """
+
+    check_spec(spec)
+    return _ou_values if spec.tag == "ou" else _ho_values
+
+
 def line_kernel(spec: KernelSpec, t: float, x, y):
     """Evaluate the line kernel selected by ``spec`` (broadcasts over x, y)."""
 
-    check_spec(spec)
-    if spec.tag == "ou":
-        return ou_line_kernel(t, x, y)
-    return ho_line_kernel(t, x, y)
+    write = kernel_writer(spec)
+    return write(_check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def kernel_band(spec: KernelSpec, t: float) -> tuple[float, float]:

@@ -23,18 +23,18 @@ import numpy as np
 from .errors import DomainError, NumericalInputError, ShapeError
 from .extension import reflect
 from .geometry import GridSpec, StarFunction, simpson_weights
-from .kernels import MIN_TIME, KernelSpec, kernel_band, line_kernel
+from .kernels import MIN_TIME, KernelSpec, kernel_band, kernel_writer
 
 __all__ = ["apply", "evolve_sequence"]
 
 # Output rows per block: BLOCK_ROWS, or fewer where the band is so wide that
-# a block's kernel array would exceed BLOCK_VALUES values.  32 rows were
-# faster than both 16 and 64 on 65- to 1537-point grids, where smaller blocks
-# lose more to per-block calls than their narrower windows save.  Larger
-# arrays make each of the kernel's temporaries fresh pages: at 2049 points
-# and t = 0.5 one call took 80k page faults and 250 ms at 32 rows, and 300
-# faults and 80 ms at this budget, the fastest of 16k to 64k values on 1025-
-# to 2049-point grids.
+# a block's kernel array would exceed BLOCK_VALUES values.  Every block's
+# kernel is written into the same two buffers of one call, so no block
+# faults in fresh pages; the budget keeps a block's kernel (192 kB) in cache
+# for its product: without it, HO at 2049 points and t = 2 took 144 ms
+# instead of 107.  With the buffers, 16 or 64 rows and 12k to 98k values were
+# not clearly faster on 129- to 2049-point grids, and any other block shape
+# moves the band windows and with them the last bits of the output.
 BLOCK_ROWS = 32
 BLOCK_VALUES = 24576
 
@@ -92,7 +92,8 @@ def apply(
     if grid is None:
         grid = f.grid
 
-    lam, b = kernel_band(spec, t)
+    lam, b = kernel_band(spec, t)  # refuses a bad time
+    t = float(t)
     y, hq, vals = _quadrature_grid(f, lam * grid.cutoff + b)
     fw = vals * simpson_weights(y.size, hq)
     y = np.concatenate([-y[::-1], y])
@@ -100,12 +101,23 @@ def apply(
 
     x = grid.nodes()
     rows = min(BLOCK_ROWS, max(1, BLOCK_VALUES // int(min(y.size, 2.0 * b / hq + 1.0))))
+    starts = np.arange(0, x.size, rows)
+    ends = np.minimum(starts + rows, x.size)
+    lo = np.searchsorted(y, lam * x[starts] - b)
+    hi = np.searchsorted(y, lam * x[ends - 1] + b, side="right")
+    # every block's kernel is written into a prefix of the same two buffers
+    # (the second takes HO's (x + y)^2 term), sized for the largest block: no
+    # block allocates, so no block faults in pages the one before gave back
+    size = int(((ends - starts) * (hi - lo)).max())
+    buf, spare = np.empty(size), np.empty(size)
+    kernel = kernel_writer(spec)
     out = np.empty((m, x.size))
-    for i0 in range(0, x.size, rows):
-        xb = x[i0:i0 + rows, None]
-        j0 = int(np.searchsorted(y, lam * xb[0, 0] - b))
-        j1 = int(np.searchsorted(y, lam * xb[-1, 0] + b, side="right"))
-        out[:, i0:i0 + rows] = fw[:, j0:j1] @ line_kernel(spec, t, xb, y[j0:j1]).T
+    for i0, i1, j0, j1 in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
+        shape = (i1 - i0, j1 - j0)
+        cells = shape[0] * shape[1]
+        k = kernel(t, x[i0:i1, None], y[j0:j1],
+                   buf[:cells].reshape(shape), spare[:cells].reshape(shape))
+        out[:, i0:i1] = fw[:, j0:j1] @ k.T
 
     return StarFunction(
         f.graph,

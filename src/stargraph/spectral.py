@@ -27,8 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P, polyutils
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dpttrf, dpttrs, dstemr
 
 from .errors import AssemblyError, DomainError, ShapeError
 from .geometry import (
@@ -308,6 +306,8 @@ def _lanczos_lowest(a_diag, a_off, b_diag, b_off, count: int) -> np.ndarray:
     space is the whole space.
     """
 
+    from scipy.linalg.lapack import dpttrf, dpttrs, dstemr  # loaded when a solve runs
+
     n = a_diag.size
     t_diag, t_off, info = dpttrf(a_diag + b_diag, a_off + b_off)
     if info != 0:
@@ -373,6 +373,8 @@ def _sector_eigenvalues(
     a_diag, a_off = stiff_diag * scale * scale, stiff_off * pair
     b_diag, b_off = mass_diag * scale * scale, mass_off * pair
     if count is None or count > LANCZOS_SHARE * a_diag.size:
+        from scipy.linalg import eigh  # loaded when a dense solve runs
+
         vals = eigh(_tridiagonal(a_diag, a_off), _tridiagonal(b_diag, b_off), eigvals_only=True)
         return vals[:count]
     vals = _lanczos_lowest(a_diag, a_off, b_diag, b_off, count)

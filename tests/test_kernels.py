@@ -15,6 +15,7 @@ from stargraph.kernels import (
     KernelSpec,
     ho_line_kernel,
     kernel_band,
+    kernel_writer,
     line_kernel,
     ou_line_kernel,
     star_kernel,
@@ -76,6 +77,34 @@ def test_ho_kernel_underflows_at_huge_radii():
             assert float(ho_line_kernel(1.0, x, y)) == 0.0, (x, y)
         value = star_kernel(HARMONIC, 3, 1.0, StarPoint(1, 1e200), StarPoint(1, 1e200))
     assert value == 0.0
+
+
+@pytest.mark.parametrize("t", [1e-8, 1e-3, 0.5])
+@pytest.mark.parametrize("spec, public", [(OU, ou_line_kernel), (HARMONIC, ho_line_kernel)],
+                         ids=["ou", "ho"])
+def test_block_writer_matches_public_kernels(spec, public, t):
+    # apply writes each block's kernel into reused buffers; the values must be
+    # the public kernel's to the last bit, also where HO underflows at huge radii
+    write = kernel_writer(spec)
+    cases = [(np.linspace(0.0, 6.0, 7)[:, None], np.linspace(-6.5, 6.5, 53)),
+             (np.array([[0.0], [1e200]]), np.array([0.0, 1e200]))]
+    with np.errstate(over="ignore"):
+        for x, y in cases:
+            shape = (x.shape[0], y.size)
+            buf, spare = np.full(x.size * y.size + 5, np.nan), np.empty(shape)
+            out = buf[: x.size * y.size].reshape(shape)
+            got = write(t, x, y, out, spare)
+            assert got is out
+            assert np.array_equal(got, public(t, x, y))
+            assert np.isnan(buf[out.size:]).all()  # nothing past the block's prefix
+
+
+def test_public_kernels_return_scalars_for_scalar_input():
+    for kernel in (ou_line_kernel, ho_line_kernel):
+        value = kernel(0.5, 0.3, -0.2)
+        assert np.ndim(value) == 0 and isinstance(value, float)
+        assert value == kernel(0.5, np.array([0.3]), np.array([-0.2]))[0]
+    assert isinstance(line_kernel(HARMONIC, 1.0, 0.0, 1e-3), float)
 
 
 @given(t=times, x=signed, y=signed)

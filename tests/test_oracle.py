@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import scipy.linalg.lapack
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
-import stargraph.oracle
 from stargraph.errors import (
     DomainError,
     NumericalInputError,
@@ -205,7 +205,8 @@ def test_non_finite_solution_is_refused(monkeypatch):
         out[3][...] = math.nan
         return out
 
-    monkeypatch.setattr(stargraph.oracle, "dgtsv", nan_gtsv)
+    # the march reads dgtsv from scipy.linalg.lapack when it runs
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", nan_gtsv)
     cfg = OracleConfig(n=2.0, h=0.25, dt=0.1, theta=0.5, t_final=0.2)
     with pytest.raises(StabilityError, match="solution became non-finite at step 1"):
         solve_line_dirichlet(heat_coefficients(), np.exp(-np.square(cfg.grid())), cfg)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -141,10 +142,36 @@ def test_modules_import_only_what_they_use():
     assert unused == []
 
 
+def _source_env() -> dict:
+    """The environment with this checkout's sources first on PYTHONPATH."""
+
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_starts_without_scipy_linalg():
+    # scipy.linalg takes most of a cold start, and only the solvers need it:
+    # the kernel-formula commands must neither import nor load it
+    script = """
+import contextlib, io, json, sys
+import stargraph.cli
+loaded = ["scipy.linalg" in sys.modules]
+codes = []
+for argv in (["evolve", "--times", "0.5"], ["kernel", "--t", "1", "--x", "0.5", "--y", "0.2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(stargraph.cli.main(argv))
+    loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_source_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0, 0], "loaded": [False, False, False]}
+
+
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
 def test_scripts_run_with_default_arguments(script):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+                          env=_source_env(), timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
