@@ -42,9 +42,7 @@ from .kernels import (
     MIN_TIME,
     OU,
     KernelSpec,
-    ho_line_kernel,
     line_kernel,
-    ou_line_kernel,
     star_kernel,
 )
 from .oracle import (
@@ -121,13 +119,11 @@ __all__ = [
     "ground_state",
     "hermite_coefficients",
     "ho_coefficients",
-    "ho_line_kernel",
     "integrate_star",
     "line_kernel",
     "mu_density",
     "multiplicity",
     "ou_coefficients",
-    "ou_line_kernel",
     "similarity_defect",
     "simpson_weights",
     "solve_line_dirichlet",

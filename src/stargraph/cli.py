@@ -21,13 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StabilityError, StarGraphError
+from .errors import DomainError, StabilityError, StarGraphError
 from .extension import ho_coefficients, ou_coefficients
 from .geometry import (
     GridSpec,
     StarFunction,
     StarGraph,
     StarPoint,
+    check_edge_count,
     integrate_star,
     sup_distance,
     vertex_flux,
@@ -193,16 +194,17 @@ def cmd_spectrum(args) -> int:
     grid = GridSpec(cutoff=args.cutoff, points_per_edge=args.points)
     if args.levels < 1:
         raise StarGraphError(f"--levels must be at least 1, got {args.levels}")
-    expected: list[int] = []
-    for k in range(args.levels):
-        expected.extend([k] * multiplicity(k, args.m))
+    check_edge_count(args.m, DomainError)
+    # levels 0, 2, 4, ... are simple and 1, 3, 5, ... have m - 1 values each
+    count = (args.levels + 1) // 2 + (args.levels // 2) * (args.m - 1)
     dim = 1 + args.m * (args.points - 1)
-    if len(expected) > dim:
+    if count > dim:
         raise StarGraphError(
-            f"--levels {args.levels} needs {len(expected)} eigenvalues, but {args.points} "
+            f"--levels {args.levels} needs {count} eigenvalues, but {args.points} "
             f"points on {args.m} edges give only {dim}"
         )
-    numeric = form_spectrum(args.m, grid, count=len(expected))
+    expected = [k for k in range(args.levels) for _ in range(multiplicity(k, args.m))]
+    numeric = form_spectrum(args.m, grid, count=count)
     rows = []
     worst = 0.0
     for idx, (ev, k) in enumerate(zip(numeric, expected)):

@@ -117,8 +117,8 @@ class StarPoint:
 class GridSpec:
     """Uniform radial grid on [0, cutoff] with ``points_per_edge`` nodes."""
 
-    cutoff: float = 6.0
-    points_per_edge: int = 513
+    cutoff: float
+    points_per_edge: int
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.cutoff) or self.cutoff <= 0:
@@ -248,8 +248,7 @@ class StarFunction:
     stored grid.
     """
 
-    __slots__ = ("graph", "grid", "values", "continuous_at_vertex", "profiles",
-                 "trusted_cutoff")
+    __slots__ = ("graph", "grid", "values", "continuous_at_vertex", "profiles")
 
     def __init__(
         self,
@@ -259,7 +258,6 @@ class StarFunction:
         *,
         continuous_at_vertex: bool = False,
         profiles: tuple[Profile, ...] | None = None,
-        trusted_cutoff: float | None = None,
     ):
         if profiles is not None and len(profiles) != graph.m:
             raise ShapeError(
@@ -285,7 +283,6 @@ class StarFunction:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "continuous_at_vertex", continuous)
         object.__setattr__(self, "profiles", profiles)
-        object.__setattr__(self, "trusted_cutoff", trusted_cutoff)
 
     def __setattr__(self, name, value):
         raise AttributeError("StarFunction is immutable")

@@ -22,8 +22,6 @@ __all__ = [
     "KernelSpec",
     "OU",
     "HARMONIC",
-    "ou_line_kernel",
-    "ho_line_kernel",
     "line_kernel",
     "kernel_band",
     "star_kernel",
@@ -49,7 +47,12 @@ def _check_time(t: float) -> float:
 
 
 def _ou_values(t: float, x, y, out=None, spare=None):
-    """OU kernel at a checked time, written into ``out`` when it is given.
+    """Transition density of the unit-rate drift-to-origin diffusion (OU).
+
+    Gaussian in y with mean e^{-t} x and variance (1 - e^{-2t})/2; integrates
+    to one over the line and converges to exp(-y^2)/sqrt(pi) as t grows.
+    ``t`` must already be checked, and the values are written into ``out``
+    when it is given.
 
     With ``out`` (the broadcast shape of x and y) every step writes in place,
     so a block of ``apply`` allocates nothing; ``spare`` is not used.
@@ -69,10 +72,13 @@ def _ou_values(t: float, x, y, out=None, spare=None):
 
 
 def _ho_values(t: float, x, y, out=None, spare=None):
-    """HO kernel at a checked time, written into ``out`` when it is given.
+    """Propagator of the quadratic-potential operator (f'' - x^2 f + f)/2 (HO).
 
-    ``spare``, a second buffer of the same shape, takes the (x + y)^2 term,
-    so with both buffers a block of ``apply`` allocates nothing.
+    Symmetric in (x, y); fixes the Gaussian ground state exp(-x^2/2).  ``t``
+    must already be checked, and the values are written into ``out`` when it
+    is given.  ``spare``, a second buffer of the same shape, takes the
+    (x + y)^2 term, so with both buffers a block of ``apply`` allocates
+    nothing.
     """
 
     s = -math.expm1(-2.0 * t)
@@ -90,25 +96,6 @@ def _ho_values(t: float, x, y, out=None, spare=None):
     k = np.exp(k) if out is None else np.exp(k, out=out)
     k /= math.sqrt(math.pi * s)
     return k
-
-
-def ou_line_kernel(t: float, x, y):
-    """Transition density of the unit-rate drift-to-origin diffusion.
-
-    Gaussian in y with mean e^{-t} x and variance (1 - e^{-2t})/2; integrates
-    to one over the line and converges to exp(-y^2)/sqrt(pi) as t grows.
-    """
-
-    return _ou_values(_check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-
-def ho_line_kernel(t: float, x, y):
-    """Propagator of the quadratic-potential operator (f'' - x^2 f + f)/2.
-
-    Symmetric in (x, y); fixes the Gaussian ground state exp(-x^2/2).
-    """
-
-    return _ho_values(_check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -145,7 +132,12 @@ def kernel_writer(spec: KernelSpec):
 
 
 def line_kernel(spec: KernelSpec, t: float, x, y):
-    """Evaluate the line kernel selected by ``spec`` (broadcasts over x, y)."""
+    """Evaluate the line kernel selected by ``spec`` (broadcasts over x, y).
+
+    ``OU`` gives the drift-to-origin transition density and ``HARMONIC`` the
+    quadratic-potential propagator; see ``_ou_values`` and ``_ho_values`` for
+    their formulas.
+    """
 
     write = kernel_writer(spec)
     return write(_check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))

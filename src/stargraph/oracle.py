@@ -58,15 +58,16 @@ class OracleConfig:
     """Discretization of the truncated line problems.
 
     ``n`` is the half-width of the interval, ``h`` the mesh width (n/h must
-    be an integer), ``dt`` the step size and ``theta`` the implicit weight
-    (1/2 = trapezoidal, 1 = backward Euler).
+    be an integer), ``dt`` the step size, ``t_final`` the last time (a whole
+    number of steps) and ``theta`` the implicit weight (1/2 = trapezoidal,
+    1 = backward Euler).
     """
 
-    n: float = 8.0
-    h: float = 1.0 / 64.0
-    dt: float = 1e-3
+    n: float
+    h: float
+    dt: float
+    t_final: float
     theta: float = 0.5
-    t_final: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.n) and self.n > 0):
@@ -375,7 +376,7 @@ class TabulatedLineKernel(NamedTuple):
     """The marched line kernel on the oracle grid ``x`` at the listed times.
 
     ``values[i][a, b]`` is the kernel at ``times[i]`` from ``x[a]`` to
-    ``x[b]``, so it compares with ``ou_line_kernel(t, xx, yy)`` for
+    ``x[b]``, so it compares with ``line_kernel(OU, t, xx, yy)`` for
     ``xx, yy = np.meshgrid(x, x, indexing="ij")``.
     """
 

@@ -40,19 +40,29 @@ BLOCK_VALUES = 24576
 
 OVERSAMPLE = 2  # callable-backed inputs are sampled this many times finer than their grid
 
+# A callable-backed quadrature grid with more nodes per edge than this (8 TiB
+# of samples per edge) is refused before anything is allocated.
+MAX_QUADRATURE_NODES = 2**40
+
 
 def _quadrature_grid(f: StarFunction, reach: float):
     """Radial quadrature nodes j·hq up to ``reach`` (even interval count), with the data."""
 
     refine = OVERSAMPLE if f.has_profiles() else 1
     hq = f.grid.h / refine
-    intervals = math.ceil(reach / hq)
-    intervals += intervals % 2
-    if not f.has_profiles():
+    if f.has_profiles():
+        if not reach <= MAX_QUADRATURE_NODES * hq:  # also when hq underflows to 0
+            raise DomainError(
+                f"the quadrature step {hq:.3g} is too fine to reach radius {reach:.3g} "
+                f"within {MAX_QUADRATURE_NODES:.3g} nodes per edge"
+            )
+        nodes = reach / hq
+    else:
         # zeros past the last sample contribute nothing; keep one zero node
         # so the last sample carries an interior Simpson weight
-        last = f.grid.points_per_edge - 1
-        intervals = min(intervals, last + 1 + (last + 1) % 2)
+        nodes = min(reach / hq, f.grid.points_per_edge)
+    intervals = math.ceil(nodes)
+    intervals += intervals % 2
     y = np.arange(intervals + 1) * hq
     if f.has_profiles():
         vals = f.evaluate_profiles(y)
@@ -70,7 +80,7 @@ def apply(
     m: int,
     t: float,
     f: StarFunction,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
 ) -> StarFunction:
     """Evolve ``f`` for time ``t`` and sample the result on ``grid``.
 
@@ -89,8 +99,6 @@ def apply(
     if m != f.graph.m:
         raise ShapeError(f"edge count {m} does not match the function ({f.graph.m})")
     f.require_continuous("semigroup input must be vertex-continuous")
-    if grid is None:
-        grid = f.grid
 
     lam, b = kernel_band(spec, t)  # refuses a bad time
     t = float(t)
@@ -119,13 +127,7 @@ def apply(
                    buf[:cells].reshape(shape), spare[:cells].reshape(shape))
         out[:, i0:i1] = fw[:, j0:j1] @ k.T
 
-    return StarFunction(
-        f.graph,
-        grid,
-        out,
-        continuous_at_vertex=True,
-        trusted_cutoff=f.trusted_cutoff,
-    )
+    return StarFunction(f.graph, grid, out, continuous_at_vertex=True)
 
 
 def evolve_sequence(
@@ -133,7 +135,7 @@ def evolve_sequence(
     m: int,
     times: Sequence[float],
     f: StarFunction,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
 ) -> list[StarFunction]:
     """Apply the semigroup at each listed time, always from the initial data."""
 

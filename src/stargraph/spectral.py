@@ -37,7 +37,7 @@ from .geometry import (
     is_integer,
     simpson_weights,
 )
-from .kernels import KernelSpec, check_spec, ou_line_kernel
+from .kernels import OU, KernelSpec, check_spec, line_kernel
 
 __all__ = [
     "PolyGauss",
@@ -145,7 +145,7 @@ def multiplicity(k: int, m: int) -> int:
     return _multiplicity(k, m)
 
 
-def eigenbasis(m: int, k: int, grid: GridSpec | None = None) -> SpectralDatum:
+def eigenbasis(m: int, k: int, grid: GridSpec) -> SpectralDatum:
     """Analytic eigenfunctions of the drift generator at eigenvalue -k.
 
     Even k: the Hermite polynomial on every edge (edge derivative vanishes
@@ -154,8 +154,6 @@ def eigenbasis(m: int, k: int, grid: GridSpec | None = None) -> SpectralDatum:
     levels.
     """
 
-    if grid is None:
-        grid = GridSpec()
     graph = StarGraph(m)
     prof = PolyGauss(hermite_coefficients(k))
     zero = PolyGauss((0.0,))
@@ -461,7 +459,7 @@ def _half_line_gaussian_quadrature(t: float, reflected: bool) -> float:
     x = np.linspace(0.0, cutoff, n)
     w = simpson_weights(n, x[1] - x[0])
     y = -x if reflected else x
-    return float(np.dot(w, ou_line_kernel(t, x, y)))
+    return float(np.dot(w, line_kernel(OU, t, x, y)))
 
 
 def trace_partial(t: float, m: int, terms: int) -> TracePair:
@@ -477,7 +475,9 @@ def trace_partial(t: float, m: int, terms: int) -> TracePair:
         raise DomainError(f"trace quadrature needs a finite time t >= 0.05, got {t}")
     check_edge_count(m, DomainError)
     _check_nonnegative_int(terms, "term count")
-    partial = sum(_multiplicity(k, m) * math.exp(-k * t) for k in range(terms + 1))
+    # e^{-kt} is exactly 0.0 once kt > 746, so later terms add nothing
+    last = min(terms, int(746.0 / t))
+    partial = sum(_multiplicity(k, m) * math.exp(-k * t) for k in range(last + 1))
     direct = _half_line_gaussian_quadrature(t, reflected=False)
     refl = _half_line_gaussian_quadrature(t, reflected=True)
     return TracePair(partial_sum=float(partial), kernel_trace=m * direct + (2.0 - m) * refl)

@@ -51,41 +51,31 @@ def _wrap_profile(fn, scale: float, gauss_delta: float):
     return wrapped
 
 
-def _scaled(f: StarFunction, scale: float, gauss_delta: float,
-            trusted_cutoff: float | None) -> StarFunction:
+def _scaled(f: StarFunction, scale: float, gauss_delta: float) -> StarFunction:
     x = f.grid.nodes()
     factor = scale * np.exp(-0.5 * gauss_delta * x * x)
     values = f.values * factor[None, :]
     profiles = None
     if f.has_profiles():
         profiles = tuple(_wrap_profile(fn, scale, gauss_delta) for fn in f.profiles)
-    return StarFunction(
-        f.graph,
-        f.grid,
-        values,
-        profiles=profiles,
-        trusted_cutoff=trusted_cutoff,
-    )
+    return StarFunction(f.graph, f.grid, values, profiles=profiles)
 
 
 def to_flat(f: StarFunction) -> StarFunction:
     """Multiply by sqrt(c_m) exp(-x^2/2); preserves vertex continuity."""
 
-    return _scaled(f, flat_factor(f.graph.m), 1.0, f.trusted_cutoff)
+    return _scaled(f, flat_factor(f.graph.m), 1.0)
 
 
 def from_flat(f: StarFunction) -> StarFunction:
     """Divide by sqrt(c_m) exp(-x^2/2); trusted only inside TRUST_RADIUS."""
 
-    cutoff = TRUST_RADIUS if f.trusted_cutoff is None else min(f.trusted_cutoff, TRUST_RADIUS)
-    return _scaled(f, 1.0 / flat_factor(f.graph.m), -1.0, cutoff)
+    return _scaled(f, 1.0 / flat_factor(f.graph.m), -1.0)
 
 
-def ground_state(m: int, grid: GridSpec | None = None) -> StarFunction:
+def ground_state(m: int, grid: GridSpec) -> StarFunction:
     """exp(-x^2/2) on every edge: the oscillator semigroup fixes it."""
 
-    if grid is None:
-        grid = GridSpec()
     prof = PolyGauss((1.0,), gauss=1.0)
     return StarFunction.from_callables(
         StarGraph(m), grid, (prof,) * m, continuous_at_vertex=True
@@ -96,7 +86,7 @@ def similarity_defect(
     m: int,
     t: float,
     f: StarFunction,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
 ) -> float:
     """Sup distance between the two routes from f to the oscillator picture.
 

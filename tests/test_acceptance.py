@@ -18,7 +18,7 @@ from stargraph.geometry import (
     integrate_star,
     sup_distance,
 )
-from stargraph.kernels import HARMONIC, OU, ho_line_kernel, ou_line_kernel, star_kernel
+from stargraph.kernels import HARMONIC, OU, line_kernel, star_kernel
 from stargraph.oracle import OracleConfig, solve_line_dirichlet, solve_star
 from stargraph.semigroup import apply
 from stargraph.spectral import (
@@ -50,7 +50,7 @@ def _bump(x):
 def test_criterion_01_two_edge_star_is_the_line():
     radii = np.arange(0.0, 3.5, 0.5)
     worst = 0.0
-    for kind, line in ((OU, ou_line_kernel), (HARMONIC, ho_line_kernel)):
+    for kind in (OU, HARMONIC):
         for t in (0.1, 0.7, 2.0):
             for xr in radii:
                 for yr in radii:
@@ -61,7 +61,7 @@ def test_criterion_01_two_edge_star_is_the_line():
                             star = star_kernel(
                                 kind, 2, t, StarPoint(x_edge, xr), StarPoint(y_edge, yr)
                             )
-                            direct = float(line(t, sx * xr, sy * yr))
+                            direct = float(line_kernel(kind, t, sx * xr, sy * yr))
                             worst = max(worst, abs(star - direct))
     _report(1, "two-edge star reproduces the line kernel", worst, 1e-13)
 
@@ -214,10 +214,10 @@ def test_criterion_09_kernel_inequalities():
     radii = np.linspace(0.0, 3.0, 100)
     xg, yg = np.meshgrid(radii, radii, indexing="ij")
     domination_ok = True
-    for line in (ou_line_kernel, ho_line_kernel):
+    for kind in (OU, HARMONIC):
         for t in (0.1, 1.0):
             domination_ok = domination_ok and bool(
-                np.all(line(t, xg, yg) >= line(t, xg, -yg))
+                np.all(line_kernel(kind, t, xg, yg) >= line_kernel(kind, t, xg, -yg))
             )
     assert domination_ok
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +298,43 @@ def test_run_too_large_to_allocate_is_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", extra
         assert captured.err.startswith("error: the run needs more memory"), extra
+
+
+def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter; a run that hangs fails on the timeout."""
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "stargraph.cli", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=30)
+
+
+def test_extreme_inputs_exit_cleanly(tmp_path):
+    # each of these once ran for seconds to forever, or ended in a traceback:
+    # a trace sum over 10^12 terms, a 10^7-level list built before the
+    # dimension check, quadrature grids of ~10^302 nodes (or a step that
+    # underflows to 0) at tiny cutoffs, and an infinite node count for
+    # samples 1e-300 apart evolved onto a grid of cutoff 1e300
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("edge,radius,value\n1,0,1\n1,1e-300,1\n1,2e-300,1\n")
+    runs = {
+        "trace": ["trace", "--terms", str(10**12)],
+        "spectrum": ["spectrum", "--levels", "10000000"],
+        "evolve": ["evolve", "--cutoff", "1e-300", "--points", "9", "--times", "0.5"],
+        "invariance": ["invariance", "--cutoff", "1e-300", "--points", "9"],
+        "underflow": ["evolve", "--cutoff", "5e-324", "--points", "9", "--times", "0.5"],
+        "samples": ["evolve", "--m", "1", "--init", f"file:{tiny}", "--cutoff", "1e300",
+                    "--points", "33", "--times", "0.5"],
+    }
+    done = {name: _run_cli(args) for name, args in runs.items()}
+    for name, run in done.items():
+        assert run.returncode in (EXIT_OK, EXIT_USAGE), (name, run.stderr)
+        assert "Traceback" not in run.stderr, name
+        if run.returncode == EXIT_USAGE:
+            assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, name
+    # e^{-kt} is 0.0 long before 20000 terms at t = 1, so the sums agree
+    assert done["trace"].stdout == _run_cli(["trace", "--terms", "20000"]).stdout
+    assert _json(done["trace"].stdout)["pass"] is True
 
 
 def test_output_is_deterministic(tmp_path):

@@ -214,10 +214,10 @@ def test_admission_routes_decide_continuity_alike(tmp_path_factory, m, value, sh
         assert f.continuous_at_vertex is continuous
         if continuous:
             assert np.ptp(f.values[:, 0]) == 0.0
-            apply(OU, m, 0.5, f)
+            apply(OU, m, 0.5, f, f.grid)
         else:
             with pytest.raises(VertexContinuityError):
-                apply(OU, m, 0.5, f)
+                apply(OU, m, 0.5, f, f.grid)
 
 
 def test_evaluate_profiles(grid):

