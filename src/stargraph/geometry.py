@@ -127,6 +127,11 @@ class GridSpec:
             raise ShapeError(
                 f"points_per_edge must be an integer >= 2, got {self.points_per_edge!r}"
             )
+        if not self.h > 0:
+            raise ShapeError(
+                f"grid spacing cutoff/(points_per_edge - 1) underflows to 0 "
+                f"(cutoff={self.cutoff}, points_per_edge={self.points_per_edge})"
+            )
 
     @property
     def h(self) -> float:

@@ -46,39 +46,29 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _ou_values(t: float, x, y, out=None, spare=None):
+def _ou_values(t: float, x, y):
     """Transition density of the unit-rate drift-to-origin diffusion (OU).
 
     Gaussian in y with mean e^{-t} x and variance (1 - e^{-2t})/2; integrates
     to one over the line and converges to exp(-y^2)/sqrt(pi) as t grows.
-    ``t`` must already be checked, and the values are written into ``out``
-    when it is given.
-
-    With ``out`` (the broadcast shape of x and y) every step writes in place,
-    so a block of ``apply`` allocates nothing; ``spare`` is not used.
-    Without it no ufunc is passed ``out=``: scalar calls stay on numpy
-    scalars, where ``np.exp(..., out=)`` on 0-d arrays is three times slower
-    and even ``out=None`` costs a third of a microsecond per ufunc.
+    ``t`` must already be checked.
     """
 
     s = -math.expm1(-2.0 * t)  # 1 - e^{-2t}, accurate for small t
     z = math.exp(-t) * x
-    k = z - y if out is None else np.subtract(z, y, out=out)
+    k = z - y
     k *= k
     k /= -s  # -(z^2)/s to the last bit: IEEE division rounds |z^2|/s alike for either sign
-    k = np.exp(k) if out is None else np.exp(k, out=out)
+    k = np.exp(k)
     k /= math.sqrt(math.pi * s)
     return k
 
 
-def _ho_values(t: float, x, y, out=None, spare=None):
+def _ho_values(t: float, x, y):
     """Propagator of the quadratic-potential operator (f'' - x^2 f + f)/2 (HO).
 
     Symmetric in (x, y); fixes the Gaussian ground state exp(-x^2/2).  ``t``
-    must already be checked, and the values are written into ``out`` when it
-    is given.  ``spare``, a second buffer of the same shape, takes the
-    (x + y)^2 term, so with both buffers a block of ``apply`` allocates
-    nothing.
+    must already be checked.
     """
 
     s = -math.expm1(-2.0 * t)
@@ -86,14 +76,14 @@ def _ho_values(t: float, x, y, out=None, spare=None):
     # the exponent (4xye - (x^2 + y^2)(1 + e^2)) / (2s) as minus a sum of two
     # squares, -[(1 + e)^2 (x - y)^2 + (1 - e)^2 (x + y)^2] / (4s): no inf - inf
     # at huge radii, where it underflows to 0, and no cancellation at small t
-    k = x - y if out is None else np.subtract(x, y, out=out)
+    k = x - y
     k *= k
     k *= -(1.0 + e) ** 2 / (4.0 * s)
-    p = x + y if out is None else np.add(x, y, out=spare)
+    p = x + y
     p *= p
     p *= math.expm1(-t) ** 2 / (4.0 * s)
     k -= p
-    k = np.exp(k) if out is None else np.exp(k, out=out)
+    k = np.exp(k)
     k /= math.sqrt(math.pi * s)
     return k
 
@@ -120,17 +110,6 @@ def check_spec(spec) -> None:
         raise DomainError(f"no closed-form kernel or generator for {spec!r}; pass OU or HARMONIC")
 
 
-def kernel_writer(spec: KernelSpec):
-    """The formula of the line kernel selected by ``spec``, as ``f(t, x, y, out, spare)``.
-
-    ``t`` must already be checked.  ``apply`` passes two buffers of the
-    broadcast shape of x and y, and the values are written into ``out``.
-    """
-
-    check_spec(spec)
-    return _ou_values if spec.tag == "ou" else _ho_values
-
-
 def line_kernel(spec: KernelSpec, t: float, x, y):
     """Evaluate the line kernel selected by ``spec`` (broadcasts over x, y).
 
@@ -139,26 +118,48 @@ def line_kernel(spec: KernelSpec, t: float, x, y):
     their formulas.
     """
 
-    write = kernel_writer(spec)
-    return write(_check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    check_spec(spec)
+    values = _ou_values if spec.tag == "ou" else _ho_values
+    return values(_check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
-def kernel_band(spec: KernelSpec, t: float) -> tuple[float, float]:
-    """Band centre factor λ and half-width b of the line kernel at time ``t``.
+def gaussian_form(spec: KernelSpec, t: float):
+    """The line kernel at time ``t`` as a row factor times one Gaussian in λx - y.
 
     Both closed forms are A(x) exp(-(λx - y)^2 / (2σ^2)) / sqrt(π s) with
     s = 1 - e^{-2t}: OU has λ = e^{-t}, σ^2 = s/2 and A = 1; HO has
-    λ = 2e^{-t}/(1 + e^{-2t}), σ^2 = s/(1 + e^{-2t}).  For |λx - y| > b the
-    kernel is below e^{-40} of its peak over y, so b = sqrt(80 σ^2).
+    λ = 2e^{-t}/(1 + e^{-2t}), σ^2 = s/(1 + e^{-2t}) and
+    A(x) = exp(-s x^2 / (2(1 + e^{-2t}))).  Returns ``(λ, μ, q, row)``:
+    μ = 1 - λ to full relative accuracy, also where λ rounds to 1, so that
+    (x - y) - μx gives λx - y without the rounding of λ; q = 1/(2σ^2); and
+    ``row(x)``, the factor A(x)/sqrt(π s) of the output point.  This form is
+    not exactly symmetric in (x, y) for HO, so ``line_kernel`` keeps the
+    closed forms; ``semigroup.apply`` writes its blocks from this one.
     """
 
     check_spec(spec)
     t = _check_time(t)
     s = -math.expm1(-2.0 * t)
     e = math.exp(-t)
+    norm = 1.0 / math.sqrt(math.pi * s)
     if spec.tag == "ou":
-        return e, math.sqrt(BAND_EXPONENT * s)
-    return 2.0 * e / (1.0 + e * e), math.sqrt(2.0 * BAND_EXPONENT * s / (1.0 + e * e))
+        return e, -math.expm1(-t), 1.0 / s, lambda x: norm
+    c = 1.0 + e * e
+    a = s / (2.0 * c)
+    return (2.0 * e / c, math.expm1(-t) ** 2 / c, c / (2.0 * s),
+            lambda x: norm * np.exp(-a * np.square(x)))
+
+
+def kernel_band(spec: KernelSpec, t: float) -> tuple[float, float]:
+    """Band centre factor λ and half-width b of the line kernel at time ``t``.
+
+    The kernel is a Gaussian in λx - y of variance σ^2 (``gaussian_form``).
+    For |λx - y| > b it is below e^{-40} of its peak over y, so
+    b = sqrt(80 σ^2).
+    """
+
+    lam, _, q, _ = gaussian_form(spec, t)
+    return lam, math.sqrt(BAND_EXPONENT / q)
 
 
 def star_kernel(spec: KernelSpec, m: int, t: float, x: StarPoint, y: StarPoint) -> float:

@@ -5,9 +5,11 @@ of the data: the edge itself on y >= 0, and ``extension.reflect`` of the
 edges (2/m times the edge sum minus the edge) at -y.  Integrals use a
 composite Simpson rule on the sample grid, weighted before the extension,
 so the vertex node carries its weight once on each side.  Both closed-form
-kernels are Gaussian bands around y = λx (see ``kernels.kernel_band``), so
-output rows are contracted in blocks, each against only the extended
-samples within the band half-width b of its rows.  The grid reaches
+kernels are a factor of the output point times one Gaussian in λx - y
+(``kernels.gaussian_form``), so output rows are contracted in blocks, each
+against only the extended samples within the band half-width b of its rows
+(``kernels.kernel_band``).  A block holds the Gaussian alone; each output
+row is scaled by its factor once, after the last block.  The grid reaches
 λ·(output cutoff) + b, past which every kernel value is below e^{-40} of its
 row's peak.  Callable-backed inputs are re-sampled on that grid at half
 their grid step, sample-backed inputs continue by zero.
@@ -23,18 +25,17 @@ import numpy as np
 from .errors import DomainError, NumericalInputError, ShapeError
 from .extension import reflect
 from .geometry import GridSpec, StarFunction, simpson_weights
-from .kernels import MIN_TIME, KernelSpec, kernel_band, kernel_writer
+from .kernels import MIN_TIME, KernelSpec, gaussian_form, kernel_band
 
 __all__ = ["apply", "evolve_sequence"]
 
 # Output rows per block: BLOCK_ROWS, or fewer where the band is so wide that
-# a block's kernel array would exceed BLOCK_VALUES values.  Every block's
-# kernel is written into the same two buffers of one call, so no block
-# faults in fresh pages; the budget keeps a block's kernel (192 kB) in cache
-# for its product: without it, HO at 2049 points and t = 2 took 144 ms
-# instead of 107.  With the buffers, 16 or 64 rows and 12k to 98k values were
-# not clearly faster on 129- to 2049-point grids, and any other block shape
-# moves the band windows and with them the last bits of the output.
+# a block's Gaussian would exceed BLOCK_VALUES values.  Every block is
+# written into the same buffer of one call, and the budget keeps it (192 kB)
+# in cache for its product: with 16384 values or fewer, HO at 2049 points and
+# t = 2 took 67-117 ms instead of 49-60, and apply_sharp and apply_wide were
+# not clearly faster.  Any other block shape moves the band windows and with
+# them the last bits of the output.
 BLOCK_ROWS = 32
 BLOCK_VALUES = 24576
 
@@ -100,8 +101,8 @@ def apply(
         raise ShapeError(f"edge count {m} does not match the function ({f.graph.m})")
     f.require_continuous("semigroup input must be vertex-continuous")
 
-    lam, b = kernel_band(spec, t)  # refuses a bad time
-    t = float(t)
+    lam, mu, q, row = gaussian_form(spec, t)  # refuses a bad spec or time
+    b = kernel_band(spec, t)[1]
     y, hq, vals = _quadrature_grid(f, lam * grid.cutoff + b)
     fw = vals * simpson_weights(y.size, hq)
     y = np.concatenate([-y[::-1], y])
@@ -113,19 +114,26 @@ def apply(
     ends = np.minimum(starts + rows, x.size)
     lo = np.searchsorted(y, lam * x[starts] - b)
     hi = np.searchsorted(y, lam * x[ends - 1] + b, side="right")
-    # every block's kernel is written into a prefix of the same two buffers
-    # (the second takes HO's (x + y)^2 term), sized for the largest block: no
-    # block allocates, so no block faults in pages the one before gave back
-    size = int(((ends - starts) * (hi - lo)).max())
-    buf, spare = np.empty(size), np.empty(size)
-    kernel = kernel_writer(spec)
+    # every block's Gaussian is written into a prefix of one buffer, sized for
+    # the largest block, so no block allocates; the row factor and the
+    # normalisation scale each output row once, after the loop
+    buf = np.empty(int(((ends - starts) * (hi - lo)).max()))
+    # OU's Gaussian is in λx - y.  HO's λ rounds near 1, so its blocks take
+    # (x - y) - μx, where x - y is exact near the band centre.
+    lam_x, mu_x = lam * x, mu * x
     out = np.empty((m, x.size))
     for i0, i1, j0, j1 in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
-        shape = (i1 - i0, j1 - j0)
-        cells = shape[0] * shape[1]
-        k = kernel(t, x[i0:i1, None], y[j0:j1],
-                   buf[:cells].reshape(shape), spare[:cells].reshape(shape))
+        k = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
+        if spec.tag == "ou":
+            np.subtract.outer(lam_x[i0:i1], y[j0:j1], out=k)
+        else:
+            np.subtract.outer(x[i0:i1], y[j0:j1], out=k)
+            k -= mu_x[i0:i1, None]
+        k *= k
+        k *= -q
+        np.exp(k, out=k)
         out[:, i0:i1] = fw[:, j0:j1] @ k.T
+    out *= row(x)
 
     return StarFunction(f.graph, grid, out, continuous_at_vertex=True)
 

@@ -206,6 +206,16 @@ def test_time_between_steps_is_usage_error(capsys):
     assert "t_final must be a whole number of steps dt" in capsys.readouterr().err
 
 
+def test_grid_spacing_that_underflows_is_usage_error(capsys):
+    # the grid itself is refused, with its own message, before any command
+    # builds a mass matrix, Simpson weights or a quadrature grid on it
+    for command in ("spectrum", "invariance", "evolve"):
+        assert main([command, "--cutoff", "5e-324", "--points", "9"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid spacing") and err.count("\n") == 1, command
+        assert "cutoff=5e-324" in err and "points_per_edge=9" in err, command
+
+
 def test_unknown_flag_is_usage_error():
     # --cutoff and --points belong to the commands that sample a grid only
     for argv in (["trace", "--no-such-flag"], ["kernel", "--points", "7"],

@@ -63,6 +63,10 @@ def test_grid_spec_basics():
     with pytest.raises(ShapeError):
         GridSpec(cutoff=-1.0, points_per_edge=65)
     assert GridSpec(cutoff=6.0, points_per_edge=np.int64(65)).nodes().size == 65
+    # a positive cutoff whose spacing underflows is no grid
+    with pytest.raises(ShapeError, match=r"underflows to 0 \(cutoff=5e-324, points_per_edge=9\)"):
+        GridSpec(cutoff=5e-324, points_per_edge=9)
+    assert GridSpec(cutoff=5e-324, points_per_edge=2).h == 5e-324
 
 
 def test_mu_density_frozen_values():

@@ -13,8 +13,8 @@ from stargraph.kernels import (
     MIN_TIME,
     OU,
     KernelSpec,
+    gaussian_form,
     kernel_band,
-    kernel_writer,
     line_kernel,
     star_kernel,
 )
@@ -77,23 +77,31 @@ def test_ho_kernel_underflows_at_huge_radii():
     assert value == 0.0
 
 
-@pytest.mark.parametrize("t", [1e-8, 1e-3, 0.5])
+@pytest.mark.parametrize("t", [1e-8, 1e-3, 0.5, 30.0])
 @pytest.mark.parametrize("spec", [OU, HARMONIC], ids=["ou", "ho"])
 def test_block_writer_matches_public_kernels(spec, t):
-    # apply writes each block's kernel into reused buffers; the values must be
-    # the public kernel's to the last bit, also where HO underflows at huge radii
-    write = kernel_writer(spec)
-    cases = [(np.linspace(0.0, 6.0, 7)[:, None], np.linspace(-6.5, 6.5, 53)),
-             (np.array([[0.0], [1e200]]), np.array([0.0, 1e200]))]
-    with np.errstate(over="ignore"):
-        for x, y in cases:
-            shape = (x.shape[0], y.size)
-            buf, spare = np.full(x.size * y.size + 5, np.nan), np.empty(shape)
-            out = buf[: x.size * y.size].reshape(shape)
-            got = write(t, x, y, out, spare)
-            assert got is out
-            assert np.array_equal(got, line_kernel(spec, t, x, y))
-            assert np.isnan(buf[out.size:]).all()  # nothing past the block's prefix
+    # apply writes each block as the Gaussian of gaussian_form, in λx - y for
+    # OU and (x - y) - μx for HO, and scales each row by row(x) afterwards.
+    # Against the closed forms the gap is a few ulps of the row's peak row(x)
+    # for OU.  HO's closed form rounds an exponent of size up to about
+    # (x^2 + y^2)/2, 72 at x = 12, and carries up to that many ulps itself
+    lam, mu, q, row = gaussian_form(spec, t)
+    b = kernel_band(spec, t)[1]
+
+    def block(x, y):
+        d = lam * x - y if spec is OU else (x - y) - mu * x
+        return row(x) * np.exp(-q * d * d)
+
+    x = np.linspace(0.0, 12.0, 97)[:, None]
+    y = lam * x + np.linspace(-b, b, 201)
+    gap = np.abs(block(x, y) - line_kernel(spec, t, x, y)) / row(x)
+    assert gap.max() <= (4e-16 if spec is OU else 4e-14)
+    # past radii of about 1.3e154 the squares overflow: exactly 0, never NaN
+    if spec is HARMONIC:
+        with np.errstate(over="ignore"):
+            x = np.array([[1e200]])
+            for y in (np.array([0.0, 1e200]), lam * x[0] + np.array([-b, 0.0, b])):
+                assert np.array_equal(block(x, y), np.zeros((1, y.size)))
 
 
 def test_public_kernels_return_scalars_for_scalar_input():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stargraph.errors import DomainError, VertexContinuityError
 from stargraph.geometry import (
@@ -230,3 +232,36 @@ def test_apply_equals_dense_reference(rng):
                         scale = max(1.0, float(np.abs(got).max()))
                         assert np.abs(got - want).max() <= 1e-14 * scale
                         assert got[:, 0].max() == got[:, 0].min()
+
+
+@given(
+    spec=st.sampled_from([OU, HARMONIC]),
+    profiles=st.booleans(),
+    m=st.integers(min_value=1, max_value=8),
+    points=st.integers(min_value=9, max_value=129),
+    log_t=st.floats(min_value=math.log(1e-3), max_value=math.log(10.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_apply_equals_dense_reference_everywhere(spec, profiles, m, points, log_t, seed):
+    # the same contract as above over the whole (model, backing, m, grid, t)
+    # range, since apply evaluates its blocks in a different form than
+    # line_kernel, which the reference calls
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(cutoff=6.0, points_per_edge=points)
+    graph = StarGraph(m)
+    if profiles:
+        slopes = rng.uniform(-1.0, 1.0, size=m)
+        f = StarFunction.from_callables(graph, grid, tuple(
+            (lambda x, a=a: (1.0 + a * np.asarray(x)) * np.exp(-0.2 * np.asarray(x) ** 2))
+            for a in slopes
+        ))
+    else:
+        vals = rng.normal(size=(m, points))
+        vals[:, 0] = vals[0, 0]
+        f = StarFunction(graph, grid, vals)
+    t = math.exp(log_t)
+    got = apply(spec, m, t, f, grid).values
+    want = dense_apply(spec, m, t, f)
+    scale = max(1.0, float(np.abs(got).max()))
+    assert np.abs(got - want).max() <= 1e-14 * scale
+    assert got[:, 0].max() == got[:, 0].min()
