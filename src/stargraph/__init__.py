@@ -9,16 +9,10 @@ front end are provided.
 """
 
 from .errors import (
-    AssemblyError,
     DomainError,
-    ExtensionError,
-    InvalidGraphError,
-    InvalidPointError,
-    NumericalInputError,
     ShapeError,
     StabilityError,
     StarGraphError,
-    StencilError,
     VertexContinuityError,
 )
 from .extension import (
@@ -80,17 +74,12 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError",
     "CoefficientTriple",
     "DomainError",
-    "ExtensionError",
     "GridSpec",
     "HARMONIC",
-    "InvalidGraphError",
-    "InvalidPointError",
     "KernelSpec",
     "MIN_TIME",
-    "NumericalInputError",
     "OU",
     "OracleConfig",
     "PolyGauss",
@@ -102,7 +91,6 @@ __all__ = [
     "StarGraph",
     "StarGraphError",
     "StarPoint",
-    "StencilError",
     "TRUST_RADIUS",
     "TabulatedLineKernel",
     "TracePair",

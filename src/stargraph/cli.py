@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, StabilityError, StarGraphError
+from .errors import StabilityError, StarGraphError
 from .extension import ho_coefficients, ou_coefficients
 from .geometry import (
     GridSpec,
@@ -194,7 +194,7 @@ def cmd_spectrum(args) -> int:
     grid = GridSpec(cutoff=args.cutoff, points_per_edge=args.points)
     if args.levels < 1:
         raise StarGraphError(f"--levels must be at least 1, got {args.levels}")
-    check_edge_count(args.m, DomainError)
+    check_edge_count(args.m)
     # levels 0, 2, 4, ... are simple and 1, 3, 5, ... have m - 1 values each
     count = (args.levels + 1) // 2 + (args.levels // 2) * (args.m - 1)
     dim = 1 + args.m * (args.points - 1)

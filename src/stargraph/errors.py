@@ -1,45 +1,36 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per kind of mistake.
+
+Every refusal of an input is a ``StarGraphError`` (CLI exit 2), and one of
+its three subclasses names what is wrong.  A numerical failure of a run is
+a ``StabilityError`` (CLI exit 3).
+"""
 
 
 class StarGraphError(ValueError):
-    """Base class for domain and validation errors."""
+    """Base class of every refused input."""
 
 
-class InvalidGraphError(StarGraphError):
-    """Edge count is not a positive integer."""
+class DomainError(StarGraphError):
+    """A value the model does not accept.
 
-
-class InvalidPointError(StarGraphError):
-    """Point does not belong to the graph (bad edge index or radius)."""
+    Edge counts, edge indices, radii, times, non-finite or non-numeric data,
+    and coefficients that break ellipticity, the drift-at-vertex condition or
+    their declared growth bound.
+    """
 
 
 class ShapeError(StarGraphError):
-    """Array shapes or grids do not match the declared layout."""
+    """Data, grids or files whose layout does not fit.
 
-
-class NumericalInputError(StarGraphError):
-    """Non-finite or otherwise unusable numerical input."""
+    Array shapes, grids with too few or too many points for what is asked of
+    them, and malformed files.
+    """
 
 
 class VertexContinuityError(StarGraphError):
     """Edge values disagree at the vertex beyond tolerance."""
 
 
-class ExtensionError(StarGraphError):
-    """Coefficients cannot be extended to the line (parity obstruction)."""
-
-
-class DomainError(StarGraphError):
-    """Scalar argument outside the supported range (e.g. time too small)."""
-
-
-class StencilError(StarGraphError):
-    """Too few grid points for the requested finite-difference stencil."""
-
-
-class AssemblyError(StarGraphError):
-    """Finite-element assembly received an unusable grid."""
-
-
 class StabilityError(RuntimeError):
-    """Time stepper exceeded the theoretical growth bound."""
+    """A numerical failure: a growth bound broken, a value gone non-finite or
+    a solver that did not converge."""

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ExtensionError, NumericalInputError
+from .errors import DomainError
 
 __all__ = [
     "CoefficientTriple",
@@ -87,17 +87,17 @@ def extend_coefficients(coeffs: CoefficientTriple) -> CoefficientTriple:
     r = np.linspace(0.0, 12.0, 1201)
     b0 = float(np.asarray(coeffs.b(np.zeros(1)), dtype=float)[0])
     if abs(b0) > 1e-12:
-        raise ExtensionError(
+        raise DomainError(
             f"drift must vanish at the vertex for an odd extension, got b(0) = {b0:.3e}"
         )
     qs = np.asarray(coeffs.q(r), dtype=float)
     cs = np.asarray(coeffs.c(r), dtype=float)
     if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(cs))):
-        raise NumericalInputError("coefficients must be finite on the sample grid")
+        raise DomainError("coefficients must be finite on the sample grid")
     if np.any(qs <= 0):
-        raise ExtensionError("diffusion coefficient must be strictly positive")
+        raise DomainError("diffusion coefficient must be strictly positive")
     if np.any(cs > coeffs.c_sup_bound + 1e-12):
-        raise ExtensionError(
+        raise DomainError(
             f"reaction coefficient exceeds its declared bound {coeffs.c_sup_bound}"
         )
 

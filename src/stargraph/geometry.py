@@ -18,15 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidGraphError,
-    InvalidPointError,
-    NumericalInputError,
-    ShapeError,
-    StarGraphError,
-    StencilError,
-    VertexContinuityError,
-)
+from .errors import DomainError, ShapeError, VertexContinuityError
 
 __all__ = [
     "StarGraph",
@@ -39,6 +31,7 @@ __all__ = [
     "simpson_weights",
     "check_edge_count",
     "is_integer",
+    "MAX_NODES",
     "VERTEX_TOL",
     "vertex_continuous",
     "vertex_slopes",
@@ -46,6 +39,11 @@ __all__ = [
 ]
 
 SQRT_PI = math.sqrt(math.pi)
+
+# The node budget: a grid or a quadrature grid with more nodes per edge, or an
+# oracle line or level count beyond it (8 TiB of samples each), is refused
+# before anything is allocated.
+MAX_NODES = 2**40
 
 # vertex samples that spread by at most this share of max(1, |value|) are one
 # vertex value
@@ -58,11 +56,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_edge_count(m, error: type[StarGraphError] = InvalidGraphError) -> None:
-    """Raise ``error`` unless ``m`` is a positive integer (a bool is not one)."""
+def check_edge_count(m) -> None:
+    """Raise DomainError unless ``m`` is a positive integer (a bool is not one)."""
 
     if not is_integer(m) or m < 1:
-        raise error(f"edge count must be a positive integer, got {m!r}")
+        raise DomainError(f"edge count must be a positive integer, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -85,12 +83,12 @@ class StarPoint:
 
     def __init__(self, edge: int, radius: float):
         if not is_integer(edge):
-            raise InvalidPointError(f"edge index must be an integer, got {edge!r}")
+            raise DomainError(f"edge index must be an integer, got {edge!r}")
         if edge < 1:
-            raise InvalidPointError(f"edge index must be >= 1, got {edge}")
+            raise DomainError(f"edge index must be >= 1, got {edge}")
         radius = float(radius)
         if not math.isfinite(radius) or radius < 0:
-            raise InvalidPointError(f"radius must be finite and >= 0, got {radius}")
+            raise DomainError(f"radius must be finite and >= 0, got {radius}")
         object.__setattr__(self, "edge", int(edge))
         object.__setattr__(self, "radius", radius)
 
@@ -115,7 +113,7 @@ class StarPoint:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform radial grid on [0, cutoff] with ``points_per_edge`` nodes."""
+    """Uniform radial grid on [0, cutoff] with 2 .. MAX_NODES ``points_per_edge``."""
 
     cutoff: float
     points_per_edge: int
@@ -126,6 +124,10 @@ class GridSpec:
         if not is_integer(self.points_per_edge) or self.points_per_edge < 2:
             raise ShapeError(
                 f"points_per_edge must be an integer >= 2, got {self.points_per_edge!r}"
+            )
+        if self.points_per_edge > MAX_NODES:
+            raise ShapeError(
+                f"points_per_edge must be at most {MAX_NODES:.3g}, got {self.points_per_edge}"
             )
         if not self.h > 0:
             raise ShapeError(
@@ -154,7 +156,7 @@ def mu_density(p, m: int):
     else:
         r = np.asarray(p, dtype=float)
         if np.any(~np.isfinite(r)) or np.any(r < 0):
-            raise InvalidPointError("radii must be finite and >= 0")
+            raise DomainError("radii must be finite and >= 0")
     return (2.0 / (m * SQRT_PI)) * np.exp(-np.square(r))
 
 
@@ -217,7 +219,7 @@ def vertex_flux(values: np.ndarray, h: float) -> np.ndarray:
     """
 
     if values.shape[-1] < 3:
-        raise StencilError("vertex stencil needs >= 3 points per edge")
+        raise ShapeError("vertex stencil needs >= 3 points per edge")
     return np.abs(vertex_slopes(values, h).sum(axis=-1))
 
 
@@ -275,7 +277,7 @@ class StarFunction:
                 f"got {values.shape}"
             )
         if not np.all(np.isfinite(values)):
-            raise NumericalInputError("values must be finite")
+            raise DomainError("values must be finite")
         col = values[:, 0]
         continuous = vertex_continuous(col)
         if continuous:
@@ -381,7 +383,16 @@ class StarFunction:
                     raise ShapeError(
                         f"row {reader.line_num} has {len(row)} fields, not 3, in {path}"
                     )
-                edge, radius, value = int(row[0]), float(row[1]), float(row[2])
+                try:
+                    edge, radius, value = int(row[0]), float(row[1]), float(row[2])
+                except ValueError as exc:
+                    raise ShapeError(
+                        f"row {reader.line_num} does not parse in {path}: {exc}"
+                    ) from exc
+                if edge < 1:
+                    raise ShapeError(
+                        f"edge index {edge} on row {reader.line_num} is not >= 1 in {path}"
+                    )
                 if not math.isfinite(radius):
                     raise ShapeError(
                         f"radius {row[1]!r} on row {reader.line_num} is not finite in {path}"
@@ -433,7 +444,7 @@ def sup_distance(f: StarFunction, g: StarFunction, radius_max: float | None = No
     diff = np.abs(f.values - g.values)
     if radius_max is not None:
         if not radius_max >= 0:
-            raise InvalidPointError(f"window radius must be >= 0, got {radius_max}")
+            raise DomainError(f"window radius must be >= 0, got {radius_max}")
         mask = f.grid.nodes() <= radius_max + 1e-12
         diff = diff[:, mask]
     return float(diff.max())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidPointError, NumericalInputError, ShapeError
+from .errors import DomainError
 from .geometry import StarPoint, check_edge_count
 
 __all__ = [
@@ -37,10 +37,12 @@ MIN_TIME = 1e-8
 BAND_EXPONENT = 40.0
 
 
-def _check_time(t: float) -> float:
+def check_time(t: float) -> float:
+    """``t`` as a float; raise DomainError unless it is finite and >= MIN_TIME."""
+
     t = float(t)
     if not math.isfinite(t):
-        raise NumericalInputError(f"time must be finite, got {t}")
+        raise DomainError(f"time must be finite, got {t}")
     if t < MIN_TIME:
         raise DomainError(f"time must be >= {MIN_TIME}, got {t}")
     return t
@@ -96,7 +98,7 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         if self.tag not in ("ou", "harmonic_oscillator"):
-            raise ShapeError(f"unknown kernel tag {self.tag!r}")
+            raise DomainError(f"unknown kernel tag {self.tag!r}")
 
 
 OU = KernelSpec("ou")
@@ -120,7 +122,7 @@ def line_kernel(spec: KernelSpec, t: float, x, y):
 
     check_spec(spec)
     values = _ou_values if spec.tag == "ou" else _ho_values
-    return values(_check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return values(check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def gaussian_form(spec: KernelSpec, t: float):
@@ -138,7 +140,7 @@ def gaussian_form(spec: KernelSpec, t: float):
     """
 
     check_spec(spec)
-    t = _check_time(t)
+    t = check_time(t)
     s = -math.expm1(-2.0 * t)
     e = math.exp(-t)
     norm = 1.0 / math.sqrt(math.pi * s)
@@ -172,10 +174,10 @@ def star_kernel(spec: KernelSpec, m: int, t: float, x: StarPoint, y: StarPoint) 
     """
 
     if not isinstance(x, StarPoint) or not isinstance(y, StarPoint):
-        raise InvalidPointError("x and y must be StarPoint instances")
-    check_edge_count(m, ShapeError)
+        raise DomainError("x and y must be StarPoint instances")
+    check_edge_count(m)
     if x.edge > m or y.edge > m:
-        raise InvalidPointError(
+        raise DomainError(
             f"point uses edge beyond the {m}-edge star: {x.edge}, {y.edge}"
         )
     # the vertex belongs to every edge; pin its label so the arithmetic

@@ -26,9 +26,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalInputError, ShapeError, StabilityError
+from .errors import DomainError, ShapeError, StabilityError
 from .extension import CoefficientTriple, extend_coefficients
-from .geometry import GridSpec, StarFunction, StarGraph, vertex_flux
+from .geometry import MAX_NODES, GridSpec, StarFunction, StarGraph, vertex_flux
 
 __all__ = [
     "OracleConfig",
@@ -60,7 +60,8 @@ class OracleConfig:
     ``n`` is the half-width of the interval, ``h`` the mesh width (n/h must
     be an integer), ``dt`` the step size, ``t_final`` the last time (a whole
     number of steps) and ``theta`` the implicit weight (1/2 = trapezoidal,
-    1 = backward Euler).
+    1 = backward Euler).  n/h and t_final/dt must stay below the node budget
+    ``geometry.MAX_NODES``.
     """
 
     n: float
@@ -80,6 +81,14 @@ class OracleConfig:
             raise DomainError(f"theta must lie in [1/2, 1], got {self.theta}")
         if not (math.isfinite(self.t_final) and self.t_final > 0):
             raise DomainError(f"t_final must be positive, got {self.t_final}")
+        # a line or a level count beyond the node budget is refused before
+        # anything is allocated, and before round() can meet an inf
+        if not self.n / self.h < MAX_NODES:
+            raise DomainError(f"n/h must be below {MAX_NODES:.3g}, got {self.n / self.h:.6g}")
+        if not self.t_final / self.dt < MAX_NODES:
+            raise DomainError(
+                f"t_final/dt must be below {MAX_NODES:.3g}, got {self.t_final / self.dt:.6g}"
+            )
         if abs(self.n / self.h - round(self.n / self.h)) > 1e-9:
             raise DomainError(f"n/h must be an integer, got {self.n / self.h}")
         if self.half_intervals < 1:
@@ -136,7 +145,7 @@ def solve_line_dirichlet(
     try:
         u0 = np.asarray(u0, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise NumericalInputError(f"initial data must be an array of numbers: {exc}") from exc
+        raise DomainError(f"initial data must be an array of numbers: {exc}") from exc
     if u0.shape != x.shape:
         raise ShapeError(
             f"initial data must give one value per solver node, shape {x.shape}, got {u0.shape}"
@@ -209,7 +218,7 @@ def _march(
             f"c_sup_bound * dt * steps = {growth:.6g} overflows the growth bound exp(c_sup_bound t)"
         )
     if not np.all(np.isfinite(u)):
-        raise NumericalInputError("initial data must be finite on the solver grid")
+        raise DomainError("initial data must be finite on the solver grid")
     from scipy.linalg.lapack import dgtsv  # scipy.linalg loads when a march runs, not on import
 
     bound_base = 1.05 * (np.abs(u[0]) + np.abs(u[1:])).max(axis=1)
@@ -360,11 +369,12 @@ def truncation_study(
         raise DomainError("need at least two truncation radii")
     if any(n2 < n1 for n1, n2 in zip(n_list, n_list[1:])):
         raise DomainError("truncation radii must be non-decreasing")
+    configs = [replace(cfg, n=n) for n in n_list]  # refuses every bad radius before a march
 
-    window = int(round(min(n_list) / cfg.h)) + 1
+    window = min(c.half_intervals for c in configs) + 1
     finals = []
-    for n in n_list:
-        run = solve_star(coeffs, f, replace(cfg, n=n))
+    for run_cfg in configs:
+        run = solve_star(coeffs, f, run_cfg)
         finals.append(run.values[_time_level(run.times, cfg.t_final), :, :window])
     return [
         TruncationRow(n=n, t=cfg.t_final, sup_defect=float(np.abs(cur - prev).max()))
@@ -403,7 +413,7 @@ def tabulate_kernel(
     if not times:
         raise DomainError("need at least one tabulation time")
     if not all(math.isfinite(t) for t in times):
-        raise NumericalInputError(f"tabulation times must be finite, got {times}")
+        raise DomainError(f"tabulation times must be finite, got {times}")
     levels = [int(round(t / cfg.dt)) for t in times]
     for t, k in zip(times, levels):
         if abs(k * cfg.dt - t) > _time_tol(t) or k < 1 or k > cfg.steps:

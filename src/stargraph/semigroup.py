@@ -22,10 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalInputError, ShapeError
+from .errors import DomainError, ShapeError
 from .extension import reflect
-from .geometry import GridSpec, StarFunction, simpson_weights
-from .kernels import MIN_TIME, KernelSpec, gaussian_form, kernel_band
+from .geometry import MAX_NODES, GridSpec, StarFunction, check_edge_count, simpson_weights
+from .kernels import KernelSpec, check_time, gaussian_form, kernel_band
 
 __all__ = ["apply", "evolve_sequence"]
 
@@ -41,10 +41,6 @@ BLOCK_VALUES = 24576
 
 OVERSAMPLE = 2  # callable-backed inputs are sampled this many times finer than their grid
 
-# A callable-backed quadrature grid with more nodes per edge than this (8 TiB
-# of samples per edge) is refused before anything is allocated.
-MAX_QUADRATURE_NODES = 2**40
-
 
 def _quadrature_grid(f: StarFunction, reach: float):
     """Radial quadrature nodes j·hq up to ``reach`` (even interval count), with the data."""
@@ -52,10 +48,10 @@ def _quadrature_grid(f: StarFunction, reach: float):
     refine = OVERSAMPLE if f.has_profiles() else 1
     hq = f.grid.h / refine
     if f.has_profiles():
-        if not reach <= MAX_QUADRATURE_NODES * hq:  # also when hq underflows to 0
+        if not reach <= MAX_NODES * hq:  # also when hq underflows to 0
             raise DomainError(
                 f"the quadrature step {hq:.3g} is too fine to reach radius {reach:.3g} "
-                f"within {MAX_QUADRATURE_NODES:.3g} nodes per edge"
+                f"within {MAX_NODES:.3g} nodes per edge"
             )
         nodes = reach / hq
     else:
@@ -68,7 +64,7 @@ def _quadrature_grid(f: StarFunction, reach: float):
     if f.has_profiles():
         vals = f.evaluate_profiles(y)
         if not np.all(np.isfinite(vals)):
-            raise NumericalInputError("profiles must stay finite on the quadrature grid")
+            raise DomainError("profiles must stay finite on the quadrature grid")
     else:
         vals = np.zeros((f.graph.m, y.size))
         n = min(y.size, f.grid.points_per_edge)
@@ -97,6 +93,7 @@ def apply(
     even part.
     """
 
+    check_edge_count(m)
     if m != f.graph.m:
         raise ShapeError(f"edge count {m} does not match the function ({f.graph.m})")
     f.require_continuous("semigroup input must be vertex-continuous")
@@ -147,9 +144,7 @@ def evolve_sequence(
 ) -> list[StarFunction]:
     """Apply the semigroup at each listed time, always from the initial data."""
 
-    times = [float(t) for t in times]
-    if any(not math.isfinite(t) or t < MIN_TIME for t in times):
-        raise DomainError(f"times must be finite and >= {MIN_TIME}")
+    times = [check_time(t) for t in times]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise DomainError("times must be strictly increasing")
     return [apply(spec, m, t, f, grid) for t in times]

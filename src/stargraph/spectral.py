@@ -15,7 +15,7 @@ those two tridiagonal one-edge pencils.  By interlacing, the lowest ``count``
 star values need only about count/m values of each sector.  A sector asked
 for at most ``LANCZOS_SHARE`` of its size gets them from a shift-invert
 Lanczos iteration, O(n k^2), checked by a Sylvester inertia count that raises
-``AssemblyError`` on a missed eigenvalue; larger counts and the whole
+``StabilityError`` on a missed eigenvalue; larger counts and the whole
 spectrum come from a dense solve of the whole sector, O(n^3).
 """
 
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P, polyutils
 
-from .errors import AssemblyError, DomainError, ShapeError
+from .errors import DomainError, ShapeError, StabilityError
 from .geometry import (
     GridSpec,
     StarFunction,
@@ -140,7 +140,7 @@ def _multiplicity(k: int, m: int) -> int:
 def multiplicity(k: int, m: int) -> int:
     """Even levels are simple; odd levels have dimension m - 1."""
 
-    check_edge_count(m, DomainError)
+    check_edge_count(m)
     _check_nonnegative_int(k, "level")
     return _multiplicity(k, m)
 
@@ -224,7 +224,7 @@ def _edge_form(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     """
 
     if grid.points_per_edge < 3:
-        raise AssemblyError("form assembly needs >= 3 points per edge")
+        raise ShapeError("form assembly needs >= 3 points per edge")
     nodes = grid.nodes()
     a = nodes[:-1]
     h = np.diff(nodes)
@@ -309,7 +309,7 @@ def _lanczos_lowest(a_diag, a_off, b_diag, b_off, count: int) -> np.ndarray:
     n = a_diag.size
     t_diag, t_off, info = dpttrf(a_diag + b_diag, a_off + b_off)
     if info != 0:
-        raise AssemblyError(f"the shifted sector pencil is not positive definite (info={info})")
+        raise StabilityError(f"the shifted sector pencil is not positive definite (info={info})")
 
     def times_b(v):
         out = b_diag * v
@@ -343,7 +343,7 @@ def _lanczos_lowest(a_diag, a_off, b_diag, b_off, count: int) -> np.ndarray:
         _, theta, ritz, info = dstemr(alpha[: j + 1], beta[: j + 1].copy(), 2, 0.0, 0.0,
                                       j + 2 - count, j + 1)
         if info != 0:
-            raise AssemblyError(f"the Lanczos Ritz solve failed (dstemr info={info})")
+            raise StabilityError(f"the Lanczos Ritz solve failed (dstemr info={info})")
         theta, last = theta[:count], ritz[j, :count]
         if j + 1 == n or np.all(np.abs(norm * last) <= LANCZOS_TOL * theta):
             break
@@ -379,7 +379,7 @@ def _sector_eigenvalues(
     tau = vals[-1] + STURM_MARGIN * max(1.0, abs(vals[-1]))
     below = _sturm_count(a_diag, a_off, b_diag, b_off, tau)
     if below != count:
-        raise AssemblyError(
+        raise StabilityError(
             f"the {sector} sector has {below} eigenvalues below {tau:.6g}, but the "
             f"Lanczos iteration returned {count}; an eigenvalue was missed"
         )
@@ -397,7 +397,10 @@ def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarra
     size 1 + m(n - 1), and each odd value appears m - 1 times by
     construction.  Each sector is rescaled by its mass diagonal.
 
-    ``count`` keeps the lowest values; it must lie in 1 .. 1 + m(n - 1).
+    ``count`` keeps the lowest values; it must lie in 1 .. 1 + m(n - 1), or
+    ``DomainError`` is raised, as it is for an edge count that is not a
+    positive integer.  A grid of fewer than 3 points per edge, or one on
+    which the mass diagonal is not positive, raises ``ShapeError``.
     The odd pencil is the even one with the vertex row and column deleted,
     so by Cauchy interlacing e_j <= o_j <= e_{j+1}, and the merged list runs
     e_1, o_1 (m - 1 times), e_2, ...  Its lowest ``count`` values therefore
@@ -405,18 +408,20 @@ def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarra
     odd ones.  A sector count up to ``LANCZOS_SHARE`` of the sector size is
     solved by shift-invert Lanczos on the tridiagonal pencil, O(n k^2) for k
     values, and confirmed by a Sylvester inertia count of A - tau B just
-    above the largest value: a missed eigenvalue raises ``AssemblyError``.
+    above the largest value.  A solver failure raises ``StabilityError``: a
+    shifted pencil that ``dpttrf`` finds not positive definite, a Ritz solve
+    that ``dstemr`` does not finish, or a missed eigenvalue.
     Larger counts, and the whole spectrum, come from one dense solve of each
     whole pencil, O(n^3).
     """
 
-    check_edge_count(m, DomainError)
+    check_edge_count(m)
     dim = 1 + m * (grid.points_per_edge - 1)
     if count is not None and (not is_integer(count) or not 1 <= count <= dim):
         raise DomainError(f"count must be an integer in 1..{dim}, got {count!r}")
     stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
     if not np.all(mass_diag > 0):
-        raise AssemblyError("mass matrix lost positivity; refine or shrink the grid")
+        raise ShapeError("mass matrix lost positivity; refine or shrink the grid")
     even_count = odd_count = count
     if count is not None:
         even_count = count if m == 1 else (count - 1) // m + 1
@@ -444,7 +449,7 @@ def trace_closed_form(t: float, m: int) -> float:
 
     if not (math.isfinite(t) and t > 0):
         raise DomainError(f"time must be positive and finite, got {t}")
-    check_edge_count(m, DomainError)
+    check_edge_count(m)
     return (1.0 + (m - 1) * math.exp(-t)) / (-math.expm1(-2.0 * t))
 
 
@@ -473,7 +478,7 @@ def trace_partial(t: float, m: int, terms: int) -> TracePair:
 
     if not (math.isfinite(t) and t >= 0.05):
         raise DomainError(f"trace quadrature needs a finite time t >= 0.05, got {t}")
-    check_edge_count(m, DomainError)
+    check_edge_count(m)
     _check_nonnegative_int(terms, "term count")
     # e^{-kt} is exactly 0.0 once kt > 746, so later terms add nothing
     last = min(terms, int(746.0 / t))

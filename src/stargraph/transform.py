@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
 from .geometry import GridSpec, StarFunction, StarGraph, check_edge_count, sup_distance
 from .kernels import HARMONIC, OU
 from .semigroup import apply
@@ -36,7 +35,7 @@ TRUST_RADIUS = 5.5
 def flat_factor(m: int) -> float:
     """sqrt(c_m) with c_m = 2 / (m sqrt(pi))."""
 
-    check_edge_count(m, DomainError)
+    check_edge_count(m)
     return math.sqrt(2.0 / (m * math.sqrt(math.pi)))
 
 

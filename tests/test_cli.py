@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import stargraph.cli
+import stargraph.spectral
 from stargraph.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from stargraph.errors import StabilityError
 from stargraph.geometry import GridSpec, StarFunction, StarGraph, StarPoint
@@ -152,6 +153,8 @@ def test_evolve_unknown_initial(tmp_path, capsys):
         "grids_differ": (header + "1,0,1\n1,1,1\n2,0,1\n2,1.5,1\n", "different radial grids"),
         "not_uniform": (header + "1,0,1\n1,1,1\n1,3,1\n", "uniform starting at 0"),
         "not_from_zero": (header + "1,0.5,1\n1,1.5,1\n", "uniform starting at 0"),
+        "text_edge": (header + "x,1,1\n", "row 2 does not parse"),
+        "zero_edge": (header + "0,0,1\n0,1,1\n", "edge index 0 on row 2 is not >= 1"),
     }
     for name, (text, refusal) in files.items():
         path = tmp_path / f"{name}.csv"
@@ -301,6 +304,20 @@ def test_overflow_prints_no_numpy_warnings(capsys):
     assert captured.err.startswith("numerical failure: summary.json would hold a non-finite")
 
 
+def test_solver_failure_exits_3(monkeypatch, capsys):
+    # a missed eigenvalue is a numerical failure of the solver, not bad usage
+    def skips_lowest(a_diag, a_off, b_diag, b_off, count):
+        return lanczos(a_diag, a_off, b_diag, b_off, count + 1)[1:]
+
+    lanczos = stargraph.spectral._lanczos_lowest
+    monkeypatch.setattr(stargraph.spectral, "_lanczos_lowest", skips_lowest)
+    assert main(["spectrum", "--m", "3", "--points", "65", "--levels", "3"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: the even sector has 3 eigenvalues")
+    assert captured.err.count("\n") == 1
+
+
 def test_run_too_large_to_allocate_is_usage_error(capsys):
     # 10^12 steps of stored levels need petabytes, beyond any address space
     for extra in ([], ["--n-list", "4,6"]):
@@ -327,6 +344,25 @@ def test_extreme_inputs_exit_cleanly(tmp_path):
     # samples 1e-300 apart evolved onto a grid of cutoff 1e300
     tiny = tmp_path / "tiny.csv"
     tiny.write_text("edge,radius,value\n1,0,1\n1,1e-300,1\n1,2e-300,1\n")
+    huge = "99999999999999999999"
+    oracle = ["oracle", "--t", "0.1", "--n", "4", "--h", "0.125", "--dt", "0.01"]
+    # meshes numpy cannot index, refused before anything is allocated; each
+    # once ended in a ValueError or OverflowError traceback
+    refused = {
+        "evolve_points": (["evolve", "--points", huge, "--times", "0.5"], "points_per_edge"),
+        "spectrum_points": (["spectrum", "--points", huge, "--levels", "2"], "points_per_edge"),
+        "invariance_points": (["invariance", "--points", huge], "points_per_edge"),
+        "oracle_n": (oracle + ["--n", "1e300"], "n/h must be below"),
+        "oracle_h": (oracle + ["--h", "1e-300"], "n/h must be below"),
+        "oracle_n_over_h": (oracle + ["--n", "1e300", "--h", "1e-300"], "n/h must be below"),
+        "oracle_dt": (oracle + ["--dt", "1e-300"], "t_final/dt must be below"),
+        "oracle_t": (oracle + ["--t", "1e300", "--dt", "1"], "t_final/dt must be below"),
+        "oracle_steps": (oracle + ["--t", "1e18", "--dt", "1"], "t_final/dt must be below"),
+        "oracle_n_list": (oracle + ["--n-list", "4,1e300"], "n/h must be below"),
+        # NaN passes the order check of the radii, and every radius is
+        # checked before the window is taken from the smallest
+        "oracle_nan_radius": (oracle + ["--n-list", "nan,4"], "n must be positive, got nan"),
+    }
     runs = {
         "trace": ["trace", "--terms", str(10**12)],
         "spectrum": ["spectrum", "--levels", "10000000"],
@@ -337,6 +373,11 @@ def test_extreme_inputs_exit_cleanly(tmp_path):
                     "--points", "33", "--times", "0.5"],
     }
     done = {name: _run_cli(args) for name, args in runs.items()}
+    for name, (args, named) in refused.items():
+        run = _run_cli(args)
+        assert run.returncode == EXIT_USAGE, (name, run.stderr)
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, name
+        assert named in run.stderr, (name, run.stderr)
     for name, run in done.items():
         assert run.returncode in (EXIT_OK, EXIT_USAGE), (name, run.stderr)
         assert "Traceback" not in run.stderr, name

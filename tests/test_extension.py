@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stargraph.errors import ExtensionError
+from stargraph.errors import DomainError
 from stargraph.extension import (
     CoefficientTriple,
     extend_coefficients,
@@ -89,7 +89,7 @@ def test_extend_coefficients_rejections():
         c=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         c_sup_bound=0.0,
     )
-    with pytest.raises(ExtensionError):
+    with pytest.raises(DomainError, match="drift must vanish at the vertex"):
         extend_coefficients(bad_drift)
 
     bad_diffusion = CoefficientTriple(
@@ -98,7 +98,7 @@ def test_extend_coefficients_rejections():
         c=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         c_sup_bound=0.0,
     )
-    with pytest.raises(ExtensionError):
+    with pytest.raises(DomainError, match="diffusion coefficient must be strictly positive"):
         extend_coefficients(bad_diffusion)
 
     lying_bound = CoefficientTriple(
@@ -107,7 +107,7 @@ def test_extend_coefficients_rejections():
         c=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         c_sup_bound=0.1,
     )
-    with pytest.raises(ExtensionError):
+    with pytest.raises(DomainError, match="reaction coefficient exceeds its declared bound"):
         extend_coefficients(lying_bound)
 
 

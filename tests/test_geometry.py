@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stargraph.errors import (
-    InvalidGraphError,
-    InvalidPointError,
-    NumericalInputError,
-    ShapeError,
-    StencilError,
-    VertexContinuityError,
-)
+from stargraph.errors import DomainError, ShapeError, StarGraphError, VertexContinuityError
 from stargraph.geometry import (
+    MAX_NODES,
     VERTEX_TOL,
     GridSpec,
     StarFunction,
@@ -34,7 +28,7 @@ def test_star_graph_validation():
     assert StarGraph(1).m == 1
     assert StarGraph(7).m == 7
     for bad in (0, -2, 2.5, "3"):
-        with pytest.raises(InvalidGraphError):
+        with pytest.raises(DomainError, match="edge count must be a positive integer"):
             StarGraph(bad)
 
 
@@ -44,9 +38,9 @@ def test_star_point_identifies_the_vertex():
     assert hash(StarPoint(1, 0.0)) == hash(StarPoint(5, 0.0))
     assert StarPoint(2, 1.0) == StarPoint(2, 1.0)
     assert StarPoint(2, 1.0) != StarPoint(3, 1.0)
-    with pytest.raises(InvalidPointError):
+    with pytest.raises(DomainError, match="radius must be finite and >= 0, got -0.5"):
         StarPoint(1, -0.5)
-    with pytest.raises(InvalidPointError):
+    with pytest.raises(DomainError, match="edge index must be >= 1, got 0"):
         StarPoint(0, 1.0)
 
 
@@ -67,6 +61,12 @@ def test_grid_spec_basics():
     with pytest.raises(ShapeError, match=r"underflows to 0 \(cutoff=5e-324, points_per_edge=9\)"):
         GridSpec(cutoff=5e-324, points_per_edge=9)
     assert GridSpec(cutoff=5e-324, points_per_edge=2).h == 5e-324
+    # more points than the node budget is no grid either; at the budget the
+    # spec stands (its nodes are never built here)
+    budget = r"points_per_edge must be at most 1.1e\+12, got 1099511627777"
+    with pytest.raises(ShapeError, match=budget):
+        GridSpec(cutoff=6.0, points_per_edge=MAX_NODES + 1)
+    assert GridSpec(cutoff=6.0, points_per_edge=MAX_NODES).points_per_edge == 2**40
 
 
 def test_mu_density_frozen_values():
@@ -85,7 +85,7 @@ def test_mu_density_frozen_values():
     assert arr.shape == (3,)
     assert arr[0] == pytest.approx(2.0 / (4 * math.sqrt(math.pi)), rel=1e-15)
     for bad in (0, 2.5, True):
-        with pytest.raises(InvalidGraphError):
+        with pytest.raises(DomainError, match="edge count must be a positive integer"):
             mu_density(1.0, bad)
 
 
@@ -156,7 +156,7 @@ def test_star_function_construction(grid):
 
     with pytest.raises(ShapeError):
         StarFunction.from_samples(g, grid, vals[:, :-1])
-    with pytest.raises(NumericalInputError):
+    with pytest.raises(DomainError, match="values must be finite"):
         StarFunction.from_samples(g, grid, np.full_like(vals, np.nan))
 
 
@@ -251,6 +251,21 @@ def test_csv_round_trip(tmp_path, grid, rng):
     assert back.continuous_at_vertex
 
 
+def test_csv_refusals_name_the_file_and_row(tmp_path):
+    # a field that does not parse, or an edge index below 1, is refused as a
+    # malformed file (a StarGraphError), never as a bare ValueError
+    header = "edge,radius,value\n"
+    for text, refusal in ((header + "1,0,1\nx,1,1\n", "row 3 does not parse"),
+                          (header + "1,0,zap\n", "row 2 does not parse"),
+                          (header + "0,0,1\n0,1,1\n", "edge index 0 on row 2 is not >= 1")):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ShapeError, match=refusal) as caught:
+            StarFunction.from_csv(path)
+        assert isinstance(caught.value, StarGraphError)
+        assert str(path) in str(caught.value)
+
+
 def test_vertex_defects_measure_continuity_and_flux():
     # continuity is a check, not a measure: equal vertex samples pass and a
     # spread of 1 fails, so a StarFunction refuses it when built continuous
@@ -266,7 +281,7 @@ def test_vertex_defects_measure_continuity_and_flux():
     # exactly, and two slopes +1 leave flux 2
     assert vertex_flux(np.stack([r, -r]), 0.5) == 0.0
     assert vertex_flux(np.stack([r, r]), 0.5) == pytest.approx(2.0, rel=1e-15)
-    with pytest.raises(StencilError):
+    with pytest.raises(ShapeError, match="vertex stencil needs >= 3 points per edge"):
         vertex_flux(np.stack([r[:2], -r[:2]]), 0.5)
 
 
@@ -279,7 +294,7 @@ def test_sup_distance_window(grid):
     assert sup_distance(a, b) == 1.0
     assert sup_distance(a, b, radius_max=3.0) == 0.0
     for bad in (-1.0, math.nan):
-        with pytest.raises(InvalidPointError):
+        with pytest.raises(DomainError, match="window radius must be >= 0"):
             sup_distance(a, b, radius_max=bad)
     with pytest.raises(ShapeError):
         sup_distance(a, StarFunction.constant(StarGraph(3), grid, 0.0))

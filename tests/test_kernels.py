@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stargraph.errors import DomainError, InvalidPointError, NumericalInputError, ShapeError
+from stargraph.errors import DomainError
 from stargraph.extension import reflect
 from stargraph.geometry import GridSpec, StarFunction, StarGraph, StarPoint, simpson_weights
 from stargraph.kernels import (
@@ -125,7 +125,7 @@ def test_time_domain():
         line_kernel(OU, 0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         line_kernel(HARMONIC, MIN_TIME / 2, 1.0, 1.0)
-    with pytest.raises(NumericalInputError, match="finite"):
+    with pytest.raises(DomainError, match="finite"):
         line_kernel(OU, math.nan, 1.0, 1.0)
     assert float(line_kernel(OU, MIN_TIME, 0.0, 0.0)) > 0
 
@@ -189,20 +189,20 @@ def test_star_kernel_vertex_identification():
 
 
 def test_star_kernel_validation():
-    with pytest.raises(InvalidPointError):
+    with pytest.raises(DomainError, match="point uses edge beyond the 2-edge star"):
         star_kernel(OU, 2, 1.0, StarPoint(3, 1.0), StarPoint(1, 1.0))
-    with pytest.raises(InvalidPointError):
+    with pytest.raises(DomainError, match="x and y must be StarPoint instances"):
         star_kernel(OU, 2, 1.0, 1.0, StarPoint(1, 1.0))
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="edge count must be a positive integer, got 0"):
         star_kernel(OU, 0, 1.0, StarPoint(1, 1.0), StarPoint(1, 1.0))
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="edge count must be a positive integer, got 2.5"):
         star_kernel(OU, 2.5, 1.0, StarPoint(1, 0.5), StarPoint(2, 0.5))
 
 
 def test_kernel_spec_validation():
     # only the two closed forms are kernels; a table is not one
     for tag in ("brownian", "tabulated"):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match=f"unknown kernel tag '{tag}'"):
             KernelSpec(tag=tag)
 
 

@@ -9,13 +9,7 @@ import scipy.linalg.lapack
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
-from stargraph.errors import (
-    DomainError,
-    NumericalInputError,
-    ShapeError,
-    StabilityError,
-    VertexContinuityError,
-)
+from stargraph.errors import DomainError, ShapeError, StabilityError, VertexContinuityError
 from stargraph.extension import (
     CoefficientTriple,
     extend_coefficients,
@@ -61,6 +55,16 @@ def test_config_validation():
     with pytest.raises(DomainError):
         # t_final/dt = 9.9999999 is within 1e-6 of 10, but 10 dt misses t_final by 1e-8
         OracleConfig(n=2.0, h=0.25, dt=0.100000001, t_final=1.0)
+    # a line or a level count beyond the node budget is refused before a
+    # grid is built, also where the ratio overflows to inf
+    for n, h, why in ((1e300, 0.125, "n/h must be below 1.1e\\+12, got 8e\\+300"),
+                      (1e300, 1e-300, "n/h must be below 1.1e\\+12, got inf")):
+        with pytest.raises(DomainError, match=why):
+            OracleConfig(n=n, h=h, dt=0.01, t_final=0.1)
+    for t_final, dt, why in ((1e18, 1.0, "got 1e\\+18"), (0.1, 1e-300, "got 1e\\+299"),
+                             (1e300, 1e-300, "got inf")):
+        with pytest.raises(DomainError, match="t_final/dt must be below 1.1e\\+12, " + why):
+            OracleConfig(n=4.0, h=0.125, dt=dt, t_final=t_final)
 
 
 def test_grid_negation_symmetry():
@@ -547,6 +551,12 @@ def test_truncation_study_confinement():
         truncation_study(ou_coefficients(), f, cfg, [4.0])
     with pytest.raises(DomainError):
         truncation_study(ou_coefficients(), f, cfg, [6.0, 4.0])
+    # every radius is checked before the first march; NaN passes the order
+    # check, since every comparison with it is false
+    for radii, why in (([math.nan, 4.0], "n must be positive, got nan"),
+                       ([4.0, 1e300], "n/h must be below")):
+        with pytest.raises(DomainError, match=why):
+            truncation_study(ou_coefficients(), f, cfg, radii)
 
 
 def test_tabulated_kernel_matches_closed_form():
@@ -569,7 +579,7 @@ def test_tabulated_kernel_matches_closed_form():
     with pytest.raises(DomainError):
         tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.5, 0.25])
     for times in ([math.nan], [math.inf], [0.2, math.nan]):
-        with pytest.raises(NumericalInputError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, times)
 
 
@@ -611,8 +621,11 @@ def test_line_solve_returns_every_level():
     assert np.array_equal(run[0], u0)
     assert not run[1:, [0, -1]].any()
     # anything but one finite number per solver node is refused
-    for bad in (u0[1:], u0[None, :], np.exp, "u0"):
-        with pytest.raises((ShapeError, NumericalInputError)):
+    for bad in (u0[1:], u0[None, :]):
+        with pytest.raises(ShapeError, match="one value per solver node"):
             solve_line_dirichlet(coeffs, bad, cfg)
-    with pytest.raises(NumericalInputError):
+    for bad in (np.exp, "u0"):
+        with pytest.raises(DomainError, match="initial data must be an array of numbers"):
+            solve_line_dirichlet(coeffs, bad, cfg)
+    with pytest.raises(DomainError, match="initial data must be finite on the solver grid"):
         solve_line_dirichlet(coeffs, np.where(x == 0.0, np.nan, u0), cfg)

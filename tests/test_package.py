@@ -16,10 +16,9 @@ import stargraph.oracle
 # The public API, frozen: a name added to or dropped from the package must be
 # added to or dropped from this list in the same change.
 PUBLIC = """
-AssemblyError CoefficientTriple DomainError ExtensionError GridSpec HARMONIC
-InvalidGraphError InvalidPointError KernelSpec MIN_TIME NumericalInputError OU
+CoefficientTriple DomainError GridSpec HARMONIC KernelSpec MIN_TIME OU
 OracleConfig PolyGauss ShapeError SpectralDatum StabilityError StarEvolution
-StarFunction StarGraph StarGraphError StarPoint StencilError TRUST_RADIUS
+StarFunction StarGraph StarGraphError StarPoint TRUST_RADIUS
 TabulatedLineKernel TracePair TruncationRow VertexContinuityError
 apply apply_generator eigenbasis evolve_sequence
 extend_coefficients flat_factor form_spectrum from_flat ground_state
@@ -77,7 +76,7 @@ def test_public_names_resolve_once_and_match_the_frozen_list():
     for name in names:
         assert getattr(stargraph, name) is not None, name
     assert sorted(names) == sorted(PUBLIC)
-    assert len(PUBLIC) == 55
+    assert len(PUBLIC) == 49
 
 
 def test_module_all_names_resolve():

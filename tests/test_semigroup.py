@@ -166,11 +166,12 @@ def test_vertex_defect_paths():
 
 def test_evolve_sequence_validation(grid):
     one = StarFunction.constant(StarGraph(2), grid, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="times must be strictly increasing"):
         evolve_sequence(OU, 2, [0.5, 0.5], one, grid)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="times must be strictly increasing"):
         evolve_sequence(OU, 2, [1.0, 0.5], one, grid)
-    with pytest.raises(DomainError):
+    # each time gets apply's own check and message
+    with pytest.raises(DomainError, match="time must be >= 1e-08, got 0.0"):
         evolve_sequence(OU, 2, [0.0, 0.5], one, grid)
     snaps = evolve_sequence(OU, 2, [0.25, 0.75], one, grid)
     assert len(snaps) == 2
@@ -232,6 +233,20 @@ def test_apply_equals_dense_reference(rng):
                         scale = max(1.0, float(np.abs(got).max()))
                         assert np.abs(got - want).max() <= 1e-14 * scale
                         assert got[:, 0].max() == got[:, 0].min()
+
+
+def test_ho_blocks_keep_the_split_form():
+    # HO's blocks take (x - y) - μx, free of the rounding of λ near 1.  The
+    # plain λx - y form reaches 9.3e-15 of scale on this case (sample-backed,
+    # t = 1e-3, where λ = 1 - 5e-7); the split form stays at 3.0e-16
+    grid = GridSpec(cutoff=6.0, points_per_edge=257)
+    vals = np.random.default_rng(2).normal(size=(3, 257))
+    vals[:, 0] = vals[0, 0]
+    f = StarFunction(StarGraph(3), grid, vals)
+    got = apply(HARMONIC, 3, 1e-3, f, grid).values
+    want = dense_apply(HARMONIC, 3, 1e-3, f)
+    scale = max(1.0, float(np.abs(got).max()))
+    assert np.abs(got - want).max() <= 5e-15 * scale
 
 
 @given(

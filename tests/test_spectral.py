@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from stargraph.errors import AssemblyError, DomainError, ShapeError
+from stargraph.errors import DomainError, ShapeError, StabilityError
 from stargraph.geometry import GridSpec, StarFunction, StarGraph
 from stargraph.kernels import HARMONIC, OU
 from stargraph.semigroup import apply
@@ -202,7 +202,7 @@ def test_form_matrix_invariants():
         # constants are in the kernel of the form
         assert np.abs(stiff.sum(axis=1)).max() < 1e-13
         assert np.all(np.diag(mass) > 0)
-    with pytest.raises(AssemblyError):
+    with pytest.raises(ShapeError, match="form assembly needs >= 3 points per edge"):
         form_matrix(2, GridSpec(cutoff=1.0, points_per_edge=2))
     for m in (0, -1, 2.5, True):
         with pytest.raises(DomainError):
@@ -286,7 +286,7 @@ def test_missed_eigenvalue_is_refused(monkeypatch):
         return _lanczos_lowest(a_diag, a_off, b_diag, b_off, count + 1)[1:]
 
     monkeypatch.setattr(stargraph.spectral, "_lanczos_lowest", skips_lowest)
-    with pytest.raises(AssemblyError, match="the even sector has 3 eigenvalues .* returned 2"):
+    with pytest.raises(StabilityError, match="the even sector has 3 eigenvalues .* returned 2"):
         form_spectrum(3, GridSpec(cutoff=6.0, points_per_edge=65), count=4)
 
 
