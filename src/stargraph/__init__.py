@@ -9,6 +9,7 @@ front end are provided.
 """
 
 from .errors import (
+    MIN_TIME,
     DomainError,
     ShapeError,
     StabilityError,
@@ -31,14 +32,7 @@ from .geometry import (
     simpson_weights,
     sup_distance,
 )
-from .kernels import (
-    HARMONIC,
-    MIN_TIME,
-    OU,
-    KernelSpec,
-    line_kernel,
-    star_kernel,
-)
+from .kernels import HARMONIC, OU, KernelSpec, line_kernel, star_kernel
 from .oracle import (
     OracleConfig,
     StarEvolution,

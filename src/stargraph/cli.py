@@ -21,14 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StabilityError, StarGraphError
+from .errors import StabilityError, StarGraphError, check_integer
 from .extension import ho_coefficients, ou_coefficients
 from .geometry import (
     GridSpec,
     StarFunction,
     StarGraph,
     StarPoint,
-    check_edge_count,
     integrate_star,
     sup_distance,
     vertex_flux,
@@ -194,7 +193,7 @@ def cmd_spectrum(args) -> int:
     grid = GridSpec(cutoff=args.cutoff, points_per_edge=args.points)
     if args.levels < 1:
         raise StarGraphError(f"--levels must be at least 1, got {args.levels}")
-    check_edge_count(args.m)
+    check_integer("edge count", args.m)
     # levels 0, 2, 4, ... are simple and 1, 3, 5, ... have m - 1 values each
     count = (args.levels + 1) // 2 + (args.levels // 2) * (args.m - 1)
     dim = 1 + args.m * (args.points - 1)
@@ -392,7 +391,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
-        print(f"error: the run needs more memory than is available ({exc})", file=sys.stderr)
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: the run needs more memory than is available{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

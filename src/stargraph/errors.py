@@ -1,9 +1,34 @@
-"""Exception types shared across the package: one per kind of mistake.
+"""Exception types shared across the package, and one checker per kind of input.
 
 Every refusal of an input is a ``StarGraphError`` (CLI exit 2), and one of
 its three subclasses names what is wrong.  A numerical failure of a run is
-a ``StabilityError`` (CLI exit 3).
+a ``StabilityError`` (CLI exit 3).  Each kind of input has one checker,
+which raises one type with one message template whichever entry point calls
+it, and is never told which one does:
+
+- a time >= MIN_TIME: ``check_time``, ``DomainError``;
+- a positive finite size (cutoff, mesh, step): ``check_positive``, ``DomainError``;
+- a radius >= 0: ``check_radius``, ``DomainError``;
+- a model integer (edge count or index, level, count): ``check_integer``, ``DomainError``;
+- points per edge: ``check_points``, ``ShapeError``;
+- the node budget MAX_NODES: ``check_nodes``, ``ShapeError``;
+- strictly increasing times: ``check_increasing``, ``DomainError``;
+- line coefficients: ``extension.check_coefficients``, ``DomainError``.
 """
+
+import math
+
+import numpy as np
+
+# Smallest time any kernel accepts.  It does not mark where the quadrature in
+# ``semigroup.apply`` can still resolve the kernel: that already fails at
+# t = 1e-5 on 513 points, where constant 1 comes back as 0.848.
+MIN_TIME = 1e-8
+
+# The node budget: a grid or a quadrature grid with more nodes per edge, or an
+# oracle line or level count beyond it (8 TiB of samples each), is refused
+# before anything is allocated.
+MAX_NODES = 2**40
 
 
 class StarGraphError(ValueError):
@@ -11,20 +36,11 @@ class StarGraphError(ValueError):
 
 
 class DomainError(StarGraphError):
-    """A value the model does not accept.
-
-    Edge counts, edge indices, radii, times, non-finite or non-numeric data,
-    and coefficients that break ellipticity, the drift-at-vertex condition or
-    their declared growth bound.
-    """
+    """A value the model does not accept: a time, a size, a radius, an integer, data."""
 
 
 class ShapeError(StarGraphError):
-    """Data, grids or files whose layout does not fit.
-
-    Array shapes, grids with too few or too many points for what is asked of
-    them, and malformed files.
-    """
+    """Data, grids or files whose layout does not fit: shapes, point counts, files."""
 
 
 class VertexContinuityError(StarGraphError):
@@ -34,3 +50,75 @@ class VertexContinuityError(StarGraphError):
 class StabilityError(RuntimeError):
     """A numerical failure: a growth bound broken, a value gone non-finite or
     a solver that did not converge."""
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_time(t) -> float:
+    """``t`` as a float; raise DomainError unless it is finite and >= MIN_TIME."""
+
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"time must be finite, got {t}")
+    if t < MIN_TIME:
+        raise DomainError(f"time must be >= {MIN_TIME}, got {t}")
+    return t
+
+
+def check_positive(name: str, value) -> None:
+    """Raise DomainError unless the size ``name`` is positive and finite."""
+
+    if not 0 < value < math.inf:  # NaN fails too
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def check_radius(r):
+    """``r`` as a float, or an array of floats; DomainError unless each is finite and >= 0."""
+
+    if isinstance(r, (int, float)) and 0 <= r < math.inf:
+        return float(r)  # the path of every StarPoint
+    radii = np.asarray(r, dtype=float)
+    bad = radii[~((radii >= 0) & (radii < math.inf))]
+    if bad.size:
+        raise DomainError(f"radius must be finite and >= 0, got {bad[0]}")
+    return radii if radii.ndim else float(radii)
+
+
+def check_integer(name: str, value, least: int = 1, most: int | None = None) -> int:
+    """``value`` as an int; DomainError unless it is an integer (a bool is not) in least..most.
+
+    ``least`` is 0 or 1 when there is no upper bound ``most``."""
+
+    if not (_is_integer(value) and least <= value and (most is None or value <= most)):
+        span = (f"an integer in {least}..{most}" if most is not None
+                else "a positive integer" if least == 1 else "a nonnegative integer")
+        raise DomainError(f"{name} must be {span}, got {value!r}")
+    return int(value)
+
+
+def check_points(n, least: int) -> None:
+    """Raise ShapeError unless ``n`` points per edge is an integer >= ``least``."""
+
+    if not (_is_integer(n) and n >= least):
+        raise ShapeError(f"points per edge must be an integer >= {least}, got {n!r}")
+
+
+def check_nodes(name: str, count) -> None:
+    """Raise ShapeError unless ``count`` is within the node budget MAX_NODES (NaN is not)."""
+
+    if not count <= MAX_NODES:
+        raise ShapeError(
+            f"{name} must be at most {MAX_NODES:.3g} (the node budget), got {count:.6g}"
+        )
+
+
+def check_increasing(times) -> None:
+    """Raise DomainError, naming the first pair out of order, unless ``times`` increase strictly."""
+
+    for earlier, later in zip(times, times[1:]):
+        if later <= earlier:
+            raise DomainError(f"times must be strictly increasing, got {earlier} then {later}")

@@ -24,6 +24,7 @@ __all__ = [
     "ou_coefficients",
     "ho_coefficients",
     "reflect",
+    "check_coefficients",
     "extend_coefficients",
 ]
 
@@ -76,12 +77,22 @@ def reflect(values: np.ndarray) -> np.ndarray:
     return (2.0 / values.shape[0]) * values.sum(axis=0) - values
 
 
+def check_coefficients(q: np.ndarray, *others) -> None:
+    """Raise DomainError unless the diffusion samples ``q`` are positive and, with the
+    samples and bounds ``others``, finite (their sum is checked, so it must not overflow)."""
+
+    if not np.all(q > 0):  # NaN fails too
+        raise DomainError(f"diffusion coefficient must be positive, got q = {np.min(q):.6g}")
+    if not np.all(np.isfinite(sum(others, q))):
+        raise DomainError("coefficients and c_sup_bound must be finite")
+
+
 def extend_coefficients(coeffs: CoefficientTriple) -> CoefficientTriple:
     """Extend edge coefficients to the line: q, c evenly and b oddly.
 
     The odd drift extension is well defined only when b vanishes at the
-    vertex (tolerance 1e-12); ellipticity q > 0 and the growth bound
-    c <= c_sup_bound are spot-checked on 1201 points of [0, 12].
+    vertex (tolerance 1e-12); ``check_coefficients`` on q and c and the
+    growth bound c <= c_sup_bound are spot-checked on 1201 points of [0, 12].
     """
 
     r = np.linspace(0.0, 12.0, 1201)
@@ -92,10 +103,7 @@ def extend_coefficients(coeffs: CoefficientTriple) -> CoefficientTriple:
         )
     qs = np.asarray(coeffs.q(r), dtype=float)
     cs = np.asarray(coeffs.c(r), dtype=float)
-    if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(cs))):
-        raise DomainError("coefficients must be finite on the sample grid")
-    if np.any(qs <= 0):
-        raise DomainError("diffusion coefficient must be strictly positive")
+    check_coefficients(qs, cs)
     if np.any(cs > coeffs.c_sup_bound + 1e-12):
         raise DomainError(
             f"reaction coefficient exceeds its declared bound {coeffs.c_sup_bound}"

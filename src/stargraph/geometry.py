@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, VertexContinuityError
+from .errors import DomainError, ShapeError, VertexContinuityError, check_integer, check_nodes
+from .errors import check_points, check_positive, check_radius
 
 __all__ = [
     "StarGraph",
@@ -29,9 +30,6 @@ __all__ = [
     "integrate_star",
     "sup_distance",
     "simpson_weights",
-    "check_edge_count",
-    "is_integer",
-    "MAX_NODES",
     "VERTEX_TOL",
     "vertex_continuous",
     "vertex_slopes",
@@ -40,27 +38,9 @@ __all__ = [
 
 SQRT_PI = math.sqrt(math.pi)
 
-# The node budget: a grid or a quadrature grid with more nodes per edge, or an
-# oracle line or level count beyond it (8 TiB of samples each), is refused
-# before anything is allocated.
-MAX_NODES = 2**40
-
 # vertex samples that spread by at most this share of max(1, |value|) are one
 # vertex value
 VERTEX_TOL = 1e-9
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
-
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def check_edge_count(m) -> None:
-    """Raise DomainError unless ``m`` is a positive integer (a bool is not one)."""
-
-    if not is_integer(m) or m < 1:
-        raise DomainError(f"edge count must be a positive integer, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +50,7 @@ class StarGraph:
     m: int
 
     def __post_init__(self) -> None:
-        check_edge_count(self.m)
+        check_integer("edge count", self.m)
 
 
 class StarPoint:
@@ -82,15 +62,8 @@ class StarPoint:
     __slots__ = ("edge", "radius")
 
     def __init__(self, edge: int, radius: float):
-        if not is_integer(edge):
-            raise DomainError(f"edge index must be an integer, got {edge!r}")
-        if edge < 1:
-            raise DomainError(f"edge index must be >= 1, got {edge}")
-        radius = float(radius)
-        if not math.isfinite(radius) or radius < 0:
-            raise DomainError(f"radius must be finite and >= 0, got {radius}")
-        object.__setattr__(self, "edge", int(edge))
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "edge", check_integer("edge index", edge))
+        object.__setattr__(self, "radius", check_radius(float(radius)))
 
     def __setattr__(self, name, value):
         raise AttributeError("StarPoint is immutable")
@@ -119,16 +92,9 @@ class GridSpec:
     points_per_edge: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.cutoff) or self.cutoff <= 0:
-            raise ShapeError(f"cutoff must be positive and finite, got {self.cutoff}")
-        if not is_integer(self.points_per_edge) or self.points_per_edge < 2:
-            raise ShapeError(
-                f"points_per_edge must be an integer >= 2, got {self.points_per_edge!r}"
-            )
-        if self.points_per_edge > MAX_NODES:
-            raise ShapeError(
-                f"points_per_edge must be at most {MAX_NODES:.3g}, got {self.points_per_edge}"
-            )
+        check_positive("cutoff", self.cutoff)
+        check_points(self.points_per_edge, 2)
+        check_nodes("points per edge", self.points_per_edge)
         if not self.h > 0:
             raise ShapeError(
                 f"grid spacing cutoff/(points_per_edge - 1) underflows to 0 "
@@ -150,13 +116,8 @@ def mu_density(p, m: int):
     the m edges it integrates to one.
     """
 
-    check_edge_count(m)
-    if isinstance(p, StarPoint):
-        r = p.radius
-    else:
-        r = np.asarray(p, dtype=float)
-        if np.any(~np.isfinite(r)) or np.any(r < 0):
-            raise DomainError("radii must be finite and >= 0")
+    check_integer("edge count", m)
+    r = p.radius if isinstance(p, StarPoint) else check_radius(p)
     return (2.0 / (m * SQRT_PI)) * np.exp(-np.square(r))
 
 
@@ -168,10 +129,8 @@ def simpson_weights(n_points: int, h: float) -> np.ndarray:
     the trapezoid rule.
     """
 
-    if n_points < 2:
-        raise ShapeError(f"quadrature needs >= 2 points, got {n_points}")
-    if not math.isfinite(h) or h <= 0:
-        raise ShapeError(f"grid spacing must be positive, got {h}")
+    check_points(n_points, 2)
+    check_positive("h", h)
     intervals = n_points - 1
     w = np.zeros(n_points)
     if intervals == 1:
@@ -218,8 +177,7 @@ def vertex_flux(values: np.ndarray, h: float) -> np.ndarray:
     stores one vertex value by construction.
     """
 
-    if values.shape[-1] < 3:
-        raise ShapeError("vertex stencil needs >= 3 points per edge")
+    check_points(values.shape[-1], 3)
     return np.abs(vertex_slopes(values, h).sum(axis=-1))
 
 
@@ -336,10 +294,7 @@ class StarFunction:
     @classmethod
     def constant(cls, graph: StarGraph, grid: GridSpec, value: float) -> "StarFunction":
         value = float(value)
-        profiles = tuple(
-            (lambda x, v=value: np.full_like(np.asarray(x, dtype=float), v))
-            for _ in range(graph.m)
-        )
+        profiles = (lambda x: np.full_like(np.asarray(x, dtype=float), value),) * graph.m
         return cls.from_callables(graph, grid, profiles, continuous_at_vertex=True)
 
     # -- basic queries -----------------------------------------------------
@@ -401,7 +356,7 @@ class StarFunction:
         if not per_edge:
             raise ShapeError(f"no data rows in {path}")
         m = max(per_edge)
-        if sorted(per_edge) != list(range(1, m + 1)):
+        if len(per_edge) != m:  # distinct indices >= 1 cover 1..m exactly when there are m
             raise ShapeError(f"edge indices must cover 1..{m} in {path}")
         counts = {len(rows) for rows in per_edge.values()}
         if len(counts) != 1:
@@ -443,8 +398,8 @@ def sup_distance(f: StarFunction, g: StarFunction, radius_max: float | None = No
         raise ShapeError("functions are sampled on different grids")
     diff = np.abs(f.values - g.values)
     if radius_max is not None:
-        if not radius_max >= 0:
-            raise DomainError(f"window radius must be >= 0, got {radius_max}")
+        # a window beyond the cutoff is the whole grid, also an infinite one
+        radius_max = check_radius(min(radius_max, f.grid.cutoff))
         mask = f.grid.nodes() <= radius_max + 1e-12
         diff = diff[:, mask]
     return float(diff.max())

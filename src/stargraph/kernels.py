@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .geometry import StarPoint, check_edge_count
+from .errors import DomainError, check_integer, check_time
+from .geometry import StarPoint
 
 __all__ = [
-    "MIN_TIME",
     "KernelSpec",
     "OU",
     "HARMONIC",
@@ -27,25 +26,9 @@ __all__ = [
     "star_kernel",
 ]
 
-# Smallest time any kernel accepts.  It does not mark where the quadrature in
-# ``semigroup.apply`` can still resolve the kernel: that already fails at
-# t = 1e-5 on 513 points, where constant 1 comes back as 0.848.
-MIN_TIME = 1e-8
-
 # kernel values farther than the band half-width from the band centre are
 # below e^{-BAND_EXPONENT} of their row's peak
 BAND_EXPONENT = 40.0
-
-
-def check_time(t: float) -> float:
-    """``t`` as a float; raise DomainError unless it is finite and >= MIN_TIME."""
-
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"time must be finite, got {t}")
-    if t < MIN_TIME:
-        raise DomainError(f"time must be >= {MIN_TIME}, got {t}")
-    return t
 
 
 def _ou_values(t: float, x, y):
@@ -175,7 +158,7 @@ def star_kernel(spec: KernelSpec, m: int, t: float, x: StarPoint, y: StarPoint) 
 
     if not isinstance(x, StarPoint) or not isinstance(y, StarPoint):
         raise DomainError("x and y must be StarPoint instances")
-    check_edge_count(m)
+    check_integer("edge count", m)
     if x.edge > m or y.edge > m:
         raise DomainError(
             f"point uses edge beyond the {m}-edge star: {x.edge}, {y.edge}"

@@ -26,9 +26,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, StabilityError
-from .extension import CoefficientTriple, extend_coefficients
-from .geometry import MAX_NODES, GridSpec, StarFunction, StarGraph, vertex_flux
+from .errors import DomainError, ShapeError, StabilityError, check_increasing, check_nodes
+from .errors import check_positive, check_time
+from .extension import CoefficientTriple, check_coefficients, extend_coefficients
+from .geometry import GridSpec, StarFunction, StarGraph, vertex_flux
 
 __all__ = [
     "OracleConfig",
@@ -59,9 +60,9 @@ class OracleConfig:
 
     ``n`` is the half-width of the interval, ``h`` the mesh width (n/h must
     be an integer), ``dt`` the step size, ``t_final`` the last time (a whole
-    number of steps) and ``theta`` the implicit weight (1/2 = trapezoidal,
-    1 = backward Euler).  n/h and t_final/dt must stay below the node budget
-    ``geometry.MAX_NODES``.
+    number >= 1 of steps) and ``theta`` the implicit weight (1/2 =
+    trapezoidal, 1 = backward Euler).  Nodes per edge n/h + 1 and levels
+    t_final/dt + 1 must stay within the node budget ``errors.MAX_NODES``.
     """
 
     n: float
@@ -71,31 +72,21 @@ class OracleConfig:
     theta: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.n) and self.n > 0):
-            raise DomainError(f"n must be positive, got {self.n}")
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise DomainError(f"h must be positive, got {self.h}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise DomainError(f"dt must be positive, got {self.dt}")
+        for name in ("n", "h", "dt", "t_final"):
+            check_positive(name, getattr(self, name))
         if not (0.5 <= self.theta <= 1.0):
             raise DomainError(f"theta must lie in [1/2, 1], got {self.theta}")
-        if not (math.isfinite(self.t_final) and self.t_final > 0):
-            raise DomainError(f"t_final must be positive, got {self.t_final}")
         # a line or a level count beyond the node budget is refused before
         # anything is allocated, and before round() can meet an inf
-        if not self.n / self.h < MAX_NODES:
-            raise DomainError(f"n/h must be below {MAX_NODES:.3g}, got {self.n / self.h:.6g}")
-        if not self.t_final / self.dt < MAX_NODES:
-            raise DomainError(
-                f"t_final/dt must be below {MAX_NODES:.3g}, got {self.t_final / self.dt:.6g}"
-            )
+        check_nodes("oracle nodes per edge n/h + 1", self.n / self.h + 1)
+        check_nodes("oracle levels t_final/dt + 1", self.t_final / self.dt + 1)
         if abs(self.n / self.h - round(self.n / self.h)) > 1e-9:
             raise DomainError(f"n/h must be an integer, got {self.n / self.h}")
         if self.half_intervals < 1:
             raise DomainError(f"n must be at least one mesh width h, got n={self.n}, h={self.h}")
-        if abs(self.steps * self.dt - self.t_final) > _time_tol(self.t_final):
+        if self.steps < 1 or abs(self.steps * self.dt - self.t_final) > _time_tol(self.t_final):
             raise DomainError(
-                f"t_final must be a whole number of steps dt to within "
+                f"t_final must be a whole number of steps dt, at least one, to within "
                 f"{_time_tol(self.t_final):.0e}, got t_final/dt = {self.t_final / self.dt!r}"
             )
 
@@ -120,11 +111,14 @@ def _time_tol(t: float) -> float:
     return 1e-9 * max(1.0, abs(t))
 
 
-def _time_level(times: np.ndarray, t: float) -> int:
-    hits = np.nonzero(np.abs(times - t) <= _time_tol(t))[0]
-    if hits.size == 0:
+def _time_level(t: float, dt: float, steps: int) -> int:
+    """The level k in 0..steps whose time k dt is ``t`` to within ``_time_tol(t)``."""
+
+    ratio = t / dt
+    k = int(round(ratio)) if -1.0 < ratio < steps + 1.0 else -1  # NaN and inf never round
+    if not 0 <= k <= steps or abs(k * dt - t) > _time_tol(t):
         raise DomainError(f"time {t} is not a stored level")
-    return int(hits[0])
+    return k
 
 
 def solve_line_dirichlet(
@@ -163,18 +157,14 @@ def _stencil(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower, main and upper stencil entries of q u'' + b u' + c u at x[1:-1].
 
-    Refuses, anywhere on x, a q that is not positive, coefficients or a
-    c_sup_bound that are not finite, and a cell Peclet number above 1.
+    Refuses, anywhere on x, what ``extension.check_coefficients`` refuses
+    and a cell Peclet number above 1.
     """
 
     qv = np.asarray(coeffs.q(x), dtype=float)
     bv = np.asarray(coeffs.b(x), dtype=float)
     cv = np.asarray(coeffs.c(x), dtype=float)
-    c0 = coeffs.c_sup_bound
-    if not np.all(qv > 0):  # NaN fails too
-        raise DomainError("diffusion coefficient must be positive on the grid")
-    if not (np.isfinite(qv + bv + cv).all() and math.isfinite(c0)):
-        raise DomainError(f"coefficients and c_sup_bound must be finite, got c_sup_bound {c0}")
+    check_coefficients(qv, bv, cv, coeffs.c_sup_bound)
     peclet = float(np.max(np.abs(bv) * h / (2.0 * qv)))
     if peclet > 1.0:
         raise DomainError(
@@ -283,7 +273,8 @@ class StarEvolution:
         return StarFunction(self.graph, self.grid, self.values[k], continuous_at_vertex=True)
 
     def at_time(self, t: float) -> StarFunction:
-        return self.snapshot(_time_level(self.times, t))
+        # times[k] is k dt, and a config always has at least one step
+        return self.snapshot(_time_level(t, self.times[1], self.times.size - 1))
 
 
 def solve_star(
@@ -375,7 +366,7 @@ def truncation_study(
     finals = []
     for run_cfg in configs:
         run = solve_star(coeffs, f, run_cfg)
-        finals.append(run.values[_time_level(run.times, cfg.t_final), :, :window])
+        finals.append(run.values[-1, :, :window])  # the last level is t_final
     return [
         TruncationRow(n=n, t=cfg.t_final, sup_defect=float(np.abs(cur - prev).max()))
         for prev, cur, n in zip(finals, finals[1:], n_list[1:])
@@ -409,17 +400,12 @@ def tabulate_kernel(
     and only the requested levels are kept.
     """
 
-    times = [float(t) for t in times]
+    times = [check_time(t) for t in times]
     if not times:
         raise DomainError("need at least one tabulation time")
-    if not all(math.isfinite(t) for t in times):
-        raise DomainError(f"tabulation times must be finite, got {times}")
-    levels = [int(round(t / cfg.dt)) for t in times]
-    for t, k in zip(times, levels):
-        if abs(k * cfg.dt - t) > _time_tol(t) or k < 1 or k > cfg.steps:
-            raise DomainError(f"time {t} is not a positive stored level")
-    if any(k2 <= k1 for k1, k2 in zip(levels, levels[1:])):
-        raise DomainError("tabulation times must be strictly increasing")
+    # a time >= MIN_TIME is never level 0, and times sharing a level are equal
+    levels = [_time_level(t, cfg.dt, cfg.steps) for t in times]
+    check_increasing([k * cfg.dt for k in levels])
 
     # row j is the hat at node j, and row 0 stays zero (a full line shares
     # nothing); the end nodes are absorbed, so their rows and columns of the

@@ -22,10 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_increasing, check_integer, check_nodes
+from .errors import check_time
 from .extension import reflect
-from .geometry import MAX_NODES, GridSpec, StarFunction, check_edge_count, simpson_weights
-from .kernels import KernelSpec, check_time, gaussian_form, kernel_band
+from .geometry import GridSpec, StarFunction, simpson_weights
+from .kernels import KernelSpec, gaussian_form, kernel_band
 
 __all__ = ["apply", "evolve_sequence"]
 
@@ -48,12 +49,8 @@ def _quadrature_grid(f: StarFunction, reach: float):
     refine = OVERSAMPLE if f.has_profiles() else 1
     hq = f.grid.h / refine
     if f.has_profiles():
-        if not reach <= MAX_NODES * hq:  # also when hq underflows to 0
-            raise DomainError(
-                f"the quadrature step {hq:.3g} is too fine to reach radius {reach:.3g} "
-                f"within {MAX_NODES:.3g} nodes per edge"
-            )
-        nodes = reach / hq
+        nodes = reach / hq if hq > 0 else math.inf  # hq underflows to 0 at h = 5e-324
+        check_nodes("quadrature intervals per edge", nodes)
     else:
         # zeros past the last sample contribute nothing; keep one zero node
         # so the last sample carries an interior Simpson weight
@@ -93,7 +90,7 @@ def apply(
     even part.
     """
 
-    check_edge_count(m)
+    check_integer("edge count", m)
     if m != f.graph.m:
         raise ShapeError(f"edge count {m} does not match the function ({f.graph.m})")
     f.require_continuous("semigroup input must be vertex-continuous")
@@ -145,6 +142,5 @@ def evolve_sequence(
     """Apply the semigroup at each listed time, always from the initial data."""
 
     times = [check_time(t) for t in times]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise DomainError("times must be strictly increasing")
+    check_increasing(times)
     return [apply(spec, m, t, f, grid) for t in times]

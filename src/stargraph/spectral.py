@@ -28,15 +28,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P, polyutils
 
-from .errors import DomainError, ShapeError, StabilityError
-from .geometry import (
-    GridSpec,
-    StarFunction,
-    StarGraph,
-    check_edge_count,
-    is_integer,
-    simpson_weights,
-)
+from .errors import DomainError, ShapeError, StabilityError, check_integer, check_points, check_time
+from .geometry import GridSpec, StarFunction, StarGraph, simpson_weights
 from .kernels import OU, KernelSpec, check_spec, line_kernel
 
 __all__ = [
@@ -106,20 +99,13 @@ class PolyGauss:
 # -- Hermite polynomials ----------------------------------------------------
 
 
-def _check_nonnegative_int(value, what: str) -> None:
-    """Raise DomainError unless ``value`` is a nonnegative integer (a bool is not one)."""
-
-    if not is_integer(value) or value < 0:
-        raise DomainError(f"{what} must be a nonnegative integer, got {value!r}")
-
-
 def hermite_coefficients(k: int) -> tuple[float, ...]:
     """Coefficients (ascending) of the k-th physicists' Hermite polynomial.
 
     They are integers, exact in double precision through k = 28.
     """
 
-    _check_nonnegative_int(k, "level")
+    check_integer("level", k, least=0)
     return tuple(np.polynomial.hermite.herm2poly([0.0] * k + [1.0]).tolist())
 
 
@@ -140,8 +126,8 @@ def _multiplicity(k: int, m: int) -> int:
 def multiplicity(k: int, m: int) -> int:
     """Even levels are simple; odd levels have dimension m - 1."""
 
-    check_edge_count(m)
-    _check_nonnegative_int(k, "level")
+    check_integer("edge count", m)
+    check_integer("level", k, least=0)
     return _multiplicity(k, m)
 
 
@@ -223,8 +209,7 @@ def _edge_form(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     vertex).  Every element is integrated at once on the Gauss panels.
     """
 
-    if grid.points_per_edge < 3:
-        raise ShapeError("form assembly needs >= 3 points per edge")
+    check_points(grid.points_per_edge, 3)
     nodes = grid.nodes()
     a = nodes[:-1]
     h = np.diff(nodes)
@@ -397,10 +382,8 @@ def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarra
     size 1 + m(n - 1), and each odd value appears m - 1 times by
     construction.  Each sector is rescaled by its mass diagonal.
 
-    ``count`` keeps the lowest values; it must lie in 1 .. 1 + m(n - 1), or
-    ``DomainError`` is raised, as it is for an edge count that is not a
-    positive integer.  A grid of fewer than 3 points per edge, or one on
-    which the mass diagonal is not positive, raises ``ShapeError``.
+    ``count`` keeps the lowest values, 1 .. 1 + m(n - 1) of them.  A grid on
+    which the mass diagonal is not positive raises ``ShapeError``.
     The odd pencil is the even one with the vertex row and column deleted,
     so by Cauchy interlacing e_j <= o_j <= e_{j+1}, and the merged list runs
     e_1, o_1 (m - 1 times), e_2, ...  Its lowest ``count`` values therefore
@@ -415,10 +398,9 @@ def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarra
     whole pencil, O(n^3).
     """
 
-    check_edge_count(m)
-    dim = 1 + m * (grid.points_per_edge - 1)
-    if count is not None and (not is_integer(count) or not 1 <= count <= dim):
-        raise DomainError(f"count must be an integer in 1..{dim}, got {count!r}")
+    check_integer("edge count", m)
+    if count is not None:
+        check_integer("count", count, most=1 + m * (grid.points_per_edge - 1))
     stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
     if not np.all(mass_diag > 0):
         raise ShapeError("mass matrix lost positivity; refine or shrink the grid")
@@ -447,9 +429,8 @@ class TracePair(NamedTuple):
 def trace_closed_form(t: float, m: int) -> float:
     """(1 + (m-1) e^{-t}) / (1 - e^{-2t})."""
 
-    if not (math.isfinite(t) and t > 0):
-        raise DomainError(f"time must be positive and finite, got {t}")
-    check_edge_count(m)
+    t = check_time(t)
+    check_integer("edge count", m)
     return (1.0 + (m - 1) * math.exp(-t)) / (-math.expm1(-2.0 * t))
 
 
@@ -476,10 +457,11 @@ def trace_partial(t: float, m: int, terms: int) -> TracePair:
     window grow.
     """
 
-    if not (math.isfinite(t) and t >= 0.05):
-        raise DomainError(f"trace quadrature needs a finite time t >= 0.05, got {t}")
-    check_edge_count(m)
-    _check_nonnegative_int(terms, "term count")
+    t = check_time(t)
+    if t < 0.05:
+        raise DomainError(f"trace quadrature needs a time t >= 0.05, got {t}")
+    check_integer("edge count", m)
+    check_integer("term count", terms, least=0)
     # e^{-kt} is exactly 0.0 once kt > 746, so later terms add nothing
     last = min(terms, int(746.0 / t))
     partial = sum(_multiplicity(k, m) * math.exp(-k * t) for k in range(last + 1))

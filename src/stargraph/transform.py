@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .geometry import GridSpec, StarFunction, StarGraph, check_edge_count, sup_distance
+from .errors import check_integer
+from .geometry import GridSpec, StarFunction, StarGraph, sup_distance
 from .kernels import HARMONIC, OU
 from .semigroup import apply
 from .spectral import PolyGauss
@@ -35,7 +36,7 @@ TRUST_RADIUS = 5.5
 def flat_factor(m: int) -> float:
     """sqrt(c_m) with c_m = 2 / (m sqrt(pi))."""
 
-    check_edge_count(m)
+    check_integer("edge count", m)
     return math.sqrt(2.0 / (m * math.sqrt(math.pi)))
 
 

@@ -155,6 +155,12 @@ def test_evolve_unknown_initial(tmp_path, capsys):
         "not_from_zero": (header + "1,0.5,1\n1,1.5,1\n", "uniform starting at 0"),
         "text_edge": (header + "x,1,1\n", "row 2 does not parse"),
         "zero_edge": (header + "0,0,1\n0,1,1\n", "edge index 0 on row 2 is not >= 1"),
+        # a large index once built the list 1..index before the refusal: 412 MB
+        # for 10^7, and a MemoryError for 10^12
+        "large_edge": (header + "1,0,1\n1,1,1\n10000000,0,1\n10000000,1,1\n",
+                       "edge indices must cover 1..10000000"),
+        "huge_edge": (header + "1,0,1\n1,1,1\n1000000000000,0,1\n1000000000000,1,1\n",
+                      "edge indices must cover 1..1000000000000"),
     }
     for name, (text, refusal) in files.items():
         path = tmp_path / f"{name}.csv"
@@ -191,12 +197,12 @@ def test_empty_float_list_is_usage_error(capsys):
 
 def test_non_finite_or_negative_numbers_are_usage_errors(capsys):
     oracle = ["oracle", "--n", "2", "--h", "0.125", "--dt", "0.1", "--t", "0.2", "--m", "2"]
-    for argv, named in ((oracle + ["--window", "-1"], "window radius must be >= 0, got -1"),
-                        (oracle + ["--window", "nan"], "window radius must be >= 0, got nan"),
-                        (["trace", "--t", "nan"], "time t >= 0.05, got nan"),
+    for argv, named in ((oracle + ["--window", "-1"], "radius must be finite and >= 0, got -1.0"),
+                        (oracle + ["--window", "nan"], "radius must be finite and >= 0, got nan"),
+                        (["trace", "--t", "nan"], "time must be finite, got nan"),
                         # two points per edge are too few for the vertex stencil
                         (["oracle", "--m", "2", "--n", "0.25", "--h", "0.25", "--dt", "0.1",
-                          "--t", "0.2"], "vertex stencil needs >= 3 points per edge")):
+                          "--t", "0.2"], "points per edge must be an integer >= 3, got 2")):
         assert main(argv) == EXIT_USAGE, argv
         assert named in capsys.readouterr().err, argv
 
@@ -327,13 +333,38 @@ def test_run_too_large_to_allocate_is_usage_error(capsys):
         assert captured.err.startswith("error: the run needs more memory"), extra
 
 
-def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter; a run that hangs fails on the timeout."""
+def _run_cli(args: list[str], timeout: float = 30,
+             memory_cap: int | None = None) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter; a run that hangs fails on the timeout.
+
+    With ``memory_cap`` the child caps its own address space at that many
+    bytes before it imports the package, and uses one BLAS thread.
+    """
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "stargraph.cli", *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=30)
+    env = {**os.environ, "PYTHONPATH": path}
+    command = [sys.executable, "-m", "stargraph.cli"]
+    if memory_cap is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        command = [sys.executable, "-c",
+                   f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, "
+                   f"({memory_cap}, {memory_cap})); from stargraph.cli import main; "
+                   f"sys.exit(main())"]
+    return subprocess.run([*command, *args], capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+def test_huge_edge_count_fails_at_once():
+    # one constant profile per edge once meant 10^12 lambdas, built until the
+    # memory ran out; the cap keeps a regression from taking the machine's
+    # memory, and the timeout from taking its time
+    run = _run_cli(["evolve", "--m", "1000000000000", "--points", "9"], timeout=10,
+                   memory_cap=2 << 30)
+    assert run.returncode == EXIT_USAGE, run.stderr
+    assert run.stdout == ""
+    # a MemoryError without text adds no empty "()"
+    assert run.stderr == "error: the run needs more memory than is available\n"
 
 
 def test_extreme_inputs_exit_cleanly(tmp_path):
@@ -348,20 +379,30 @@ def test_extreme_inputs_exit_cleanly(tmp_path):
     oracle = ["oracle", "--t", "0.1", "--n", "4", "--h", "0.125", "--dt", "0.01"]
     # meshes numpy cannot index, refused before anything is allocated; each
     # once ended in a ValueError or OverflowError traceback
+    budget = "must be at most 1.1e+12 (the node budget)"
+    line = "oracle nodes per edge n/h + 1 " + budget
+    levels = "oracle levels t_final/dt + 1 " + budget
     refused = {
-        "evolve_points": (["evolve", "--points", huge, "--times", "0.5"], "points_per_edge"),
-        "spectrum_points": (["spectrum", "--points", huge, "--levels", "2"], "points_per_edge"),
-        "invariance_points": (["invariance", "--points", huge], "points_per_edge"),
-        "oracle_n": (oracle + ["--n", "1e300"], "n/h must be below"),
-        "oracle_h": (oracle + ["--h", "1e-300"], "n/h must be below"),
-        "oracle_n_over_h": (oracle + ["--n", "1e300", "--h", "1e-300"], "n/h must be below"),
-        "oracle_dt": (oracle + ["--dt", "1e-300"], "t_final/dt must be below"),
-        "oracle_t": (oracle + ["--t", "1e300", "--dt", "1"], "t_final/dt must be below"),
-        "oracle_steps": (oracle + ["--t", "1e18", "--dt", "1"], "t_final/dt must be below"),
-        "oracle_n_list": (oracle + ["--n-list", "4,1e300"], "n/h must be below"),
+        "evolve_points": (["evolve", "--points", huge, "--times", "0.5"],
+                          "points per edge " + budget),
+        "spectrum_points": (["spectrum", "--points", huge, "--levels", "2"],
+                            "points per edge " + budget),
+        "invariance_points": (["invariance", "--points", huge], "points per edge " + budget),
+        "oracle_n": (oracle + ["--n", "1e300"], line),
+        "oracle_h": (oracle + ["--h", "1e-300"], line),
+        "oracle_n_over_h": (oracle + ["--n", "1e300", "--h", "1e-300"], line),
+        "oracle_dt": (oracle + ["--dt", "1e-300"], levels),
+        "oracle_t": (oracle + ["--t", "1e300", "--dt", "1"], levels),
+        "oracle_steps": (oracle + ["--t", "1e18", "--dt", "1"], levels),
+        "oracle_n_list": (oracle + ["--n-list", "4,1e300"], line),
         # NaN passes the order check of the radii, and every radius is
         # checked before the window is taken from the smallest
-        "oracle_nan_radius": (oracle + ["--n-list", "nan,4"], "n must be positive, got nan"),
+        "oracle_nan_radius": (oracle + ["--n-list", "nan,4"],
+                              "n must be positive and finite, got nan"),
+        # a final time below half a step is no level at all; the march once
+        # ended in an IndexError traceback
+        "oracle_no_step": (oracle + ["--t", "1e-10", "--dt", "1"],
+                           "t_final must be a whole number of steps dt, at least one"),
     }
     runs = {
         "trace": ["trace", "--terms", str(10**12)],

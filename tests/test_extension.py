@@ -98,7 +98,7 @@ def test_extend_coefficients_rejections():
         c=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         c_sup_bound=0.0,
     )
-    with pytest.raises(DomainError, match="diffusion coefficient must be strictly positive"):
+    with pytest.raises(DomainError, match="diffusion coefficient must be positive, got q = -1"):
         extend_coefficients(bad_diffusion)
 
     lying_bound = CoefficientTriple(

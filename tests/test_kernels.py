@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stargraph.errors import DomainError
+from stargraph.errors import MIN_TIME, DomainError
 from stargraph.extension import reflect
 from stargraph.geometry import GridSpec, StarFunction, StarGraph, StarPoint, simpson_weights
 from stargraph.kernels import (
     HARMONIC,
-    MIN_TIME,
     OU,
     KernelSpec,
     gaussian_form,

@@ -57,14 +57,17 @@ def test_config_validation():
         OracleConfig(n=2.0, h=0.25, dt=0.100000001, t_final=1.0)
     # a line or a level count beyond the node budget is refused before a
     # grid is built, also where the ratio overflows to inf
-    for n, h, why in ((1e300, 0.125, "n/h must be below 1.1e\\+12, got 8e\\+300"),
-                      (1e300, 1e-300, "n/h must be below 1.1e\\+12, got inf")):
-        with pytest.raises(DomainError, match=why):
+    budget = " must be at most 1.1e\\+12 \\(the node budget\\), got "
+    for n, h, why in ((1e300, 0.125, "8e\\+300"), (1e300, 1e-300, "inf")):
+        with pytest.raises(ShapeError, match=r"oracle nodes per edge n/h \+ 1" + budget + why):
             OracleConfig(n=n, h=h, dt=0.01, t_final=0.1)
-    for t_final, dt, why in ((1e18, 1.0, "got 1e\\+18"), (0.1, 1e-300, "got 1e\\+299"),
-                             (1e300, 1e-300, "got inf")):
-        with pytest.raises(DomainError, match="t_final/dt must be below 1.1e\\+12, " + why):
+    for t_final, dt, why in ((1e18, 1.0, "1e\\+18"), (0.1, 1e-300, "1e\\+299"),
+                             (1e300, 1e-300, "inf")):
+        with pytest.raises(ShapeError, match=r"oracle levels t_final/dt \+ 1" + budget + why):
             OracleConfig(n=4.0, h=0.125, dt=dt, t_final=t_final)
+    # a final time short of half a step is no stored level: no march can reach it
+    with pytest.raises(DomainError, match="a whole number of steps dt, at least one"):
+        OracleConfig(n=2.0, h=0.25, dt=1.0, t_final=1e-10)
 
 
 def test_grid_negation_symmetry():
@@ -553,9 +556,10 @@ def test_truncation_study_confinement():
         truncation_study(ou_coefficients(), f, cfg, [6.0, 4.0])
     # every radius is checked before the first march; NaN passes the order
     # check, since every comparison with it is false
-    for radii, why in (([math.nan, 4.0], "n must be positive, got nan"),
-                       ([4.0, 1e300], "n/h must be below")):
-        with pytest.raises(DomainError, match=why):
+    for radii, kind, why in (
+            ([math.nan, 4.0], DomainError, "n must be positive and finite, got nan"),
+            ([4.0, 1e300], ShapeError, "n/h \\+ 1 must be at most")):
+        with pytest.raises(kind, match=why):
             truncation_study(ou_coefficients(), f, cfg, radii)
 
 

@@ -202,7 +202,7 @@ def test_form_matrix_invariants():
         # constants are in the kernel of the form
         assert np.abs(stiff.sum(axis=1)).max() < 1e-13
         assert np.all(np.diag(mass) > 0)
-    with pytest.raises(ShapeError, match="form assembly needs >= 3 points per edge"):
+    with pytest.raises(ShapeError, match="points per edge must be an integer >= 3, got 2"):
         form_matrix(2, GridSpec(cutoff=1.0, points_per_edge=2))
     for m in (0, -1, 2.5, True):
         with pytest.raises(DomainError):
