@@ -202,14 +202,16 @@ def cmd_spectrum(args) -> int:
             f"--levels {args.levels} needs {count} eigenvalues, but {args.points} "
             f"points on {args.m} edges give only {dim}"
         )
-    expected = [k for k in range(args.levels) for _ in range(multiplicity(k, args.m))]
+    # one array, so a count beyond the memory fails at once, not after a long build
+    mult = [multiplicity(k, args.m) for k in range(args.levels)]
+    expected = np.repeat(np.arange(args.levels), mult)
     numeric = form_spectrum(args.m, grid, count=count)
     rows = []
     worst = 0.0
-    for idx, (ev, k) in enumerate(zip(numeric, expected)):
+    for idx, (ev, k) in enumerate(zip(numeric, expected.tolist())):
         defect = abs(ev - k)
         worst = max(worst, defect)
-        rows.append((str(idx), _fmt(ev), str(k), str(multiplicity(k, args.m)), _fmt(defect)))
+        rows.append((str(idx), _fmt(ev), str(k), str(mult[k]), _fmt(defect)))
     _emit_csv("index,eigenvalue,level,multiplicity,defect", rows, args.out, "spectrum.csv")
     verdict = _verdict("spectrum_clusters_at_integers", worst, 0.0, args.tol)
     verdict["m"] = args.m
@@ -244,7 +246,7 @@ def _oracle_initial(m: int, grid: GridSpec) -> StarFunction:
 
 
 def cmd_oracle(args) -> int:
-    cfg = OracleConfig(n=args.n, h=args.h, dt=args.dt, theta=args.theta, t_final=args.t)
+    cfg = OracleConfig(n=args.n, h=args.h, dt=args.dt, t_final=args.t)
     grid = GridSpec(cutoff=float(args.n), points_per_edge=cfg.half_intervals + 1)
     f = _oracle_initial(args.m, grid)
     coeffs = _COEFFS[args.model]()
@@ -360,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, default=8.0, help="truncation radius")
     p.add_argument("--h", type=float, default=1.0 / 64.0)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--window", type=float, default=3.0)
     p.add_argument("--tol", type=_tolerance, default=1e-3)
     p.add_argument("--n-list", default=None, help="truncation radii for a convergence table")

@@ -195,8 +195,10 @@ def _sample(profiles: tuple[Profile, ...], radii: np.ndarray) -> np.ndarray:
     """Evaluate per-edge callables on ``radii``, shape (len(profiles), radii.size)."""
 
     out = np.empty((len(profiles), radii.size))
+    first: dict[int, int] = {}  # a callable shared by edges is called once, on its first
     for i, fn in enumerate(profiles):
-        out[i] = fn(radii)
+        j = first.setdefault(id(fn), i)
+        out[i] = fn(radii) if j == i else out[j]
     return out
 
 

@@ -1,10 +1,12 @@
 """Transition kernels on the line and their star-graph assembly.
 
-Closed forms cover the drift-toward-origin diffusion (Gaussian kernel with
-exponentially shrinking mean) and the quadratic-potential propagator.  On
-the star the line kernel is combined through the reflection weights:
-same-edge propagation adds the reflected part with weight (2 - m)/m to the
-direct part, every other edge sees it with weight 2/m.
+Both line kernels, the drift-toward-origin diffusion (OU) and the
+quadratic-potential propagator (HO), are a row factor times one Gaussian in
+λx - y (``gaussian_form``, OU's only formula; HO keeps its exactly symmetric
+closed form).  On the star the line kernel is combined through the
+reflection weights: same-edge propagation adds the reflected part with
+weight (2 - m)/m to the direct part, every other edge sees it with weight
+2/m.
 """
 
 from __future__ import annotations
@@ -22,31 +24,8 @@ __all__ = [
     "OU",
     "HARMONIC",
     "line_kernel",
-    "kernel_band",
     "star_kernel",
 ]
-
-# kernel values farther than the band half-width from the band centre are
-# below e^{-BAND_EXPONENT} of their row's peak
-BAND_EXPONENT = 40.0
-
-
-def _ou_values(t: float, x, y):
-    """Transition density of the unit-rate drift-to-origin diffusion (OU).
-
-    Gaussian in y with mean e^{-t} x and variance (1 - e^{-2t})/2; integrates
-    to one over the line and converges to exp(-y^2)/sqrt(pi) as t grows.
-    ``t`` must already be checked.
-    """
-
-    s = -math.expm1(-2.0 * t)  # 1 - e^{-2t}, accurate for small t
-    z = math.exp(-t) * x
-    k = z - y
-    k *= k
-    k /= -s  # -(z^2)/s to the last bit: IEEE division rounds |z^2|/s alike for either sign
-    k = np.exp(k)
-    k /= math.sqrt(math.pi * s)
-    return k
 
 
 def _ho_values(t: float, x, y):
@@ -98,14 +77,18 @@ def check_spec(spec) -> None:
 def line_kernel(spec: KernelSpec, t: float, x, y):
     """Evaluate the line kernel selected by ``spec`` (broadcasts over x, y).
 
-    ``OU`` gives the drift-to-origin transition density and ``HARMONIC`` the
-    quadratic-potential propagator; see ``_ou_values`` and ``_ho_values`` for
-    their formulas.
+    ``OU`` gives the drift-to-origin transition density, the Gaussian of
+    ``gaussian_form`` in y with mean e^{-t} x and variance (1 - e^{-2t})/2,
+    which tends to exp(-y^2)/sqrt(pi); ``HARMONIC`` the quadratic-potential
+    propagator in its symmetric closed form ``_ho_values``.
     """
 
     check_spec(spec)
-    values = _ou_values if spec.tag == "ou" else _ho_values
-    return values(check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if spec.tag == "ou":
+        lam, _, q, row = gaussian_form(spec, t)
+        d = lam * np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        return row(x) * np.exp((d * d) * -q)
+    return _ho_values(check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def gaussian_form(spec: KernelSpec, t: float):
@@ -117,9 +100,9 @@ def gaussian_form(spec: KernelSpec, t: float):
     A(x) = exp(-s x^2 / (2(1 + e^{-2t}))).  Returns ``(λ, μ, q, row)``:
     μ = 1 - λ to full relative accuracy, also where λ rounds to 1, so that
     (x - y) - μx gives λx - y without the rounding of λ; q = 1/(2σ^2); and
-    ``row(x)``, the factor A(x)/sqrt(π s) of the output point.  This form is
-    not exactly symmetric in (x, y) for HO, so ``line_kernel`` keeps the
-    closed forms; ``semigroup.apply`` writes its blocks from this one.
+    ``row(x)``, the factor A(x)/sqrt(π s) of the output point.  The OU
+    kernel and ``semigroup.apply``'s blocks and band are written from this
+    form alone; HO's ``line_kernel`` keeps its exactly symmetric closed form.
     """
 
     check_spec(spec)
@@ -133,18 +116,6 @@ def gaussian_form(spec: KernelSpec, t: float):
     a = s / (2.0 * c)
     return (2.0 * e / c, math.expm1(-t) ** 2 / c, c / (2.0 * s),
             lambda x: norm * np.exp(-a * np.square(x)))
-
-
-def kernel_band(spec: KernelSpec, t: float) -> tuple[float, float]:
-    """Band centre factor λ and half-width b of the line kernel at time ``t``.
-
-    The kernel is a Gaussian in λx - y of variance σ^2 (``gaussian_form``).
-    For |λx - y| > b it is below e^{-40} of its peak over y, so
-    b = sqrt(80 σ^2).
-    """
-
-    lam, _, q, _ = gaussian_form(spec, t)
-    return lam, math.sqrt(BAND_EXPONENT / q)
 
 
 def star_kernel(spec: KernelSpec, m: int, t: float, x: StarPoint, y: StarPoint) -> float:

@@ -1,20 +1,19 @@
 """Finite-difference reference solver for the line and the star.
 
 A line problem d_t u = q u'' + b u' + c u on (-n, n) with homogeneous
-Dirichlet ends is advanced by a theta-weighted step (trapezoidal by default)
-of the centered second-order discretization.  The star is marched in its
-sectors on the half grid r >= 0, with the parity-extended coefficients:
+Dirichlet ends is advanced by the trapezoidal (Crank-Nicolson) step of the
+centered discretization, second order in h and dt.  The star is marched in
+its sectors on the half grid r >= 0, with the parity-extended coefficients:
 the edge average (the even sector) is one line with Neumann conditions at
 the vertex, and the m deviations from it (the odd sectors) are lines with
 the vertex pinned at zero.  Edge i is the average plus its deviation, the
 same scheme as the line through the edge and its ``reflect``; continuity at
 the vertex holds by construction, and the flux balance holds at the stencil
 order and is measured.  The lines of a march advance together: each step is
-one LAPACK gtsv solve per tridiagonal step matrix A = I - theta dt T, with
+one LAPACK gtsv solve per tridiagonal step matrix A = I - (dt/2) T, with
 the lines as right-hand sides (the unit hats of a kernel table, or the m
 odd lines of a star, whose even line takes a second solve).  The explicit
-half needs no stencil product, because
-B = I + (1 - theta) dt T = (I - (1 - theta) A) / theta.
+half needs no stencil product, because B = I + (dt/2) T = 2I - A.
 """
 
 from __future__ import annotations
@@ -60,22 +59,18 @@ class OracleConfig:
 
     ``n`` is the half-width of the interval, ``h`` the mesh width (n/h must
     be an integer), ``dt`` the step size, ``t_final`` the last time (a whole
-    number >= 1 of steps) and ``theta`` the implicit weight (1/2 =
-    trapezoidal, 1 = backward Euler).  Nodes per edge n/h + 1 and levels
-    t_final/dt + 1 must stay within the node budget ``errors.MAX_NODES``.
+    number >= 1 of steps).  Nodes per edge n/h + 1 and levels t_final/dt + 1
+    must stay within the node budget ``errors.MAX_NODES``.
     """
 
     n: float
     h: float
     dt: float
     t_final: float
-    theta: float = 0.5
 
     def __post_init__(self) -> None:
         for name in ("n", "h", "dt", "t_final"):
             check_positive(name, getattr(self, name))
-        if not (0.5 <= self.theta <= 1.0):
-            raise DomainError(f"theta must lie in [1/2, 1], got {self.theta}")
         # a line or a level count beyond the node budget is refused before
         # anything is allocated, and before round() can meet an inf
         check_nodes("oracle nodes per edge n/h + 1", self.n / self.h + 1)
@@ -126,7 +121,7 @@ def solve_line_dirichlet(
     u0: np.ndarray,
     cfg: OracleConfig,
 ) -> np.ndarray:
-    """Theta-method solve of d_t u = q u'' + b u' + c u on (-n, n), u(±n) = 0.
+    """Crank-Nicolson solve of d_t u = q u'' + b u' + c u on (-n, n), u(±n) = 0.
 
     ``u0`` holds one sample per node of ``cfg.grid()``.  Row k of the result,
     shape (steps + 1, len(x)), is the level at time k dt.  The initial level
@@ -190,18 +185,17 @@ def _march(
     row 0 stays zero and unmarched.  The first and last columns lie beyond
     the stencil rows, and their samples enter the first step only.  Each
     block (rows, lower, diag, upper) holds the stencil T of its rows; a step
-    is one in-place gtsv solve of A w = u / theta per block, A = I - theta dt
-    T, then u <- w - ((1 - theta) / theta) u, which is A^-1 B u for
-    B = (I - (1 - theta) A) / theta.  ``levels`` are increasing step
-    indices >= 1; the lines after step levels[j], at the stencil rows, go to
-    out[j].
+    is one in-place gtsv solve of A w = 2u per block, A = I - (dt/2) T, then
+    u <- w - u, which is A^-1 B u for B = 2I - A.  ``levels`` are increasing
+    step indices >= 1; the lines after step levels[j], at the stencil rows,
+    go to out[j].
     Each line's sup, max |u[0]| + |u[i]|, is held to 1.05 exp(c0 t) times its
     initial sup; a step that breaks a bound, turns non-finite or meets a
     singular step matrix raises, and a bound that overflows at the last
     level is refused before the first step.
     """
 
-    dt, theta = cfg.dt, cfg.theta
+    dt = cfg.dt
     growth = c0 * dt * levels[-1]
     if growth > math.log(sys.float_info.max):
         raise DomainError(
@@ -212,22 +206,21 @@ def _march(
     from scipy.linalg.lapack import dgtsv  # scipy.linalg loads when a march runs, not on import
 
     bound_base = 1.05 * (np.abs(u[0]) + np.abs(u[1:])).max(axis=1)
-    keep = (1.0 - theta) / theta
     inner = u[:, 1:-1].copy()
     # the right-hand side of the next step, contiguous so that the transpose
     # of each block's rows is the Fortran-ordered (nodes, rows) array gtsv
     # solves in place; the boundary samples enter the explicit half of the
     # first step only
-    w = inner / theta
+    w = 2.0 * inner
     solves = []
     for rows, lower, diag, upper in blocks:
-        w[rows, 0] += (1.0 - theta) * dt * lower[0] * u[rows, 0]
-        w[rows, -1] += (1.0 - theta) * dt * upper[-1] * u[rows, -1]
+        w[rows, 0] += 0.5 * dt * lower[0] * u[rows, 0]
+        w[rows, -1] += 0.5 * dt * upper[-1] * u[rows, -1]
         if diag.size == 1:  # f2py wants one (unused) off-diagonal entry, not zero
             a_lower = a_upper = np.zeros(1)
         else:
-            a_lower, a_upper = -theta * dt * lower[1:], -theta * dt * upper[:-1]
-        solves.append((rows, a_lower, 1.0 - theta * dt * diag, a_upper))
+            a_lower, a_upper = -0.5 * dt * lower[1:], -0.5 * dt * upper[:-1]
+        solves.append((rows, a_lower, 1.0 - 0.5 * dt * diag, a_upper))
 
     line_abs = np.empty_like(inner[1:])
     stored = 0
@@ -236,8 +229,7 @@ def _march(
             info = dgtsv(a_lower, a_diag, a_upper, w[rows].T, overwrite_b=1)[-1]
             if info:
                 raise StabilityError(f"step matrix is singular at step {k} (gtsv info {info})")
-        inner *= -keep
-        inner += w
+        np.subtract(w, inner, out=inner)
         np.abs(inner[1:], out=line_abs)
         line_abs += np.abs(inner[0])
         sup = line_abs.max(axis=1)
@@ -254,7 +246,7 @@ def _march(
         if k == levels[stored]:
             np.add(inner[0], inner[1:], out=out[stored])
             stored += 1
-        np.divide(inner, theta, out=w)
+        np.multiply(inner, 2.0, out=w)
 
 
 @dataclass

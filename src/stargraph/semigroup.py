@@ -4,15 +4,16 @@ Each edge of the star sees the line kernel against the reflected extension
 of the data: the edge itself on y >= 0, and ``extension.reflect`` of the
 edges (2/m times the edge sum minus the edge) at -y.  Integrals use a
 composite Simpson rule on the sample grid, weighted before the extension,
-so the vertex node carries its weight once on each side.  Both closed-form
-kernels are a factor of the output point times one Gaussian in λx - y
-(``kernels.gaussian_form``), so output rows are contracted in blocks, each
-against only the extended samples within the band half-width b of its rows
-(``kernels.kernel_band``).  A block holds the Gaussian alone; each output
-row is scaled by its factor once, after the last block.  The grid reaches
-λ·(output cutoff) + b, past which every kernel value is below e^{-40} of its
-row's peak.  Callable-backed inputs are re-sampled on that grid at half
-their grid step, sample-backed inputs continue by zero.
+so the vertex node carries its weight once on each side.  Both kernels are
+a factor of the output point times one Gaussian in λx - y, and one
+``kernels.gaussian_form`` call gives λ, the factor and q = 1/(2σ^2), so
+output rows are contracted in blocks, each against only the extended
+samples within the band half-width b = sqrt(40 / q) of its rows.  A block
+holds the Gaussian alone; each output row is scaled by its factor once,
+after the last block.  The grid reaches λ·(output cutoff) + b, past which
+every kernel value is below e^{-40} of its row's peak.  Callable-backed
+inputs are re-sampled on that grid at half their grid step, sample-backed
+inputs continue by zero.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import DomainError, ShapeError, check_increasing, check_integer, ch
 from .errors import check_time
 from .extension import reflect
 from .geometry import GridSpec, StarFunction, simpson_weights
-from .kernels import KernelSpec, gaussian_form, kernel_band
+from .kernels import KernelSpec, gaussian_form
 
 __all__ = ["apply", "evolve_sequence"]
 
@@ -39,6 +40,10 @@ __all__ = ["apply", "evolve_sequence"]
 # them the last bits of the output.
 BLOCK_ROWS = 32
 BLOCK_VALUES = 24576
+
+# beyond the band half-width b = sqrt(BAND_EXPONENT / q) from its centre λx, a
+# kernel value is below e^{-BAND_EXPONENT} of its row's peak
+BAND_EXPONENT = 40.0
 
 OVERSAMPLE = 2  # callable-backed inputs are sampled this many times finer than their grid
 
@@ -82,9 +87,9 @@ def apply(
     sup-norm contraction up to quadrature tolerance.  Every edge is the line
     kernel against its reflected extension, and each block of output rows
     is contracted against the extended samples within the kernel band
-    |λx - y| <= b of its rows (``kernels.kernel_band``); kernel values
-    outside it are below e^{-40} of their row's peak.  Callable-backed
-    inputs are sampled twice as finely as their grid, up to
+    |λx - y| <= b = sqrt(40 / q) of its rows, λ and q from ``gaussian_form``;
+    kernel values outside it are below e^{-40} of their row's peak.
+    Callable-backed inputs are sampled twice as finely as their grid, up to
     λ·(output cutoff) + b.  The output is vertex-continuous: at radius zero
     the line kernel is even in y, and every edge's extension has the same
     even part.
@@ -96,7 +101,7 @@ def apply(
     f.require_continuous("semigroup input must be vertex-continuous")
 
     lam, mu, q, row = gaussian_form(spec, t)  # refuses a bad spec or time
-    b = kernel_band(spec, t)[1]
+    b = math.sqrt(BAND_EXPONENT / q)
     y, hq, vals = _quadrature_grid(f, lam * grid.cutoff + b)
     fw = vals * simpson_weights(y.size, hq)
     y = np.concatenate([-y[::-1], y])

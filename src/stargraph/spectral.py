@@ -30,7 +30,7 @@ from numpy.polynomial import polynomial as P, polyutils
 
 from .errors import DomainError, ShapeError, StabilityError, check_integer, check_points, check_time
 from .geometry import GridSpec, StarFunction, StarGraph, simpson_weights
-from .kernels import OU, KernelSpec, check_spec, line_kernel
+from .kernels import OU, KernelSpec, check_spec, gaussian_form, line_kernel
 
 __all__ = [
     "PolyGauss",
@@ -437,9 +437,9 @@ def trace_closed_form(t: float, m: int) -> float:
 def _half_line_gaussian_quadrature(t: float, reflected: bool) -> float:
     """Integrate the drift kernel along the diagonal (or reflected diagonal)."""
 
-    q = math.exp(-t)
-    s = -math.expm1(-2.0 * t)
-    sigma = math.sqrt(s / 2.0) / ((1.0 + q) if reflected else (1.0 - q))
+    # on y = x the Gaussian in λx - y has width σ/μ (μ = 1 - λ), on y = -x σ/(1 + λ)
+    lam, mu, q, _ = gaussian_form(OU, t)
+    sigma = math.sqrt(0.5 / q) / ((1.0 + lam) if reflected else mu)
     cutoff = 9.0 * sigma
     n = 513
     x = np.linspace(0.0, cutoff, n)

@@ -124,7 +124,7 @@ def test_criterion_04_semigroup_law():
 
 
 def test_criterion_05_finite_difference_reference():
-    cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=1.0)
+    cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, t_final=1.0)
     grid = GridSpec(cutoff=8.0, points_per_edge=cfg.half_intervals + 1)
     coeffs = {"ou": ou_coefficients(), "ho": ho_coefficients()}
     kinds = {"ou": OU, "ho": HARMONIC}
@@ -238,7 +238,7 @@ def test_criterion_09_kernel_inequalities():
 
 
 def test_criterion_10_parity_preservation():
-    cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=1.0)
+    cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, t_final=1.0)
     coeffs = extend_coefficients(ou_coefficients())
 
     def odd(x):

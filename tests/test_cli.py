@@ -48,8 +48,12 @@ def test_trace_verdict_passes(capsys):
     assert verdict["partial_gap"] < 1e-10
 
 
-def test_trace_impossible_tolerance_fails(capsys):
-    assert main(["trace", "--tol", "1e-20"]) == EXIT_NUMERIC
+def test_trace_outside_tolerance_fails(capsys, monkeypatch):
+    # a closed form 1e-3 away from the kernel trace, so that the verdict does
+    # not hang on the last bits of either value
+    kernel_trace = stargraph.spectral.trace_partial(1.0, 3, 40).kernel_trace
+    monkeypatch.setattr(stargraph.cli, "trace_closed_form", lambda t, m: kernel_trace + 1e-3)
+    assert main(["trace", "--m", "3", "--t", "1", "--terms", "40"]) == EXIT_NUMERIC
     assert _json(capsys.readouterr().out)["pass"] is False
 
 
@@ -365,6 +369,15 @@ def test_huge_edge_count_fails_at_once():
     assert run.stdout == ""
     # a MemoryError without text adds no empty "()"
     assert run.stderr == "error: the run needs more memory than is available\n"
+
+
+def test_huge_spectrum_level_count_fails_at_once():
+    # the expected levels of 10^12 edges, about 3·10^12 values, were once a
+    # Python list built until the memory ran out
+    run = _run_cli(["spectrum", "--m", "1000000000000", "--points", "9"], timeout=10,
+                   memory_cap=2 << 30)
+    assert run.returncode == EXIT_USAGE, run.stderr
+    assert run.stderr.startswith("error: the run needs more memory"), run.stderr
 
 
 def test_extreme_inputs_exit_cleanly(tmp_path):

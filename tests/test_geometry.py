@@ -242,6 +242,23 @@ def test_evaluate_profiles(grid):
         sampled.evaluate_profiles(np.array([1.0]))
 
 
+def test_a_shared_profile_is_sampled_once(grid):
+    # one callable on every edge (a constant, the ground state) is called once
+    # per sampling, not once per edge
+    m = 50
+    calls = []
+
+    def profile(x):
+        calls.append(1)
+        return np.exp(-np.square(x))
+
+    f = StarFunction.from_callables(StarGraph(m), grid, (profile,) * m)
+    assert len(calls) == 1
+    u = apply(OU, m, 0.5, f, grid)
+    assert len(calls) == 2
+    assert np.all(f.values == f.values[0]) and np.all(u.values == u.values[0])
+
+
 def test_csv_round_trip(tmp_path, grid, rng):
     g = StarGraph(3)
     vals = rng.normal(size=(3, grid.points_per_edge))

@@ -13,7 +13,6 @@ from stargraph.kernels import (
     OU,
     KernelSpec,
     gaussian_form,
-    kernel_band,
     line_kernel,
     star_kernel,
 )
@@ -85,7 +84,7 @@ def test_block_writer_matches_public_kernels(spec, t):
     # for OU.  HO's closed form rounds an exponent of size up to about
     # (x^2 + y^2)/2, 72 at x = 12, and carries up to that many ulps itself
     lam, mu, q, row = gaussian_form(spec, t)
-    b = kernel_band(spec, t)[1]
+    b = math.sqrt(40 / q)
 
     def block(x, y):
         d = lam * x - y if spec is OU else (x - y) - mu * x
@@ -95,6 +94,10 @@ def test_block_writer_matches_public_kernels(spec, t):
     y = lam * x + np.linspace(-b, b, 201)
     gap = np.abs(block(x, y) - line_kernel(spec, t, x, y)) / row(x)
     assert gap.max() <= (4e-16 if spec is OU else 4e-14)
+    # the OU kernel is written from gaussian_form alone, as apply writes it
+    if spec is OU:
+        d = lam * x - y
+        assert np.array_equal(line_kernel(OU, t, x, y), row(x) * np.exp((d * d) * -q))
     # past radii of about 1.3e154 the squares overflow: exactly 0, never NaN
     if spec is HARMONIC:
         with np.errstate(over="ignore"):
@@ -212,8 +215,8 @@ _CONSTANT = StarFunction.constant(StarGraph(3), GridSpec(cutoff=3.0, points_per_
     lambda spec: apply(spec, 3, 0.5, _CONSTANT, _CONSTANT.grid),
     lambda spec: star_kernel(spec, 3, 0.5, StarPoint(1, 0.5), StarPoint(2, 0.5)),
     lambda spec: line_kernel(spec, 0.5, 0.5, 0.5),
-    lambda spec: kernel_band(spec, 0.5),
-], ids=["apply", "star_kernel", "line_kernel", "kernel_band"])
+    lambda spec: gaussian_form(spec, 0.5),
+], ids=["apply", "star_kernel", "line_kernel", "gaussian_form"])
 def test_a_string_tag_is_not_a_kernel_spec(call):
     with pytest.raises(DomainError, match="pass OU or HARMONIC"):
         call("ou")

@@ -39,17 +39,13 @@ def heat_coefficients():
 
 
 def test_config_validation():
-    OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=1.0)
+    OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, t_final=1.0)
     with pytest.raises(DomainError):
-        OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, theta=0.4, t_final=1.0)
+        OracleConfig(n=8.0, h=0.03, dt=1e-3, t_final=1.0)  # n/h not integral
     with pytest.raises(DomainError):
-        OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, theta=1.1, t_final=1.0)
+        OracleConfig(n=8.0, h=1.0 / 64.0, dt=3e-4, t_final=1.0)  # t/dt
     with pytest.raises(DomainError):
-        OracleConfig(n=8.0, h=0.03, dt=1e-3, theta=0.5, t_final=1.0)  # n/h not integral
-    with pytest.raises(DomainError):
-        OracleConfig(n=8.0, h=1.0 / 64.0, dt=3e-4, theta=0.5, t_final=1.0)  # t/dt
-    with pytest.raises(DomainError):
-        OracleConfig(n=-8.0, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=1.0)
+        OracleConfig(n=-8.0, h=1.0 / 64.0, dt=1e-3, t_final=1.0)
     with pytest.raises(DomainError):
         OracleConfig(n=1e-12, h=1.0, dt=0.1, t_final=0.1)  # no interior node
     with pytest.raises(DomainError):
@@ -71,7 +67,7 @@ def test_config_validation():
 
 
 def test_grid_negation_symmetry():
-    cfg = OracleConfig(n=6.0, h=1.0 / 32.0, dt=1e-3, theta=0.5, t_final=0.1)
+    cfg = OracleConfig(n=6.0, h=1.0 / 32.0, dt=1e-3, t_final=0.1)
     x = cfg.grid()
     assert np.array_equal(x, -x[::-1])
     assert x[x.size // 2] == 0.0
@@ -82,7 +78,7 @@ def test_heat_sine_mode_decay():
     # u_t = u_xx / 2 on [-n, n] with zero ends; the sine mode decays at the
     # exact rate exp(-pi^2 t / (8 n^2)), frozen to 0.019276571095877652 at n=8
     n = 8.0
-    cfg = OracleConfig(n=n, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=1.0)
+    cfg = OracleConfig(n=n, h=1.0 / 64.0, dt=1e-3, t_final=1.0)
     lam = 0.5 * (math.pi / (2 * n)) ** 2
     assert lam == pytest.approx(0.019276571095877652, rel=1e-15)
 
@@ -95,10 +91,11 @@ def test_heat_sine_mode_decay():
     assert np.abs(run[-1] - exact).max() < 1e-5
 
 
-def test_crank_nicolson_beats_implicit_euler():
+def test_crank_nicolson_is_second_order_in_dt():
     # measure against a tiny-step reference on the SAME spatial grid so the
     # shared space discretization error cancels and only the time-stepping
-    # order is visible
+    # order is visible; a Richardson step (4 u_{dt/2} - u_dt) / 3 needs the
+    # error to fall by 4 when dt halves
     n = 4.0
     kw = dict(n=n, h=1.0 / 32.0, t_final=0.5)
 
@@ -106,20 +103,19 @@ def test_crank_nicolson_beats_implicit_euler():
         return np.sin(math.pi * (x + n) / (2 * n))
 
     coeffs = extend_coefficients(heat_coefficients())
-    ref_cfg = OracleConfig(dt=2.5e-5, theta=0.5, **kw)
+    ref_cfg = OracleConfig(dt=2.5e-5, **kw)
     ref = solve_line_dirichlet(coeffs, f0(ref_cfg.grid()), ref_cfg)[-1]
     errs = {}
-    for theta in (0.5, 1.0):
-        cfg = OracleConfig(dt=2e-3, theta=theta, **kw)
+    for dt in (2e-3, 1e-3):
+        cfg = OracleConfig(dt=dt, **kw)
         run = solve_line_dirichlet(coeffs, f0(cfg.grid()), cfg)
-        errs[theta] = np.abs(run[-1] - ref).max()
-    assert errs[0.5] < 1e-9  # second order in dt
-    assert errs[1.0] > 1e-6  # first order in dt
-    assert errs[0.5] < errs[1.0] / 1000
+        errs[dt] = np.abs(run[-1] - ref).max()
+    assert errs[2e-3] < 1e-9
+    assert 3.5 <= errs[2e-3] / errs[1e-3] <= 4.5
 
 
 def test_peclet_guard():
-    cfg = OracleConfig(n=8.0, h=0.25, dt=1e-3, theta=0.5, t_final=0.01)
+    cfg = OracleConfig(n=8.0, h=0.25, dt=1e-3, t_final=0.01)
     x = cfg.grid()
     with pytest.raises(DomainError):
         # max |b| h / (2 q) = 8 * 0.25 / 1 = 2 at the boundary
@@ -145,7 +141,7 @@ def test_growth_monitor_triggers():
         c=lambda x: np.where(np.asarray(x, dtype=float) > 12.5, 50.0, 0.0),
         c_sup_bound=0.0,
     )
-    cfg = OracleConfig(n=16.0, h=1.0 / 8.0, dt=1e-3, theta=0.5, t_final=0.1)
+    cfg = OracleConfig(n=16.0, h=1.0 / 8.0, dt=1e-3, t_final=0.1)
 
     def f0(x):
         x = np.asarray(x, dtype=float)
@@ -186,21 +182,21 @@ def test_overflowing_growth_bound_is_refused():
     # exp(c_sup_bound t) overflows a float past t = 0.071 when c_sup_bound = 1e4;
     # the march refuses that before its first step
     steep = replace(heat_coefficients(), c_sup_bound=1e4)
-    cfg = OracleConfig(n=2.0, h=0.25, dt=0.01, theta=0.5, t_final=0.1)
+    cfg = OracleConfig(n=2.0, h=0.25, dt=0.01, t_final=0.1)
     x = cfg.grid()
     with pytest.raises(DomainError, match="c_sup_bound \\* dt \\* steps = 1000 "):
         solve_line_dirichlet(steep, np.exp(-x * x), cfg)
 
 
 def test_singular_step_matrix_is_refused():
-    # one interior node, where A = 1 - theta dt (c - 2 q / h^2) = 1 - 0.05 * 20 = 0
+    # one interior node, where A = 1 - (dt/2) (c - 2 q / h^2) = 1 - 0.05 * 20 = 0
     react = CoefficientTriple(
         q=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
         b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         c=lambda x: np.full_like(np.asarray(x, dtype=float), 21.0),
         c_sup_bound=21.0,
     )
-    cfg = OracleConfig(n=1.0, h=1.0, dt=0.1, theta=0.5, t_final=0.1)
+    cfg = OracleConfig(n=1.0, h=1.0, dt=0.1, t_final=0.1)
     with pytest.raises(StabilityError, match="singular"):
         solve_line_dirichlet(react, 1.0 - np.abs(cfg.grid()), cfg)
 
@@ -214,13 +210,13 @@ def test_non_finite_solution_is_refused(monkeypatch):
 
     # the march reads dgtsv from scipy.linalg.lapack when it runs
     monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", nan_gtsv)
-    cfg = OracleConfig(n=2.0, h=0.25, dt=0.1, theta=0.5, t_final=0.2)
+    cfg = OracleConfig(n=2.0, h=0.25, dt=0.1, t_final=0.2)
     with pytest.raises(StabilityError, match="solution became non-finite at step 1"):
         solve_line_dirichlet(heat_coefficients(), np.exp(-np.square(cfg.grid())), cfg)
 
 
 def test_star_solver_matches_kernel_quadrature():
-    cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=0.5)
+    cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, t_final=0.5)
     grid = GridSpec(cutoff=8.0, points_per_edge=cfg.half_intervals + 1)
 
     def p1(x):
@@ -248,7 +244,7 @@ def test_star_solve_equals_edge_by_edge_line_solves(coeffs, m):
     # the sector march and the m reflected lines are the same scheme and
     # round differently; continuity holds by construction, and the flux sum
     # carries the value tolerance through m vertex stencils of weight 4/h
-    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, theta=0.5, t_final=0.1)
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
     grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
     profiles = tuple(
         (lambda r, a=0.2 * i: np.exp(-np.square(r)) * (1.0 + a * np.asarray(r)))
@@ -285,11 +281,11 @@ def _reflected_lines(profiles, x):
 
 
 def _stencil_march(line_coeffs, u0, cfg):
-    """Every level of the theta method on the lines ``u0`` (shape (k, len(x))),
+    """Every level of the trapezoidal step on the lines ``u0`` (shape (k, len(x))),
     stepped as an explicit stencil right-hand side and one banded solve."""
 
     x = cfg.grid()
-    h, dt, theta = cfg.h, cfg.dt, cfg.theta
+    h, dt, theta = cfg.h, cfg.dt, 0.5
     q, b, c = (
         np.asarray(fn(x), dtype=float)[1:-1]
         for fn in (line_coeffs.q, line_coeffs.b, line_coeffs.c)
@@ -312,10 +308,9 @@ def _stencil_march(line_coeffs, u0, cfg):
     return np.stack(levels)
 
 
-@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
 @pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients, heat_coefficients])
-def test_march_matches_the_stencil_step(coeffs, theta):
-    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, theta=theta, t_final=0.1)
+def test_march_matches_the_stencil_step(coeffs):
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
     x = cfg.grid()
     line_coeffs = extend_coefficients(coeffs())
 
@@ -341,7 +336,7 @@ def test_march_matches_the_stencil_step(coeffs, theta):
 
 
 def _kirchhoff_march(coeffs, half, cfg):
-    """Every level of the theta method on the star itself, with no reflection.
+    """Every level of the trapezoidal step on the star itself, with no reflection.
 
     One vertex node is shared by the m edges, and its row is the
     finite-volume Kirchhoff balance du0/dt = (2 q(0) / (m h^2)) sum_i
@@ -352,7 +347,7 @@ def _kirchhoff_march(coeffs, half, cfg):
     """
 
     m, points = half.shape
-    h, dt, theta = cfg.h, cfg.dt, cfg.theta
+    h, dt, theta = cfg.h, cfg.dt, 0.5
     r = np.arange(points) * h
     q, b, c = (np.asarray(fn(r), dtype=float) for fn in (coeffs.q, coeffs.b, coeffs.c))
     lower = q / h**2 - b / (2.0 * h)
@@ -391,13 +386,12 @@ def _kirchhoff_march(coeffs, half, cfg):
     return np.stack(levels)
 
 
-@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
 @pytest.mark.parametrize("m", [1, 3, 8])
 @pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])
-def test_star_solve_is_the_direct_kirchhoff_march(coeffs, m, theta):
+def test_star_solve_is_the_direct_kirchhoff_march(coeffs, m):
     # the reflection rule and the Kirchhoff vertex row give the same discrete
     # scheme, not only the same limit
-    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, theta=theta, t_final=0.1)
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
     grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
     profiles = tuple(
         (lambda r, a=0.4 * i - 1.0: np.exp(-np.square(r)) * (1.0 + a * r + 0.3 * a * r**3))
@@ -431,7 +425,7 @@ def test_edges_without_odd_content_keep_their_growth_bound(coeffs, edges):
     # an edge with no deviation from the average still has the average's
     # bound: the deviation alone sits at rounding level and would trip any
     # bound of its own
-    cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, theta=0.5, t_final=0.5)
+    cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, t_final=0.5)
     grid = GridSpec(cutoff=8.0, points_per_edge=cfg.half_intervals + 1)
     f = StarFunction.from_callables(StarGraph(len(edges)), grid, edges)
     run = solve_star(coeffs(), f, cfg)
@@ -449,7 +443,7 @@ def test_growth_bound_is_per_edge_line():
         c=lambda x: np.where(np.asarray(x, dtype=float) > 12.5, 50.0, 0.0),
         c_sup_bound=0.0,
     )
-    cfg = OracleConfig(n=16.0, h=1.0 / 8.0, dt=1e-3, theta=0.5, t_final=0.1)
+    cfg = OracleConfig(n=16.0, h=1.0 / 8.0, dt=1e-3, t_final=0.1)
     grid = GridSpec(cutoff=16.0, points_per_edge=cfg.half_intervals + 1)
 
     def average(r):
@@ -469,13 +463,12 @@ def test_growth_bound_is_per_edge_line():
 
 @given(
     m=st.integers(min_value=1, max_value=8),
-    theta=st.floats(min_value=0.5, max_value=1.0),
     model=st.sampled_from(["ou", "ho", "heat"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_star_solve_equals_line_solves_property(m, theta, model, seed):
+def test_star_solve_equals_line_solves_property(m, model, seed):
     coeffs = {"ou": ou_coefficients, "ho": ho_coefficients, "heat": heat_coefficients}[model]()
-    cfg = OracleConfig(n=2.0, h=1.0 / 8.0, dt=1e-2, theta=theta, t_final=0.1)
+    cfg = OracleConfig(n=2.0, h=1.0 / 8.0, dt=1e-2, t_final=0.1)
     grid = GridSpec(cutoff=2.0, points_per_edge=cfg.half_intervals + 1)
     rng = np.random.default_rng(seed)
     # smooth edges through one vertex value: a shared constant plus r times
@@ -494,7 +487,7 @@ def test_star_solve_equals_line_solves_property(m, theta, model, seed):
 
 
 def test_sample_backed_initial_data_needs_matching_mesh():
-    cfg = OracleConfig(n=4.0, h=1.0 / 16.0, dt=5e-3, theta=0.5, t_final=0.1)
+    cfg = OracleConfig(n=4.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
     wrong = GridSpec(cutoff=4.0, points_per_edge=33)  # h = 1/8
     f = StarFunction.constant(StarGraph(2), wrong, 1.0)
     f_plain = StarFunction.from_samples(StarGraph(2), wrong, f.values, continuous_at_vertex=True)
@@ -511,7 +504,7 @@ def test_sample_backed_initial_data_needs_matching_mesh():
 
 def test_star_solve_refuses_vertex_discontinuous_data():
     # the reflected extension is defined only for vertex-continuous data
-    cfg = OracleConfig(n=4.0, h=1.0 / 16.0, dt=5e-3, theta=0.5, t_final=0.1)
+    cfg = OracleConfig(n=4.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
     grid = GridSpec(cutoff=4.0, points_per_edge=65)
     profiled = StarFunction.from_callables(
         StarGraph(2), grid, (lambda r: np.exp(-np.square(r)), lambda r: 0.0 * np.asarray(r))
@@ -532,7 +525,7 @@ def test_star_solve_refuses_vertex_discontinuous_data():
 
 
 def test_truncation_study_confinement():
-    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, theta=0.5, t_final=0.25)
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.25)
 
     def prof(x):
         x = np.asarray(x, dtype=float)
@@ -565,7 +558,7 @@ def test_truncation_study_confinement():
 
 def test_tabulated_kernel_matches_closed_form():
     # values[i][a, b] is the kernel from x[a] to x[b]; the probes are nodes
-    cfg = OracleConfig(n=6.0, h=1.0 / 32.0, dt=2e-3, theta=0.5, t_final=0.5)
+    cfg = OracleConfig(n=6.0, h=1.0 / 32.0, dt=2e-3, t_final=0.5)
     table = tabulate_kernel(extend_coefficients(ou_coefficients()), cfg, [0.25, 0.5])
     assert np.array_equal(table.x, cfg.grid())
     worst = 0.0
@@ -588,7 +581,7 @@ def test_tabulated_kernel_matches_closed_form():
 
 
 def test_tabulated_kernel_columns_are_line_solves():
-    cfg = OracleConfig(n=2.0, h=1.0 / 8.0, dt=1e-2, theta=0.5, t_final=0.2)
+    cfg = OracleConfig(n=2.0, h=1.0 / 8.0, dt=1e-2, t_final=0.2)
     coeffs = extend_coefficients(ho_coefficients())
     times = [0.1, 0.2]
     table = tabulate_kernel(coeffs, cfg, times)
@@ -603,7 +596,7 @@ def test_tabulated_kernel_columns_are_line_solves():
 
 
 def test_parity_preservation_smoke():
-    cfg = OracleConfig(n=6.0, h=1.0 / 32.0, dt=1e-3, theta=0.5, t_final=0.2)
+    cfg = OracleConfig(n=6.0, h=1.0 / 32.0, dt=1e-3, t_final=0.2)
 
     def even(x):
         x = np.asarray(x, dtype=float)
@@ -615,7 +608,7 @@ def test_parity_preservation_smoke():
 
 
 def test_line_solve_returns_every_level():
-    cfg = OracleConfig(n=4.0, h=1.0 / 16.0, dt=5e-3, theta=0.5, t_final=0.1)
+    cfg = OracleConfig(n=4.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
     coeffs = extend_coefficients(heat_coefficients())
     x = cfg.grid()
     u0 = np.exp(-x * x)

@@ -34,7 +34,7 @@ to_flat trace_closed_form trace_partial truncation_study
 # benchmarks must cover, so adding one must show up here; an option that no
 # caller outside the tests sets becomes a constant or a required argument.
 KNOBS = """
-OracleConfig.theta PolyGauss.gauss StarFunction.continuous_at_vertex
+PolyGauss.gauss StarFunction.continuous_at_vertex
 StarFunction.from_callables.continuous_at_vertex
 StarFunction.from_samples.continuous_at_vertex StarFunction.profiles
 form_spectrum.count sup_distance.radius_max
@@ -99,7 +99,7 @@ def test_public_options_match_the_frozen_list():
     knobs = public_knobs()
     assert len(knobs) == len(set(knobs))
     assert sorted(knobs) == sorted(KNOBS)
-    assert len(KNOBS) == 8
+    assert len(KNOBS) == 7
 
 
 ROOT = Path(__file__).resolve().parent.parent
