@@ -192,13 +192,25 @@ Profile = Callable[[np.ndarray], np.ndarray]
 
 
 def _sample(profiles: tuple[Profile, ...], radii: np.ndarray) -> np.ndarray:
-    """Evaluate per-edge callables on ``radii``, shape (len(profiles), radii.size)."""
+    """Evaluate per-edge callables on ``radii``, shape (len(profiles), radii.size).
+
+    A profile returns one value per radius, or one value for all of them.
+    """
 
     out = np.empty((len(profiles), radii.size))
     first: dict[int, int] = {}  # a callable shared by edges is called once, on its first
     for i, fn in enumerate(profiles):
         j = first.setdefault(id(fn), i)
-        out[i] = fn(radii) if j == i else out[j]
+        if j < i:
+            out[i] = out[j]
+            continue
+        row = fn(radii)
+        if np.shape(row) not in ((), radii.shape):
+            raise ShapeError(
+                f"the profile of edge {i} returned shape {np.shape(row)} for radii of shape "
+                f"{radii.shape}; a profile returns one value per radius"
+            )
+        out[i] = row
     return out
 
 

@@ -9,11 +9,15 @@ the vertex, and the m deviations from it (the odd sectors) are lines with
 the vertex pinned at zero.  Edge i is the average plus its deviation, the
 same scheme as the line through the edge and its ``reflect``; continuity at
 the vertex holds by construction, and the flux balance holds at the stencil
-order and is measured.  The lines of a march advance together: each step is
-one LAPACK gtsv solve per tridiagonal step matrix A = I - (dt/2) T, with
-the lines as right-hand sides (the unit hats of a kernel table, or the m
-odd lines of a star, whose even line takes a second solve).  The explicit
-half needs no stencil product, because B = I + (dt/2) T = 2I - A.
+order and is measured.  The lines of a march advance together, the lines
+as right-hand sides (the unit hats of a kernel table, or the m odd lines
+of a star, whose even line has its own step matrix).  Each tridiagonal
+step matrix A = I - (dt/2) T is fixed for the march and factored once: a
+diagonal similarity S, the square root of the discrete density in which T
+is self-adjoint (mu's, for OU), makes S A S^-1 symmetric, LAPACK pttrf
+factors it as L D L^T where it is positive definite, and a step is one
+pttrs solve between a scaling by S and one by S^-1.  The explicit half needs no stencil product, because
+B = I + (dt/2) T = 2I - A.
 """
 
 from __future__ import annotations
@@ -184,15 +188,17 @@ def _march(
     row 0 is what every line shares; a full line shares nothing, and its
     row 0 stays zero and unmarched.  The first and last columns lie beyond
     the stencil rows, and their samples enter the first step only.  Each
-    block (rows, lower, diag, upper) holds the stencil T of its rows; a step
-    is one in-place gtsv solve of A w = 2u per block, A = I - (dt/2) T, then
-    u <- w - u, which is A^-1 B u for B = 2I - A.  ``levels`` are increasing
-    step indices >= 1; the lines after step levels[j], at the stencil rows,
-    go to out[j].
+    block (rows, lower, diag, upper) holds the stencil T of its rows, and
+    its step matrix A = I - (dt/2) T is factored once (``_factor_step``).
+    A step scales the right-hand side 2u of each block by s, solves
+    S A S^-1 y = 2 S u in place with pttrs, and scales back, w = y / s;
+    then u <- w - u, which is A^-1 B u for B = 2I - A.  ``levels`` are
+    increasing step indices >= 1; the lines after step levels[j], at the
+    stencil rows, go to out[j].
     Each line's sup, max |u[0]| + |u[i]|, is held to 1.05 exp(c0 t) times its
-    initial sup; a step that breaks a bound, turns non-finite or meets a
-    singular step matrix raises, and a bound that overflows at the last
-    level is refused before the first step.
+    initial sup; a step that breaks a bound or turns non-finite raises, and a
+    bound that overflows at the last level, or a step matrix that
+    ``_factor_step`` refuses, is refused before the first step.
     """
 
     dt = cfg.dt
@@ -203,32 +209,29 @@ def _march(
         )
     if not np.all(np.isfinite(u)):
         raise DomainError("initial data must be finite on the solver grid")
-    from scipy.linalg.lapack import dgtsv  # scipy.linalg loads when a march runs, not on import
+    from scipy.linalg.lapack import dpttrs  # scipy.linalg loads when a march runs, not on import
 
     bound_base = 1.05 * (np.abs(u[0]) + np.abs(u[1:])).max(axis=1)
     inner = u[:, 1:-1].copy()
-    # the right-hand side of the next step, contiguous so that the transpose
-    # of each block's rows is the Fortran-ordered (nodes, rows) array gtsv
-    # solves in place; the boundary samples enter the explicit half of the
-    # first step only
+    # the scaled right-hand side 2 S u of the next step, contiguous so that
+    # the transpose of each block's rows is the Fortran-ordered (nodes, rows)
+    # array pttrs solves in place; the boundary samples enter the explicit
+    # half of the first step only
     w = 2.0 * inner
     solves = []
     for rows, lower, diag, upper in blocks:
         w[rows, 0] += 0.5 * dt * lower[0] * u[rows, 0]
         w[rows, -1] += 0.5 * dt * upper[-1] * u[rows, -1]
-        if diag.size == 1:  # f2py wants one (unused) off-diagonal entry, not zero
-            a_lower = a_upper = np.zeros(1)
-        else:
-            a_lower, a_upper = -0.5 * dt * lower[1:], -0.5 * dt * upper[:-1]
-        solves.append((rows, a_lower, 1.0 - 0.5 * dt * diag, a_upper))
+        scale, d, e = _factor_step(lower, diag, upper, dt)
+        w[rows] *= scale
+        solves.append((w[rows], inner[rows], 2.0 * scale, 1.0 / scale, d, e))
 
     line_abs = np.empty_like(inner[1:])
     stored = 0
     for k in range(1, levels[-1] + 1):
-        for rows, a_lower, a_diag, a_upper in solves:
-            info = dgtsv(a_lower, a_diag, a_upper, w[rows].T, overwrite_b=1)[-1]
-            if info:
-                raise StabilityError(f"step matrix is singular at step {k} (gtsv info {info})")
+        for rhs, _, _, inv_scale, d, e in solves:
+            dpttrs(d, e, rhs.T, overwrite_b=1)
+            np.multiply(rhs, inv_scale, out=rhs)
         np.subtract(w, inner, out=inner)
         np.abs(inner[1:], out=line_abs)
         line_abs += np.abs(inner[0])
@@ -246,7 +249,57 @@ def _march(
         if k == levels[stored]:
             np.add(inner[0], inner[1:], out=out[stored])
             stored += 1
-        np.multiply(inner, 2.0, out=w)
+        for rhs, block_u, two_scale, _, _, _ in solves:
+            np.multiply(block_u, two_scale, out=rhs)
+
+
+def _factor_step(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The similarity s and the pttrf factors (d, e) of S A S^-1, A = I - (dt/2) T.
+
+    T is the stencil (lower, diag, upper) of a line's rows.  The scale
+    s[i+1] / s[i] = sqrt(a_upper[i] / a_lower[i]), the square root of the
+    discrete density in which T is self-adjoint (mu's for OU), gives both
+    couplings of rows i and i + 1 the value -sqrt(a_lower[i] a_upper[i]);
+    rows that do not couple (both entries zero, as at a pinned vertex) keep
+    the scale.  s is centred on the midpoint of its logarithm, so s and 1/s
+    stay within the square root of the float range.  Refused: a pair coupled
+    one way only or with opposite signs (a cell Peclet number of 1 or more),
+    a scale too wide for floats (DomainError), and a symmetric matrix that
+    is not positive definite, whether singular or indefinite (StabilityError).
+    """
+
+    from scipy.linalg.lapack import dpttrf
+
+    a_lower, a_upper = -0.5 * dt * lower[1:], -0.5 * dt * upper[:-1]
+    one_way = np.sign(a_lower) != np.sign(a_upper)
+    if one_way.any():
+        i = int(np.argmax(one_way))
+        raise DomainError(
+            f"stencil rows {i} and {i + 1} couple one way only or with opposite signs "
+            "(a cell Peclet number of 1 or more); refine h to keep it below 1"
+        )
+    ratio = np.ones_like(a_lower)
+    np.divide(a_upper, a_lower, out=ratio, where=a_lower != 0.0)
+    np.sqrt(ratio, out=ratio)
+    log_s = np.concatenate(([0.0], np.cumsum(np.log(ratio))))
+    span = float(np.ptp(log_s))
+    if not span <= math.log(sys.float_info.max):  # NaN too
+        raise DomainError(
+            f"the step matrix's symmetrizing scale spans a factor e^{span:.6g}, "
+            "beyond the float range; shorten the line or weaken its drift"
+        )
+    # a running product keeps each ratio s[i+1] / s[i] to one rounding
+    scale = np.cumprod(np.concatenate(([math.exp(-0.5 * (log_s.max() + log_s.min()))], ratio)))
+    off = -np.sqrt(a_lower * a_upper) if diag.size > 1 else np.zeros(1)  # f2py wants one entry
+    d, e, info = dpttrf(1.0 - 0.5 * dt * diag, off)
+    if info:
+        raise StabilityError(
+            f"step matrix is singular or indefinite (pttrf info {info}): dt is at "
+            "least 2 / (the stencil's largest eigenvalue), where reaction outgrows diffusion"
+        )
+    return scale, d, e
 
 
 @dataclass
@@ -388,7 +441,7 @@ def tabulate_kernel(
     Column b of the table is the solution at the requested times for initial
     data concentrated at x[b] (height 1/h); Dirichlet ends give zero rows and
     columns at the truncation radius.  The hats of all interior nodes are the
-    lines of one march, so they advance together in one gtsv solve per step,
+    lines of one march, so they advance together in one pttrs solve per step,
     and only the requested levels are kept.
     """
 

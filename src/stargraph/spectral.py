@@ -30,7 +30,7 @@ from numpy.polynomial import polynomial as P, polyutils
 
 from .errors import DomainError, ShapeError, StabilityError, check_integer, check_points, check_time
 from .geometry import GridSpec, StarFunction, StarGraph, simpson_weights
-from .kernels import OU, KernelSpec, check_spec, gaussian_form, line_kernel
+from .kernels import OU, KernelSpec, check_spec, gaussian_form
 
 __all__ = [
     "PolyGauss",
@@ -434,18 +434,22 @@ def trace_closed_form(t: float, m: int) -> float:
     return (1.0 + (m - 1) * math.exp(-t)) / (-math.expm1(-2.0 * t))
 
 
-def _half_line_gaussian_quadrature(t: float, reflected: bool) -> float:
-    """Integrate the drift kernel along the diagonal (or reflected diagonal)."""
+def _half_line_gaussian_quadrature(form: tuple, reflected: bool) -> float:
+    """Integrate the drift kernel along the diagonal (or reflected diagonal).
+
+    ``form`` is ``gaussian_form(OU, t)``, and the integrand row(x) exp(-q d^2),
+    d = λx - y, takes the floats that ``line_kernel(OU, t, x, y)`` takes.
+    """
 
     # on y = x the Gaussian in λx - y has width σ/μ (μ = 1 - λ), on y = -x σ/(1 + λ)
-    lam, mu, q, _ = gaussian_form(OU, t)
+    lam, mu, q, row = form
     sigma = math.sqrt(0.5 / q) / ((1.0 + lam) if reflected else mu)
     cutoff = 9.0 * sigma
     n = 513
     x = np.linspace(0.0, cutoff, n)
     w = simpson_weights(n, x[1] - x[0])
-    y = -x if reflected else x
-    return float(np.dot(w, line_kernel(OU, t, x, y)))
+    d = lam * x - (-x if reflected else x)
+    return float(np.dot(w, row(x) * np.exp((d * d) * -q)))
 
 
 def trace_partial(t: float, m: int, terms: int) -> TracePair:
@@ -465,6 +469,7 @@ def trace_partial(t: float, m: int, terms: int) -> TracePair:
     # e^{-kt} is exactly 0.0 once kt > 746, so later terms add nothing
     last = min(terms, int(746.0 / t))
     partial = sum(_multiplicity(k, m) * math.exp(-k * t) for k in range(last + 1))
-    direct = _half_line_gaussian_quadrature(t, reflected=False)
-    refl = _half_line_gaussian_quadrature(t, reflected=True)
+    form = gaussian_form(OU, t)
+    direct = _half_line_gaussian_quadrature(form, reflected=False)
+    refl = _half_line_gaussian_quadrature(form, reflected=True)
     return TracePair(partial_sum=float(partial), kernel_trace=m * direct + (2.0 - m) * refl)

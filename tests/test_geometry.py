@@ -259,6 +259,19 @@ def test_a_shared_profile_is_sampled_once(grid):
     assert np.all(f.values == f.values[0]) and np.all(u.values == u.values[0])
 
 
+def test_a_profile_of_the_wrong_length_is_a_shape_error():
+    grid = GridSpec(cutoff=2.0, points_per_edge=5)
+    why = r"profile of edge {} returned shape \({},\) for radii of shape \({},\)"
+    with pytest.raises(ShapeError, match=why.format(0, 3, 5)):
+        StarFunction.from_callables(StarGraph(2), grid, (lambda x: np.zeros(3),) * 2)
+    # right on the grid, wrong on apply's finer quadrature radii; one value
+    # for all radii is a constant
+    f = StarFunction.from_callables(StarGraph(2), grid, (lambda x: 1.0, lambda x: np.ones(5)))
+    assert np.all(f.values == 1.0)
+    with pytest.raises(ShapeError, match=why.format(1, 5, "\\d+")):
+        apply(OU, 2, 0.5, f, grid)
+
+
 def test_csv_round_trip(tmp_path, grid, rng):
     g = StarGraph(3)
     vals = rng.normal(size=(3, grid.points_per_edge))

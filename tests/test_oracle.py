@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import scipy.linalg.lapack
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrs
 
 from stargraph.errors import DomainError, ShapeError, StabilityError, VertexContinuityError
 from stargraph.extension import (
@@ -189,27 +189,52 @@ def test_overflowing_growth_bound_is_refused():
 
 
 def test_singular_step_matrix_is_refused():
-    # one interior node, where A = 1 - (dt/2) (c - 2 q / h^2) = 1 - 0.05 * 20 = 0
-    react = CoefficientTriple(
-        q=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
-        b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        c=lambda x: np.full_like(np.asarray(x, dtype=float), 21.0),
-        c_sup_bound=21.0,
-    )
+    # one interior node, where A = 1 - (dt/2) (c - 2 q / h^2) = 1 - 0.05 (c - 1):
+    # 0 at c = 21, and -0.45 at c = 30, where the step would multiply the node
+    # by -5.4, within the growth bound 1.05 e^3 = 21
     cfg = OracleConfig(n=1.0, h=1.0, dt=0.1, t_final=0.1)
-    with pytest.raises(StabilityError, match="singular"):
-        solve_line_dirichlet(react, 1.0 - np.abs(cfg.grid()), cfg)
+    for c in (21.0, 30.0):
+        react = CoefficientTriple(
+            q=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
+            b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            c=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c),
+            c_sup_bound=c,
+        )
+        with pytest.raises(StabilityError, match="singular or indefinite"):
+            solve_line_dirichlet(react, 1.0 - np.abs(cfg.grid()), cfg)
+
+
+def test_step_matrix_without_a_symmetric_form_is_refused():
+    # at cell Peclet number exactly 1 the lower stencil entry q/h^2 - b/(2h)
+    # is 0 and the upper one is not: each node feeds its left neighbour and
+    # hears nothing back
+    drift = replace(heat_coefficients(), b=lambda x: np.full_like(np.asarray(x, dtype=float), 4.0))
+    cfg = OracleConfig(n=2.0, h=0.25, dt=0.01, t_final=0.01)
+    with pytest.raises(DomainError, match="couple one way only .* cell Peclet number of 1"):
+        solve_line_dirichlet(drift, np.exp(-np.square(cfg.grid())), cfg)
+
+    # the OU similarity falls like e^(-x^2 / 2): on (-40, 40) it spans e^813,
+    # past the float range e^709.8, and on (-36, 36) e^657
+    ou = extend_coefficients(ou_coefficients())
+    for n in (40.0, 36.0):
+        cfg = OracleConfig(n=n, h=1.0 / 128.0, dt=0.01, t_final=0.01)
+        u0 = np.exp(-np.square(cfg.grid()))
+        if n == 40.0:
+            with pytest.raises(DomainError, match="symmetrizing scale spans a factor e\\^813\\."):
+                solve_line_dirichlet(ou, u0, cfg)
+        else:
+            assert np.isfinite(solve_line_dirichlet(ou, u0, cfg)).all()
 
 
 def test_non_finite_solution_is_refused(monkeypatch):
     # a solve whose result turns NaN must stop the march, not pass the growth check
-    def nan_gtsv(*args, **kwargs):
-        out = dgtsv(*args, **kwargs)
-        out[3][...] = math.nan
+    def nan_pttrs(*args, **kwargs):
+        out = dpttrs(*args, **kwargs)
+        out[0][...] = math.nan
         return out
 
-    # the march reads dgtsv from scipy.linalg.lapack when it runs
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", nan_gtsv)
+    # the march reads dpttrs from scipy.linalg.lapack when it runs
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", nan_pttrs)
     cfg = OracleConfig(n=2.0, h=0.25, dt=0.1, t_final=0.2)
     with pytest.raises(StabilityError, match="solution became non-finite at step 1"):
         solve_line_dirichlet(heat_coefficients(), np.exp(-np.square(cfg.grid())), cfg)
@@ -408,6 +433,24 @@ def test_star_solve_is_the_direct_kirchhoff_march(coeffs, m, dt):
     run = solve_star(coeffs(), f, cfg)
     want = _kirchhoff_march(coeffs(), f.values, cfg)
     assert np.abs(run.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])
+def test_star_solve_holds_to_the_reference_marches_at_bench_scale(coeffs):
+    # the bench's mesh and step: 500 steps on 513 nodes per edge, enough for
+    # a difference in how the step is solved to accumulate
+    cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, t_final=0.5)
+    grid = GridSpec(cutoff=8.0, points_per_edge=cfg.half_intervals + 1)
+    profiles = tuple(
+        (lambda r, a=0.4 * i - 1.0: np.exp(-np.square(r)) * (1.0 + a * r + 0.3 * a * r**3))
+        for i in range(3)
+    )
+    f = StarFunction.from_callables(StarGraph(3), grid, profiles)
+    run = solve_star(coeffs(), f, cfg)
+    x = cfg.grid()
+    lines = _stencil_march(extend_coefficients(coeffs()), _reflected_lines(profiles, x), cfg)
+    for want in (_kirchhoff_march(coeffs(), f.values, cfg), lines[:, :, x.size // 2 :]):
+        assert np.abs(run.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def _even_hermite(r):
