@@ -9,11 +9,12 @@ a factor of the output point times one Gaussian in λx - y, and one
 ``kernels.gaussian_form`` call gives λ, the factor and q = 1/(2σ^2), so
 output rows are contracted in blocks, each against only the extended
 samples within the band half-width b = sqrt(40 / q) of its rows.  A block
-holds the Gaussian alone; each output row is scaled by its factor once,
-after the last block.  The grid reaches λ·(output cutoff) + b, past which
-every kernel value is below e^{-40} of its row's peak.  Callable-backed
-inputs are re-sampled on that grid at half their grid step, sample-backed
-inputs continue by zero.
+holds the Gaussian alone, and its differences λx - y (for HO, (x - y) - μx)
+are one exact product of two small factor matrices, built once per call;
+each output row is scaled by its factor once, after the last block.  The
+grid reaches λ·(output cutoff) + b, past which every kernel value is below
+e^{-40} of its row's peak.  Callable-backed inputs are re-sampled on that
+grid at half their grid step, sample-backed inputs continue by zero.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ __all__ = ["apply", "evolve_sequence"]
 # a block's Gaussian would exceed BLOCK_VALUES values.  Every block is
 # written into the same buffer of one call, and the budget keeps it (192 kB)
 # in cache for its product: with 16384 values or fewer, HO at 2049 points and
-# t = 2 took 67-117 ms instead of 49-60, and apply_sharp and apply_wide were
-# not clearly faster.  Any other block shape moves the band windows and with
-# them the last bits of the output.
+# t = 2 took 84-129 ms instead of 57-88 (one row per block instead of two),
+# and apply_sharp and apply_wide were not clearly faster.  Any other block
+# shape moves the band windows and with them the last bits of the output.
 BLOCK_ROWS = 32
 BLOCK_VALUES = 24576
 
@@ -74,6 +75,43 @@ def _quadrature_grid(f: StarFunction, reach: float):
     return y, hq, vals
 
 
+def _blocks(x, y, lam: float, b: float, hq: float):
+    """Output rows [starts, ends) of each block, with the columns [lo, hi) of its band."""
+
+    rows = min(BLOCK_ROWS, max(1, BLOCK_VALUES // int(min(y.size, 2.0 * b / hq + 1.0))))
+    starts = np.arange(0, x.size, rows)
+    ends = np.minimum(starts + rows, x.size)
+    lo = np.searchsorted(y, lam * x[starts] - b)
+    hi = np.searchsorted(y, lam * x[ends - 1] + b, side="right")
+    return starts, ends, lo, hi
+
+
+def _difference_factors(spec: KernelSpec, lam: float, mu: float, x, y):
+    """Factors whose product holds the differences in every block's Gaussian.
+
+    OU's Gaussian is in λx - y: ``[λx, 1] @ [1; -y]``.  HO's λ rounds near 1,
+    so it takes (x - y) - μx, where x - y is exact near the band centre:
+    ``[x, 1, -μx] @ [1; -y; 1]``, summed in that order.  Every product has a
+    unit factor and is exact, so each difference is rounded as by explicit
+    subtraction.  Returns ``left`` (a row per output node) and ``right`` (a
+    column per quadrature node).
+    """
+
+    ho = spec.tag != "ou"
+    left = np.empty((x.size, 3 if ho else 2))
+    right = np.empty((left.shape[1], y.size))
+    if ho:
+        left[:, 0] = x
+        np.multiply(x, -mu, out=left[:, 2])
+        right[2] = 1.0
+    else:
+        np.multiply(x, lam, out=left[:, 0])
+    left[:, 1] = 1.0
+    right[0] = 1.0
+    np.negative(y, out=right[1])
+    return left, right
+
+
 def apply(
     spec: KernelSpec,
     m: int,
@@ -102,32 +140,23 @@ def apply(
 
     lam, mu, q, row = gaussian_form(spec, t)  # refuses a bad spec or time
     b = math.sqrt(BAND_EXPONENT / q)
-    y, hq, vals = _quadrature_grid(f, lam * grid.cutoff + b)
-    fw = vals * simpson_weights(y.size, hq)
+    y, hq, fw = _quadrature_grid(f, lam * grid.cutoff + b)
+    fw *= simpson_weights(y.size, hq)
     y = np.concatenate([-y[::-1], y])
     fw = np.concatenate([reflect(fw)[:, ::-1], fw], axis=1)
 
     x = grid.nodes()
-    rows = min(BLOCK_ROWS, max(1, BLOCK_VALUES // int(min(y.size, 2.0 * b / hq + 1.0))))
-    starts = np.arange(0, x.size, rows)
-    ends = np.minimum(starts + rows, x.size)
-    lo = np.searchsorted(y, lam * x[starts] - b)
-    hi = np.searchsorted(y, lam * x[ends - 1] + b, side="right")
-    # every block's Gaussian is written into a prefix of one buffer, sized for
-    # the largest block, so no block allocates; the row factor and the
+    starts, ends, lo, hi = _blocks(x, y, lam, b, hq)
+    # a block's differences are one product of the factors' slices, and its
+    # Gaussian is written over them into a prefix of one buffer, sized for the
+    # largest block, so no block allocates; the row factor and the
     # normalisation scale each output row once, after the loop
+    left, right = _difference_factors(spec, lam, mu, x, y)
     buf = np.empty(int(((ends - starts) * (hi - lo)).max()))
-    # OU's Gaussian is in λx - y.  HO's λ rounds near 1, so its blocks take
-    # (x - y) - μx, where x - y is exact near the band centre.
-    lam_x, mu_x = lam * x, mu * x
     out = np.empty((m, x.size))
     for i0, i1, j0, j1 in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
         k = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
-        if spec.tag == "ou":
-            np.subtract.outer(lam_x[i0:i1], y[j0:j1], out=k)
-        else:
-            np.subtract.outer(x[i0:i1], y[j0:j1], out=k)
-            k -= mu_x[i0:i1, None]
+        np.matmul(left[i0:i1], right[:, j0:j1], out=k)
         k *= k
         k *= -q
         np.exp(k, out=k)

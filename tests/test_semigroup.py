@@ -14,8 +14,8 @@ from stargraph.geometry import (
     simpson_weights,
     vertex_flux,
 )
-from stargraph.kernels import HARMONIC, OU, line_kernel
-from stargraph.semigroup import apply, evolve_sequence
+from stargraph.kernels import HARMONIC, OU, gaussian_form, line_kernel
+from stargraph.semigroup import BAND_EXPONENT, _blocks, _difference_factors, apply, evolve_sequence
 from stargraph.transform import ground_state
 
 # h = 1/64 puts the probe radii 0.5, 1, 2 on grid nodes
@@ -247,6 +247,36 @@ def test_ho_blocks_keep_the_split_form():
     want = dense_apply(HARMONIC, 3, 1e-3, f)
     scale = max(1.0, float(np.abs(got).max()))
     assert np.abs(got - want).max() <= 5e-15 * scale
+
+
+@pytest.mark.parametrize("spec, t, cutoff, points, refine", [
+    (OU, 1e-3, 6.0, 1025, 1),
+    (HARMONIC, 1e-3, 6.0, 1025, 2),  # λ = 1 - 5e-7
+    (OU, 2.0, 6.0, 2049, 1),
+    (HARMONIC, 2.0, 6.0, 2049, 2),  # two rows per block
+    (HARMONIC, 2.0, 0.375, 257, 2),  # one row per block
+], ids=["ou-sharp", "ho-sharp", "ou-wide", "ho-wide", "ho-one-row"])
+def test_block_differences_are_the_explicit_form(spec, t, cutoff, points, refine):
+    # apply's blocks take their differences from one BLAS product; it must
+    # round each one as explicit subtraction does, and sum HO's three terms
+    # in the order (x - y) - μx, or HO loses its split form
+    lam, mu, q, _ = gaussian_form(spec, t)
+    b = math.sqrt(BAND_EXPONENT / q)
+    grid = GridSpec(cutoff=cutoff, points_per_edge=points)
+    hq = grid.h / refine
+    intervals = math.ceil((lam * cutoff + b) / hq)
+    y = np.arange(intervals + intervals % 2 + 1) * hq
+    y = np.concatenate([-y[::-1], y])
+    x = grid.nodes()
+    left, right = _difference_factors(spec, lam, mu, x, y)
+    for i0, i1, j0, j1 in zip(*_blocks(x, y, lam, b, hq)):
+        k = np.empty((i1 - i0, j1 - j0))
+        np.matmul(left[i0:i1], right[:, j0:j1], out=k)
+        if spec is OU:
+            want = np.subtract.outer(lam * x[i0:i1], y[j0:j1])
+        else:
+            want = np.subtract.outer(x[i0:i1], y[j0:j1]) - (mu * x[i0:i1])[:, None]
+        assert np.array_equal(k, want)
 
 
 @given(
