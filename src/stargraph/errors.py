@@ -7,6 +7,7 @@ which raises one type with one message template whichever entry point calls
 it, and is never told which one does:
 
 - a time >= MIN_TIME: ``check_time``, ``DomainError``;
+- a kernel the quadrature resolves: ``check_resolved``, ``DomainError``;
 - a positive finite size (cutoff, mesh, step): ``check_positive``, ``DomainError``;
 - a radius >= 0: ``check_radius``, ``DomainError``;
 - a model integer (edge count or index, level, count): ``check_integer``, ``DomainError``;
@@ -20,9 +21,10 @@ import math
 
 import numpy as np
 
-# Smallest time any kernel accepts.  It does not mark where the quadrature in
-# ``semigroup.apply`` can still resolve the kernel: that already fails at
-# t = 1e-5 on 513 points, where constant 1 comes back as 0.848.
+# Smallest time any kernel accepts.  Whether ``semigroup.apply`` resolves the
+# kernel at a time depends on the grid as well, so ``check_resolved`` decides
+# that per call: at t = 1e-5 on 513 points the kernel is far narrower than
+# the quadrature step, and apply refuses it.
 MIN_TIME = 1e-8
 
 # The node budget: a grid or a quadrature grid with more nodes per edge, or an
@@ -67,6 +69,22 @@ def check_time(t) -> float:
     if t < MIN_TIME:
         raise DomainError(f"time must be >= {MIN_TIME}, got {t}")
     return t
+
+
+def check_resolved(ratio: float, predicted: float, tolerance: float) -> None:
+    """Raise DomainError unless a quadrature's ``predicted`` relative error is within ``tolerance``.
+
+    ``ratio`` is the kernel width over the quadrature step, the one number
+    the prediction depends on; the message names it so the caller can see how
+    far to refine the grid or lengthen the time.
+    """
+
+    if not predicted <= tolerance:  # NaN fails too
+        raise DomainError(
+            f"the kernel is too narrow for the quadrature: its width is r = {ratio:.3g} "
+            f"quadrature steps, which predicts a relative error of {predicted:.3g}, above "
+            f"the tolerance {tolerance:.0e}; refine the grid or take a longer time"
+        )
 
 
 def check_positive(name: str, value) -> None:

@@ -14,10 +14,12 @@ as right-hand sides (the unit hats of a kernel table, or the m odd lines
 of a star, whose even line has its own step matrix).  Each tridiagonal
 step matrix A = I - (dt/2) T is fixed for the march and factored once: a
 diagonal similarity S, the square root of the discrete density in which T
-is self-adjoint (mu's, for OU), makes S A S^-1 symmetric, LAPACK pttrf
-factors it as L D L^T where it is positive definite, and a step is one
-pttrs solve between a scaling by S and one by S^-1.  The explicit half needs no stencil product, because
-B = I + (dt/2) T = 2I - A.
+is self-adjoint (mu's, for OU), makes S A S^-1 symmetric, and LAPACK pttrf
+factors it as L D L^T where it is positive definite.  The march carries
+the state in that symmetrized variable, v = S u, so a step is one pttrs
+solve per step matrix, one subtraction, and one scaling by S^-1 back to
+u, which the growth monitor and the stored levels read.  The explicit half
+needs no stencil product, because B = I + (dt/2) T = 2I - A.
 """
 
 from __future__ import annotations
@@ -189,16 +191,18 @@ def _march(
     row 0 stays zero and unmarched.  The first and last columns lie beyond
     the stencil rows, and their samples enter the first step only.  Each
     block (rows, lower, diag, upper) holds the stencil T of its rows, and
-    its step matrix A = I - (dt/2) T is factored once (``_factor_step``).
-    A step scales the right-hand side 2u of each block by s, solves
-    S A S^-1 y = 2 S u in place with pttrs, and scales back, w = y / s;
-    then u <- w - u, which is A^-1 B u for B = 2I - A.  ``levels`` are
-    increasing step indices >= 1; the lines after step levels[j], at the
-    stencil rows, go to out[j].
+    its step matrix A = I - (dt/2) T is factored once (``_factor_step``)
+    as S A S^-1 = L D L^T.  The march carries v = S u, row by row with its
+    block's S.  A step solves S A S^-1 y = w in place on w = 2v with one
+    pttrs call per block, sets v <- y - v, which is S A^-1 B u for
+    B = 2I - A, writes u = v / S and then |u| over y, and sets w <- 2v.
+    ``levels`` are increasing step indices >= 1; the lines after step
+    levels[j], at the stencil rows, go to out[j].
     Each line's sup, max |u[0]| + |u[i]|, is held to 1.05 exp(c0 t) times its
-    initial sup; a step that breaks a bound or turns non-finite raises, and a
-    bound that overflows at the last level, or a step matrix that
-    ``_factor_step`` refuses, is refused before the first step.
+    initial sup at every step; a step that breaks a bound or turns
+    non-finite raises, and a bound that overflows at the last level, or a
+    step matrix that ``_factor_step`` refuses, is refused before the first
+    step.  Every array a step touches is allocated before the first one.
     """
 
     dt = cfg.dt
@@ -212,33 +216,47 @@ def _march(
     from scipy.linalg.lapack import dpttrs  # scipy.linalg loads when a march runs, not on import
 
     bound_base = 1.05 * (np.abs(u[0]) + np.abs(u[1:])).max(axis=1)
-    inner = u[:, 1:-1].copy()
-    # the scaled right-hand side 2 S u of the next step, contiguous so that
-    # the transpose of each block's rows is the Fortran-ordered (nodes, rows)
+    inner = u[:, 1:-1]
+    # w is the right-hand side 2v of the next step, contiguous so that the
+    # transpose of each block's rows is the Fortran-ordered (nodes, rows)
     # array pttrs solves in place; the boundary samples enter the explicit
     # half of the first step only
     w = 2.0 * inner
+    v = inner.copy()
+    inv_scale = np.ones_like(inner)  # 1 on a row no block marches
     solves = []
     for rows, lower, diag, upper in blocks:
         w[rows, 0] += 0.5 * dt * lower[0] * u[rows, 0]
         w[rows, -1] += 0.5 * dt * upper[-1] * u[rows, -1]
         scale, d, e = _factor_step(lower, diag, upper, dt)
         w[rows] *= scale
-        solves.append((w[rows], inner[rows], 2.0 * scale, 1.0 / scale, d, e))
+        v[rows] *= scale
+        inv_scale[rows] = 1.0 / scale
+        solves.append((d, e, w[rows].T))
 
-    line_abs = np.empty_like(inner[1:])
+    # the rows of w that every line shares and that are each line's own, and
+    # the monitor's per-line sups, bounds and verdicts
+    shared, lines = w[0], w[1:]
+    sup, bound = np.empty(len(bound_base)), np.empty(len(bound_base))
+    held = np.empty(len(bound_base), dtype=bool)
     stored = 0
     for k in range(1, levels[-1] + 1):
-        for rhs, _, _, inv_scale, d, e in solves:
-            dpttrs(d, e, rhs.T, overwrite_b=1)
-            np.multiply(rhs, inv_scale, out=rhs)
-        np.subtract(w, inner, out=inner)
-        np.abs(inner[1:], out=line_abs)
-        line_abs += np.abs(inner[0])
-        sup = line_abs.max(axis=1)
-        bound = bound_base * math.exp(c0 * k * dt)
-        held = sup <= bound  # NaN fails too
-        if not held.all():
+        for d, e, rhs in solves:
+            dpttrs(d, e, rhs, overwrite_b=1)
+        np.subtract(w, v, out=v)
+        # w holds nothing until the next right-hand side, so it takes u, and
+        # then |u| for the monitor; a level that breaks its bound is stored
+        # too, but the march raises before any caller sees it
+        np.multiply(v, inv_scale, out=w)
+        if k == levels[stored]:
+            np.add(shared, lines, out=out[stored])
+            stored += 1
+        np.abs(w, out=w)
+        np.add(lines, shared, out=lines)
+        np.maximum.reduce(lines, axis=1, out=sup)
+        np.multiply(bound_base, math.exp(c0 * k * dt), out=bound)
+        # count_nonzero is the cheapest all() on a few lines; NaN fails too
+        if np.count_nonzero(np.less_equal(sup, bound, out=held)) < held.size:
             if not np.isfinite(sup).all():
                 raise StabilityError(f"solution became non-finite at step {k}")
             j = int(np.argmin(held))
@@ -246,11 +264,7 @@ def _march(
                 f"sup norm {sup[j]:.6g} of line {j} exceeds the growth bound "
                 f"{bound[j]:.6g} at t = {k * dt:.6g}"
             )
-        if k == levels[stored]:
-            np.add(inner[0], inner[1:], out=out[stored])
-            stored += 1
-        for rhs, block_u, two_scale, _, _, _ in solves:
-            np.multiply(block_u, two_scale, out=rhs)
+        np.add(v, v, out=w)
 
 
 def _factor_step(
@@ -366,8 +380,10 @@ def solve_star(
     state[1:, 2:] = half[:, 1:] - state[0, 2:]
 
     steps = cfg.steps
-    values = np.zeros((steps + 1,) + half.shape)
+    # the march writes every level but the pinned end r = n
+    values = np.empty((steps + 1,) + half.shape)
     values[0] = half
+    values[1:, :, -1] = 0.0
     blocks = [(slice(0, 1), even_lower, even_diag, even_upper), (slice(1, None), lower, diag, upper)]
     _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, steps + 1), values[1:, :, :-1])
 

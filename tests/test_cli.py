@@ -284,25 +284,33 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert captured.err == "numerical failure: sup norm exceeds the growth bound\n"
 
 
-def test_non_finite_output_is_a_numerical_failure(capsys):
-    # a cutoff of 1e300 overflows the invariant-measure weights; JSON has no
-    # infinity, so the summary is refused rather than printed
-    with np.errstate(over="ignore"):
-        assert main(["evolve", "--cutoff", "1e300", "--points", "33",
-                     "--times", "0.5"]) == EXIT_NUMERIC
+def _near_float_max(tmp_path):
+    """A one-edge file input of 1e308 on [0, 6]: its evolution stays near the
+    float maximum, where the one-sided vertex slope overflows to NaN."""
+
+    path = tmp_path / "near_max.csv"
+    path.write_text("edge,radius,value\n"
+                    + "".join(f"1,{6.0 * k / 32},1e308\n" for k in range(33)))
+    return ["evolve", "--m", "1", "--init", f"file:{path}", "--times", "0.5"]
+
+
+def test_non_finite_output_is_a_numerical_failure(capsys, tmp_path):
+    # JSON has no NaN, so the summary is refused rather than printed
+    with np.errstate(all="ignore"):
+        assert main(_near_float_max(tmp_path)) == EXIT_NUMERIC
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: summary.json would hold a non-finite")
     assert captured.err.count("\n") == 1
 
 
-def test_overflow_prints_no_numpy_warnings(capsys):
+def test_overflow_prints_no_numpy_warnings(capsys, tmp_path):
     # overflow shows in the results (a kernel value of 0, a refused summary),
     # not as numpy RuntimeWarnings on stderr around them
     runs = [
         (["kernel", "--model", "ho", "--m", "3", "--t", "1", "--x", "0,1e200",
           "--y", "1e200"], EXIT_OK),
-        (["evolve", "--cutoff", "1e300", "--points", "33", "--times", "0.5"], EXIT_NUMERIC),
+        (_near_float_max(tmp_path), EXIT_NUMERIC),
     ]
     for argv, code in runs:
         with warnings.catch_warnings(record=True) as caught:
@@ -312,6 +320,30 @@ def test_overflow_prints_no_numpy_warnings(capsys):
         captured = capsys.readouterr()
         assert "Warning" not in captured.err, argv
     assert captured.err.startswith("numerical failure: summary.json would hold a non-finite")
+
+
+def test_unresolved_kernels_are_refused(capsys, tmp_path):
+    # each of these once exited 0 with constant data evolved to sup norms
+    # far from 1 (0.848, 1.11, 249, 2.96e148, 2.84 and 1.14): the kernel is
+    # narrower than the quadrature step, where apply cannot meet 1e-8
+    coarse = tmp_path / "coarse.csv"
+    coarse.write_text("edge,radius,value\n1,0,1\n1,3,1\n1,6,1\n")
+    unit = tmp_path / "unit.csv"
+    unit.write_text("edge,radius,value\n1,0,1\n1,1,1\n1,2,1\n")
+    runs = [
+        ["evolve", "--times", "1e-5", "--init", "one"],
+        ["evolve", "--cutoff", "60", "--points", "33", "--times", "0.5"],
+        ["evolve", "--points", "33", "--times", "1e-8"],
+        ["evolve", "--cutoff", "1e150", "--points", "9", "--times", "0.5"],
+        ["evolve", "--m", "1", "--times", "0.5", "--init", f"file:{coarse}"],
+        ["evolve", "--m", "1", "--times", "0.5", "--points", "33", "--init", f"file:{unit}"],
+    ]
+    for argv in runs:
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: the kernel is too narrow for the quadrature"), argv
+        assert "above the tolerance 1e-08" in captured.err and captured.err.count("\n") == 1, argv
 
 
 def test_solver_failure_exits_3(monkeypatch, capsys):

@@ -147,7 +147,7 @@ def test_growth_monitor_triggers():
         x = np.asarray(x, dtype=float)
         return np.exp(-((np.abs(x) - 14.0) ** 2))
 
-    with pytest.raises(StabilityError):
+    with pytest.raises(StabilityError, match="of line 0 exceeds the growth bound 1.05 at t = 0.001$"):
         solve_line_dirichlet(extend_coefficients(sneaky), f0(cfg.grid()), cfg)
 
     # a star solve holds each line to its own initial sup: edge 1 carries a
@@ -165,7 +165,7 @@ def test_growth_monitor_triggers():
         StarGraph(3), grid, (small, large, lambda r: -small(r) - large(r)),
         continuous_at_vertex=True,
     )
-    with pytest.raises(StabilityError, match="line 0 "):
+    with pytest.raises(StabilityError, match="line 0 .* at t = 0.001$"):
         solve_star(sneaky, f, cfg)
 
     # a NaN growth bound would switch the monitor off: c = 5 must not pass
@@ -227,17 +227,26 @@ def test_step_matrix_without_a_symmetric_form_is_refused():
 
 
 def test_non_finite_solution_is_refused(monkeypatch):
-    # a solve whose result turns NaN must stop the march, not pass the growth check
-    def nan_pttrs(*args, **kwargs):
-        out = dpttrs(*args, **kwargs)
-        out[0][...] = math.nan
-        return out
+    # a solve whose result turns NaN must stop the march at that step, not
+    # pass the growth check: one line is one pttrs call per step
+    def nan_pttrs_from(first):
+        calls = []
 
-    # the march reads dpttrs from scipy.linalg.lapack when it runs
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", nan_pttrs)
-    cfg = OracleConfig(n=2.0, h=0.25, dt=0.1, t_final=0.2)
-    with pytest.raises(StabilityError, match="solution became non-finite at step 1"):
-        solve_line_dirichlet(heat_coefficients(), np.exp(-np.square(cfg.grid())), cfg)
+        def nan_pttrs(*args, **kwargs):
+            out = dpttrs(*args, **kwargs)
+            calls.append(None)
+            if len(calls) >= first:
+                out[0][0, 0] = math.nan
+            return out
+
+        return nan_pttrs
+
+    cfg = OracleConfig(n=2.0, h=0.25, dt=0.1, t_final=0.5)
+    for first in (1, 3):
+        # the march reads dpttrs from scipy.linalg.lapack when it runs
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", nan_pttrs_from(first))
+        with pytest.raises(StabilityError, match=f"solution became non-finite at step {first}$"):
+            solve_line_dirichlet(heat_coefficients(), np.exp(-np.square(cfg.grid())), cfg)
 
 
 def test_star_solver_matches_kernel_quadrature():

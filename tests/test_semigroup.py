@@ -208,9 +208,51 @@ def dense_apply(spec, m, t, f):
     return (same + shared[:, None]).T
 
 
+# apply refuses a kernel narrower than R_STAR quadrature steps, where the
+# predicted Simpson error (2/3) exp(-π² r² / 2) exceeds its tolerance 1e-8
+R_STAR = math.sqrt(2.0 * math.log(2e8 / 3.0)) / math.pi
+
+
+def width_over_step(spec, t, f):
+    """r = σ / hq of apply's quadrature: profiles are sampled at half their grid step."""
+
+    q = gaussian_form(spec, t)[2]
+    return math.sqrt(0.5 / q) / (f.grid.h / (2 if f.has_profiles() else 1))
+
+
+def time_at_width(spec, r, f):
+    """The time at which apply's kernel on f is r quadrature steps wide (bisection in log t)."""
+
+    lo, hi = math.log(1e-8), math.log(10.0)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if width_over_step(spec, math.exp(mid), f) < r else (lo, mid)
+    return math.exp(hi)
+
+
+def test_apply_refuses_what_it_cannot_resolve():
+    # data the semigroup fixes (constant 1 for OU, the ground state for HO)
+    # on either side of R_STAR = 1.9106: refused just below it, and within
+    # 1e-8 of the data just above it, on both backings
+    grid = GridSpec(cutoff=8.0, points_per_edge=513)
+    inner = grid.nodes() <= 4.0
+    fixed = ((OU, StarFunction.constant(StarGraph(3), grid, 1.0)),
+             (HARMONIC, ground_state(3, grid)))
+    for spec, profiled in fixed:
+        for f in (profiled, StarFunction(profiled.graph, grid, profiled.values)):
+            below, above = time_at_width(spec, 1.90, f), time_at_width(spec, 1.92, f)
+            with pytest.raises(DomainError, match=(
+                    "too narrow for the quadrature: its width is r = 1.9 quadrature steps, "
+                    "which predicts a relative error of 1.22e-08, above the tolerance 1e-08")):
+                apply(spec, 3, below, f, grid)
+            u = apply(spec, 3, above, f, grid).values
+            assert np.abs(u - f.values)[:, inner].max() <= 1e-8 * f.sup_norm()
+
+
 def test_apply_equals_dense_reference(rng):
     # the banded contraction skips only kernel values below e^-40 of their
-    # row's peak, so it agrees with the dense one to rounding
+    # row's peak, so it agrees with the dense one to rounding; below R_STAR
+    # apply refuses instead
     for points in (65, 513):
         grid = GridSpec(cutoff=6.0, points_per_edge=points)
         for m in (1, 2, 3, 8):
@@ -228,6 +270,10 @@ def test_apply_equals_dense_reference(rng):
             for spec in (OU, HARMONIC):
                 for t in (1e-3, 1e-2, 0.1, 1.0, 5.0):
                     for f in inputs:
+                        if width_over_step(spec, t, f) < R_STAR:
+                            with pytest.raises(DomainError, match="too narrow for the quadrature"):
+                                apply(spec, m, t, f, grid)
+                            continue
                         got = apply(spec, m, t, f, grid).values
                         want = dense_apply(spec, m, t, f)
                         scale = max(1.0, float(np.abs(got).max()))
@@ -237,14 +283,15 @@ def test_apply_equals_dense_reference(rng):
 
 def test_ho_blocks_keep_the_split_form():
     # HO's blocks take (x - y) - μx, free of the rounding of λ near 1.  The
-    # plain λx - y form reaches 9.3e-15 of scale on this case (sample-backed,
-    # t = 1e-3, where λ = 1 - 5e-7); the split form stays at 3.0e-16
-    grid = GridSpec(cutoff=6.0, points_per_edge=257)
-    vals = np.random.default_rng(2).normal(size=(3, 257))
+    # plain λx - y form reaches 3.2e-14 of scale on this case (sample-backed,
+    # t = 3e-4, where λ = 1 - 4.5e-8 and r = 2.96); the split form stays at
+    # 4.6e-16
+    grid = GridSpec(cutoff=6.0, points_per_edge=1025)
+    vals = np.random.default_rng(2).normal(size=(3, 1025))
     vals[:, 0] = vals[0, 0]
     f = StarFunction(StarGraph(3), grid, vals)
-    got = apply(HARMONIC, 3, 1e-3, f, grid).values
-    want = dense_apply(HARMONIC, 3, 1e-3, f)
+    got = apply(HARMONIC, 3, 3e-4, f, grid).values
+    want = dense_apply(HARMONIC, 3, 3e-4, f)
     scale = max(1.0, float(np.abs(got).max()))
     assert np.abs(got - want).max() <= 5e-15 * scale
 
@@ -305,6 +352,10 @@ def test_apply_equals_dense_reference_everywhere(spec, profiles, m, points, log_
         vals[:, 0] = vals[0, 0]
         f = StarFunction(graph, grid, vals)
     t = math.exp(log_t)
+    if width_over_step(spec, t, f) < R_STAR:
+        with pytest.raises(DomainError, match="too narrow for the quadrature"):
+            apply(spec, m, t, f, grid)
+        return
     got = apply(spec, m, t, f, grid).values
     want = dense_apply(spec, m, t, f)
     scale = max(1.0, float(np.abs(got).max()))
