@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StabilityError, StarGraphError, check_integer
+from .errors import StabilityError, StarGraphError, check_edges
 from .extension import ho_coefficients, ou_coefficients
 from .geometry import (
     GridSpec,
@@ -193,7 +193,7 @@ def cmd_spectrum(args) -> int:
     grid = GridSpec(cutoff=args.cutoff, points_per_edge=args.points)
     if args.levels < 1:
         raise StarGraphError(f"--levels must be at least 1, got {args.levels}")
-    check_integer("edge count", args.m)
+    check_edges(args.m)
     # levels 0, 2, 4, ... are simple and 1, 3, 5, ... have m - 1 values each
     count = (args.levels + 1) // 2 + (args.levels // 2) * (args.m - 1)
     dim = 1 + args.m * (args.points - 1)
@@ -233,6 +233,7 @@ def cmd_trace(args) -> int:
 
 
 def _oracle_initial(m: int, grid: GridSpec) -> StarFunction:
+    graph = StarGraph(m)  # refuses a bad edge count before the loop over edges
     profiles = []
     for i in range(m):
         d = 0.5 - 0.3 * i
@@ -242,7 +243,7 @@ def _oracle_initial(m: int, grid: GridSpec) -> StarFunction:
             return np.exp(-0.5 * x * x) + d * x * np.exp(-x * x)
 
         profiles.append(prof)
-    return StarFunction.from_callables(StarGraph(m), grid, tuple(profiles))
+    return StarFunction.from_callables(graph, grid, tuple(profiles))
 
 
 def cmd_oracle(args) -> int:

@@ -10,7 +10,8 @@ it, and is never told which one does:
 - a kernel the quadrature resolves: ``check_resolved``, ``DomainError``;
 - a positive finite size (cutoff, mesh, step): ``check_positive``, ``DomainError``;
 - a radius >= 0: ``check_radius``, ``DomainError``;
-- a model integer (edge count or index, level, count): ``check_integer``, ``DomainError``;
+- an edge count within MAX_NODES: ``check_edges``, ``DomainError``;
+- another model integer (edge index, level, count): ``check_integer``, ``DomainError``;
 - points per edge: ``check_points``, ``ShapeError``;
 - the node budget MAX_NODES: ``check_nodes``, ``ShapeError``;
 - strictly increasing times: ``check_increasing``, ``DomainError``;
@@ -27,9 +28,9 @@ import numpy as np
 # the quadrature step, and apply refuses it.
 MIN_TIME = 1e-8
 
-# The node budget: a grid or a quadrature grid with more nodes per edge, or an
-# oracle line or level count beyond it (8 TiB of samples each), is refused
-# before anything is allocated.
+# The node budget: a grid or a quadrature grid with more nodes per edge, an
+# oracle line or level count, or an edge count beyond it (8 TiB of samples
+# each), is refused before anything is allocated.
 MAX_NODES = 2**40
 
 
@@ -116,6 +117,12 @@ def check_integer(name: str, value, least: int = 1, most: int | None = None) -> 
                 else "a positive integer" if least == 1 else "a nonnegative integer")
         raise DomainError(f"{name} must be {span}, got {value!r}")
     return int(value)
+
+
+def check_edges(m) -> int:
+    """``m`` as an int; DomainError unless it is an edge count in 1..MAX_NODES."""
+
+    return check_integer("edge count", m, most=MAX_NODES)
 
 
 def check_points(n, least: int) -> None:

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, VertexContinuityError, check_integer, check_nodes
-from .errors import check_points, check_positive, check_radius
+from .errors import DomainError, ShapeError, VertexContinuityError, check_edges, check_integer
+from .errors import check_nodes, check_points, check_positive, check_radius
 
 __all__ = [
     "StarGraph",
@@ -50,7 +50,7 @@ class StarGraph:
     m: int
 
     def __post_init__(self) -> None:
-        check_integer("edge count", self.m)
+        check_edges(self.m)
 
 
 class StarPoint:
@@ -116,7 +116,7 @@ def mu_density(p, m: int):
     the m edges it integrates to one.
     """
 
-    check_integer("edge count", m)
+    check_edges(m)
     r = p.radius if isinstance(p, StarPoint) else check_radius(p)
     return (2.0 / (m * SQRT_PI)) * np.exp(-np.square(r))
 

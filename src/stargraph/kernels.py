@@ -2,11 +2,11 @@
 
 Both line kernels, the drift-toward-origin diffusion (OU) and the
 quadratic-potential propagator (HO), are a row factor times one Gaussian in
-λx - y (``gaussian_form``, OU's only formula; HO keeps its exactly symmetric
-closed form).  On the star the line kernel is combined through the
-reflection weights: same-edge propagation adds the reflected part with
-weight (2 - m)/m to the direct part, every other edge sees it with weight
-2/m.
+λx - y, written (x - y) - μx (``gaussian_form``, OU's only formula; HO keeps
+its exactly symmetric closed form).  On the star the line kernel is combined
+through the reflection weights: same-edge propagation adds the reflected
+part with weight (2 - m)/m to the direct part, every other edge sees it with
+weight 2/m.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_integer, check_time
+from .errors import DomainError, check_edges, check_time
 from .geometry import StarPoint
 
 __all__ = [
@@ -85,8 +85,9 @@ def line_kernel(spec: KernelSpec, t: float, x, y):
 
     check_spec(spec)
     if spec.tag == "ou":
-        lam, _, q, row = gaussian_form(spec, t)
-        d = lam * np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        _, mu, q, row = gaussian_form(spec, t)
+        x = np.asarray(x, dtype=float)
+        d = (x - np.asarray(y, dtype=float)) - mu * x
         return row(x) * np.exp((d * d) * -q)
     return _ho_values(check_time(t), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
@@ -98,10 +99,12 @@ def gaussian_form(spec: KernelSpec, t: float):
     s = 1 - e^{-2t}: OU has λ = e^{-t}, σ^2 = s/2 and A = 1; HO has
     λ = 2e^{-t}/(1 + e^{-2t}), σ^2 = s/(1 + e^{-2t}) and
     A(x) = exp(-s x^2 / (2(1 + e^{-2t}))).  Returns ``(λ, μ, q, row)``:
-    μ = 1 - λ to full relative accuracy, also where λ rounds to 1, so that
-    (x - y) - μx gives λx - y without the rounding of λ; q = 1/(2σ^2); and
-    ``row(x)``, the factor A(x)/sqrt(π s) of the output point.  The OU
-    kernel and ``semigroup.apply``'s blocks and band are written from this
+    λ, the centre λx of the Gaussian in y; μ = 1 - λ to full relative
+    accuracy, also where λ rounds to 1; q = 1/(2σ^2); and ``row(x)``, the
+    factor A(x)/sqrt(π s) of the output point.  Every consumer writes the
+    difference as (x - y) - μx, which is exact near the centre and free of
+    the rounding of λ.  The OU kernel, ``semigroup.apply``'s blocks and band
+    and ``spectral.trace_partial``'s diagonal integrals are written from this
     form alone; HO's ``line_kernel`` keeps its exactly symmetric closed form.
     """
 
@@ -129,7 +132,7 @@ def star_kernel(spec: KernelSpec, m: int, t: float, x: StarPoint, y: StarPoint) 
 
     if not isinstance(x, StarPoint) or not isinstance(y, StarPoint):
         raise DomainError("x and y must be StarPoint instances")
-    check_integer("edge count", m)
+    check_edges(m)
     if x.edge > m or y.edge > m:
         raise DomainError(
             f"point uses edge beyond the {m}-edge star: {x.edge}, {y.edge}"

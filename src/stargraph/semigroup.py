@@ -6,14 +6,14 @@ edges (2/m times the edge sum minus the edge) at -y.  Integrals use a
 composite Simpson rule on the sample grid, weighted before the extension,
 so the vertex node carries its weight once on each side.  Both kernels are
 a factor of the output point times one Gaussian in λx - y, and one
-``kernels.gaussian_form`` call gives λ, the factor and q = 1/(2σ^2), so
-output rows are contracted in blocks, each against only the extended
-samples within the band half-width b = sqrt(40 / q) of its rows.  A block
-holds the Gaussian alone, and its differences λx - y (for HO, (x - y) - μx)
-are one exact product of two small factor matrices, built once per call;
-each output row is scaled by its factor once, after the last block.  The
-grid reaches λ·(output cutoff) + b, past which every kernel value is below
-e^{-40} of its row's peak.  Callable-backed inputs are re-sampled on that
+``kernels.gaussian_form`` call gives λ, μ = 1 - λ, the factor and
+q = 1/(2σ^2), so output rows are contracted in blocks, each against only the
+extended samples within the band half-width b = sqrt(40 / q) of its rows.  A
+block holds the Gaussian alone, and its differences (x - y) - μx, for both
+kernels, are one exact product of two small factor matrices, built once per
+call; each output row is scaled by its factor once, after the last block.
+The grid reaches λ·(output cutoff) + b, past which every kernel value is
+below e^{-40} of its row's peak.  Callable-backed inputs are re-sampled on that
 grid at half their grid step, sample-backed inputs continue by zero.
 """
 
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, check_increasing, check_integer, check_nodes
+from .errors import DomainError, ShapeError, check_edges, check_increasing, check_nodes
 from .errors import check_resolved, check_time
 from .extension import reflect
 from .geometry import GridSpec, StarFunction, simpson_weights
@@ -91,28 +91,21 @@ def _blocks(x, y, lam: float, b: float, hq: float):
     return starts, ends, lo, hi
 
 
-def _difference_factors(spec: KernelSpec, lam: float, mu: float, x, y):
+def _difference_factors(mu: float, x, y):
     """Factors whose product holds the differences in every block's Gaussian.
 
-    OU's Gaussian is in λx - y: ``[λx, 1] @ [1; -y]``.  HO's λ rounds near 1,
-    so it takes (x - y) - μx, where x - y is exact near the band centre:
-    ``[x, 1, -μx] @ [1; -y; 1]``, summed in that order.  Every product has a
-    unit factor and is exact, so each difference is rounded as by explicit
-    subtraction.  Returns ``left`` (a row per output node) and ``right`` (a
-    column per quadrature node).
+    The Gaussian is in λx - y, taken as (x - y) - μx as ``line_kernel`` takes
+    it: ``[x, 1, -μx] @ [1; -y; 1]``, summed in that order.  Every product
+    has a unit factor and is exact, so each difference is rounded as by
+    explicit subtraction.  Returns ``left`` (a row per output node) and
+    ``right`` (a column per quadrature node).
     """
 
-    ho = spec.tag != "ou"
-    left = np.empty((x.size, 3 if ho else 2))
-    right = np.empty((left.shape[1], y.size))
-    if ho:
-        left[:, 0] = x
-        np.multiply(x, -mu, out=left[:, 2])
-        right[2] = 1.0
-    else:
-        np.multiply(x, lam, out=left[:, 0])
+    left = np.empty((x.size, 3))
+    left[:, 0] = x
     left[:, 1] = 1.0
-    right[0] = 1.0
+    np.multiply(x, -mu, out=left[:, 2])
+    right = np.ones((3, y.size))
     np.negative(y, out=right[1])
     return left, right
 
@@ -140,7 +133,7 @@ def apply(
     DomainError (``errors.check_resolved``).
     """
 
-    check_integer("edge count", m)
+    check_edges(m)
     if m != f.graph.m:
         raise ShapeError(f"edge count {m} does not match the function ({f.graph.m})")
     f.require_continuous("semigroup input must be vertex-continuous")
@@ -161,7 +154,7 @@ def apply(
     # Gaussian is written over them into a prefix of one buffer, sized for the
     # largest block, so no block allocates; the row factor and the
     # normalisation scale each output row once, after the loop
-    left, right = _difference_factors(spec, lam, mu, x, y)
+    left, right = _difference_factors(mu, x, y)
     buf = np.empty(int(((ends - starts) * (hi - lo)).max()))
     out = np.empty((m, x.size))
     for i0, i1, j0, j1 in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):

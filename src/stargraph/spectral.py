@@ -6,7 +6,9 @@ derivative at the vertex); odd levels carry an (m-1)-dimensional space built
 from differences of two edges (zero vertex value, flux balance by
 cancellation).  A piecewise-linear discretization of the Dirichlet form
 reproduces the levels with the same cluster sizes, and the sum of
-multiplicity-weighted exponentials matches the on-diagonal kernel integral.
+multiplicity-weighted exponentials matches the on-diagonal kernel integral;
+``trace_partial`` gives both in closed form, the sum as two finite geometric
+series and the integral from ``kernels.gaussian_form``.
 
 The discrete form splits the same way as the spectrum: its even sector is the
 one-edge form with the vertex node free, and each of its m - 1 odd sectors is
@@ -28,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P, polyutils
 
-from .errors import DomainError, ShapeError, StabilityError, check_integer, check_points, check_time
-from .geometry import GridSpec, StarFunction, StarGraph, simpson_weights
+from .errors import ShapeError, StabilityError, check_edges, check_integer, check_points, check_time
+from .geometry import GridSpec, StarFunction, StarGraph
 from .kernels import OU, KernelSpec, check_spec, gaussian_form
 
 __all__ = [
@@ -119,16 +121,12 @@ class SpectralDatum:
     basis: tuple[StarFunction, ...]
 
 
-def _multiplicity(k: int, m: int) -> int:
-    return 1 if k % 2 == 0 else m - 1
-
-
 def multiplicity(k: int, m: int) -> int:
     """Even levels are simple; odd levels have dimension m - 1."""
 
-    check_integer("edge count", m)
+    check_edges(m)
     check_integer("level", k, least=0)
-    return _multiplicity(k, m)
+    return 1 if k % 2 == 0 else m - 1
 
 
 def eigenbasis(m: int, k: int, grid: GridSpec) -> SpectralDatum:
@@ -398,7 +396,7 @@ def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarra
     whole pencil, O(n^3).
     """
 
-    check_integer("edge count", m)
+    check_edges(m)
     if count is not None:
         check_integer("count", count, most=1 + m * (grid.points_per_edge - 1))
     stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
@@ -430,46 +428,32 @@ def trace_closed_form(t: float, m: int) -> float:
     """(1 + (m-1) e^{-t}) / (1 - e^{-2t})."""
 
     t = check_time(t)
-    check_integer("edge count", m)
+    check_edges(m)
     return (1.0 + (m - 1) * math.exp(-t)) / (-math.expm1(-2.0 * t))
-
-
-def _half_line_gaussian_quadrature(form: tuple, reflected: bool) -> float:
-    """Integrate the drift kernel along the diagonal (or reflected diagonal).
-
-    ``form`` is ``gaussian_form(OU, t)``, and the integrand row(x) exp(-q d^2),
-    d = λx - y, takes the floats that ``line_kernel(OU, t, x, y)`` takes.
-    """
-
-    # on y = x the Gaussian in λx - y has width σ/μ (μ = 1 - λ), on y = -x σ/(1 + λ)
-    lam, mu, q, row = form
-    sigma = math.sqrt(0.5 / q) / ((1.0 + lam) if reflected else mu)
-    cutoff = 9.0 * sigma
-    n = 513
-    x = np.linspace(0.0, cutoff, n)
-    w = simpson_weights(n, x[1] - x[0])
-    d = lam * x - (-x if reflected else x)
-    return float(np.dot(w, row(x) * np.exp((d * d) * -q)))
 
 
 def trace_partial(t: float, m: int, terms: int) -> TracePair:
     """Multiplicity-weighted partial sum and the on-diagonal kernel integral.
 
-    The kernel side integrates the star kernel along the diagonal with edge
-    Lebesgue measure: m direct half-line integrals plus (2 - m) reflected
-    ones.  Both converge to the closed form as terms and the quadrature
-    window grow.
+    The partial sum runs over the levels 0 .. ``terms``: two finite
+    geometric series in e^{-2t}, the even levels with weight 1 and the odd
+    ones with weight m - 1.  The kernel side integrates the star kernel
+    along the diagonal with edge Lebesgue measure, m direct half-line
+    integrals plus (2 - m) reflected ones.  On y = ±x the Gaussian of
+    ``gaussian_form(OU, t)`` has (x - y) - μx = -μx or (1 + λ)x, so each is
+    a half Gaussian integral in closed form.  Both take O(1) work at every
+    time and term count.
     """
 
     t = check_time(t)
-    if t < 0.05:
-        raise DomainError(f"trace quadrature needs a time t >= 0.05, got {t}")
-    check_integer("edge count", m)
+    check_edges(m)
     check_integer("term count", terms, least=0)
-    # e^{-kt} is exactly 0.0 once kt > 746, so later terms add nothing
+    # e^{-kt} is exactly 0.0 once kt > 746: later terms add nothing, and the
+    # capped count converts to a float whatever the term count
     last = min(terms, int(746.0 / t))
-    partial = sum(_multiplicity(k, m) * math.exp(-k * t) for k in range(last + 1))
-    form = gaussian_form(OU, t)
-    direct = _half_line_gaussian_quadrature(form, reflected=False)
-    refl = _half_line_gaussian_quadrature(form, reflected=True)
-    return TracePair(partial_sum=float(partial), kernel_trace=m * direct + (2.0 - m) * refl)
+    even = math.expm1(-2.0 * t * (last // 2 + 1))  # levels 0, 2, .., each once
+    odd = math.expm1(-2.0 * t * ((last + 1) // 2))  # levels 1, 3, .., m - 1 times
+    partial = (even + (m - 1) * math.exp(-t) * odd) / math.expm1(-2.0 * t)
+    lam, mu, q, row = gaussian_form(OU, t)
+    half = 0.5 * row(0.0) * math.sqrt(math.pi / q)
+    return TracePair(partial_sum=partial, kernel_trace=half * (m / mu + (2.0 - m) / (1.0 + lam)))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import check_integer
+from .errors import check_edges
 from .geometry import GridSpec, StarFunction, StarGraph, sup_distance
 from .kernels import HARMONIC, OU
 from .semigroup import apply
@@ -36,7 +36,7 @@ TRUST_RADIUS = 5.5
 def flat_factor(m: int) -> float:
     """sqrt(c_m) with c_m = 2 / (m sqrt(pi))."""
 
-    check_integer("edge count", m)
+    check_edges(m)
     return math.sqrt(2.0 / (m * math.sqrt(math.pi)))
 
 

@@ -449,6 +449,11 @@ def test_extreme_inputs_exit_cleanly(tmp_path):
         "oracle_no_step": (oracle + ["--t", "1e-10", "--dt", "1"],
                            "t_final must be a whole number of steps dt, at least one"),
     }
+    # edge counts beyond the node budget; each once ended in an OverflowError
+    # traceback, and the oracle looped over the edges before it checked them
+    for command in ("evolve", "kernel", "spectrum", "trace", "oracle", "invariance"):
+        refused[f"{command}_m"] = ([command, "--m", str(10**400)],
+                                   "edge count must be an integer in 1..1099511627776")
     runs = {
         "trace": ["trace", "--terms", str(10**12)],
         "spectrum": ["spectrum", "--levels", "10000000"],
@@ -472,6 +477,11 @@ def test_extreme_inputs_exit_cleanly(tmp_path):
     # e^{-kt} is 0.0 long before 20000 terms at t = 1, so the sums agree
     assert done["trace"].stdout == _run_cli(["trace", "--terms", "20000"]).stdout
     assert _json(done["trace"].stdout)["pass"] is True
+    # both sides of the trace are closed forms, so the 7.46e10 levels that
+    # contribute at t = 1e-8 cost no more than 40 do
+    run = _run_cli(["trace", "--t", "1e-8", "--terms", str(10**12)], timeout=10)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert _json(run.stdout)["pass"] is True
 
 
 def test_output_is_deterministic(tmp_path):

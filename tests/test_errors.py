@@ -226,11 +226,13 @@ def _refusal(kind, call, *args) -> str:
     return str(caught.value)
 
 
-@pytest.mark.parametrize("m", [0, -1, 2.5, True, math.nan], ids=repr)
+@pytest.mark.parametrize("m", [0, -1, 2.5, True, math.nan, MAX_NODES + 1], ids=repr)
 @pytest.mark.parametrize("entry", sorted(TAKES_M))
 def test_a_bad_edge_count_is_one_refusal_everywhere(entry, m):
+    # an edge count beyond the node budget is refused before any per-edge
+    # work; a huge one once ended in an OverflowError traceback
     assert _refusal(DomainError, TAKES_M[entry], m) == (
-        f"edge count must be a positive integer, got {m!r}")
+        f"edge count must be an integer in 1..{MAX_NODES}, got {m!r}")
 
 
 @pytest.mark.parametrize("entry, n", INTEGER_CASES, ids=repr)
@@ -263,10 +265,13 @@ def test_a_time_below_min_time_is_one_refusal_everywhere(entry, t):
         f"time must be >= {MIN_TIME}, got {float(t)}")
 
 
-def test_the_trace_quadrature_keeps_its_own_floor():
-    assert trace_closed_form(MIN_TIME, 3) > 0
-    assert _refusal(DomainError, trace_partial, 0.01, 3, 10) == (
-        "trace quadrature needs a time t >= 0.05, got 0.01")
+def test_the_trace_answers_down_to_min_time():
+    # the kernel side is a closed form, with no quadrature floor above
+    # MIN_TIME; a 513-node quadrature once refused t < 0.05
+    for t in (MIN_TIME, 0.01):
+        closed = trace_closed_form(t, 3)
+        assert closed > 0
+        assert trace_partial(t, 3, 10).kernel_trace == pytest.approx(closed, rel=2e-15)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0], ids=repr)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -78,16 +79,16 @@ def test_ho_kernel_underflows_at_huge_radii():
 @pytest.mark.parametrize("t", [1e-8, 1e-3, 0.5, 30.0])
 @pytest.mark.parametrize("spec", [OU, HARMONIC], ids=["ou", "ho"])
 def test_block_writer_matches_public_kernels(spec, t):
-    # apply writes each block as the Gaussian of gaussian_form, in λx - y for
-    # OU and (x - y) - μx for HO, and scales each row by row(x) afterwards.
-    # Against the closed forms the gap is a few ulps of the row's peak row(x)
-    # for OU.  HO's closed form rounds an exponent of size up to about
-    # (x^2 + y^2)/2, 72 at x = 12, and carries up to that many ulps itself
+    # apply writes each block as the Gaussian of gaussian_form in
+    # (x - y) - μx, for both kernels, and scales each row by row(x)
+    # afterwards.  Against the closed forms the gap is a few ulps of the row's
+    # peak row(x) for OU.  HO's closed form rounds an exponent of size up to
+    # about (x^2 + y^2)/2, 72 at x = 12, and carries up to that many ulps itself
     lam, mu, q, row = gaussian_form(spec, t)
     b = math.sqrt(40 / q)
 
     def block(x, y):
-        d = lam * x - y if spec is OU else (x - y) - mu * x
+        d = (x - y) - mu * x
         return row(x) * np.exp(-q * d * d)
 
     x = np.linspace(0.0, 12.0, 97)[:, None]
@@ -96,7 +97,7 @@ def test_block_writer_matches_public_kernels(spec, t):
     assert gap.max() <= (4e-16 if spec is OU else 4e-14)
     # the OU kernel is written from gaussian_form alone, as apply writes it
     if spec is OU:
-        d = lam * x - y
+        d = (x - y) - mu * x
         assert np.array_equal(line_kernel(OU, t, x, y), row(x) * np.exp((d * d) * -q))
     # past radii of about 1.3e154 the squares overflow: exactly 0, never NaN
     if spec is HARMONIC:
@@ -104,6 +105,31 @@ def test_block_writer_matches_public_kernels(spec, t):
             x = np.array([[1e200]])
             for y in (np.array([0.0, 1e200]), lam * x[0] + np.array([-b, 0.0, b])):
                 assert np.array_equal(block(x, y), np.zeros((1, y.size)))
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.5, 30.0])
+def test_ou_kernel_matches_a_40_digit_reference(t):
+    # line_kernel(OU) takes the Gaussian's difference as (x - y) - μx, free of
+    # the rounding of λ = e^{-t}; the form λx - y read 5.9e-13 of the row peak
+    # at t = 1e-6.  The reference is exact in the float inputs x, y and t
+    lam, _, q, _ = gaussian_form(OU, t)
+    b = math.sqrt(40 / q)
+    x = np.linspace(0.0, 12.0, 25)[:, None]
+    y = lam * x + np.linspace(-b, b, 41)
+    got = line_kernel(OU, t, x, y)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pi = Decimal("3.141592653589793238462643383279502884197")
+        e = (-Decimal(t)).exp()
+        s = 1 - e * e
+        peak = 1 / (pi * s).sqrt()
+        worst = max(
+            abs(Decimal(k) - peak * (-(d * d) / s).exp())
+            for xi, row_y, row_k in zip(x[:, 0].tolist(), y.tolist(), got.tolist())
+            for yj, k in zip(row_y, row_k)
+            for d in [e * Decimal(xi) - Decimal(yj)]
+        ) / peak
+    assert float(worst) <= 4e-15
 
 
 def test_public_kernels_return_scalars_for_scalar_input():
@@ -195,9 +221,10 @@ def test_star_kernel_validation():
         star_kernel(OU, 2, 1.0, StarPoint(3, 1.0), StarPoint(1, 1.0))
     with pytest.raises(DomainError, match="x and y must be StarPoint instances"):
         star_kernel(OU, 2, 1.0, 1.0, StarPoint(1, 1.0))
-    with pytest.raises(DomainError, match="edge count must be a positive integer, got 0"):
+    span = "edge count must be an integer in 1..1099511627776"
+    with pytest.raises(DomainError, match=span + ", got 0"):
         star_kernel(OU, 0, 1.0, StarPoint(1, 1.0), StarPoint(1, 1.0))
-    with pytest.raises(DomainError, match="edge count must be a positive integer, got 2.5"):
+    with pytest.raises(DomainError, match=span + ", got 2.5"):
         star_kernel(OU, 2.5, 1.0, StarPoint(1, 0.5), StarPoint(2, 0.5))
 
 

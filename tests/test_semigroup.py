@@ -305,8 +305,9 @@ def test_ho_blocks_keep_the_split_form():
 ], ids=["ou-sharp", "ho-sharp", "ou-wide", "ho-wide", "ho-one-row"])
 def test_block_differences_are_the_explicit_form(spec, t, cutoff, points, refine):
     # apply's blocks take their differences from one BLAS product; it must
-    # round each one as explicit subtraction does, and sum HO's three terms
-    # in the order (x - y) - μx, or HO loses its split form
+    # round each one as explicit subtraction does, and sum the three terms
+    # in the order (x - y) - μx, or the blocks lose the split form that
+    # line_kernel(OU) takes too
     lam, mu, q, _ = gaussian_form(spec, t)
     b = math.sqrt(BAND_EXPONENT / q)
     grid = GridSpec(cutoff=cutoff, points_per_edge=points)
@@ -315,14 +316,11 @@ def test_block_differences_are_the_explicit_form(spec, t, cutoff, points, refine
     y = np.arange(intervals + intervals % 2 + 1) * hq
     y = np.concatenate([-y[::-1], y])
     x = grid.nodes()
-    left, right = _difference_factors(spec, lam, mu, x, y)
+    left, right = _difference_factors(mu, x, y)
     for i0, i1, j0, j1 in zip(*_blocks(x, y, lam, b, hq)):
         k = np.empty((i1 - i0, j1 - j0))
         np.matmul(left[i0:i1], right[:, j0:j1], out=k)
-        if spec is OU:
-            want = np.subtract.outer(lam * x[i0:i1], y[j0:j1])
-        else:
-            want = np.subtract.outer(x[i0:i1], y[j0:j1]) - (mu * x[i0:i1])[:, None]
+        want = np.subtract.outer(x[i0:i1], y[j0:j1]) - (mu * x[i0:i1])[:, None]
         assert np.array_equal(k, want)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from stargraph.errors import DomainError, ShapeError, StabilityError
+from stargraph.errors import MIN_TIME, DomainError, ShapeError, StabilityError
 from stargraph.geometry import GridSpec, StarFunction, StarGraph
 from stargraph.kernels import HARMONIC, OU
 from stargraph.semigroup import apply
@@ -303,20 +303,37 @@ def test_trace_closed_form_frozen():
 
 
 def test_trace_identity():
-    for m in (1, 2, 3, 5):
-        for t in (0.5, 1.0, 2.0):
-            pair = trace_partial(t, m, 40)
+    # the diagonal integrals of the Gaussian in closed form, from MIN_TIME on
+    for t in np.geomspace(MIN_TIME, 700.0, 61):
+        for m in range(1, 9):
             closed = trace_closed_form(t, m)
-            assert pair.kernel_trace == pytest.approx(closed, abs=1e-10)
+            assert trace_partial(t, m, 40).kernel_trace == pytest.approx(closed, rel=2e-15)
     # the eigenvalue sum converges to the same number
     pair = trace_partial(0.5, 3, 200)
     assert pair.partial_sum == pytest.approx(trace_closed_form(0.5, 3), abs=1e-12)
 
 
+def _partial_sum_loop(t, m, terms):
+    return math.fsum(multiplicity(k, m) * math.exp(-k * t) for k in range(terms + 1))
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 4.0, 30.0])
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_partial_sum_is_the_term_by_term_sum(t, m):
+    # two geometric series in closed form against the sum over the levels
+    for terms in (0, 1, 2, 7, 40, 500, 15000):
+        want = _partial_sum_loop(t, m, terms)
+        assert trace_partial(t, m, terms).partial_sum == pytest.approx(want, rel=1e-14)
+
+
 def test_trace_partial_edge_cases():
-    pair = trace_partial(1.0, 3, 0)
-    assert pair.partial_sum == 1.0  # the constant eigenfunction alone
-    for t in (0.01, math.nan, math.inf):
+    for t in (MIN_TIME, 0.01, 1.0, 700.0):
+        assert trace_partial(t, 3, 0).partial_sum == 1.0  # the constant eigenfunction alone
+    # below the 0.05 a quadrature once needed, both sides still answer
+    pair = trace_partial(0.01, 2, 10)
+    assert pair.partial_sum == pytest.approx(_partial_sum_loop(0.01, 2, 10), rel=1e-14)
+    assert pair.kernel_trace == pytest.approx(trace_closed_form(0.01, 2), rel=2e-15)
+    for t in (math.nan, math.inf):
         with pytest.raises(DomainError, match="time"):
             trace_partial(t, 2, 10)
     with pytest.raises(DomainError):
