@@ -115,7 +115,11 @@ def check_integer(name: str, value, least: int = 1, most: int | None = None) -> 
     if not (_is_integer(value) and least <= value and (most is None or value <= most)):
         span = (f"an integer in {least}..{most}" if most is not None
                 else "a positive integer" if least == 1 else "a nonnegative integer")
-        raise DomainError(f"{name} must be {span}, got {value!r}")
+        got = repr(value)
+        if len(got) > 40:  # name the size of a long value, not every digit
+            got = (f"an integer of {len(str(abs(value)))} digits" if _is_integer(value)
+                   else f"a {type(value).__name__} of {len(got)} characters")
+        raise DomainError(f"{name} must be {span}, got {got}")
     return int(value)
 
 

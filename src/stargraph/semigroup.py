@@ -4,17 +4,17 @@ Each edge of the star sees the line kernel against the reflected extension
 of the data: the edge itself on y >= 0, and ``extension.reflect`` of the
 edges (2/m times the edge sum minus the edge) at -y.  Integrals use a
 composite Simpson rule on the sample grid, weighted before the extension,
-so the vertex node carries its weight once on each side.  Both kernels are
-a factor of the output point times one Gaussian in λx - y, and one
-``kernels.gaussian_form`` call gives λ, μ = 1 - λ, the factor and
-q = 1/(2σ^2), so output rows are contracted in blocks, each against only the
-extended samples within the band half-width b = sqrt(40 / q) of its rows.  A
-block holds the Gaussian alone, and its differences (x - y) - μx, for both
-kernels, are one exact product of two small factor matrices, built once per
-call; each output row is scaled by its factor once, after the last block.
-The grid reaches λ·(output cutoff) + b, past which every kernel value is
-below e^{-40} of its row's peak.  Callable-backed inputs are re-sampled on that
-grid at half their grid step, sample-backed inputs continue by zero.
+which lives on the lattice j·hq, j = -N..N, both vertex weights in one
+column.  Both kernels are a factor of the output point times one Gaussian in
+λx - y (``kernels.gaussian_form``: λ, μ = 1 - λ, the factor, q = 1/(2σ^2)),
+and output rows, on the lattice i·h, are contracted in blocks against the
+columns within the band half-width b = sqrt(40 / q) of their rows.  There a
+block's Gaussian is exactly a factor per row times one per column times a
+matrix M that every block shares (``_blocks``), so a call takes M's exps
+once and a block one exp per column.  The grid reaches λ·(output cutoff) + b,
+past which every kernel value is below e^{-40} of its row's peak.
+Callable-backed inputs are re-sampled on that grid at half their grid step,
+sample-backed inputs continue by zero.
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ from .kernels import KernelSpec, gaussian_form
 
 __all__ = ["apply", "evolve_sequence"]
 
-# Output rows per block: BLOCK_ROWS, or fewer where the band is so wide that
-# a block's Gaussian would exceed BLOCK_VALUES values.  Every block is
-# written into the same buffer of one call, and the budget keeps it (192 kB)
-# in cache for its product: with 16384 values or fewer, HO at 2049 points and
-# t = 2 took 84-129 ms instead of 57-88 (one row per block instead of two),
-# and apply_sharp and apply_wide were not clearly faster.  Any other block
-# shape moves the band windows and with them the last bits of the output.
+# Output rows per block: BLOCK_ROWS, or fewer where the output step spreads
+# their band centres over more than 2·BLOCK_ROWS lattice columns.  Each
+# product takes a slice of M of at most BLOCK_VALUES values (192 kB) and a
+# chunk of blocks' windows over all edges of at most half as many.
 BLOCK_ROWS = 32
 BLOCK_VALUES = 24576
 
@@ -80,34 +77,45 @@ def _quadrature_grid(f: StarFunction, reach: float, hq: float):
     return y, vals
 
 
-def _blocks(x, y, lam: float, b: float, hq: float):
-    """Output rows [starts, ends) of each block, with the columns [lo, hi) of its band."""
+def _blocks(lam: float, mu: float, q: float, b: float, h: float, hq: float, n: int, N: int):
+    """Block k of ``n`` output rows holds rows i = k·rows + a', a' < rows, at
+    offsets a = a' - (rows - 1)/2 from its centre x_c, and lattice columns
+    j = c_k + β, β in ``beta``, c_k the column nearest λx_c/hq in 0..N.  With
+    δ_k = (x_c - c_k·hq) - μx_c, exp(-q((x_i - y_j) - μx_i)^2) is
+    u[k, a']·v[k, b']·M[a', b'] for β = beta[b']: u = exp(-qδ(δ + 2λha)),
+    v = exp(2qδ·hq·β) (``_column_factors``) and M = exp(-q(λha - hq·β)^2)
+    (``_shared_factors``).  Returns ``(c, δ, beta, u)``."""
 
-    rows = min(BLOCK_ROWS, max(1, BLOCK_VALUES // int(min(y.size, 2.0 * b / hq + 1.0))))
-    starts = np.arange(0, x.size, rows)
-    ends = np.minimum(starts + rows, x.size)
-    lo = np.searchsorted(y, lam * x[starts] - b)
-    hi = np.searchsorted(y, lam * x[ends - 1] + b, side="right")
-    return starts, ends, lo, hi
+    rows = min(BLOCK_ROWS, int(1 + 2 * BLOCK_ROWS * hq / max(lam * h, hq)))
+    count = -(-n // rows)
+    rows = -(-n // count)  # as even as the blocks go
+    xc = np.arange(0.5 * (rows - 1), count * rows, rows) * h
+    c = np.minimum(np.rint(lam * xc / hq), N).astype(np.intp)
+    delta = (xc - c * hq) - mu * xc
+    # every row's band, but no column past the lattice for all blocks
+    half = math.ceil(min(b / hq + 0.5 * lam * h * (rows - 1) / hq + 0.5, 2 * N + 1))
+    beta = np.arange(max(-half, -N - c[-1]), min(half, N - c[0]) + 1)
+    a = np.arange(0.5 - 0.5 * rows, 0.5 * rows)
+    u = np.exp(-q * delta[:, None] * (delta[:, None] + (2.0 * lam * h) * a))
+    return c, delta, beta, u
 
 
-def _difference_factors(mu: float, x, y):
-    """Factors whose product holds the differences in every block's Gaussian.
+def _shared_factors(lam: float, q: float, h: float, hq: float, rows: int, beta):
+    """M = exp(-q(λha - hq·β)^2), the same for every block of ``rows`` rows."""
 
-    The Gaussian is in λx - y, taken as (x - y) - μx as ``line_kernel`` takes
-    it: ``[x, 1, -μx] @ [1; -y; 1]``, summed in that order.  Every product
-    has a unit factor and is exact, so each difference is rounded as by
-    explicit subtraction.  Returns ``left`` (a row per output node) and
-    ``right`` (a column per quadrature node).
-    """
+    M = np.subtract.outer(np.arange(0.5 - 0.5 * rows, 0.5 * rows) * (lam * h), hq * beta)
+    M *= M
+    M *= -q
+    return np.exp(M, out=M)
 
-    left = np.empty((x.size, 3))
-    left[:, 0] = x
-    left[:, 1] = 1.0
-    np.multiply(x, -mu, out=left[:, 2])
-    right = np.ones((3, y.size))
-    np.negative(y, out=right[1])
-    return left, right
+
+def _column_factors(q: float, hq: float, delta, beta):
+    """v = exp(2qδ·hq·β), one row per block; |exponent| < 7 for r >= 1.91 unless
+    c_k was clipped to N, when the cap keeps v finite over the zeros past N."""
+
+    v = np.multiply.outer(delta, (2.0 * q * hq) * beta)  # a huge δ times β = 0 is 0, not inf·0
+    np.minimum(v, BAND_EXPONENT, out=v)
+    return np.exp(v, out=v)
 
 
 def apply(
@@ -124,7 +132,9 @@ def apply(
     kernel against its reflected extension, and each block of output rows
     is contracted against the extended samples within the kernel band
     |λx - y| <= b = sqrt(40 / q) of its rows, λ and q from ``gaussian_form``;
-    kernel values outside it are below e^{-40} of their row's peak.
+    kernel values outside it are below e^{-40} of their row's peak.  Each
+    edge is its own product with the factored blocks (``_blocks``), so edges
+    with equal data get bit-for-bit equal rows.
     Callable-backed inputs are sampled twice as finely as their grid, up to
     λ·(output cutoff) + b.  The output is vertex-continuous: at radius zero
     the line kernel is even in y, and every edge's extension has the same
@@ -145,26 +155,34 @@ def apply(
     b = math.sqrt(BAND_EXPONENT / q)
     y, fw = _quadrature_grid(f, lam * grid.cutoff + b, hq)
     fw *= simpson_weights(y.size, hq)
-    y = np.concatenate([-y[::-1], y])
-    fw = np.concatenate([reflect(fw)[:, ::-1], fw], axis=1)
 
-    x = grid.nodes()
-    starts, ends, lo, hi = _blocks(x, y, lam, b, hq)
-    # a block's differences are one product of the factors' slices, and its
-    # Gaussian is written over them into a prefix of one buffer, sized for the
-    # largest block, so no block allocates; the row factor and the
-    # normalisation scale each output row once, after the loop
-    left, right = _difference_factors(mu, x, y)
-    buf = np.empty(int(((ends - starts) * (hi - lo)).max()))
-    out = np.empty((m, x.size))
-    for i0, i1, j0, j1 in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
-        k = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
-        np.matmul(left[i0:i1], right[:, j0:j1], out=k)
-        k *= k
-        k *= -q
-        np.exp(k, out=k)
-        out[:, i0:i1] = fw[:, j0:j1] @ k.T
-    out *= row(x)
+    x, N = grid.nodes(), y.size - 1
+    c, delta, beta, u = _blocks(lam, mu, q, b, grid.h, hq, x.size, N)
+    # the extension from lattice column `first`, zero out to every block's window
+    first = min(-N, c[0] + beta[0])
+    ext = np.zeros((m, max(N, c[-1] + beta[-1]) - first + 1))
+    ext[:, -N - first:1 - first] = reflect(fw)[:, ::-1]
+    ext[:, -first:N + 1 - first] += fw
+    del fw  # before M and the windows take their memory
+    rows, width = u.shape[1], BLOCK_VALUES // u.shape[1]  # width: columns per product
+    chunk = max(1, BLOCK_VALUES // (2 * m * min(width, beta.size)))
+    out = np.empty((m, u.size))
+    for j in range(0, beta.size, width):
+        cols = beta[j:j + width]
+        M = _shared_factors(lam, q, grid.h, hq, rows, cols)
+        windows = np.ndarray((m, ext.shape[1] - cols.size + 1, cols.size), ext.dtype, ext,
+                             strides=ext.strides[:1] + ext.strides[1:] * 2)  # a view
+        for k in range(0, c.size, chunk):
+            d = windows[:, c[k:k + chunk] + (cols[0] - first)]
+            d *= _column_factors(q, hq, delta[k:k + chunk], cols)
+            # a product per edge (matmul's stack axis): equal edges, equal rows
+            part = out[:, k * rows:(k + chunk) * rows].reshape(m, -1, rows)
+            if j:
+                part += np.matmul(d, M.T)
+            else:
+                np.matmul(d, M.T, out=part)
+    out = out[:, :x.size]
+    out *= row(x) * u.ravel()[:x.size]
 
     return StarFunction(f.graph, grid, out, continuous_at_vertex=True)
 

@@ -229,6 +229,18 @@ def test_grid_spacing_that_underflows_is_usage_error(capsys):
         assert "cutoff=5e-324" in err and "points_per_edge=9" in err, command
 
 
+def test_a_long_refused_integer_is_named_by_its_size(capsys):
+    # a refused integer of more than 40 characters is named by its digit
+    # count, not echoed digit by digit (once a 463-character line); shorter
+    # ones are echoed as they were
+    span = "error: edge count must be an integer in 1..1099511627776, got "
+    for m, got in ((str(10**400), "an integer of 401 digits"),
+                   (str(10**40), "an integer of 41 digits"), (str(-10**38), str(-10**38)),
+                   ("0", "0")):
+        assert main(["trace", "--m", m]) == EXIT_USAGE
+        assert capsys.readouterr().err == span + got + "\n", m
+
+
 def test_unknown_flag_is_usage_error():
     # --cutoff and --points belong to the commands that sample a grid only
     for argv in (["trace", "--no-such-flag"], ["kernel", "--points", "7"],

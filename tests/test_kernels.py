@@ -79,11 +79,12 @@ def test_ho_kernel_underflows_at_huge_radii():
 @pytest.mark.parametrize("t", [1e-8, 1e-3, 0.5, 30.0])
 @pytest.mark.parametrize("spec", [OU, HARMONIC], ids=["ou", "ho"])
 def test_block_writer_matches_public_kernels(spec, t):
-    # apply writes each block as the Gaussian of gaussian_form in
-    # (x - y) - μx, for both kernels, and scales each row by row(x)
-    # afterwards.  Against the closed forms the gap is a few ulps of the row's
-    # peak row(x) for OU.  HO's closed form rounds an exponent of size up to
-    # about (x^2 + y^2)/2, 72 at x = 12, and carries up to that many ulps itself
+    # row(x) times the Gaussian of gaussian_form in (x - y) - μx, for both
+    # kernels: the explicit form that apply's factored blocks must equal
+    # (test_semigroup.py::test_block_differences_are_the_explicit_form).
+    # Against the closed forms the gap is a few ulps of the row's peak row(x)
+    # for OU.  HO's closed form rounds an exponent of size up to about
+    # (x^2 + y^2)/2, 72 at x = 12, and carries up to that many ulps itself
     lam, mu, q, row = gaussian_form(spec, t)
     b = math.sqrt(40 / q)
 
@@ -95,7 +96,7 @@ def test_block_writer_matches_public_kernels(spec, t):
     y = lam * x + np.linspace(-b, b, 201)
     gap = np.abs(block(x, y) - line_kernel(spec, t, x, y)) / row(x)
     assert gap.max() <= (4e-16 if spec is OU else 4e-14)
-    # the OU kernel is written from gaussian_form alone, as apply writes it
+    # the OU kernel is written from gaussian_form alone, in that explicit form
     if spec is OU:
         d = (x - y) - mu * x
         assert np.array_equal(line_kernel(OU, t, x, y), row(x) * np.exp((d * d) * -q))

@@ -15,7 +15,8 @@ from stargraph.geometry import (
     vertex_flux,
 )
 from stargraph.kernels import HARMONIC, OU, gaussian_form, line_kernel
-from stargraph.semigroup import BAND_EXPONENT, _blocks, _difference_factors, apply, evolve_sequence
+from stargraph.semigroup import BAND_EXPONENT, _blocks, _column_factors, _shared_factors
+from stargraph.semigroup import apply, evolve_sequence
 from stargraph.transform import ground_state
 
 # h = 1/64 puts the probe radii 0.5, 1, 2 on grid nodes
@@ -99,6 +100,21 @@ def test_conservativity_smoke(grid):
     one = StarFunction.constant(StarGraph(3), GridSpec(6.0, 129), 1.0)
     u = apply(OU, 3, 0.5, one, GridSpec(20.0, 129))
     assert abs(u.values - 1.0).max() < 1e-8
+
+
+def test_an_output_grid_far_past_the_data():
+    # rows whose band centres lie past the sample-backed data take the last
+    # lattice column as their blocks' centre column; their factors stay
+    # finite, and rows whose band misses the data read 0
+    data = GridSpec(cutoff=6.0, points_per_edge=61)
+    f = StarFunction(StarGraph(2), data, np.ones((2, 61)))
+    vertex = apply(OU, 2, 0.05, f, data).values[0, 0]
+    for far in (GridSpec(1e308, 9), GridSpec(1e300, 33), GridSpec(7.0, 29)):
+        with np.errstate(over="ignore"):
+            u = apply(OU, 2, 0.05, f, far).values
+        assert np.all(np.isfinite(u)), far
+        assert u[0, 0] == pytest.approx(vertex, abs=1e-14), far
+        assert np.all(u[:, far.nodes() > 6.0 + 3.0] == 0.0), far
 
 
 def test_positivity_and_contraction(grid, rng):
@@ -282,10 +298,10 @@ def test_apply_equals_dense_reference(rng):
 
 
 def test_ho_blocks_keep_the_split_form():
-    # HO's blocks take (x - y) - μx, free of the rounding of λ near 1.  The
-    # plain λx - y form reaches 3.2e-14 of scale on this case (sample-backed,
-    # t = 3e-4, where λ = 1 - 4.5e-8 and r = 2.96); the split form stays at
-    # 4.6e-16
+    # HO's blocks take their centre offset δ as (x - y) - μx, free of the
+    # rounding of λ near 1.  The plain λx - y form reaches 3.4e-14 of scale on
+    # this case (sample-backed, t = 3e-4, where λ = 1 - 4.5e-8 and r = 2.96);
+    # the split form stays at 5.6e-16
     grid = GridSpec(cutoff=6.0, points_per_edge=1025)
     vals = np.random.default_rng(2).normal(size=(3, 1025))
     vals[:, 0] = vals[0, 0]
@@ -300,28 +316,65 @@ def test_ho_blocks_keep_the_split_form():
     (OU, 1e-3, 6.0, 1025, 1),
     (HARMONIC, 1e-3, 6.0, 1025, 2),  # λ = 1 - 5e-7
     (OU, 2.0, 6.0, 2049, 1),
-    (HARMONIC, 2.0, 6.0, 2049, 2),  # two rows per block
-    (HARMONIC, 2.0, 0.375, 257, 2),  # one row per block
+    (HARMONIC, 2.0, 6.0, 2049, 2),
+    (HARMONIC, 2.0, 0.375, 257, 2),  # a band of 24000 columns
 ], ids=["ou-sharp", "ho-sharp", "ou-wide", "ho-wide", "ho-one-row"])
 def test_block_differences_are_the_explicit_form(spec, t, cutoff, points, refine):
-    # apply's blocks take their differences from one BLAS product; it must
-    # round each one as explicit subtraction does, and sum the three terms
-    # in the order (x - y) - μx, or the blocks lose the split form that
-    # line_kernel(OU) takes too
+    # apply's blocks are products of three factors, u (per row), v (per
+    # column) and M (shared by every block); each product must be the
+    # Gaussian exp(-q((x - y) - μx)^2) of gaussian_form at its lattice point
+    # x = i·h, y = j·hq, within 1e-14 of the row peak, against a long-double
+    # reference, and each block's columns must cover its rows' bands; up to
+    # 17 blocks spread over the rows, the first and the last among them
     lam, mu, q, _ = gaussian_form(spec, t)
     b = math.sqrt(BAND_EXPONENT / q)
     grid = GridSpec(cutoff=cutoff, points_per_edge=points)
     hq = grid.h / refine
     intervals = math.ceil((lam * cutoff + b) / hq)
-    y = np.arange(intervals + intervals % 2 + 1) * hq
-    y = np.concatenate([-y[::-1], y])
-    x = grid.nodes()
-    left, right = _difference_factors(mu, x, y)
-    for i0, i1, j0, j1 in zip(*_blocks(x, y, lam, b, hq)):
-        k = np.empty((i1 - i0, j1 - j0))
-        np.matmul(left[i0:i1], right[:, j0:j1], out=k)
-        want = np.subtract.outer(x[i0:i1], y[j0:j1]) - (mu * x[i0:i1])[:, None]
-        assert np.array_equal(k, want)
+    N = intervals + intervals % 2
+    c, delta, beta, u = _blocks(lam, mu, q, b, grid.h, hq, points, N)
+    v = _column_factors(q, hq, delta, beta)
+    M = _shared_factors(lam, q, grid.h, hq, u.shape[1], beta)
+    rows = u.shape[1]
+    x = np.arange(c.size * rows, dtype=np.longdouble) * grid.h
+    worst = 0.0
+    for k in {*range(0, c.size, max(1, c.size // 16)), c.size - 1}:
+        i = slice(k * rows, min((k + 1) * rows, points))
+        j = c[k] + beta
+        inside = np.abs(j) <= N
+        y = j[inside] * np.longdouble(hq)
+        d = np.subtract.outer(x[i], y) - np.longdouble(mu) * x[i, None]
+        want = np.exp(-np.longdouble(q) * d * d)
+        got = (u[k, : i.stop - i.start, None] * v[k, inside]) * M[: i.stop - i.start, inside]
+        worst = max(worst, float(np.abs(got - want).max()))
+        band = np.clip(np.rint(np.array([lam * x[i][[0, -1]] - b, lam * x[i][[0, -1]] + b],
+                                        dtype=float) / hq), -N, N)
+        assert j[0] <= band[0].min() and j[-1] >= band[1].max(), k
+    assert worst <= 1e-14, worst
+
+
+@given(
+    spec=st.sampled_from([OU, HARMONIC]),
+    m=st.sampled_from([7, 13, 50]),
+    points=st.sampled_from([129, 257, 513, 1025]),
+    t=st.sampled_from([0.05, 0.1, 0.5, 2.0]),
+    profiles=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_equal_edges_give_equal_rows(spec, m, points, t, profiles, seed):
+    # every edge is its own product with the blocks, so edges with equal data
+    # get bit-for-bit equal rows; as rows of one product, 56 of these 96
+    # shapes once gave equal edges rows that differed in the last bits
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(cutoff=6.0, points_per_edge=points)
+    if profiles:
+        a = rng.uniform(0.1, 1.0)
+        f = StarFunction.from_callables(StarGraph(m), grid,
+                                        (lambda x: np.exp(-a * np.square(x)),) * m)
+    else:
+        f = StarFunction(StarGraph(m), grid, np.tile(rng.normal(size=points), (m, 1)))
+    u = apply(spec, m, t, f, grid).values
+    assert np.array_equal(u, np.broadcast_to(u[0], u.shape))
 
 
 @given(
