@@ -65,16 +65,17 @@ def ho_coefficients() -> CoefficientTriple:
     )
 
 
-def reflect(values: np.ndarray) -> np.ndarray:
+def reflect(values: np.ndarray, edges=slice(None)) -> np.ndarray:
     """What each edge's line carries at -r: 2/m times the edge sum minus the edge.
 
     ``values`` holds per-edge samples with the edge along axis 0.  The edge
     average (the even sector) is kept and the deviations from it (the odd
-    sectors) change sign.
+    sectors) change sign.  ``edges`` (an index along axis 0) picks the lines
+    returned; the sum runs over all m edges either way.
     """
 
     values = np.asarray(values, dtype=float)
-    return (2.0 / values.shape[0]) * values.sum(axis=0) - values
+    return (2.0 / values.shape[0]) * values.sum(axis=0) - values[edges]
 
 
 def check_coefficients(q: np.ndarray, *others) -> None:

@@ -14,7 +14,10 @@ matrix M that every block shares (``_blocks``), so a call takes M's exps
 once and a block one exp per column.  The grid reaches λ·(output cutoff) + b,
 past which every kernel value is below e^{-40} of its row's peak.
 Callable-backed inputs are re-sampled on that grid at half their grid step,
-sample-backed inputs continue by zero.
+sample-backed inputs continue by zero.  Edges couple only through the edge
+sum, so edges with bitwise equal weighted samples evolve alike: each
+distinct edge is extended and contracted once (``_distinct_edges``), and
+every edge takes its distinct edge's row.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ __all__ = ["apply", "evolve_sequence"]
 # Output rows per block: BLOCK_ROWS, or fewer where the output step spreads
 # their band centres over more than 2·BLOCK_ROWS lattice columns.  Each
 # product takes a slice of M of at most BLOCK_VALUES values (192 kB) and a
-# chunk of blocks' windows over all edges of at most half as many.
+# chunk of windows, blocks times contracted (distinct) edges, of at most half
+# as many; edges are taken in groups where one block's windows over all of
+# them would exceed that.
 BLOCK_ROWS = 32
 BLOCK_VALUES = 24576
 
@@ -67,9 +72,7 @@ def _quadrature_grid(f: StarFunction, reach: float, hq: float):
     intervals += intervals % 2
     y = np.arange(intervals + 1) * hq
     if f.has_profiles():
-        vals = f.evaluate_profiles(y)
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("profiles must stay finite on the quadrature grid")
+        vals = f.evaluate_profiles(y)  # apply checks that they are finite
     else:
         vals = np.zeros((f.graph.m, y.size))
         n = min(y.size, f.grid.points_per_edge)
@@ -118,6 +121,27 @@ def _column_factors(q: float, hq: float, delta, beta):
     return np.exp(v, out=v)
 
 
+def _distinct_edges(fw):
+    """The rows of ``fw`` up to bitwise equal ones: ``(distinct, group)``, with
+    ``fw[distinct][group]`` equal to ``fw``, or ``(slice(None), None)`` when no
+    two rows are equal.  Rows are fingerprinted by their sums, and every row
+    is compared exactly with the first row of its sum, all in one step; a row
+    unlike that one (``[2, 1]`` after ``[1, 2]``) stays apart."""
+
+    sums = fw.sum(axis=1).tolist()
+    first = dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))  # each sum's first row
+    if len(first) == len(sums):
+        return slice(None), None
+    rep = np.fromiter(map(first.__getitem__, sums), np.intp, len(sums))
+    distinct = np.flatnonzero((rep == np.arange(rep.size)) | (fw != fw[rep]).any(axis=1))
+    if distinct.size == rep.size:
+        return slice(None), None
+    rep[distinct] = distinct
+    group = np.empty_like(rep)
+    group[distinct] = np.arange(distinct.size)
+    return distinct, group[rep]
+
+
 def apply(
     spec: KernelSpec,
     m: int,
@@ -133,8 +157,12 @@ def apply(
     is contracted against the extended samples within the kernel band
     |λx - y| <= b = sqrt(40 / q) of its rows, λ and q from ``gaussian_form``;
     kernel values outside it are below e^{-40} of their row's peak.  Each
-    edge is its own product with the factored blocks (``_blocks``), so edges
-    with equal data get bit-for-bit equal rows.
+    distinct edge is its own product with the factored blocks (``_blocks``),
+    and edges with bitwise equal data share its row, so they get bit-for-bit
+    equal rows.  Calls that take one product for all edges skip the search
+    for equal edges.  Weighted samples above 2^512 are scaled below it by an
+    exact power of two, undone at the end, so data up to the float maximum
+    answer.
     Callable-backed inputs are sampled twice as finely as their grid, up to
     λ·(output cutoff) + b.  The output is vertex-continuous: at radius zero
     the line kernel is even in y, and every edge's extension has the same
@@ -155,34 +183,56 @@ def apply(
     b = math.sqrt(BAND_EXPONENT / q)
     y, fw = _quadrature_grid(f, lam * grid.cutoff + b, hq)
     fw *= simpson_weights(y.size, hq)
+    size = max(fw.max(), -fw.min())
+    if not size < math.inf:  # NaN fails too; samples are finite by construction
+        raise DomainError("profiles must stay finite on the quadrature grid")
+    # data above 2^512 are scaled below it by an exact power of two, undone
+    # after the products: far more room than the edge sum and the column
+    # factors (at most e^40) take, so data up to the float maximum answer
+    scale = max(0, math.frexp(size)[1] - 512)
+    if scale:
+        fw *= math.ldexp(1.0, -scale)
 
     x, N = grid.nodes(), y.size - 1
     c, delta, beta, u = _blocks(lam, mu, q, b, grid.h, hq, x.size, N)
-    # the extension from lattice column `first`, zero out to every block's window
-    first = min(-N, c[0] + beta[0])
-    ext = np.zeros((m, max(N, c[-1] + beta[-1]) - first + 1))
-    ext[:, -N - first:1 - first] = reflect(fw)[:, ::-1]
-    ext[:, -first:N + 1 - first] += fw
-    del fw  # before M and the windows take their memory
     rows, width = u.shape[1], BLOCK_VALUES // u.shape[1]  # width: columns per product
-    chunk = max(1, BLOCK_VALUES // (2 * m * min(width, beta.size)))
-    out = np.empty((m, u.size))
+    per = max(1, BLOCK_VALUES // (2 * min(width, beta.size)))  # windows per product
+    # where one product takes all edges' windows, fewer edges save next to nothing
+    one = beta.size <= width and m * c.size <= per
+    distinct, group = (slice(None), None) if one else _distinct_edges(fw)
+    # the extension of the distinct edges from lattice column `first`, zero
+    # out to every block's window
+    first = min(-N, c[0] + beta[0])
+    lines = m if group is None else distinct.size
+    ext = np.zeros((lines, max(N, c[-1] + beta[-1]) - first + 1))
+    ext[:, -N - first:1 - first] = reflect(fw, distinct)[:, ::-1]
+    ext[:, -first:N + 1 - first] += fw[distinct]
+    del fw  # before M and the windows take their memory
+    edges = min(lines, per)  # all edges at once unless they alone exceed it
+    chunk = per // edges  # blocks per product
+    out = np.empty((lines, u.size))
     for j in range(0, beta.size, width):
         cols = beta[j:j + width]
         M = _shared_factors(lam, q, grid.h, hq, rows, cols)
-        windows = np.ndarray((m, ext.shape[1] - cols.size + 1, cols.size), ext.dtype, ext,
+        windows = np.ndarray((lines, ext.shape[1] - cols.size + 1, cols.size), ext.dtype, ext,
                              strides=ext.strides[:1] + ext.strides[1:] * 2)  # a view
         for k in range(0, c.size, chunk):
-            d = windows[:, c[k:k + chunk] + (cols[0] - first)]
-            d *= _column_factors(q, hq, delta[k:k + chunk], cols)
-            # a product per edge (matmul's stack axis): equal edges, equal rows
-            part = out[:, k * rows:(k + chunk) * rows].reshape(m, -1, rows)
-            if j:
-                part += np.matmul(d, M.T)
-            else:
-                np.matmul(d, M.T, out=part)
+            v = _column_factors(q, hq, delta[k:k + chunk], cols)
+            for e in range(0, lines, edges):
+                d = windows[e:e + edges, c[k:k + chunk] + (cols[0] - first)]
+                d *= v
+                # a product per edge (matmul's stack axis): equal edges, equal rows
+                part = out[e:e + edges, k * rows:(k + chunk) * rows].reshape(d.shape[0], -1, rows)
+                if j:
+                    part += np.matmul(d, M.T)
+                else:
+                    np.matmul(d, M.T, out=part)
     out = out[:, :x.size]
     out *= row(x) * u.ravel()[:x.size]
+    if scale:
+        np.ldexp(out, scale, out=out)
+    if group is not None:
+        out = out[group]  # each edge takes its distinct edge's row
 
     return StarFunction(f.graph, grid, out, continuous_at_vertex=True)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from stargraph.geometry import (
     vertex_flux,
 )
 from stargraph.kernels import HARMONIC, OU, gaussian_form, line_kernel
-from stargraph.semigroup import BAND_EXPONENT, _blocks, _column_factors, _shared_factors
-from stargraph.semigroup import apply, evolve_sequence
+from stargraph.semigroup import BAND_EXPONENT, TOLERANCE, _blocks, _column_factors
+from stargraph.semigroup import _distinct_edges, _shared_factors, apply, evolve_sequence
 from stargraph.transform import ground_state
 
 # h = 1/64 puts the probe radii 0.5, 1, 2 on grid nodes
@@ -362,9 +363,11 @@ def test_block_differences_are_the_explicit_form(spec, t, cutoff, points, refine
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_equal_edges_give_equal_rows(spec, m, points, t, profiles, seed):
-    # every edge is its own product with the blocks, so edges with equal data
-    # get bit-for-bit equal rows; as rows of one product, 56 of these 96
-    # shapes once gave equal edges rows that differed in the last bits
+    # edges with equal data share one distinct edge's product and its row,
+    # where a call takes more than one product, and are each their own
+    # product with the blocks where it takes one; either way their rows are
+    # bit-for-bit equal.  As rows of one product, 56 of these 96 shapes once
+    # gave equal edges rows that differed in the last bits
     rng = np.random.default_rng(seed)
     grid = GridSpec(cutoff=6.0, points_per_edge=points)
     if profiles:
@@ -412,3 +415,90 @@ def test_apply_equals_dense_reference_everywhere(spec, profiles, m, points, log_
     scale = max(1.0, float(np.abs(got).max()))
     assert np.abs(got - want).max() <= 1e-14 * scale
     assert got[:, 0].max() == got[:, 0].min()
+
+
+@given(
+    spec=st.sampled_from([OU, HARMONIC]),
+    profiles=st.booleans(),
+    m=st.integers(min_value=1, max_value=8),
+    points=st.integers(min_value=9, max_value=129),
+    log_t=st.floats(min_value=math.log(1e-3), max_value=math.log(10.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_edges_sharing_a_profile_share_their_rows(spec, profiles, m, points, log_t, seed):
+    # m edges drawn from 1..m distinct profiles: edges with one profile get
+    # bit-for-bit equal rows, and every row agrees with the dense reference
+    # as in test_apply_equals_dense_reference_everywhere
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(cutoff=6.0, points_per_edge=points)
+    kinds = rng.integers(0, rng.integers(1, m + 1), size=m)
+    if profiles:
+        pool = [(lambda x, a=a: (1.0 + a * np.asarray(x)) * np.exp(-0.2 * np.asarray(x) ** 2))
+                for a in rng.uniform(-1.0, 1.0, size=m)]
+        f = StarFunction.from_callables(StarGraph(m), grid, tuple(pool[k] for k in kinds))
+    else:
+        pool = rng.normal(size=(m, points))
+        pool[:, 0] = pool[0, 0]
+        f = StarFunction(StarGraph(m), grid, pool[kinds])
+    t = math.exp(log_t)
+    if width_over_step(spec, t, f) < R_STAR:
+        with pytest.raises(DomainError, match="too narrow for the quadrature"):
+            apply(spec, m, t, f, grid)
+        return
+    got = apply(spec, m, t, f, grid).values
+    for k in set(kinds.tolist()):
+        same = got[kinds == k]
+        assert np.array_equal(same, np.broadcast_to(same[0], same.shape)), k
+    want = dense_apply(spec, m, t, f)
+    scale = max(1.0, float(np.abs(got).max()))
+    assert np.abs(got - want).max() <= 1e-14 * scale
+
+
+def test_distinct_edges_are_found_exactly():
+    # rows are fingerprinted by their sums and confirmed exactly: equal sums
+    # with other content stay apart, one row and rows that all differ need
+    # no grouping, and equal rows share one distinct row
+    for fw in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones((1, 5)), np.eye(4)):
+        distinct, group = _distinct_edges(fw)
+        assert distinct == slice(None) and group is None
+    row = np.random.default_rng(3).normal(size=9)
+    distinct, group = _distinct_edges(np.tile(row, (5, 1)))
+    assert distinct.size == 1 and np.array_equal(group, np.zeros(5))
+    fw = np.array([[1.0, 2.0], [2.0, 2.0], [1.0, 2.0], [2.0, 2.0], [2.0, 1.0]])
+    distinct, group = _distinct_edges(fw)
+    assert np.array_equal(fw[distinct][group], fw)
+    assert distinct.size == 3 and group[0] == group[2] and group[1] == group[3]
+
+
+def test_data_near_the_float_maximum():
+    # weighted samples above 2^512 are scaled below it by a power of two
+    # before the extension and back after the products: the constant 1e308 answers
+    # where the column factors (up to e^7) once overflowed its windows; the
+    # samples end at 6, more than 8 kernel widths past every row of [0, 3]
+    grid = GridSpec(cutoff=6.0, points_per_edge=33)
+    inner = grid.nodes() <= 3.0
+    for f, rows in ((StarFunction(StarGraph(1), grid, np.full((1, 33), 1e308)), inner),
+                    (StarFunction.constant(StarGraph(1), grid, 1e308), slice(None))):
+        for t in (0.3, 2.0):
+            u = apply(OU, 1, t, f, grid).values
+            assert np.abs(u - 1e308)[:, rows].max() <= TOLERANCE * 1e308, (f.has_profiles(), t)
+
+
+def test_many_distinct_edges_keep_the_windows_within_budget():
+    # m times one block's columns exceeds half of BLOCK_VALUES, so the edges
+    # are taken in groups: apply then holds its extension, its output and
+    # the result, about 4.5 times the samples.  With one block's windows over
+    # all 2000 edges at once it held 7.4 times
+    m, points = 2000, 65
+    grid = GridSpec(cutoff=6.0, points_per_edge=points)
+    vals = np.random.default_rng(4).normal(size=(m, points))
+    vals[:, 0] = vals[0, 0]
+    f = StarFunction(StarGraph(m), grid, vals)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        apply(OU, m, 2.0, f, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * f.values.nbytes, peak / f.values.nbytes
