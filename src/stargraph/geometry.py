@@ -164,9 +164,15 @@ def vertex_continuous(col: np.ndarray) -> bool:
 
 
 def vertex_slopes(values: np.ndarray, h: float) -> np.ndarray:
-    """Radial derivative at the vertex along the last axis, one-sided and second order."""
+    """Radial derivative at the vertex along the last axis, one-sided and second order.
 
-    return (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (2.0 * h)
+    The stencil (-3 u0 + 4 u1 - u2) / (2h) is taken in differences from u0,
+    (2 (u1 - u0) - (u2 - u0) / 2) / h, so samples near the float maximum do
+    not overflow where their slope does not.
+    """
+
+    u0 = values[..., 0]
+    return (2.0 * (values[..., 1] - u0) - 0.5 * (values[..., 2] - u0)) / h
 
 
 def vertex_flux(values: np.ndarray, h: float) -> np.ndarray:

@@ -6,20 +6,25 @@ centered discretization, second order in h and dt.  The star is marched in
 its sectors on the half grid r >= 0, with the parity-extended coefficients:
 the edge average (the even sector) is one line with Neumann conditions at
 the vertex, and the m deviations from it (the odd sectors) are lines with
-the vertex pinned at zero.  Edge i is the average plus its deviation, the
-same scheme as the line through the edge and its ``reflect``; continuity at
-the vertex holds by construction, and the flux balance holds at the stencil
-order and is measured.  The lines of a march advance together, the lines
-as right-hand sides (the unit hats of a kernel table, or the m odd lines
-of a star, whose even line has its own step matrix).  Each tridiagonal
+the vertex pinned at zero.  The m - 1 odd sectors are identical, so the
+deviations evolve under one line operator, and only their span needs
+marching: they are factored once as Q C_0, Q an (m, r) orthonormal basis
+with r <= m - 1, and the march advances the r rows of C.  Edge i is the
+average plus row i of Q C_k, the same scheme as the line through the edge
+and its ``reflect``; continuity at the vertex holds by construction, and
+the flux balance holds at the stencil order and is measured.  The lines of
+a march advance together, the lines as right-hand sides (the unit hats of
+a kernel table, or the r odd lines of a star, whose even line has its own
+step matrix).  Each tridiagonal
 step matrix A = I - (dt/2) T is fixed for the march and factored once: a
 diagonal similarity S, the square root of the discrete density in which T
 is self-adjoint (mu's, for OU), makes S A S^-1 symmetric, and LAPACK pttrf
 factors it as L D L^T where it is positive definite.  The march carries
 the state in that symmetrized variable, v = S u, so a step is one pttrs
 solve per step matrix, one subtraction, and one scaling by S^-1 back to
-u, which the growth monitor and the stored levels read.  The explicit half
-needs no stencil product, because B = I + (dt/2) T = 2I - A.
+u, from which the lines are formed (for a star, one product with Q) for
+the growth monitor and the stored levels.  The explicit half needs no
+stencil product, because B = I + (dt/2) T = 2I - A.
 """
 
 from __future__ import annotations
@@ -145,6 +150,7 @@ def solve_line_dirichlet(
         raise ShapeError(
             f"initial data must give one value per solver node, shape {x.shape}, got {u0.shape}"
         )
+    _check_finite(u0)
     out = np.zeros((cfg.steps + 1, 1, x.size))
     out[0] = u0
     blocks = [(slice(1, None), *_stencil(coeffs, x, cfg.h))]
@@ -176,6 +182,11 @@ def _stencil(
     return qi / h**2 - bi / (2.0 * h), -2.0 * qi / h**2 + ci, qi / h**2 + bi / (2.0 * h)
 
 
+def _check_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DomainError("initial data must be finite on the solver grid")
+
+
 def _march(
     blocks: Sequence[tuple[slice, np.ndarray, np.ndarray, np.ndarray]],
     u: np.ndarray,
@@ -183,14 +194,18 @@ def _march(
     cfg: OracleConfig,
     levels: Sequence[int],
     out: np.ndarray,
+    basis: np.ndarray | None = None,
 ) -> None:
-    """Advance the state ``u`` (shape (1 + k, columns)) and write its k lines.
+    """Advance the state ``u`` (shape (1 + k, columns)) and write its lines.
 
-    Line i is u[0] + u[i] on the stored side and u[0] - u[i] mirrored, so
-    row 0 is what every line shares; a full line shares nothing, and its
-    row 0 stays zero and unmarched.  The first and last columns lie beyond
-    the stencil rows, and their samples enter the first step only.  Each
-    block (rows, lower, diag, upper) holds the stencil T of its rows, and
+    Line i is u[0] + d_i on the stored side and u[0] - d_i mirrored, where
+    d = u[1:], the k lines' own rows, or d = ``basis`` @ u[1:], m lines
+    from an (m, k) basis; row 0 is what every line shares, and a full line
+    shares nothing, so its row 0 stays zero and unmarched.  The lines are
+    formed once per step, and the monitor and the stored levels both read
+    them.  The first and last columns lie beyond the stencil rows, and
+    their samples enter the first step only.  Each block (rows, lower,
+    diag, upper) holds the stencil T of its rows, and
     its step matrix A = I - (dt/2) T is factored once (``_factor_step``)
     as S A S^-1 = L D L^T.  The march carries v = S u, row by row with its
     block's S.  A step solves S A S^-1 y = w in place on w = 2v with one
@@ -198,7 +213,7 @@ def _march(
     B = 2I - A, writes u = v / S and then |u| over y, and sets w <- 2v.
     ``levels`` are increasing step indices >= 1; the lines after step
     levels[j], at the stencil rows, go to out[j].
-    Each line's sup, max |u[0]| + |u[i]|, is held to 1.05 exp(c0 t) times its
+    Each line's sup, max |u[0]| + |d_i|, is held to 1.05 exp(c0 t) times its
     initial sup at every step; a step that breaks a bound or turns
     non-finite raises, and a bound that overflows at the last level, or a
     step matrix that ``_factor_step`` refuses, is refused before the first
@@ -211,11 +226,10 @@ def _march(
         raise DomainError(
             f"c_sup_bound * dt * steps = {growth:.6g} overflows the growth bound exp(c_sup_bound t)"
         )
-    if not np.all(np.isfinite(u)):
-        raise DomainError("initial data must be finite on the solver grid")
     from scipy.linalg.lapack import dpttrs  # scipy.linalg loads when a march runs, not on import
 
-    bound_base = 1.05 * (np.abs(u[0]) + np.abs(u[1:])).max(axis=1)
+    own = u[1:] if basis is None else basis @ u[1:]
+    bound_base = 1.05 * (np.abs(u[0]) + np.abs(own)).max(axis=1)
     inner = u[:, 1:-1]
     # w is the right-hand side 2v of the next step, contiguous so that the
     # transpose of each block's rows is the Fortran-ordered (nodes, rows)
@@ -234,9 +248,11 @@ def _march(
         inv_scale[rows] = 1.0 / scale
         solves.append((d, e, w[rows].T))
 
-    # the rows of w that every line shares and that are each line's own, and
-    # the monitor's per-line sups, bounds and verdicts
-    shared, lines = w[0], w[1:]
+    # the row of w that every line shares, the lines' own rows d (w's rows
+    # or their product with the basis), and the monitor's per-line sups,
+    # bounds and verdicts
+    shared = w[0]
+    lines = w[1:] if basis is None else np.empty((basis.shape[0], w.shape[1]))
     sup, bound = np.empty(len(bound_base)), np.empty(len(bound_base))
     held = np.empty(len(bound_base), dtype=bool)
     stored = 0
@@ -248,10 +264,13 @@ def _march(
         # then |u| for the monitor; a level that breaks its bound is stored
         # too, but the march raises before any caller sees it
         np.multiply(v, inv_scale, out=w)
+        if basis is not None:
+            np.matmul(basis, w[1:], out=lines)
         if k == levels[stored]:
             np.add(shared, lines, out=out[stored])
             stored += 1
-        np.abs(w, out=w)
+        np.abs(shared, out=shared)
+        np.abs(lines, out=lines)
         np.add(lines, shared, out=lines)
         np.maximum.reduce(lines, axis=1, out=sup)
         np.multiply(bound_base, math.exp(c0 * k * dt), out=bound)
@@ -347,10 +366,14 @@ def solve_star(
     at the vertex: its row at r = 0 is the mirrored row, in which u(-h) =
     u(h) folds the lower stencil entry into the upper one, 2 q(0) / h^2.
     The m deviations from it (the odd sectors) are lines with the vertex
-    pinned at 0: an identity row at r = 0 that nothing couples to.  Edge i
-    is the average plus its deviation, which is what the line through the
-    edge and its ``reflect`` gives, so each edge's growth bound is that
-    line's.  Level 0 is the data itself.
+    pinned at 0: an identity row at r = 0 that nothing couples to.  All of
+    them see that one operator, so the deviations D_0 (m, points) are
+    factored as Q C_0 (``_deviation_basis``), and only the average and the
+    r <= m - 1 rows of C are marched; equal edges and m = 1 give r = 0 and
+    march the average alone.  Edge i is the average plus row i of Q C_k,
+    which is what the line through the edge and its ``reflect`` gives, so
+    each edge's growth bound is that line's, checked on every edge at every
+    step.  Level 0 is the data itself.
     """
 
     f.require_continuous("reflection extension requires a vertex-continuous function")
@@ -375,17 +398,25 @@ def solve_star(
     even_upper[0] += even_lower[0]
     even_lower[0] = 0.0
     lower[:2] = diag[0] = upper[0] = 0.0
-    state = np.zeros((f.graph.m + 1, half.shape[1] + 1))
-    state[0, 1:] = half.mean(axis=0)
-    state[1:, 2:] = half[:, 1:] - state[0, 2:]
+    average = half.mean(axis=0)
+    deviations = half[:, 1:] - average[1:]  # the vertex deviation is pinned at 0
+    # data that are not finite, or whose edge sum or deviations pass the
+    # float maximum, are refused before the factorization
+    _check_finite(average, deviations)
+    basis = _deviation_basis(half, deviations)
+    state = np.zeros((1 + basis.shape[1], half.shape[1] + 1))
+    state[0, 1:] = average
+    state[1:, 2:] = basis.T @ deviations
 
     steps = cfg.steps
     # the march writes every level but the pinned end r = n
     values = np.empty((steps + 1,) + half.shape)
     values[0] = half
     values[1:, :, -1] = 0.0
-    blocks = [(slice(0, 1), even_lower, even_diag, even_upper), (slice(1, None), lower, diag, upper)]
-    _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, steps + 1), values[1:, :, :-1])
+    blocks = [(slice(0, 1), even_lower, even_diag, even_upper)]
+    if basis.shape[1]:
+        blocks.append((slice(1, None), lower, diag, upper))
+    _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, steps + 1), values[1:, :, :-1], basis)
 
     grid = GridSpec(cutoff=float(cfg.n), points_per_edge=half.shape[1])
     return StarEvolution(
@@ -395,6 +426,31 @@ def solve_star(
         values=values,
         kirchhoff_defects=vertex_flux(values, cfg.h),
     )
+
+
+def _deviation_basis(data: np.ndarray, deviations: np.ndarray) -> np.ndarray:
+    """Orthonormal columns Q (m, r) spanning the edges' computed deviations
+    from their average down to the rounding that forming them made.
+
+    ``data`` is F, the edges' samples (m, points), and ``deviations`` D~
+    their differences from the average.  A recursive sum of m terms and one
+    division give the average within m u mean_i |f_ij| (u = eps / 2, to
+    first order), and each difference adds u |d_ij|, so D~ = D + E with
+    |E_ij| <= m u mean_i |f_ij| + u |d_ij|.  As sqrt(m) times the row of
+    means and D are each at most ||F||_F in the Frobenius norm, ||E||_2 <=
+    ||E||_F <= tau = (m + 1) u ||F||_F.  Directions whose singular value is
+    at most tau lie within that rounding and are dropped, which moves no
+    entry of D~ by more than tau; so is any past m - 1, the most that
+    deviations summing to zero span.  tau is about (m + 1) / 2 eps times the
+    data's norm, not a numerical rank's sigma_1 max(m, points) eps, which
+    grows with the points per edge far past the rounding.
+    """
+
+    peak = float(np.abs(data).max())
+    norm = peak * float(np.linalg.norm(data / peak)) if peak > 0.0 else 0.0  # no overflow
+    tau = 0.5 * (data.shape[0] + 1) * np.finfo(float).eps * norm
+    q, sigma, _ = np.linalg.svd(deviations, full_matrices=False)
+    return q[:, : min(data.shape[0] - 1, int(np.count_nonzero(sigma > tau)))]
 
 
 @dataclass(frozen=True)

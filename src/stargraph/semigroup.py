@@ -125,15 +125,21 @@ def _distinct_edges(fw):
     """The rows of ``fw`` up to bitwise equal ones: ``(distinct, group)``, with
     ``fw[distinct][group]`` equal to ``fw``, or ``(slice(None), None)`` when no
     two rows are equal.  Rows are fingerprinted by their sums, and every row
-    is compared exactly with the first row of its sum, all in one step; a row
-    unlike that one (``[2, 1]`` after ``[1, 2]``) stays apart."""
+    is compared exactly with the first row of its sum, in groups of rows of
+    at most ``BLOCK_VALUES`` values; a row unlike that one (``[2, 1]`` after
+    ``[1, 2]``) stays apart."""
 
     sums = fw.sum(axis=1).tolist()
     first = dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))  # each sum's first row
     if len(first) == len(sums):
         return slice(None), None
     rep = np.fromiter(map(first.__getitem__, sums), np.intp, len(sums))
-    distinct = np.flatnonzero((rep == np.arange(rep.size)) | (fw != fw[rep]).any(axis=1))
+    apart = rep == np.arange(rep.size)
+    step = max(1, BLOCK_VALUES // fw.shape[1])
+    for i in range(0, rep.size, step):
+        rows = slice(i, i + step)
+        apart[rows] |= (fw[rows] != fw[rep[rows]]).any(axis=1)
+    distinct = np.flatnonzero(apart)
     if distinct.size == rep.size:
         return slice(None), None
     rep[distinct] = distinct

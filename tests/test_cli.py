@@ -296,20 +296,23 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert captured.err == "numerical failure: sup norm exceeds the growth bound\n"
 
 
-def _near_float_max(tmp_path):
-    """A one-edge file input of 1e308 on [0, 6]: its evolution stays near the
-    float maximum, where the one-sided vertex slope overflows to NaN."""
+def _slope_past_float_max(tmp_path):
+    """A two-edge file input on [0, 6], 8e307 at the vertex, stepping to
+    1.6e308 on edge 1 and to 0 on edge 2: at t = 0.05 its vertex slopes are
+    +-3.53 times 8e307, beyond the float maximum, so the flux is inf - inf."""
 
-    path = tmp_path / "near_max.csv"
+    path = tmp_path / "steep.csv"
+    rows = [(edge, k, 8e307 if k == 0 else top) for edge, top in ((1, 1.6e308), (2, 0.0))
+            for k in range(129)]
     path.write_text("edge,radius,value\n"
-                    + "".join(f"1,{6.0 * k / 32},1e308\n" for k in range(33)))
-    return ["evolve", "--m", "1", "--init", f"file:{path}", "--times", "0.5"]
+                    + "".join(f"{edge},{6.0 * k / 128!r},{value!r}\n" for edge, k, value in rows))
+    return ["evolve", "--m", "2", "--init", f"file:{path}", "--times", "0.05"]
 
 
 def test_non_finite_output_is_a_numerical_failure(capsys, tmp_path):
     # JSON has no NaN, so the summary is refused rather than printed
     with np.errstate(all="ignore"):
-        assert main(_near_float_max(tmp_path)) == EXIT_NUMERIC
+        assert main(_slope_past_float_max(tmp_path)) == EXIT_NUMERIC
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: summary.json would hold a non-finite")
@@ -322,7 +325,7 @@ def test_overflow_prints_no_numpy_warnings(capsys, tmp_path):
     runs = [
         (["kernel", "--model", "ho", "--m", "3", "--t", "1", "--x", "0,1e200",
           "--y", "1e200"], EXIT_OK),
-        (_near_float_max(tmp_path), EXIT_NUMERIC),
+        (_slope_past_float_max(tmp_path), EXIT_NUMERIC),
     ]
     for argv, code in runs:
         with warnings.catch_warnings(record=True) as caught:

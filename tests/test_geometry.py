@@ -24,6 +24,7 @@ from stargraph.geometry import (
     sup_distance,
     vertex_continuous,
     vertex_flux,
+    vertex_slopes,
 )
 from stargraph.kernels import OU
 from stargraph.semigroup import apply
@@ -318,6 +319,14 @@ def test_vertex_defects_measure_continuity_and_flux():
     assert vertex_flux(np.stack([r, r]), 0.5) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(ShapeError, match="points per edge must be an integer >= 3, got 2"):
         vertex_flux(np.stack([r[:2], -r[:2]]), 0.5)
+    # the stencil reads differences from the vertex value, so samples near the
+    # float maximum overflow only where their slope does: 4 u1 alone would
+    # overflow above 4.5e307
+    with np.errstate(over="raise"):
+        assert not vertex_slopes(np.full((2, 3), 1.7e308), 0.5).any()
+        # a slope of 2^990 on samples 2^1023 + k 2^980 at h = 2^-10, exactly
+        line = np.ldexp(1.0, 1023) + np.ldexp(np.arange(3.0), 980)
+        assert vertex_slopes(line, 2.0**-10) == np.ldexp(1.0, 990)
 
 
 def test_sup_distance_window(grid):

