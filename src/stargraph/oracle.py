@@ -404,9 +404,13 @@ def solve_star(
     # float maximum, are refused before the factorization
     _check_finite(average, deviations)
     basis = _deviation_basis(half, deviations)
+    # an entry of C = Q^T D reaches sqrt(m) times the deviations' sup, so C
+    # is marched in units of lift = 2^p >= m, within the range the edges' own
+    # lines need, and lift Q carries it back: exact, the march being linear
+    lift = math.ldexp(1.0, (half.shape[0] - 1).bit_length())
     state = np.zeros((1 + basis.shape[1], half.shape[1] + 1))
     state[0, 1:] = average
-    state[1:, 2:] = basis.T @ deviations
+    state[1:, 2:] = basis.T @ (deviations / lift)
 
     steps = cfg.steps
     # the march writes every level but the pinned end r = n
@@ -416,7 +420,8 @@ def solve_star(
     blocks = [(slice(0, 1), even_lower, even_diag, even_upper)]
     if basis.shape[1]:
         blocks.append((slice(1, None), lower, diag, upper))
-    _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, steps + 1), values[1:, :, :-1], basis)
+    levels = range(1, steps + 1)
+    _march(blocks, state, coeffs.c_sup_bound, cfg, levels, values[1:, :, :-1], lift * basis)
 
     grid = GridSpec(cutoff=float(cfg.n), points_per_edge=half.shape[1])
     return StarEvolution(
@@ -443,13 +448,15 @@ def _deviation_basis(data: np.ndarray, deviations: np.ndarray) -> np.ndarray:
     entry of D~ by more than tau; so is any past m - 1, the most that
     deviations summing to zero span.  tau is about (m + 1) / 2 eps times the
     data's norm, not a numerical rank's sigma_1 max(m, points) eps, which
-    grows with the points per edge far past the rounding.
+    grows with the points per edge far past the rounding.  F and D~ are
+    compared in units of a power of two near F's peak, exact for all but
+    subnormal samples, so that neither ||F||_F nor sigma_1 overflows where
+    the samples do not.
     """
 
-    peak = float(np.abs(data).max())
-    norm = peak * float(np.linalg.norm(data / peak)) if peak > 0.0 else 0.0  # no overflow
-    tau = 0.5 * (data.shape[0] + 1) * np.finfo(float).eps * norm
-    q, sigma, _ = np.linalg.svd(deviations, full_matrices=False)
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(data).max()))[1] - 1)
+    tau = 0.5 * (data.shape[0] + 1) * np.finfo(float).eps * float(np.linalg.norm(data / unit))
+    q, sigma, _ = np.linalg.svd(deviations / unit, full_matrices=False)
     return q[:, : min(data.shape[0] - 1, int(np.count_nonzero(sigma > tau)))]
 
 

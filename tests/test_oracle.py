@@ -516,6 +516,36 @@ def test_a_small_genuine_deviation_is_marched():
     assert np.abs((run[:, 0] - run[:, 2]) - want).max() <= 1e-5 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("m", [2, 8])
+def test_deviations_near_the_float_maximum_are_marched(m, monkeypatch):
+    # deviations of 0.5e308, rank 1 on two edges and rank 2 on eight, are
+    # finite and so are their lines' right-hand sides 2 S u: the rank
+    # threshold and the march of C must stay finite too (C in plain units
+    # passes the float maximum, and a threshold from the data's norm drops
+    # every deviation).  Every level is the direct Kirchhoff march's, taken
+    # in units of 2^1000, where its stencil products stay finite.
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
+    grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
+    r = grid.nodes()
+    one, two = 0.5e308 * np.minimum(1.0, r), 1e308 * (r * np.exp(-r * r))
+    if m == 2:
+        values, rank = np.stack([one, -one]), 1
+    else:
+        values, rank = np.stack([one, -one, two, -two, one, -one, 0 * r, 0 * r]), 2
+    columns = []
+
+    def counting_pttrs(d, e, b, **kwargs):
+        columns.append(b.shape[1])
+        return dpttrs(d, e, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counting_pttrs)
+    with np.errstate(over="raise", invalid="raise"):
+        run = solve_star(ho_coefficients(), StarFunction(StarGraph(m), grid, values), cfg)
+    assert sum(columns) == (1 + rank) * cfg.steps
+    want = _kirchhoff_march(ho_coefficients(), values * 2.0**-1000, cfg) * 2.0**1000
+    assert np.abs(run.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_star_data_past_the_float_range_are_refused():
     # a profile that turns NaN past the data's grid, and eight edges whose
     # sum passes the float maximum, are refused before the deviations are
