@@ -15,7 +15,8 @@ it, and is never told which one does:
 - points per edge: ``check_points``, ``ShapeError``;
 - the node budget MAX_NODES: ``check_nodes``, ``ShapeError``;
 - strictly increasing times: ``check_increasing``, ``DomainError``;
-- line coefficients: ``extension.check_coefficients``, ``DomainError``.
+- line coefficients: ``extension.check_coefficients``, ``DomainError``;
+- finite data, and the power of two they are evolved in: ``check_data``, ``DomainError``.
 """
 
 import math
@@ -32,6 +33,15 @@ MIN_TIME = 1e-8
 # oracle line or level count, or an edge count beyond it (8 TiB of samples
 # each), is refused before anything is allocated.
 MAX_NODES = 2**40
+
+# Data whose peak lies outside [2^-DATA_WINDOW, 2^DATA_WINDOW] are evolved in
+# units of the exact power of two that brings it to [1/2, 1).  In the window
+# every inner quantity stays normal and finite: the oracle's symmetrizing
+# scale (2^±512, its log-span capped at log(float max)) and deviation rows C
+# (sqrt(m) <= 2^20 times the deviations), apply's column factors (e^40), the
+# squares in the rank threshold's norm, and LAPACK gesdd's input (rescaled
+# inexactly outside about 10^±138).
+DATA_WINDOW = 256
 
 
 class StarGraphError(ValueError):
@@ -151,3 +161,15 @@ def check_increasing(times) -> None:
     for earlier, later in zip(times, times[1:]):
         if later <= earlier:
             raise DomainError(f"times must be strictly increasing, got {earlier} then {later}")
+
+
+def check_data(values: np.ndarray) -> int:
+    """The exponent k to evolve ``values`` in, as 2^k values, exactly (the
+    semigroups are linear): 0 when their peak is 0 or within DATA_WINDOW.
+    DomainError unless they are finite; the peak's scan finds that too."""
+
+    peak = max(values.max(), -values.min())
+    if not peak < math.inf:  # NaN fails too
+        raise DomainError(f"data must be finite, got {values[~np.isfinite(values)][0]}")
+    inside = peak == 0.0 or 2.0**-DATA_WINDOW <= peak <= 2.0**DATA_WINDOW
+    return 0 if inside else -math.frexp(peak)[1]

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, VertexContinuityError, check_edges, check_integer
-from .errors import check_nodes, check_points, check_positive, check_radius
+from .errors import ShapeError, VertexContinuityError, check_edges, check_integer
+from .errors import check_data, check_nodes, check_points, check_positive, check_radius
 
 __all__ = [
     "StarGraph",
@@ -254,8 +254,7 @@ class StarFunction:
                 f"values must have shape {(graph.m, grid.points_per_edge)}, "
                 f"got {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
-            raise DomainError("values must be finite")
+        check_data(values)
         col = values[:, 0]
         continuous = vertex_continuous(col)
         if continuous:

@@ -36,8 +36,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, StabilityError, check_increasing, check_nodes
-from .errors import check_positive, check_time
+from .errors import DomainError, ShapeError, StabilityError, check_data, check_increasing
+from .errors import check_nodes, check_positive, check_time
 from .extension import CoefficientTriple, check_coefficients, extend_coefficients
 from .geometry import GridSpec, StarFunction, StarGraph, vertex_flux
 
@@ -150,12 +150,13 @@ def solve_line_dirichlet(
         raise ShapeError(
             f"initial data must give one value per solver node, shape {x.shape}, got {u0.shape}"
         )
-    _check_finite(u0)
+    exponent = check_data(u0)
     out = np.zeros((cfg.steps + 1, 1, x.size))
     out[0] = u0
     blocks = [(slice(1, None), *_stencil(coeffs, x, cfg.h))]
-    state = np.stack([np.zeros_like(u0), u0])
-    _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, len(out)), out[1:, :, 1:-1])
+    state = np.stack([np.zeros_like(u0), np.ldexp(u0, exponent) if exponent else u0])
+    _march(blocks, state, coeffs.c_sup_bound, cfg, range(1, len(out)), out[1:, :, 1:-1],
+           exponent=exponent)
     return out[:, 0]
 
 
@@ -182,11 +183,6 @@ def _stencil(
     return qi / h**2 - bi / (2.0 * h), -2.0 * qi / h**2 + ci, qi / h**2 + bi / (2.0 * h)
 
 
-def _check_finite(*arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise DomainError("initial data must be finite on the solver grid")
-
-
 def _march(
     blocks: Sequence[tuple[slice, np.ndarray, np.ndarray, np.ndarray]],
     u: np.ndarray,
@@ -195,6 +191,7 @@ def _march(
     levels: Sequence[int],
     out: np.ndarray,
     basis: np.ndarray | None = None,
+    exponent: int = 0,
 ) -> None:
     """Advance the state ``u`` (shape (1 + k, columns)) and write its lines.
 
@@ -212,7 +209,9 @@ def _march(
     pttrs call per block, sets v <- y - v, which is S A^-1 B u for
     B = 2I - A, writes u = v / S and then |u| over y, and sets w <- 2v.
     ``levels`` are increasing step indices >= 1; the lines after step
-    levels[j], at the stencil rows, go to out[j].
+    levels[j], at the stencil rows, go to out[j], and they and the monitor's
+    message are taken back by 2^-exponent (``u`` holds the data times
+    2^exponent, ``errors.check_data``).
     Each line's sup, max |u[0]| + |d_i|, is held to 1.05 exp(c0 t) times its
     initial sup at every step; a step that breaks a bound or turns
     non-finite raises, and a bound that overflows at the last level, or a
@@ -256,7 +255,7 @@ def _march(
     sup, bound = np.empty(len(bound_base)), np.empty(len(bound_base))
     held = np.empty(len(bound_base), dtype=bool)
     stored = 0
-    for k in range(1, levels[-1] + 1):
+    for step in range(1, levels[-1] + 1):
         for d, e, rhs in solves:
             dpttrs(d, e, rhs, overwrite_b=1)
         np.subtract(w, v, out=v)
@@ -266,22 +265,26 @@ def _march(
         np.multiply(v, inv_scale, out=w)
         if basis is not None:
             np.matmul(basis, w[1:], out=lines)
-        if k == levels[stored]:
+        if step == levels[stored]:
             np.add(shared, lines, out=out[stored])
+            if exponent:
+                np.ldexp(out[stored], -exponent, out=out[stored])
             stored += 1
         np.abs(shared, out=shared)
         np.abs(lines, out=lines)
         np.add(lines, shared, out=lines)
         np.maximum.reduce(lines, axis=1, out=sup)
-        np.multiply(bound_base, math.exp(c0 * k * dt), out=bound)
+        np.multiply(bound_base, math.exp(c0 * step * dt), out=bound)
         # count_nonzero is the cheapest all() on a few lines; NaN fails too
         if np.count_nonzero(np.less_equal(sup, bound, out=held)) < held.size:
             if not np.isfinite(sup).all():
-                raise StabilityError(f"solution became non-finite at step {k}")
+                raise StabilityError(f"solution became non-finite at step {step}")
             j = int(np.argmin(held))
+            with np.errstate(over="ignore"):  # the data's units may pass the float maximum
+                sup_j, bound_j = np.ldexp([sup[j], bound[j]], -exponent)
             raise StabilityError(
-                f"sup norm {sup[j]:.6g} of line {j} exceeds the growth bound "
-                f"{bound[j]:.6g} at t = {k * dt:.6g}"
+                f"sup norm {sup_j:.6g} of line {j} exceeds the growth bound "
+                f"{bound_j:.6g} at t = {step * dt:.6g}"
             )
         np.add(v, v, out=w)
 
@@ -373,7 +376,9 @@ def solve_star(
     march the average alone.  Edge i is the average plus row i of Q C_k,
     which is what the line through the edge and its ``reflect`` gives, so
     each edge's growth bound is that line's, checked on every edge at every
-    step.  Level 0 is the data itself.
+    step.  Level 0 is the data itself; the march runs in the power-of-two
+    units of ``errors.check_data``, so data from the subnormal range to the
+    float maximum answer.
     """
 
     f.require_continuous("reflection extension requires a vertex-continuous function")
@@ -398,19 +403,14 @@ def solve_star(
     even_upper[0] += even_lower[0]
     even_lower[0] = 0.0
     lower[:2] = diag[0] = upper[0] = 0.0
-    average = half.mean(axis=0)
-    deviations = half[:, 1:] - average[1:]  # the vertex deviation is pinned at 0
-    # data that are not finite, or whose edge sum or deviations pass the
-    # float maximum, are refused before the factorization
-    _check_finite(average, deviations)
-    basis = _deviation_basis(half, deviations)
-    # an entry of C = Q^T D reaches sqrt(m) times the deviations' sup, so C
-    # is marched in units of lift = 2^p >= m, within the range the edges' own
-    # lines need, and lift Q carries it back: exact, the march being linear
-    lift = math.ldexp(1.0, (half.shape[0] - 1).bit_length())
+    exponent = check_data(half)
+    units = np.ldexp(half, exponent) if exponent else half
+    average = units.mean(axis=0)
+    deviations = units[:, 1:] - average[1:]  # the vertex deviation is pinned at 0
+    basis = _deviation_basis(units, deviations)
     state = np.zeros((1 + basis.shape[1], half.shape[1] + 1))
     state[0, 1:] = average
-    state[1:, 2:] = basis.T @ (deviations / lift)
+    state[1:, 2:] = basis.T @ deviations
 
     steps = cfg.steps
     # the march writes every level but the pinned end r = n
@@ -421,7 +421,7 @@ def solve_star(
     if basis.shape[1]:
         blocks.append((slice(1, None), lower, diag, upper))
     levels = range(1, steps + 1)
-    _march(blocks, state, coeffs.c_sup_bound, cfg, levels, values[1:, :, :-1], lift * basis)
+    _march(blocks, state, coeffs.c_sup_bound, cfg, levels, values[1:, :, :-1], basis, exponent)
 
     grid = GridSpec(cutoff=float(cfg.n), points_per_edge=half.shape[1])
     return StarEvolution(
@@ -448,15 +448,13 @@ def _deviation_basis(data: np.ndarray, deviations: np.ndarray) -> np.ndarray:
     entry of D~ by more than tau; so is any past m - 1, the most that
     deviations summing to zero span.  tau is about (m + 1) / 2 eps times the
     data's norm, not a numerical rank's sigma_1 max(m, points) eps, which
-    grows with the points per edge far past the rounding.  F and D~ are
-    compared in units of a power of two near F's peak, exact for all but
-    subnormal samples, so that neither ||F||_F nor sigma_1 overflows where
-    the samples do not.
+    grows with the points per edge far past the rounding.  F is in the units
+    of ``errors.check_data``, in which neither ||F||_F nor sigma_1 overflows
+    or underflows.
     """
 
-    unit = math.ldexp(1.0, math.frexp(float(np.abs(data).max()))[1] - 1)
-    tau = 0.5 * (data.shape[0] + 1) * np.finfo(float).eps * float(np.linalg.norm(data / unit))
-    q, sigma, _ = np.linalg.svd(deviations / unit, full_matrices=False)
+    tau = 0.5 * (data.shape[0] + 1) * np.finfo(float).eps * float(np.linalg.norm(data))
+    q, sigma, _ = np.linalg.svd(deviations, full_matrices=False)
     return q[:, : min(data.shape[0] - 1, int(np.count_nonzero(sigma > tau)))]
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, check_edges, check_increasing, check_nodes
+from .errors import ShapeError, check_data, check_edges, check_increasing, check_nodes
 from .errors import check_resolved, check_time
 from .extension import reflect
 from .geometry import GridSpec, StarFunction, simpson_weights
@@ -166,8 +166,9 @@ def apply(
     distinct edge is its own product with the factored blocks (``_blocks``),
     and edges with bitwise equal data share its row, so they get bit-for-bit
     equal rows.  Calls that take one product for all edges skip the search
-    for equal edges.  Weighted samples above 2^512 are scaled below it by an
-    exact power of two, undone at the end, so data up to the float maximum
+    for equal edges.  The quadrature samples are evolved in the units of an
+    exact power of two that ``errors.check_data`` picks, which also refuses
+    non-finite ones, so data from the subnormal range to the float maximum
     answer.
     Callable-backed inputs are sampled twice as finely as their grid, up to
     λ·(output cutoff) + b.  The output is vertex-continuous: at radius zero
@@ -188,16 +189,12 @@ def apply(
     check_resolved(r, (2.0 / 3.0) * math.exp(-0.5 * (math.pi * r) * (math.pi * r)), TOLERANCE)
     b = math.sqrt(BAND_EXPONENT / q)
     y, fw = _quadrature_grid(f, lam * grid.cutoff + b, hq)
+    # the samples are scaled before they are weighted, so that subnormal
+    # samples are weighted in normal units
+    exponent = check_data(fw)
+    if exponent:
+        np.ldexp(fw, exponent, out=fw)
     fw *= simpson_weights(y.size, hq)
-    size = max(fw.max(), -fw.min())
-    if not size < math.inf:  # NaN fails too; samples are finite by construction
-        raise DomainError("profiles must stay finite on the quadrature grid")
-    # data above 2^512 are scaled below it by an exact power of two, undone
-    # after the products: far more room than the edge sum and the column
-    # factors (at most e^40) take, so data up to the float maximum answer
-    scale = max(0, math.frexp(size)[1] - 512)
-    if scale:
-        fw *= math.ldexp(1.0, -scale)
 
     x, N = grid.nodes(), y.size - 1
     c, delta, beta, u = _blocks(lam, mu, q, b, grid.h, hq, x.size, N)
@@ -235,8 +232,8 @@ def apply(
                     np.matmul(d, M.T, out=part)
     out = out[:, :x.size]
     out *= row(x) * u.ravel()[:x.size]
-    if scale:
-        np.ldexp(out, scale, out=out)
+    if exponent:
+        np.ldexp(out, -exponent, out=out)
     if group is not None:
         out = out[group]  # each edge takes its distinct edge's row
 

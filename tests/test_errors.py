@@ -173,6 +173,32 @@ TAKES_COEFFS = {
 }
 
 
+# data stored on [0, 0.5], short of every quadrature and solver grid below
+SHORT = GridSpec(cutoff=0.5, points_per_edge=3)
+
+
+def _data(profile) -> StarFunction:
+    return StarFunction.from_callables(StarGraph(3), SHORT, (profile,) * 3)
+
+
+# every public entry point that takes data, called with a profile; the line
+# solver takes the profile's samples on its own grid
+TAKES_DATA = {
+    "StarFunction": _data,
+    "apply": lambda p: apply(OU, 3, 0.5, _data(p), GRID),
+    "evolve_sequence": lambda p: evolve_sequence(OU, 3, [0.5], _data(p), GRID),
+    "similarity_defect": lambda p: similarity_defect(3, 0.5, _data(p), GRID),
+    "solve_star": lambda p: solve_star(ou_coefficients(), _data(p), CFG),
+    "solve_line_dirichlet": lambda p: solve_line_dirichlet(LINE, p(np.abs(CFG.grid())), CFG),
+    "truncation_study": lambda p: truncation_study(ou_coefficients(), _data(p), CFG, [1.0, 2.0]),
+}
+# a profile non-finite past radius 0.2 gives non-finite samples; one
+# non-finite past 0.6 is finite on the stored grid, which the constructor
+# alone does not look beyond
+DATA_CASES = [(entry, past) for entry in sorted(TAKES_DATA) for past in (0.2, 0.6)
+              if entry != "StarFunction" or past < SHORT.cutoff]
+
+
 def _public_taking(*params: str) -> set[str]:
     """The public functions and checked classes with a parameter among ``params``."""
 
@@ -338,3 +364,12 @@ def test_a_diffusion_coefficient_that_is_not_positive_is_a_domain_error():
 def test_non_finite_coefficients_are_one_refusal_everywhere(entry):
     assert _refusal(DomainError, TAKES_COEFFS[entry], _line(0.5, c=-math.inf)) == (
         "coefficients and c_sup_bound must be finite")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("entry, past", DATA_CASES, ids=repr)
+def test_non_finite_data_are_one_refusal_everywhere(entry, past, bad):
+    def profile(r):
+        return np.where(np.asarray(r, dtype=float) > past, bad, 1.0)
+
+    assert _refusal(DomainError, TAKES_DATA[entry], profile) == f"data must be finite, got {bad}"

@@ -162,7 +162,7 @@ def test_star_function_construction(grid):
 
     with pytest.raises(ShapeError):
         StarFunction.from_samples(g, grid, vals[:, :-1])
-    with pytest.raises(DomainError, match="values must be finite"):
+    with pytest.raises(DomainError, match="^data must be finite, got nan$"):
         StarFunction.from_samples(g, grid, np.full_like(vals, np.nan))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +151,11 @@ def test_growth_monitor_triggers():
 
     with pytest.raises(StabilityError, match="of line 0 exceeds the growth bound 1.05 at t = 0.001$"):
         solve_line_dirichlet(extend_coefficients(sneaky), f0(cfg.grid()), cfg)
+    # data far outside errors.DATA_WINDOW are marched in units of a power of
+    # two, and the message gives the bound in the data's own
+    bound = re.escape(f"{math.ldexp(1.05, 300):.6g}")
+    with pytest.raises(StabilityError, match=f"exceeds the growth bound {bound} at t = 0.001$"):
+        solve_line_dirichlet(extend_coefficients(sneaky), np.ldexp(f0(cfg.grid()), 300), cfg)
 
     # a star solve holds each line to its own initial sup: edge 1 carries a
     # small bump in the growth zone, edge 2 a large one outside it and edge 3
@@ -517,13 +523,15 @@ def test_a_small_genuine_deviation_is_marched():
 
 
 @pytest.mark.parametrize("m", [2, 8])
-def test_deviations_near_the_float_maximum_are_marched(m, monkeypatch):
+@pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])
+def test_deviations_near_the_float_maximum_are_marched(coeffs, m, monkeypatch):
     # deviations of 0.5e308, rank 1 on two edges and rank 2 on eight, are
-    # finite and so are their lines' right-hand sides 2 S u: the rank
-    # threshold and the march of C must stay finite too (C in plain units
-    # passes the float maximum, and a threshold from the data's norm drops
-    # every deviation).  Every level is the direct Kirchhoff march's, taken
-    # in units of 2^1000, where its stencil products stay finite.
+    # finite: the rank threshold, the march of C (which reaches sqrt(m)
+    # times the deviations) and the OU lines' right-hand sides 2 S u (S up
+    # to e^2.2 on this mesh) must stay finite too, which they do in the
+    # units errors.check_data picks.  Every level is the direct Kirchhoff
+    # march's, taken in units of 2^1000, where its stencil products stay
+    # finite.
     cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
     grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
     r = grid.nodes()
@@ -540,16 +548,61 @@ def test_deviations_near_the_float_maximum_are_marched(m, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counting_pttrs)
     with np.errstate(over="raise", invalid="raise"):
-        run = solve_star(ho_coefficients(), StarFunction(StarGraph(m), grid, values), cfg)
+        run = solve_star(coeffs(), StarFunction(StarGraph(m), grid, values), cfg)
     assert sum(columns) == (1 + rank) * cfg.steps
-    want = _kirchhoff_march(ho_coefficients(), values * 2.0**-1000, cfg) * 2.0**1000
+    want = _kirchhoff_march(coeffs(), values * 2.0**-1000, cfg) * 2.0**1000
     assert np.abs(run.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@given(
+    coeffs=st.sampled_from([ou_coefficients, ho_coefficients]),
+    profiles=st.booleans(),
+    m=st.integers(min_value=1, max_value=8),
+    k=st.one_of(st.sampled_from([-1021, -1000, -257, -256, 256, 257, 1000, 1020]),
+                st.integers(min_value=-1021, max_value=1020)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_power_of_two_commutes_with_the_star_march(coeffs, profiles, m, k, seed):
+    # the march is linear and a power of two is exact, so solve_star(2^k f)
+    # is 2^k solve_star(f) bit for bit wherever the samples, in [0.6, 2.4],
+    # stay normal and their vertex slopes (at most 1.8) finite: data outside
+    # errors.DATA_WINDOW are marched in units that bring their peak into it.
+    # In plain units the symmetrizing scale once took them past the float
+    # maximum or into the subnormal range
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=1e-2, t_final=0.1)
+    grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
+    slopes = np.random.default_rng(seed).uniform(0.2, 2.0, size=m)
+
+    def data(scale):
+        f = StarFunction.from_callables(StarGraph(m), grid, tuple(
+            (lambda r, a=a: np.ldexp(1.5 + 0.9 * np.sin(a * np.asarray(r, dtype=float)), scale))
+            for a in slopes))
+        return f if profiles else StarFunction(f.graph, grid, f.values)
+
+    want = np.ldexp(solve_star(coeffs(), data(0), cfg).values, k)
+    assert np.array_equal(solve_star(coeffs(), data(k), cfg).values, want)
+
+
+def test_subnormal_star_data_are_the_rescaled_data():
+    # data with peak 2^-1060, marched in plain units, missed the march of
+    # the same samples times 2^1060 by 2.4e-3 relative; in units they give
+    # it bit for bit
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
+    grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
+    r = grid.nodes()
+    vals = np.stack([np.exp(-r * r) * (1.0 + a * r) for a in (-0.5, 0.2, 0.9)])
+    tiny = np.ldexp(vals / np.abs(vals).max(), -1060)
+    for coeffs in (ou_coefficients, ho_coefficients):
+        got = solve_star(coeffs(), StarFunction(StarGraph(3), grid, tiny), cfg).values
+        want = solve_star(coeffs(), StarFunction(StarGraph(3), grid, np.ldexp(tiny, 1060)), cfg)
+        assert np.array_equal(got, np.ldexp(want.values, -1060))
+
+
 def test_star_data_past_the_float_range_are_refused():
-    # a profile that turns NaN past the data's grid, and eight edges whose
-    # sum passes the float maximum, are refused before the deviations are
-    # factored, where an SVD would not converge
+    # a profile that turns NaN past the data's grid is refused before the
+    # deviations are factored, where an SVD would not converge.  Eight edges
+    # of 5e307, whose sum passes the float maximum, are finite data: they are
+    # marched in units, and every level is the direct Kirchhoff march's
     cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.1)
     short = GridSpec(cutoff=2.0, points_per_edge=33)
 
@@ -557,12 +610,15 @@ def test_star_data_past_the_float_range_are_refused():
         r = np.asarray(r, dtype=float)
         return np.where(r > 2.5, np.nan, np.exp(-r * r))
 
+    f = StarFunction.from_callables(StarGraph(3), short, (nan_past,) * 3)
+    with pytest.raises(DomainError, match="^data must be finite, got nan$"):
+        solve_star(ou_coefficients(), f, cfg)
     grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
-    for f in (StarFunction.from_callables(StarGraph(3), short, (nan_past,) * 3),
-              StarFunction.constant(StarGraph(8), grid, 5e307)):
-        with pytest.raises(DomainError, match="initial data must be finite on the solver grid"):
-            with np.errstate(over="ignore"):
-                solve_star(ou_coefficients(), f, cfg)
+    f = StarFunction.constant(StarGraph(8), grid, 5e307)
+    with np.errstate(over="raise", invalid="raise"):
+        run = solve_star(ou_coefficients(), f, cfg)
+    want = _kirchhoff_march(ou_coefficients(), f.values * 2.0**-1000, cfg) * 2.0**1000
+    assert np.abs(run.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])
@@ -804,5 +860,5 @@ def test_line_solve_returns_every_level():
     for bad in (np.exp, "u0"):
         with pytest.raises(DomainError, match="initial data must be an array of numbers"):
             solve_line_dirichlet(coeffs, bad, cfg)
-    with pytest.raises(DomainError, match="initial data must be finite on the solver grid"):
+    with pytest.raises(DomainError, match="^data must be finite, got nan$"):
         solve_line_dirichlet(coeffs, np.where(x == 0.0, np.nan, u0), cfg)

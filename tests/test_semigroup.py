@@ -489,9 +489,70 @@ def test_the_edge_search_compares_rows_in_groups():
     assert peak <= fw.nbytes / 4, peak / fw.nbytes
 
 
+# powers of two at the ends of the float range and at the edges of
+# errors.DATA_WINDOW, and any between: samples in [0.5, 2.4] stay normal
+# times 2^k for each
+SCALES = st.one_of(st.sampled_from([-1021, -1000, -257, -256, 256, 257, 1000, 1020]),
+                   st.integers(min_value=-1021, max_value=1020))
+
+
+@given(
+    spec=st.sampled_from([OU, HARMONIC]),
+    profiles=st.booleans(),
+    m=st.integers(min_value=1, max_value=8),
+    points=st.integers(min_value=9, max_value=129),
+    log_t=st.floats(min_value=math.log(1e-3), max_value=math.log(10.0)),
+    k=SCALES,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_power_of_two_commutes_with_apply(spec, profiles, m, points, log_t, k, seed):
+    # the semigroup is linear and a power of two is exact, so apply(2^k f)
+    # is 2^k apply(f) bit for bit wherever the samples stay normal: apply
+    # evolves data outside errors.DATA_WINDOW in units that bring their peak
+    # into it.  Weighting subnormal samples, or evolving data near the float
+    # maximum in plain units, once missed it
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(cutoff=6.0, points_per_edge=points)
+    if profiles:
+        slopes = rng.uniform(0.2, 2.0, size=m)
+
+        def data(scale):
+            return StarFunction.from_callables(StarGraph(m), grid, tuple(
+                (lambda x, a=a: np.ldexp(1.5 + 0.9 * np.sin(a * np.asarray(x, dtype=float)),
+                                         scale))
+                for a in slopes))
+    else:
+        vals = rng.uniform(0.5, 2.0, size=(m, points))
+        vals[:, 0] = vals[0, 0]
+
+        def data(scale):
+            return StarFunction(StarGraph(m), grid, np.ldexp(vals, scale))
+    t = math.exp(log_t)
+    f = data(0)
+    if width_over_step(spec, t, f) < R_STAR:
+        return
+    want = np.ldexp(apply(spec, m, t, f, grid).values, k)
+    assert np.array_equal(apply(spec, m, t, data(k), grid).values, want)
+
+
+def test_subnormal_data_are_the_rescaled_data():
+    # samples with peak 2^-1040 to 2^-1060 are subnormal: weighted before
+    # they were scaled, they missed the answer for the same samples times
+    # 2^p by 5.5e-10 to 4.9e-4 relative, unrefused; scaled first, they give
+    # it bit for bit
+    grid = GridSpec(cutoff=6.0, points_per_edge=129)
+    vals = np.random.default_rng(1).normal(size=(3, 129))
+    vals[:, 0] = vals[0, 0]
+    vals /= np.abs(vals).max()
+    for p in (1040, 1050, 1060):
+        tiny = StarFunction(StarGraph(3), grid, np.ldexp(vals, -p))
+        want = apply(OU, 3, 0.5, StarFunction(StarGraph(3), grid, np.ldexp(tiny.values, p)), grid)
+        assert np.array_equal(apply(OU, 3, 0.5, tiny, grid).values, np.ldexp(want.values, -p)), p
+
+
 def test_data_near_the_float_maximum():
-    # weighted samples above 2^512 are scaled below it by a power of two
-    # before the extension and back after the products: the constant 1e308 answers
+    # data far above errors.DATA_WINDOW are evolved in units of a power of
+    # two and taken back after the products: the constant 1e308 answers
     # where the column factors (up to e^7) once overflowed its windows; the
     # samples end at 6, more than 8 kernel widths past every row of [0, 3]
     grid = GridSpec(cutoff=6.0, points_per_edge=33)
