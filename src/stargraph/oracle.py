@@ -213,13 +213,16 @@ def _march(
     message are taken back by 2^-exponent (``u`` holds the data times
     2^exponent, ``errors.check_data``).
     Each line's sup, max |u[0]| + |d_i|, is held to 1.05 exp(c0 t) times its
-    initial sup at every step; a step that breaks a bound or turns
-    non-finite raises, and a bound that overflows at the last level, or a
+    initial sup at every step, and to the float maximum in the data's
+    units; a step that breaks either bound raises, and a growth bound that
+    overflows at the last level, or a
     step matrix that ``_factor_step`` refuses, is refused before the first
     step.  Every array a step touches is allocated before the first one.
     """
 
     dt = cfg.dt
+    # the largest sup whose lines stay finite taken back to the data's units
+    ceiling = math.ldexp(sys.float_info.max, min(exponent, 0))
     growth = c0 * dt * levels[-1]
     if growth > math.log(sys.float_info.max):
         raise DomainError(
@@ -267,26 +270,26 @@ def _march(
             np.matmul(basis, w[1:], out=lines)
         if step == levels[stored]:
             np.add(shared, lines, out=out[stored])
-            if exponent:
-                np.ldexp(out[stored], -exponent, out=out[stored])
             stored += 1
         np.abs(shared, out=shared)
         np.abs(lines, out=lines)
         np.add(lines, shared, out=lines)
         np.maximum.reduce(lines, axis=1, out=sup)
         np.multiply(bound_base, math.exp(c0 * step * dt), out=bound)
+        np.minimum(bound, ceiling, out=bound)
         # count_nonzero is the cheapest all() on a few lines; NaN fails too
         if np.count_nonzero(np.less_equal(sup, bound, out=held)) < held.size:
-            if not np.isfinite(sup).all():
+            if not (sup <= ceiling).all():
                 raise StabilityError(f"solution became non-finite at step {step}")
             j = int(np.argmin(held))
-            with np.errstate(over="ignore"):  # the data's units may pass the float maximum
-                sup_j, bound_j = np.ldexp([sup[j], bound[j]], -exponent)
+            sup_j, bound_j = np.ldexp([sup[j], bound[j]], -exponent)
             raise StabilityError(
                 f"sup norm {sup_j:.6g} of line {j} exceeds the growth bound "
                 f"{bound_j:.6g} at t = {step * dt:.6g}"
             )
         np.add(v, v, out=w)
+    if exponent:
+        np.ldexp(out, -exponent, out=out)
 
 
 def _factor_step(

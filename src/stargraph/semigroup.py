@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError, check_data, check_edges, check_increasing, check_nodes
-from .errors import check_resolved, check_time
+from .errors import StabilityError, check_resolved, check_time
 from .extension import reflect
 from .geometry import GridSpec, StarFunction, simpson_weights
 from .kernels import KernelSpec, gaussian_form
@@ -169,7 +169,7 @@ def apply(
     for equal edges.  The quadrature samples are evolved in the units of an
     exact power of two that ``errors.check_data`` picks, which also refuses
     non-finite ones, so data from the subnormal range to the float maximum
-    answer.
+    answer; an answer past the float maximum is refused (StabilityError).
     Callable-backed inputs are sampled twice as finely as their grid, up to
     λ·(output cutoff) + b.  The output is vertex-continuous: at radius zero
     the line kernel is even in y, and every edge's extension has the same
@@ -233,7 +233,10 @@ def apply(
     out = out[:, :x.size]
     out *= row(x) * u.ravel()[:x.size]
     if exponent:
-        np.ldexp(out, -exponent, out=out)
+        with np.errstate(over="ignore"):  # an answer past the float maximum is refused below
+            np.ldexp(out, -exponent, out=out)
+        if not np.isfinite(out).all():
+            raise StabilityError("the answer passes the float maximum")
     if group is not None:
         out = out[group]  # each edge takes its distinct edge's row
 

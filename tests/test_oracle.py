@@ -621,6 +621,19 @@ def test_star_data_past_the_float_range_are_refused():
     assert np.abs(run.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_solutions_past_the_float_maximum_are_refused():
+    # HO grows by up to e^{t / 2}: data of 1.75e308 keep within the growth
+    # bound in the units errors.check_data picks, but pass the float
+    # maximum before t = 0.2 in their own, so the march stops there rather
+    # than store levels that would turn infinite when taken back
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.2)
+    grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
+    with pytest.raises(StabilityError, match="^solution became non-finite at step"):
+        solve_line_dirichlet(ho_coefficients(), np.full(cfg.grid().size, 1.75e308), cfg)
+    with pytest.raises(StabilityError, match="^solution became non-finite at step"):
+        solve_star(ho_coefficients(), StarFunction.constant(StarGraph(3), grid, 1.75e308), cfg)
+
+
 @pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])
 def test_star_solve_holds_to_the_reference_marches_at_bench_scale(coeffs):
     # the bench's mesh and step: 500 steps on 513 nodes per edge, enough for

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stargraph.errors import DomainError, VertexContinuityError
+from stargraph.errors import DomainError, StabilityError, VertexContinuityError
 from stargraph.geometry import (
     GridSpec,
     StarFunction,
@@ -562,6 +562,10 @@ def test_data_near_the_float_maximum():
         for t in (0.3, 2.0):
             u = apply(OU, 1, t, f, grid).values
             assert np.abs(u - 1e308)[:, rows].max() <= TOLERANCE * 1e308, (f.has_profiles(), t)
+    # HO grows by up to e^{t / 2}: an answer past the float maximum is refused
+    f = StarFunction.constant(StarGraph(1), grid, 1.75e308)
+    with pytest.raises(StabilityError, match="^the answer passes the float maximum$"):
+        apply(HARMONIC, 1, 0.2, f, grid)
 
 
 def test_many_distinct_edges_keep_the_windows_within_budget():
