@@ -35,7 +35,7 @@ from .geometry import (
 from .kernels import HARMONIC, OU, star_kernel
 from .oracle import OracleConfig, solve_star, truncation_study
 from .semigroup import apply, evolve_sequence
-from .spectral import form_spectrum, multiplicity, trace_closed_form, trace_partial
+from .spectral import _star_size, form_spectrum, multiplicity, trace_closed_form, trace_partial
 from .transform import ground_state, similarity_defect
 
 EXIT_OK = 0
@@ -196,7 +196,7 @@ def cmd_spectrum(args) -> int:
     check_edges(args.m)
     # levels 0, 2, 4, ... are simple and 1, 3, 5, ... have m - 1 values each
     count = (args.levels + 1) // 2 + (args.levels // 2) * (args.m - 1)
-    dim = 1 + args.m * (args.points - 1)
+    dim = _star_size(args.m, args.points)
     if count > dim:
         raise StarGraphError(
             f"--levels {args.levels} needs {count} eigenvalues, but {args.points} "
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", default="0,0.5,1,2", help="comma-separated radii")
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("spectrum", help="eigenvalues of the discretized form")
+    p = sub.add_parser("spectrum", help="eigenvalues of the discretized generator")
     _add_common(p, model=False)
     _add_grid(p, points=256)
     p.add_argument("--levels", type=int, default=6)

@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError, check_data, check_increasing
-from .errors import check_nodes, check_positive, check_time
+from .errors import check_nodes, check_points, check_positive, check_time
 from .extension import CoefficientTriple, check_coefficients, extend_coefficients
 from .geometry import GridSpec, StarFunction, StarGraph, vertex_flux
 
@@ -165,22 +165,53 @@ def _stencil(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower, main and upper stencil entries of q u'' + b u' + c u at x[1:-1].
 
-    Refuses, anywhere on x, what ``extension.check_coefficients`` refuses
-    and a cell Peclet number above 1.
+    Refuses, anywhere on x, what ``extension.check_coefficients`` refuses,
+    a cell Peclet number above 1, and entries past the float maximum.
     """
 
     qv = np.asarray(coeffs.q(x), dtype=float)
     bv = np.asarray(coeffs.b(x), dtype=float)
     cv = np.asarray(coeffs.c(x), dtype=float)
     check_coefficients(qv, bv, cv, coeffs.c_sup_bound)
-    peclet = float(np.max(np.abs(bv) * h / (2.0 * qv)))
-    if peclet > 1.0:
-        raise DomainError(
-            f"cell Peclet number {peclet:.3f} > 1; refine h to keep the "
-            "centered discretization monotone"
-        )
     qi, bi, ci = qv[1:-1], bv[1:-1], cv[1:-1]
-    return qi / h**2 - bi / (2.0 * h), -2.0 * qi / h**2 + ci, qi / h**2 + bi / (2.0 * h)
+    with np.errstate(all="ignore"):  # what passes the float maximum is refused here
+        peclet = float(np.max(np.abs(bv) * h / (2.0 * qv)))
+        if peclet > 1.0:
+            raise DomainError(
+                f"cell Peclet number {peclet:.3f} > 1; refine h to keep the "
+                "centered discretization monotone"
+            )
+        rows = qi / h**2 - bi / (2.0 * h), -2.0 * qi / h**2 + ci, qi / h**2 + bi / (2.0 * h)
+    if not all(np.isfinite(row).all() for row in rows):
+        raise DomainError(
+            f"the stencil entries q/h^2 and b/(2h) pass the float maximum at mesh width "
+            f"h = {h:.6g}; coarsen the mesh"
+        )
+    return rows
+
+
+def _sector_stencils(
+    coeffs: CoefficientTriple, x: np.ndarray, h: float
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The even and the odd sector stencils of a star on its half grid.
+
+    ``x`` is the half grid r = -h, 0, h, ..., n, with one ghost node at -h,
+    and ``coeffs`` are parity-extended; each stencil (lower, main, upper)
+    holds the rows r = 0 .. n - h, and no row reaches r = -h.  The even
+    sector (the edge average) has the Neumann vertex row: u(-h) = u(h)
+    folds the lower entry into the upper one, 2 q(0) / h^2.  The odd sector
+    (a deviation) pins the vertex at 0: its vertex row is zero and row 1
+    does not couple to it, so the odd stencil without its vertex row is
+    the even one without its vertex row and column.
+    """
+
+    lower, diag, upper = _stencil(coeffs, x, h)
+    even_lower, even_upper = lower.copy(), upper.copy()
+    even_upper[0] += even_lower[0]
+    even_lower[0] = 0.0
+    even = (even_lower, diag.copy(), even_upper)
+    lower[:2] = diag[0] = upper[0] = 0.0
+    return even, (lower, diag, upper)
 
 
 def _march(
@@ -381,7 +412,8 @@ def solve_star(
     each edge's growth bound is that line's, checked on every edge at every
     step.  Level 0 is the data itself; the march runs in the power-of-two
     units of ``errors.check_data``, so data from the subnormal range to the
-    float maximum answer.
+    float maximum answer.  A level whose vertex slopes sum past the float
+    range has a Kirchhoff defect of inf.
     """
 
     f.require_continuous("reflection extension requires a vertex-continuous function")
@@ -396,16 +428,10 @@ def solve_star(
         )
     else:
         half = f.values[:, : x.size - mid]
-    vertex_flux(half, cfg.h)  # refuse a mesh too coarse for the vertex stencil before marching
+    check_points(half.shape[1], 3)  # the vertex flux of the levels needs three
 
-    # the state's columns are r = -h, 0, h, ..., n, and no row reaches r = -h:
-    # the even row at r = 0 folds u(-h) = u(h) into its upper entry, and the
-    # odd rows pin the vertex at 0, uncoupled from row 1
-    lower, diag, upper = _stencil(extend_coefficients(coeffs), x[mid - 1 :], cfg.h)
-    even_lower, even_diag, even_upper = lower.copy(), diag.copy(), upper.copy()
-    even_upper[0] += even_lower[0]
-    even_lower[0] = 0.0
-    lower[:2] = diag[0] = upper[0] = 0.0
+    # the state's columns are r = -h, 0, h, ..., n
+    even, odd = _sector_stencils(extend_coefficients(coeffs), x[mid - 1 :], cfg.h)
     exponent = check_data(half)
     units = np.ldexp(half, exponent) if exponent else half
     average = units.mean(axis=0)
@@ -420,19 +446,23 @@ def solve_star(
     values = np.empty((steps + 1,) + half.shape)
     values[0] = half
     values[1:, :, -1] = 0.0
-    blocks = [(slice(0, 1), even_lower, even_diag, even_upper)]
+    blocks = [(slice(0, 1), *even)]
     if basis.shape[1]:
-        blocks.append((slice(1, None), lower, diag, upper))
+        blocks.append((slice(1, None), *odd))
     levels = range(1, steps + 1)
     _march(blocks, state, coeffs.c_sup_bound, cfg, levels, values[1:, :, :-1], basis, exponent)
 
     grid = GridSpec(cutoff=float(cfg.n), points_per_edge=half.shape[1])
+    # every level is finite, so a NaN defect is slopes past the float range
+    with np.errstate(all="ignore"):
+        defects = vertex_flux(values, cfg.h)
+    defects[np.isnan(defects)] = np.inf
     return StarEvolution(
         graph=f.graph,
         grid=grid,
         times=np.arange(steps + 1) * cfg.dt,
         values=values,
-        kirchhoff_defects=vertex_flux(values, cfg.h),
+        kirchhoff_defects=defects,
     )
 
 

@@ -4,21 +4,21 @@ The generator spectrum is the nonpositive integers.  Even levels carry one
 eigenfunction (the same Hermite polynomial on every edge, zero edge
 derivative at the vertex); odd levels carry an (m-1)-dimensional space built
 from differences of two edges (zero vertex value, flux balance by
-cancellation).  A piecewise-linear discretization of the Dirichlet form
-reproduces the levels with the same cluster sizes, and the sum of
-multiplicity-weighted exponentials matches the on-diagonal kernel integral;
-``trace_partial`` gives both in closed form, the sum as two finite geometric
-series and the integral from ``kernels.gaussian_form``.
+cancellation).  The oracle's centred finite-difference stencil of the
+generator maps polynomials of degree k to degree k, so its discrete levels
+are the integers up to the truncation at the cutoff, with the same cluster
+sizes; the sum of multiplicity-weighted exponentials matches the
+on-diagonal kernel integral.  ``trace_partial`` gives both in closed form,
+the sum as two finite geometric series and the integral from
+``kernels.gaussian_form``.
 
-The discrete form splits the same way as the spectrum: its even sector is the
-one-edge form with the vertex node free, and each of its m - 1 odd sectors is
-the one-edge form with the vertex node deleted.  ``form_spectrum`` solves
-those two tridiagonal one-edge pencils.  By interlacing, the lowest ``count``
-star values need only about count/m values of each sector.  A sector asked
-for at most ``LANCZOS_SHARE`` of its size gets them from a shift-invert
-Lanczos iteration, O(n k^2), checked by a Sylvester inertia count that raises
-``StabilityError`` on a missed eigenvalue; larger counts and the whole
-spectrum come from a dense solve of the whole sector, O(n^3).
+The stencil splits the same way as the spectrum, into the oracle's two
+sector stencils (``oracle._sector_stencils``): the even sector is the line
+with the Neumann vertex row, and each of the m - 1 odd sectors is the line
+with the vertex pinned.  ``form_spectrum`` makes each one symmetric by its
+discrete density and solves it with ``scipy.linalg.eigh_tridiagonal``; by
+interlacing, the lowest ``count`` star values need only about count/m
+values of each sector, which bisection finds in O(n count/m).
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ import numpy as np
 from numpy.polynomial import polynomial as P, polyutils
 
 from .errors import ShapeError, StabilityError, check_edges, check_integer, check_points, check_time
+from .extension import ou_coefficients
 from .geometry import GridSpec, StarFunction, StarGraph
 from .kernels import OU, KernelSpec, check_spec, gaussian_form
+from .oracle import _sector_stencils
 
 __all__ = [
     "PolyGauss",
@@ -187,232 +189,85 @@ def apply_generator(spec: KernelSpec, f: StarFunction) -> StarFunction:
     return StarFunction.from_callables(f.graph, f.grid, out_profiles)
 
 
-# -- quadratic form -----------------------------------------------------------
+# -- discretized spectrum ------------------------------------------------------
 
 
-# five-point panels: exact for the hat products, ~1e-11 relative for the
-# Gaussian weight at the mesh widths used here; positive weights keep the
-# assembled mass positive definite (erf-difference moments lose all relative
-# accuracy in the far tail and can go negative there)
-_GL_XI, _GL_W = np.polynomial.legendre.leggauss(5)
-_GL_U = 0.5 * (_GL_XI + 1.0)
-_GL_WU = 0.5 * _GL_W
+def _star_size(m: int, points: int) -> int:
+    """The number of eigenvalues of the discretized star generator.
 
-
-def _edge_form(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals of the one-edge stiffness and mass for unit edge density.
-
-    Returns the stiffness diagonal and off-diagonal, then the mass diagonal
-    and off-diagonal, over the hat functions of one edge (node 0 is the
-    vertex).  Every element is integrated at once on the Gauss panels.
+    The cutoff node is pinned, so the even sector has points - 1 rows, and
+    each of the m - 1 odd sectors, whose vertex is pinned too, points - 2.
     """
 
-    check_points(grid.points_per_edge, 3)
-    nodes = grid.nodes()
-    a = nodes[:-1]
-    h = np.diff(nodes)
-
-    xq = a[None, :] + h[None, :] * _GL_U[:, None]
-    wq = np.exp(-xq * xq) * (_GL_WU[:, None] * h[None, :])
-    phi_r = _GL_U[:, None]
-    phi_l = 1.0 - phi_r
-
-    # local mass blocks on each element (left-left, left-right, right-right)
-    ll = (phi_l * phi_l * wq).sum(axis=0)
-    lr = (phi_l * phi_r * wq).sum(axis=0)
-    rr = (phi_r * phi_r * wq).sum(axis=0)
-    s = 0.5 * wq.sum(axis=0) / (h * h)  # half the |phi'|^2 weight integral
-
-    # node j collects the left end of element j and the right end of j - 1
-    stiff_diag = np.pad(s, (0, 1)) + np.pad(s, (1, 0))
-    mass_diag = np.pad(ll, (0, 1)) + np.pad(rr, (1, 0))
-    return stiff_diag, -s, mass_diag, lr
+    return (points - 1) + (m - 1) * (points - 2)
 
 
-def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
-# A sector count above this share of the sector size n goes to the dense
-# solve.  The dense solve costs O(n^3) whatever the count; the Lanczos cost
-# grows as n k^2 and, at these sizes, is mostly per-step overhead.  Per
-# sector on one core (1 BLAS thread), dense against Lanczos for n/16, n/8
-# and n/4 values: 129 nodes 1.1 ms against 0.8, 1.35 and 4.0 ms; 257 nodes
-# 6.1 ms against 1.5, 5.2 and 7.3 ms; 513 nodes 33 ms against 7.6, 11.7 and
-# 37 ms; 1025 nodes 370 ms against 14, 62 and 262 ms.  The break-even share
-# grows with n, so one eighth loses at most ~0.3 ms on small grids.
-LANCZOS_SHARE = 0.125
-
-# Lanczos stops once every wanted Ritz value theta has residual at most
-# this share of theta.  The residual bounds |theta - theta_true|, so each
-# returned value sigma + 1/theta is within this share of 1 + |lambda| of the
-# pencil's own, before the quadratic gain that isolated Ritz values enjoy.
-LANCZOS_TOL = 1e-11
-
-# The inertia check counts eigenvalues below the largest returned value
-# plus this share of max(1, |value|): far above the Lanczos and the LDL^T
-# rounding (~1e-11 at |A| ~ 1e5), far below the unit level spacing.
-STURM_MARGIN = 1e-8
-
-
-def _sturm_count(a_diag, a_off, b_diag, b_off, tau: float) -> int:
-    """Number of eigenvalues of the tridiagonal pencil (A, B) below ``tau``.
-
-    By Sylvester's law of inertia (B positive definite) this is the number
-    of negative pivots in the LDL^T factorization of A - tau B.
-    """
-
-    diag = (a_diag - tau * b_diag).tolist()
-    off_sq = ((a_off - tau * b_off) ** 2).tolist()
-    tiny = np.finfo(float).tiny
-    pivot = diag[0]
-    negative = int(pivot < 0.0)
-    for d, e2 in zip(diag[1:], off_sq):
-        if pivot == 0.0:
-            pivot = tiny
-        pivot = d - e2 / pivot
-        negative += pivot < 0.0
-    return negative
-
-
-def _lanczos_lowest(a_diag, a_off, b_diag, b_off, count: int) -> np.ndarray:
-    """Lowest ``count`` eigenvalues of the tridiagonal pencil (A, B), ascending.
-
-    Shift-invert Lanczos with sigma = -1: T = A + B is positive definite
-    (A semidefinite, B definite), so T^{-1} B is factored once with
-    ``dpttrf`` and applied with ``dpttrs``.  The basis is B-orthonormal
-    (classical Gram-Schmidt, applied twice) from a fixed start vector, so
-    the values are reproducible.  The iteration stops when the ``count``
-    largest Ritz values of T^{-1} B have converged, or when the Krylov
-    space is the whole space.
-    """
-
-    from scipy.linalg.lapack import dpttrf, dpttrs, dstemr  # loaded when a solve runs
-
-    n = a_diag.size
-    t_diag, t_off, info = dpttrf(a_diag + b_diag, a_off + b_off)
-    if info != 0:
-        raise StabilityError(f"the shifted sector pencil is not positive definite (info={info})")
-
-    def times_b(v):
-        out = b_diag * v
-        out[1:] += b_off * v[:-1]
-        out[:-1] += b_off * v[1:]
-        return out
-
-    rows = min(n, 2 * count + 30)  # convergence takes about 2 count + 20 steps
-    basis, b_basis = np.empty((rows, n)), np.empty((rows, n))
-    alpha, beta = np.empty(n), np.empty(n)
-    w = np.random.default_rng(0).standard_normal(n)
-    bw = times_b(w)
-    norm = math.sqrt(w @ bw)
-    for j in range(n):
-        if j == rows:
-            rows = min(n, 2 * rows)
-            basis = np.concatenate([basis, np.empty((rows - j, n))])
-            b_basis = np.concatenate([b_basis, np.empty((rows - j, n))])
-        basis[j], b_basis[j] = w / norm, bw / norm
-        w = dpttrs(t_diag, t_off, b_basis[j])[0]
-        h = b_basis[: j + 1] @ w
-        w -= h @ basis[: j + 1]
-        h2 = b_basis[: j + 1] @ w
-        w -= h2 @ basis[: j + 1]
-        alpha[j] = h[j] + h2[j]
-        bw = times_b(w)
-        beta[j] = norm = math.sqrt(max(w @ bw, 0.0))
-        if (j + 1) % count and j + 1 < n:
-            continue  # a Ritz solve for count pairs costs up to about count steps
-        # the count largest Ritz pairs (dstemr overwrites its off-diagonal)
-        _, theta, ritz, info = dstemr(alpha[: j + 1], beta[: j + 1].copy(), 2, 0.0, 0.0,
-                                      j + 2 - count, j + 1)
-        if info != 0:
-            raise StabilityError(f"the Lanczos Ritz solve failed (dstemr info={info})")
-        theta, last = theta[:count], ritz[j, :count]
-        if j + 1 == n or np.all(np.abs(norm * last) <= LANCZOS_TOL * theta):
-            break
-    return -1.0 + 1.0 / theta[::-1]
-
-
-def _sector_eigenvalues(
-    stiff_diag: np.ndarray,
-    stiff_off: np.ndarray,
-    mass_diag: np.ndarray,
-    mass_off: np.ndarray,
-    count: int | None,
-    sector: str,
+def _sector_values(
+    stencil: tuple[np.ndarray, np.ndarray, np.ndarray], count: int | None
 ) -> np.ndarray:
-    """Lowest ``count`` eigenvalues (all for None) of one tridiagonal pencil.
+    """Lowest ``count`` eigenvalues (all for None) of minus one sector stencil.
 
-    The pencil is rescaled by its mass diagonal on the diagonals.  All of
-    its values, or a count above ``LANCZOS_SHARE`` of its size, come from
-    the dense solve of the whole pencil; a smaller count from the Lanczos
-    iteration, whose result an inertia count then confirms.
+    The diagonal similarity by the square root of the stencil's discrete
+    density, in which it is self-adjoint, gives rows i and i + 1 the
+    coupling sqrt(lower[i+1] upper[i]) both ways; the symmetric tridiagonal
+    matrix is solved by bisection for a count and by the MRRR driver for
+    the whole spectrum.  A LAPACK failure raises ``StabilityError``.
     """
 
-    scale = 1.0 / np.sqrt(mass_diag)
-    pair = scale[:-1] * scale[1:]
-    a_diag, a_off = stiff_diag * scale * scale, stiff_off * pair
-    b_diag, b_off = mass_diag * scale * scale, mass_off * pair
-    if count is None or count > LANCZOS_SHARE * a_diag.size:
-        from scipy.linalg import eigh  # loaded when a dense solve runs
+    from scipy.linalg import eigh_tridiagonal  # scipy.linalg loads when a solve runs
 
-        vals = eigh(_tridiagonal(a_diag, a_off), _tridiagonal(b_diag, b_off), eigvals_only=True)
-        return vals[:count]
-    vals = _lanczos_lowest(a_diag, a_off, b_diag, b_off, count)
-    tau = vals[-1] + STURM_MARGIN * max(1.0, abs(vals[-1]))
-    below = _sturm_count(a_diag, a_off, b_diag, b_off, tau)
-    if below != count:
-        raise StabilityError(
-            f"the {sector} sector has {below} eigenvalues below {tau:.6g}, but the "
-            f"Lanczos iteration returned {count}; an eigenvalue was missed"
-        )
-    return vals
+    lower, diag, upper = stencil
+    off = np.sqrt(lower[1:] * upper[:-1])
+    select = {} if count is None else {"select": "i", "select_range": (0, count - 1)}
+    try:
+        return eigh_tridiagonal(-diag, off, eigvals_only=True, **select)
+    except np.linalg.LinAlgError as exc:
+        raise StabilityError(f"the sector eigensolve failed: {exc}") from exc
 
 
 def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarray:
-    """Ascending eigenvalues of the discretized form on the m-edge star.
+    """Ascending eigenvalues of minus the discretized OU generator on the m-edge star.
 
-    The P1 form splits exactly into an even sector (the same values on every
-    edge: the one-edge pencil with the vertex node free) and m - 1 copies of
-    an odd sector (vertex value 0, edges summing to 0: the one-edge pencil
-    with the vertex node deleted).  The density factor c_m cancels, so two
-    one-edge solves of size n and n - 1 replace the dense star problem of
-    size 1 + m(n - 1), and each odd value appears m - 1 times by
-    construction.  Each sector is rescaled by its mass diagonal.
+    The discretization is the oracle's centred stencil on the grid's nodes
+    with Dirichlet ends at the cutoff, and the star's Kirchhoff vertex row
+    2 q(0)/h^2 (mean of the edges' first nodes - u_0).  It maps polynomials
+    of degree k to degree k, so its levels are the integers up to the
+    truncation at the cutoff alone.  It splits exactly into an even sector
+    (the same values on every edge: the line with the Neumann vertex row)
+    and m - 1 copies of an odd sector (vertex value 0, edges summing to 0:
+    the line with the vertex pinned), both from ``oracle._sector_stencils``,
+    so two tridiagonal solves of size n - 1 and n - 2 (n points per edge)
+    replace the star
+    problem of size (n - 1) + (m - 1)(n - 2), and each odd value appears
+    m - 1 times by construction.
 
-    ``count`` keeps the lowest values, 1 .. 1 + m(n - 1) of them.  A grid on
-    which the mass diagonal is not positive raises ``ShapeError``.
-    The odd pencil is the even one with the vertex row and column deleted,
-    so by Cauchy interlacing e_j <= o_j <= e_{j+1}, and the merged list runs
-    e_1, o_1 (m - 1 times), e_2, ...  Its lowest ``count`` values therefore
-    use only the lowest (count - 1)//m + 1 even values and (count - 2)//m + 1
-    odd ones.  A sector count up to ``LANCZOS_SHARE`` of the sector size is
-    solved by shift-invert Lanczos on the tridiagonal pencil, O(n k^2) for k
-    values, and confirmed by a Sylvester inertia count of A - tau B just
-    above the largest value.  A solver failure raises ``StabilityError``: a
-    shifted pencil that ``dpttrf`` finds not positive definite, a Ritz solve
-    that ``dstemr`` does not finish, or a missed eigenvalue.
-    Larger counts, and the whole spectrum, come from one dense solve of each
-    whole pencil, O(n^3).
+    ``count`` keeps the lowest values, 1 .. (n - 1) + (m - 1)(n - 2) of
+    them, checked before the stencil is built.  The odd matrix is the even
+    one with the vertex row and column deleted, so by Cauchy interlacing
+    e_j <= o_j <= e_{j+1}, and the merged list runs e_1, o_1 (m - 1 times),
+    e_2, ...  Its lowest ``count`` values therefore use only the lowest
+    (count - 1)//m + 1 even values and (count - 2)//m + 1 odd ones, found
+    by bisection in O(n k) for k values; the whole spectrum takes O(n^2).
+    The stencil refuses a cell Peclet number cutoff h > 1 (``DomainError``),
+    and a solver failure raises ``StabilityError``.
     """
 
     check_edges(m)
+    check_points(grid.points_per_edge, 3)
     if count is not None:
-        check_integer("count", count, most=1 + m * (grid.points_per_edge - 1))
-    stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
-    if not np.all(mass_diag > 0):
-        raise ShapeError("mass matrix lost positivity; refine or shrink the grid")
+        check_integer("count", count, most=_star_size(m, grid.points_per_edge))
+    h = grid.h
+    # q = 1/2, b = -x and c = 0 are already parity-extended on the line
+    even, odd = _sector_stencils(ou_coefficients(), np.concatenate(([-h], grid.nodes())), h)
     even_count = odd_count = count
     if count is not None:
         even_count = count if m == 1 else (count - 1) // m + 1
         odd_count = (count - 2) // m + 1
-    even = _sector_eigenvalues(stiff_diag, stiff_off, mass_diag, mass_off, even_count, "even")
-    odd = np.empty(0)
+    vals = _sector_values(even, even_count)
     if m > 1 and odd_count != 0:
-        odd = _sector_eigenvalues(
-            stiff_diag[1:], stiff_off[1:], mass_diag[1:], mass_off[1:], odd_count, "odd"
-        )
-    vals = np.sort(np.concatenate([even, np.repeat(odd, m - 1)]))
+        # the odd stencil without its pinned vertex row
+        odd_vals = _sector_values(tuple(row[1:] for row in odd), odd_count)
+        vals = np.sort(np.concatenate([vals, np.repeat(odd_vals, m - 1)]))
     return vals[:count]
 
 

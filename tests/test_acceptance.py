@@ -173,6 +173,9 @@ def test_criterion_06_spectrum():
                 assert g.profiles[edge].gauss == want.gauss
                 assert np.array_equal(g.values[edge], want(x))
     _report(6, "eigenvalues cluster at the integers", worst, 0.05)
+    # the stencil maps polynomials of degree k to degree k, so its levels
+    # miss the integers by the truncation at the cutoff alone
+    _report(6, "eigenvalues are the integers to the truncation", worst, 1e-7)
 
 
 def test_criterion_07_trace_identity():

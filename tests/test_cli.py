@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import stargraph.cli
 import stargraph.spectral
@@ -81,7 +82,8 @@ def test_spectrum_outputs(tmp_path):
 
 
 def test_spectrum_levels_beyond_the_grid_are_usage_errors(capsys):
-    # 10 levels on three edges need 15 eigenvalues; 4 points give 1 + 3 * 3
+    # 10 levels on three edges need 15 eigenvalues; 4 points give 3 + 2 * 2,
+    # and the count is checked before the grid's Peclet number (12 here)
     for levels, why in (("10", "needs 15 eigenvalues"), ("0", "at least 1"), ("-1", "at least 1")):
         assert main(["spectrum", "--m", "3", "--points", "4", "--levels", levels]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -221,7 +223,7 @@ def test_time_between_steps_is_usage_error(capsys):
 
 def test_grid_spacing_that_underflows_is_usage_error(capsys):
     # the grid itself is refused, with its own message, before any command
-    # builds a mass matrix, Simpson weights or a quadrature grid on it
+    # builds a stencil, Simpson weights or a quadrature grid on it
     for command in ("spectrum", "invariance", "evolve"):
         assert main([command, "--cutoff", "5e-324", "--points", "9"]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -362,17 +364,27 @@ def test_unresolved_kernels_are_refused(capsys, tmp_path):
 
 
 def test_solver_failure_exits_3(monkeypatch, capsys):
-    # a missed eigenvalue is a numerical failure of the solver, not bad usage
-    def skips_lowest(a_diag, a_off, b_diag, b_off, count):
-        return lanczos(a_diag, a_off, b_diag, b_off, count + 1)[1:]
+    # a LAPACK failure of the eigensolve is a numerical failure, not bad usage
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("stebz did not converge (info=1)")
 
-    lanczos = stargraph.spectral._lanczos_lowest
-    monkeypatch.setattr(stargraph.spectral, "_lanczos_lowest", skips_lowest)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fails)
     assert main(["spectrum", "--m", "3", "--points", "65", "--levels", "3"]) == EXIT_NUMERIC
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("numerical failure: the even sector has 3 eigenvalues")
-    assert captured.err.count("\n") == 1
+    assert captured.err == (
+        "numerical failure: the sector eigensolve failed: stebz did not converge (info=1)\n")
+
+
+def test_spectrum_on_a_grid_past_cell_peclet_number_one_is_usage_error(capsys):
+    # 9 points on [0, 6] give the stencil of -x u' a cell Peclet number
+    # cutoff h = 4.5
+    assert main(["spectrum", "--points", "9"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cell Peclet number 4.500 > 1; refine h to keep the centered "
+        "discretization monotone\n")
 
 
 def test_run_too_large_to_allocate_is_usage_error(capsys):
@@ -463,6 +475,10 @@ def test_extreme_inputs_exit_cleanly(tmp_path):
         # ended in an IndexError traceback
         "oracle_no_step": (oracle + ["--t", "1e-10", "--dt", "1"],
                            "t_final must be a whole number of steps dt, at least one"),
+        # a mesh so fine that the stencil's q/h^2 is inf once ended in a
+        # ValueError traceback from the eigensolver
+        "spectrum_fine": (["spectrum", "--cutoff", "1e-300", "--points", "9"],
+                          "pass the float maximum at mesh width h = 1.25e-301"),
     }
     # edge counts beyond the node budget; each once ended in an OverflowError
     # traceback, and the oracle looped over the edges before it checked them

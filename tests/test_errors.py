@@ -78,13 +78,13 @@ TAKES_INTEGER = {
     "multiplicity": ("level", "a nonnegative integer", lambda k: multiplicity(k, 3)),
     "eigenbasis": ("level", "a nonnegative integer", lambda k: eigenbasis(3, k, GRID)),
     "trace_partial": ("term count", "a nonnegative integer", lambda n: trace_partial(1.0, 3, n)),
-    # GRID gives 1 + 3 * 16 eigenvalues
-    "form_spectrum": ("count", "an integer in 1..49", lambda n: form_spectrum(3, GRID, count=n)),
+    # GRID gives 16 + 2 * 15 eigenvalues
+    "form_spectrum": ("count", "an integer in 1..46", lambda n: form_spectrum(3, GRID, count=n)),
 }
 INTEGER_CASES = [
     (entry, n) for entry, (_, span, _) in TAKES_INTEGER.items()
     for n in [-1, 2.5, True, math.nan]
-    + ([0] if span != "a nonnegative integer" else []) + ([50] if "49" in span else [])
+    + ([0] if span != "a nonnegative integer" else []) + ([47] if "46" in span else [])
 ]
 
 # every public entry point that takes a time, called with model spec and time t
@@ -122,7 +122,7 @@ TAKES_RADIUS = {
 TAKES_POINTS = {
     "GridSpec": (2, lambda n: GridSpec(cutoff=3.0, points_per_edge=n)),
     "simpson_weights": (2, lambda n: simpson_weights(n, 0.5)),
-    # the form and the vertex stencil need 3 points of a grid or an array
+    # the sector stencils and the vertex stencil need 3 points of a grid or an array
     "form_spectrum": (3, lambda n: form_spectrum(3, GridSpec(cutoff=3.0, points_per_edge=n))),
     "vertex_flux": (3, lambda n: vertex_flux(np.zeros((3, n)), 0.5)),
 }

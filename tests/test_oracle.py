@@ -634,6 +634,25 @@ def test_solutions_past_the_float_maximum_are_refused():
         solve_star(ho_coefficients(), StarFunction.constant(StarGraph(3), grid, 1.75e308), cfg)
 
 
+def test_vertex_slopes_past_the_float_range_read_inf():
+    # random samples of order 2^1020 have vertex slopes past the float
+    # maximum at h = 1/16; the march answers, the Kirchhoff defect of such a
+    # level reads inf, and no numpy warning escapes (filterwarnings = error)
+    cfg = OracleConfig(n=3.0, h=1.0 / 16.0, dt=5e-3, t_final=0.05)
+    grid = GridSpec(cutoff=3.0, points_per_edge=cfg.half_intervals + 1)
+    values = np.ldexp(np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 49)), 1020)
+    values[:, 0] = values[0, 0]
+    run = solve_star(ou_coefficients(), StarFunction(StarGraph(3), grid, values), cfg)
+    assert np.isfinite(run.values).all()
+    assert run.kirchhoff_defects[0] == math.inf
+    assert not np.isnan(run.kirchhoff_defects).any()
+    # a mesh of two points per edge is still refused before the march
+    cfg = OracleConfig(n=1.0, h=1.0, dt=0.1, t_final=0.1)
+    f = StarFunction.constant(StarGraph(3), GridSpec(cutoff=1.0, points_per_edge=2), 1.0)
+    with pytest.raises(ShapeError, match="points per edge must be an integer >= 3, got 2"):
+        solve_star(ou_coefficients(), f, cfg)
+
+
 @pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])
 def test_star_solve_holds_to_the_reference_marches_at_bench_scale(coeffs):
     # the bench's mesh and step: 500 steps on 513 nodes per edge, enough for

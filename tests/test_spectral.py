@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import eigh
 
 from stargraph.errors import MIN_TIME, DomainError, ShapeError, StabilityError
 from stargraph.geometry import GridSpec, StarFunction, StarGraph
 from stargraph.kernels import HARMONIC, OU
 from stargraph.semigroup import apply
-import stargraph.spectral
 from stargraph.spectral import (
     PolyGauss,
-    _edge_form,
-    _lanczos_lowest,
-    _sturm_count,
-    _tridiagonal,
     apply_generator,
     eigenbasis,
     form_spectrum,
@@ -158,60 +154,85 @@ def test_generator_kind_validation():
             apply_generator(OU, g)
 
 
-def _on_star(diag, off, m):
-    """The one-edge matrix placed on m edges that share the vertex node."""
+def star_generator(m, grid):
+    """The discretized OU generator on the m-edge star, dense, and its density.
 
-    n_edge = diag.size - 1
-    interior = _tridiagonal(diag[1:], off[1:])
-    out = np.zeros((1 + m * n_edge, 1 + m * n_edge))
-    out[0, 0] = m * diag[0]
-    out[0, 1::n_edge] = out[1::n_edge, 0] = off[0]
-    for e in range(m):
-        block = slice(1 + e * n_edge, 1 + (e + 1) * n_edge)
-        out[block, block] = interior
-    return out
-
-
-def form_matrix(m, grid):
-    """Dense stiffness and mass of the Dirichlet form on the m-edge star: the reference.
-
-    The form is half the invariant-measure integral of products of edge
-    derivatives; the vertex node is a single shared degree of freedom, which
-    encodes continuity and yields the flux condition naturally.  All edges
-    share one element table, so symmetry under edge permutation is exact.
+    The unknowns are the vertex and nodes 1 .. n - 2 of every edge (the
+    cutoff node is pinned at 0).  Each edge row is the centred stencil of
+    u''/2 - x u'; the vertex row is the Kirchhoff one, 2 q/h^2 (mean of the
+    edges' first nodes - u_0).  The discrete density pi, with pi_j T_jk =
+    pi_k T_kj, has pi_{i+1} / pi_i = upper_i / lower_{i+1} along an edge,
+    and the vertex row couples to each first node with weight 2 q/(m h^2).
     """
 
-    c_m = 2.0 / (m * math.sqrt(math.pi))
-    stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
-    return (
-        _on_star(c_m * stiff_diag, c_m * stiff_off, m),
-        _on_star(c_m * mass_diag, c_m * mass_off, m),
-    )
+    h, q = grid.h, 0.5
+    x = grid.nodes()[1:-1]
+    lower, upper = q / h**2 + x / (2.0 * h), q / h**2 - x / (2.0 * h)
+    n_edge = x.size
+    gen = np.zeros((1 + m * n_edge, 1 + m * n_edge))
+    gen[0, 0] = -2.0 * q / h**2
+    density = np.ones(1 + m * n_edge)
+    edge_density = 2.0 * q / (m * h**2 * lower[0]) * np.cumprod(
+        np.concatenate(([1.0], upper[:-1] / lower[1:])))
+    for e in range(m):
+        rows = np.arange(1 + e * n_edge, 1 + (e + 1) * n_edge)
+        gen[0, rows[0]] = 2.0 * q / (m * h**2)
+        gen[rows, rows] = -2.0 * q / h**2
+        gen[rows[0], 0] = lower[0]
+        gen[rows[1:], rows[:-1]] = lower[1:]
+        gen[rows[:-1], rows[1:]] = upper[:-1]
+        density[rows] = edge_density
+    return gen, density
 
 
-def test_form_matrix_invariants():
+def star_stencil(m, grid):
+    """Minus the star generator made symmetric by its density: the reference.
+
+    Without the similarity numpy's non-symmetric ``eig`` agrees with the
+    sector split only to about 1e-8 relative; the rounding asymmetry left
+    after it is averaged away.
+    """
+
+    gen, density = star_generator(m, grid)
+    root = np.sqrt(density)
+    sym = -root[:, None] * gen / root[None, :]
+    return 0.5 * (sym + sym.T)
+
+
+def test_star_generator_and_count_bounds():
     grid = GridSpec(cutoff=6.0, points_per_edge=96)
     for m in (1, 3):
-        stiff, mass = form_matrix(m, grid)
-        dim = 1 + m * (grid.points_per_edge - 1)
-        assert stiff.shape == mass.shape == (dim, dim)
-        assert np.array_equal(stiff, stiff.T)
-        assert np.array_equal(mass, mass.T)
-        # sum of all mass entries is the measure of the truncated star
-        assert mass.sum() == pytest.approx(math.erf(6.0), rel=1e-12)
-        # constants are in the kernel of the form
-        assert np.abs(stiff.sum(axis=1)).max() < 1e-13
-        assert np.all(np.diag(mass) > 0)
+        gen, density = star_generator(m, grid)
+        dim = 95 + (m - 1) * 94
+        assert gen.shape == (dim, dim)
+        # constants are in the kernel but for the rows next to the pinned cutoff
+        last = np.arange(1, m + 1) * 94
+        sums = gen.sum(axis=1)
+        assert np.abs(np.delete(sums, last)).max() < 1e-9 * np.abs(gen).max()
+        assert np.all(sums[last] < 0)
+        # the density makes the generator self-adjoint
+        weighted = density[:, None] * gen
+        assert np.abs(weighted - weighted.T).max() <= 1e-12 * np.abs(weighted).max()
     with pytest.raises(ShapeError, match="points per edge must be an integer >= 3, got 2"):
-        form_matrix(2, GridSpec(cutoff=1.0, points_per_edge=2))
+        form_spectrum(2, GridSpec(cutoff=1.0, points_per_edge=2))
     for m in (0, -1, 2.5, True):
         with pytest.raises(DomainError):
             form_spectrum(m, grid)
-    # the star has 1 + m (n - 1) eigenvalues: 1 + 3 * 95 at m=3
-    for count in (0, -1, 287, 2.5, True):
+    # the star has (n - 1) + (m - 1)(n - 2) eigenvalues: 95 + 2 * 94 at m=3
+    for count in (0, -1, 284, 2.5, True):
         with pytest.raises(DomainError):
             form_spectrum(3, grid, count=count)
-    assert form_spectrum(3, grid, count=286).size == 286
+    assert form_spectrum(3, grid, count=283).size == 283
+
+
+def test_a_grid_past_cell_peclet_number_one_is_refused():
+    # the centred stencil of -x u' needs cutoff h <= 1; 9 points on [0, 6]
+    # give 4.5
+    with pytest.raises(DomainError, match=r"cell Peclet number 4\.500 > 1"):
+        form_spectrum(3, GridSpec(cutoff=6.0, points_per_edge=9))
+    # a mesh fine enough that q/h^2 passes the float maximum
+    with pytest.raises(DomainError, match="pass the float maximum"):
+        form_spectrum(3, GridSpec(cutoff=1e-300, points_per_edge=9))
 
 
 def test_form_spectrum_clusters():
@@ -224,69 +245,49 @@ def test_form_spectrum_clusters():
     assert np.abs(vals2 - np.array([0.0, 1.0, 2.0, 3.0])).max() < 2e-2
 
     # eight edges on a fine grid, far beyond what a dense star solve of
-    # size 8193 could do here: levels 0..3 with multiplicities 1, 7, 1, 7
+    # size 8185 could do here: levels 0..3 with multiplicities 1, 7, 1, 7
     vals8 = form_spectrum(8, GridSpec(cutoff=6.0, points_per_edge=1025), count=16)
     want8 = np.array([0.0] + [1.0] * 7 + [2.0] + [3.0] * 7)
     assert np.abs(vals8 - want8).max() < 2e-2
 
 
-def test_form_spectrum_equals_dense_reference():
-    # the sector split is exact: the same eigenvalues as the dense star pencil
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_form_spectrum_equals_the_dense_star_stencil(m):
+    # the sector split is exact: the same eigenvalues as the whole star
     grid = GridSpec(cutoff=6.0, points_per_edge=65)
-    for m in (1, 2, 3, 5, 8):
-        dense = eigh(*form_matrix(m, grid), eigvals_only=True)
-        split = form_spectrum(m, grid)
-        assert split.shape == dense.shape == (1 + 64 * m,)
-        assert np.all(np.abs(split - dense) <= 1e-9 * np.maximum(np.abs(dense), 1.0))
-        low = form_spectrum(m, grid, count=10)
-        assert np.abs(low - dense[:10]).max() <= 1e-9
+    dense = eigh(star_stencil(m, grid), eigvals_only=True)
+    split = form_spectrum(m, grid)
+    assert split.shape == dense.shape == (64 + 63 * (m - 1),)
+    assert np.all(np.abs(split - dense) <= 1e-11 * np.maximum(np.abs(dense), 1.0))
+    low = form_spectrum(m, grid, count=10)
+    assert np.abs(low - dense[:10]).max() <= 1e-11
 
 
 @given(
     m=st.integers(min_value=1, max_value=8),
     points=st.integers(min_value=9, max_value=129),
-    cutoff=st.floats(min_value=3.0, max_value=8.0),
     data=st.data(),
 )
-def test_counted_spectrum_equals_dense_reference(m, points, cutoff, data):
-    # small counts take the Lanczos path, large ones the dense sector solve
+def test_counted_spectrum_equals_the_dense_star_stencil(m, points, data):
+    # a count is found by bisection in each sector, the whole spectrum by MRRR;
+    # the cutoff keeps the cell Peclet number cutoff^2 / (points - 1) <= 1
+    cutoff = data.draw(st.floats(min_value=2.0, max_value=min(8.0, math.sqrt(points - 1))))
     grid = GridSpec(cutoff=cutoff, points_per_edge=points)
-    dim = 1 + m * (points - 1)
+    dim = (points - 1) + (m - 1) * (points - 2)
     count = data.draw(st.one_of(st.integers(1, max(1, dim // 10)), st.integers(1, dim)))
-    dense = eigh(*form_matrix(m, grid), eigvals_only=True)[:count]
+    dense = eigh(star_stencil(m, grid), eigvals_only=True)[:count]
     got = form_spectrum(m, grid, count=count)
     assert got.shape == (count,)
     assert np.all(np.abs(got - dense) <= 1e-10 * np.maximum(np.abs(dense), 1.0))
 
 
-def test_sturm_count_matches_dense_counts():
-    grid = GridSpec(cutoff=6.0, points_per_edge=65)
-    stiff_diag, stiff_off, mass_diag, mass_off = _edge_form(grid)
-    for lo in (0, 1):  # the even pencil and the odd one, its vertex row deleted
-        pencil = (stiff_diag[lo:], stiff_off[lo:], mass_diag[lo:], mass_off[lo:])
-        values = eigh(_tridiagonal(*pencil[:2]), _tridiagonal(*pencil[2:]), eigvals_only=True)
-        for tau in (-1.0, 0.5, 1.5, 2.5, 7.0, 40.0, 1e3, 1e7):
-            assert _sturm_count(*pencil, tau) == np.sum(values < tau), (lo, tau)
+def test_failed_eigensolve_is_refused(monkeypatch):
+    # a LAPACK failure in the tridiagonal solve is a numerical failure
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("stebz did not converge (info=1)")
 
-
-def test_lanczos_grows_its_basis_for_clustered_values():
-    # values 1e-3 apart converge slowly, so the iteration outgrows its first
-    # 2 count + 30 basis rows; the values still match the dense solve
-    n, count = 400, 3
-    pencil = (1e-3 * np.arange(n), np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
-    got = _lanczos_lowest(*pencil, count)
-    dense = eigh(_tridiagonal(*pencil[:2]), _tridiagonal(*pencil[2:]), eigvals_only=True)
-    assert np.abs(got - dense[:count]).max() <= 1e-12
-
-
-def test_missed_eigenvalue_is_refused(monkeypatch):
-    # a Lanczos run that skips the lowest value returns as many values as
-    # asked, and the inertia count finds one more below the last of them
-    def skips_lowest(a_diag, a_off, b_diag, b_off, count):
-        return _lanczos_lowest(a_diag, a_off, b_diag, b_off, count + 1)[1:]
-
-    monkeypatch.setattr(stargraph.spectral, "_lanczos_lowest", skips_lowest)
-    with pytest.raises(StabilityError, match="the even sector has 3 eigenvalues .* returned 2"):
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fails)
+    with pytest.raises(StabilityError, match="the sector eigensolve failed: stebz did not"):
         form_spectrum(3, GridSpec(cutoff=6.0, points_per_edge=65), count=4)
 
 
