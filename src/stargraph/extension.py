@@ -6,8 +6,11 @@ half-axis carries twice the edge average minus the edge (``reflect``).  The
 extension works on plain per-edge sample arrays: a line is restricted back
 to the star by slicing it at its centre node, and ``geometry.vertex_flux``
 measures how well the restricted edges still balance their fluxes there.
-Second-order coefficients extend by parity: diffusion and reaction evenly,
-drift oddly.
+Edges that carry bitwise equal data extend to the same line, so they evolve
+alike: ``_distinct_edges`` decides which edges those are, once, for both
+``semigroup.apply`` and the oracle's star march, which evolve each distinct
+edge once and give every edge its distinct edge's row.  Second-order
+coefficients extend by parity: diffusion and reaction evenly, drift oddly.
 """
 
 from __future__ import annotations
@@ -76,6 +79,37 @@ def reflect(values: np.ndarray, edges=slice(None)) -> np.ndarray:
 
     values = np.asarray(values, dtype=float)
     return (2.0 / values.shape[0]) * values.sum(axis=0) - values[edges]
+
+
+def _distinct_edges(values):
+    """The edges of ``values`` (edge along axis 0) up to bitwise equal ones:
+    ``(distinct, group)``, with ``values[distinct][group]`` equal to
+    ``values``, or ``(slice(None), None)`` when no two edges are equal.
+    ``distinct`` holds each group's first edge, in order.  Edges that carry
+    the same data are the same line, so they evolve alike.  Rows are
+    fingerprinted by their sums, and every row is compared exactly with the
+    first row of its sum; a row unlike that one (``[2, 1]`` after ``[1, 2]``)
+    stays apart."""
+
+    sums = values.sum(axis=1).tolist()
+    first = dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))  # each sum's first row
+    if len(first) == len(sums):
+        return slice(None), None
+    rep = np.fromiter(map(first.__getitem__, sums), np.intp, len(sums))
+    apart = rep == np.arange(rep.size)
+    # rows of at most 192 kB at a time, so the comparison holds no copy of
+    # the rows and no boolean array of their shape
+    step = max(1, 24576 // values.shape[1])
+    for i in range(0, rep.size, step):
+        rows = slice(i, i + step)
+        apart[rows] |= (values[rows] != values[rep[rows]]).any(axis=1)
+    distinct = np.flatnonzero(apart)
+    if distinct.size == rep.size:
+        return slice(None), None
+    rep[distinct] = distinct
+    group = np.empty_like(rep)
+    group[distinct] = np.arange(distinct.size)
+    return distinct, group[rep]
 
 
 def check_coefficients(q: np.ndarray, *others) -> None:

@@ -6,16 +6,19 @@ centered discretization, second order in h and dt.  The star is marched in
 its sectors on the half grid r >= 0, with the parity-extended coefficients:
 the edge average (the even sector) is one line with Neumann conditions at
 the vertex, and the m deviations from it (the odd sectors) are lines with
-the vertex pinned at zero.  The m - 1 odd sectors are identical, so the
-deviations evolve under one line operator, and only their span needs
-marching: they are factored once as Q C_0, Q an (m, r) orthonormal basis
-with r <= m - 1, and the march advances the r rows of C.  Edge i is the
-average plus row i of Q C_k, the same scheme as the line through the edge
-and its ``reflect``; continuity at the vertex holds by construction, and
-the flux balance holds at the stencil order and is measured.  The lines of
-a march advance together, the lines as right-hand sides (the unit hats of
-a kernel table, or the r odd lines of a star, whose even line has its own
-step matrix).  Each tridiagonal
+the vertex pinned at zero.  Edges with bitwise equal data are one line
+(``extension._distinct_edges``, as in ``semigroup.apply``), so only the d
+distinct edges' deviations are kept.  The m - 1 odd sectors are identical,
+so the deviations evolve under one line operator, and only their span needs
+marching: they are factored once as Q C_0, Q a (d, r) orthonormal basis
+with r <= d - 1, and the march advances the r rows of C.  Distinct edge j
+is the average plus row j of Q C_k, the same scheme as the line through
+the edge and its ``reflect``, and every edge is stored from its distinct
+edge, so equal edges get bitwise equal levels; continuity at the vertex
+holds by construction, and the flux balance holds at the stencil order
+and is measured.  The lines of a march advance together, the lines as
+right-hand sides (the unit hats of a kernel table, or the r odd lines of a
+star, whose even line has its own step matrix).  Each tridiagonal
 step matrix A = I - (dt/2) T is fixed for the march and factored once: a
 diagonal similarity S, the square root of the discrete density in which T
 is self-adjoint (mu's, for OU), makes S A S^-1 symmetric, and LAPACK pttrf
@@ -38,7 +41,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError, check_data, check_increasing
 from .errors import check_nodes, check_points, check_positive, check_time
-from .extension import CoefficientTriple, check_coefficients, extend_coefficients
+from .extension import CoefficientTriple, _distinct_edges, check_coefficients
+from .extension import extend_coefficients
 from .geometry import GridSpec, StarFunction, StarGraph, vertex_flux
 
 __all__ = [
@@ -181,7 +185,8 @@ def _stencil(
                 f"cell Peclet number {peclet:.3f} > 1; refine h to keep the "
                 "centered discretization monotone"
             )
-        rows = qi / h**2 - bi / (2.0 * h), -2.0 * qi / h**2 + ci, qi / h**2 + bi / (2.0 * h)
+        hh = h * h  # inf past h = 1.3e154, where h**2 raises OverflowError
+        rows = qi / hh - bi / (2.0 * h), -2.0 * qi / hh + ci, qi / hh + bi / (2.0 * h)
     if not all(np.isfinite(row).all() for row in rows):
         raise DomainError(
             f"the stencil entries q/h^2 and b/(2h) pass the float maximum at mesh width "
@@ -223,17 +228,20 @@ def _march(
     out: np.ndarray,
     basis: np.ndarray | None = None,
     exponent: int = 0,
+    group: np.ndarray | None = None,
 ) -> None:
     """Advance the state ``u`` (shape (1 + k, columns)) and write its lines.
 
     Line i is u[0] + d_i on the stored side and u[0] - d_i mirrored, where
-    d = u[1:], the k lines' own rows, or d = ``basis`` @ u[1:], m lines
-    from an (m, k) basis; row 0 is what every line shares, and a full line
+    d = u[1:], the k lines' own rows, or d = ``basis`` @ u[1:], d lines
+    from a (d, k) basis; row 0 is what every line shares, and a full line
     shares nothing, so its row 0 stays zero and unmarched.  The lines are
     formed once per step, and the monitor and the stored levels both read
-    them.  The first and last columns lie beyond the stencil rows, and
-    their samples enter the first step only.  Each block (rows, lower,
-    diag, upper) holds the stencil T of its rows, and
+    them; with a ``group`` index, stored line i is line group[i], so lines
+    of one group are stored bit for bit equal, and the monitor names a
+    group by its first stored line.  The first and last columns lie beyond
+    the stencil rows, and their samples enter the first step only.  Each
+    block (rows, lower, diag, upper) holds the stencil T of its rows, and
     its step matrix A = I - (dt/2) T is factored once (``_factor_step``)
     as S A S^-1 = L D L^T.  The march carries v = S u, row by row with its
     block's S.  A step solves S A S^-1 y = w in place on w = 2v with one
@@ -300,7 +308,9 @@ def _march(
         if basis is not None:
             np.matmul(basis, w[1:], out=lines)
         if step == levels[stored]:
-            np.add(shared, lines, out=out[stored])
+            # a gathered copy of the lines is faster than np.take into the
+            # strided level, which take buffers
+            np.add(shared, lines if group is None else lines[group], out=out[stored])
             stored += 1
         np.abs(shared, out=shared)
         np.abs(lines, out=lines)
@@ -314,8 +324,9 @@ def _march(
                 raise StabilityError(f"solution became non-finite at step {step}")
             j = int(np.argmin(held))
             sup_j, bound_j = np.ldexp([sup[j], bound[j]], -exponent)
+            line = j if group is None else int(np.argmax(group == j))
             raise StabilityError(
-                f"sup norm {sup_j:.6g} of line {j} exceeds the growth bound "
+                f"sup norm {sup_j:.6g} of line {line} exceeds the growth bound "
                 f"{bound_j:.6g} at t = {step * dt:.6g}"
             )
         np.add(v, v, out=w)
@@ -403,17 +414,21 @@ def solve_star(
     at the vertex: its row at r = 0 is the mirrored row, in which u(-h) =
     u(h) folds the lower stencil entry into the upper one, 2 q(0) / h^2.
     The m deviations from it (the odd sectors) are lines with the vertex
-    pinned at 0: an identity row at r = 0 that nothing couples to.  All of
-    them see that one operator, so the deviations D_0 (m, points) are
+    pinned at 0: an identity row at r = 0 that nothing couples to.  Edges
+    with bitwise equal data are grouped exactly
+    (``extension._distinct_edges``), and all the deviations see that one
+    operator, so the d distinct edges' deviations D_0 (d, points) are
     factored as Q C_0 (``_deviation_basis``), and only the average and the
-    r <= m - 1 rows of C are marched; equal edges and m = 1 give r = 0 and
-    march the average alone.  Edge i is the average plus row i of Q C_k,
-    which is what the line through the edge and its ``reflect`` gives, so
-    each edge's growth bound is that line's, checked on every edge at every
-    step.  Level 0 is the data itself; the march runs in the power-of-two
-    units of ``errors.check_data``, so data from the subnormal range to the
-    float maximum answer.  A level whose vertex slopes sum past the float
-    range has a Kirchhoff defect of inf.
+    r <= d - 1 rows of C are marched; equal edges and m = 1 give r = 0 and
+    march the average alone.  Distinct edge j is the average plus row j of
+    Q C_k, which is what the line through the edge and its ``reflect``
+    gives, so each edge's growth bound is that line's, checked on every
+    distinct edge at every step (a message names the group's first edge),
+    and every edge's level is its distinct edge's, bit for bit.  Level 0 is
+    the data itself; the march runs in the power-of-two units of
+    ``errors.check_data``, so data from the subnormal range to the float
+    maximum answer.  A level whose vertex slopes sum past the float range
+    has a Kirchhoff defect of inf.
     """
 
     f.require_continuous("reflection extension requires a vertex-continuous function")
@@ -435,7 +450,8 @@ def solve_star(
     exponent = check_data(half)
     units = np.ldexp(half, exponent) if exponent else half
     average = units.mean(axis=0)
-    deviations = units[:, 1:] - average[1:]  # the vertex deviation is pinned at 0
+    distinct, group = _distinct_edges(units)
+    deviations = units[distinct, 1:] - average[1:]  # the vertex deviation is pinned at 0
     basis = _deviation_basis(units, deviations)
     state = np.zeros((1 + basis.shape[1], half.shape[1] + 1))
     state[0, 1:] = average
@@ -450,7 +466,8 @@ def solve_star(
     if basis.shape[1]:
         blocks.append((slice(1, None), *odd))
     levels = range(1, steps + 1)
-    _march(blocks, state, coeffs.c_sup_bound, cfg, levels, values[1:, :, :-1], basis, exponent)
+    _march(blocks, state, coeffs.c_sup_bound, cfg, levels, values[1:, :, :-1], basis, exponent,
+           group)
 
     grid = GridSpec(cutoff=float(cfg.n), points_per_edge=half.shape[1])
     # every level is finite, so a NaN defect is slopes past the float range
@@ -467,20 +484,21 @@ def solve_star(
 
 
 def _deviation_basis(data: np.ndarray, deviations: np.ndarray) -> np.ndarray:
-    """Orthonormal columns Q (m, r) spanning the edges' computed deviations
-    from their average down to the rounding that forming them made.
+    """Orthonormal columns Q (d, r) spanning the distinct edges' computed
+    deviations from their average down to the rounding that forming them made.
 
-    ``data`` is F, the edges' samples (m, points), and ``deviations`` D~
-    their differences from the average.  A recursive sum of m terms and one
-    division give the average within m u mean_i |f_ij| (u = eps / 2, to
-    first order), and each difference adds u |d_ij|, so D~ = D + E with
-    |E_ij| <= m u mean_i |f_ij| + u |d_ij|.  As sqrt(m) times the row of
-    means and D are each at most ||F||_F in the Frobenius norm, ||E||_2 <=
-    ||E||_F <= tau = (m + 1) u ||F||_F.  Directions whose singular value is
-    at most tau lie within that rounding and are dropped, which moves no
-    entry of D~ by more than tau; so is any past m - 1, the most that
-    deviations summing to zero span.  tau is about (m + 1) / 2 eps times the
-    data's norm, not a numerical rank's sigma_1 max(m, points) eps, which
+    ``data`` is F, all m edges' samples (m, points), and ``deviations`` D~
+    the d distinct edges' differences from the average of all m.  A
+    recursive sum of m terms and one division give the average within
+    m u mean_i |f_ij| (u = eps / 2, to first order), and each difference
+    adds u |d_ij|, so D~ = D + E with |E_ij| <= m u mean_i |f_ij| + u |d_ij|.
+    As sqrt(m) times the row of means and D are each at most ||F||_F in the
+    Frobenius norm, and the d rows are among the m, ||E||_2 <= ||E||_F <=
+    tau = (m + 1) u ||F||_F.  Directions whose singular value is at most tau
+    lie within that rounding and are dropped, which moves no entry of D~ by
+    more than tau; so is any past d - 1, the most that deviations whose
+    count-weighted sum is zero span.  tau is about (m + 1) / 2 eps times the
+    data's norm, not a numerical rank's sigma_1 max(d, points) eps, which
     grows with the points per edge far past the rounding.  F is in the units
     of ``errors.check_data``, in which neither ||F||_F nor sigma_1 overflows
     or underflows.
@@ -488,7 +506,7 @@ def _deviation_basis(data: np.ndarray, deviations: np.ndarray) -> np.ndarray:
 
     tau = 0.5 * (data.shape[0] + 1) * np.finfo(float).eps * float(np.linalg.norm(data))
     q, sigma, _ = np.linalg.svd(deviations, full_matrices=False)
-    return q[:, : min(data.shape[0] - 1, int(np.count_nonzero(sigma > tau)))]
+    return q[:, : min(deviations.shape[0] - 1, int(np.count_nonzero(sigma > tau)))]
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ past which every kernel value is below e^{-40} of its row's peak.
 Callable-backed inputs are re-sampled on that grid at half their grid step,
 sample-backed inputs continue by zero.  Edges couple only through the edge
 sum, so edges with bitwise equal weighted samples evolve alike: each
-distinct edge is extended and contracted once (``_distinct_edges``), and
-every edge takes its distinct edge's row.
+distinct edge is extended and contracted once (``extension._distinct_edges``,
+the grouping the oracle's march shares), and every edge takes its distinct
+edge's row.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import ShapeError, check_data, check_edges, check_increasing, check_nodes
 from .errors import StabilityError, check_resolved, check_time
-from .extension import reflect
+from .extension import _distinct_edges, reflect
 from .geometry import GridSpec, StarFunction, simpson_weights
 from .kernels import KernelSpec, gaussian_form
 
@@ -121,33 +122,6 @@ def _column_factors(q: float, hq: float, delta, beta):
     return np.exp(v, out=v)
 
 
-def _distinct_edges(fw):
-    """The rows of ``fw`` up to bitwise equal ones: ``(distinct, group)``, with
-    ``fw[distinct][group]`` equal to ``fw``, or ``(slice(None), None)`` when no
-    two rows are equal.  Rows are fingerprinted by their sums, and every row
-    is compared exactly with the first row of its sum, in groups of rows of
-    at most ``BLOCK_VALUES`` values; a row unlike that one (``[2, 1]`` after
-    ``[1, 2]``) stays apart."""
-
-    sums = fw.sum(axis=1).tolist()
-    first = dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))  # each sum's first row
-    if len(first) == len(sums):
-        return slice(None), None
-    rep = np.fromiter(map(first.__getitem__, sums), np.intp, len(sums))
-    apart = rep == np.arange(rep.size)
-    step = max(1, BLOCK_VALUES // fw.shape[1])
-    for i in range(0, rep.size, step):
-        rows = slice(i, i + step)
-        apart[rows] |= (fw[rows] != fw[rep[rows]]).any(axis=1)
-    distinct = np.flatnonzero(apart)
-    if distinct.size == rep.size:
-        return slice(None), None
-    rep[distinct] = distinct
-    group = np.empty_like(rep)
-    group[distinct] = np.arange(distinct.size)
-    return distinct, group[rep]
-
-
 def apply(
     spec: KernelSpec,
     m: int,
@@ -173,9 +147,10 @@ def apply(
     Callable-backed inputs are sampled twice as finely as their grid, up to
     λ·(output cutoff) + b.  The output is vertex-continuous: at radius zero
     the line kernel is even in y, and every edge's extension has the same
-    even part.  A kernel narrower than 1.91 quadrature steps, where the
-    predicted Simpson error exceeds ``TOLERANCE``, is refused with
-    DomainError (``errors.check_resolved``).
+    even part, so edge 0's vertex value is written to every edge.  A kernel
+    narrower than 1.91 quadrature steps, where the predicted Simpson error
+    exceeds ``TOLERANCE``, is refused with DomainError
+    (``errors.check_resolved``).
     """
 
     check_edges(m)
@@ -239,6 +214,9 @@ def apply(
             raise StabilityError("the answer passes the float maximum")
     if group is not None:
         out = out[group]  # each edge takes its distinct edge's row
+    # continuous by construction: the vertex's rounding scales with the data,
+    # which the constructor's tolerance does not below 1
+    out[:, 0] = out[0, 0]
 
     return StarFunction(f.graph, grid, out, continuous_at_vertex=True)
 

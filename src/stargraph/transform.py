@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import check_edges
+from .errors import check_data, check_edges
 from .geometry import GridSpec, StarFunction, StarGraph, sup_distance
 from .kernels import HARMONIC, OU
 from .semigroup import apply
@@ -94,9 +94,16 @@ def similarity_defect(
     the drift semigroup by the flat map.  Both quadratures use the same
     nodes, each as far as its own kernel band reaches, so the defect isolates
     the kernel identity itself and sits near rounding level inside the
-    trusted ball of radius TRUST_RADIUS.
+    trusted ball of radius TRUST_RADIUS.  Both routes are linear, so they
+    run on f in the power-of-two units of ``errors.check_data``, where the
+    factor exp(+x^2/2) of ``from_flat`` cannot overflow, and the distance
+    is taken back to the data's units.
     """
 
+    exponent = check_data(f.values)
+    for k in (exponent // 2, exponent - exponent // 2):  # 2^exponent need not be a float
+        if k:
+            f = _scaled(f, 2.0**k, 0.0)
     left = apply(HARMONIC, m, t, f, grid)
     right = to_flat(apply(OU, m, t, from_flat(f), grid))
-    return sup_distance(left, right, radius_max=TRUST_RADIUS)
+    return math.ldexp(sup_distance(left, right, radius_max=TRUST_RADIUS), -exponent)

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stargraph
 from stargraph import errors
 from stargraph.errors import (
+    DATA_WINDOW,
     MAX_NODES,
     MIN_TIME,
     DomainError,
@@ -177,20 +180,21 @@ TAKES_COEFFS = {
 SHORT = GridSpec(cutoff=0.5, points_per_edge=3)
 
 
-def _data(profile) -> StarFunction:
-    return StarFunction.from_callables(StarGraph(3), SHORT, (profile,) * 3)
+def _data(profiles) -> StarFunction:
+    return StarFunction.from_callables(StarGraph(3), SHORT, profiles)
 
 
-# every public entry point that takes data, called with a profile; the line
-# solver takes the profile's samples on its own grid
+# every public entry point that takes data, called with three per-edge
+# profiles; the line solver takes the first one's samples on its own grid
 TAKES_DATA = {
     "StarFunction": _data,
-    "apply": lambda p: apply(OU, 3, 0.5, _data(p), GRID),
-    "evolve_sequence": lambda p: evolve_sequence(OU, 3, [0.5], _data(p), GRID),
-    "similarity_defect": lambda p: similarity_defect(3, 0.5, _data(p), GRID),
-    "solve_star": lambda p: solve_star(ou_coefficients(), _data(p), CFG),
-    "solve_line_dirichlet": lambda p: solve_line_dirichlet(LINE, p(np.abs(CFG.grid())), CFG),
-    "truncation_study": lambda p: truncation_study(ou_coefficients(), _data(p), CFG, [1.0, 2.0]),
+    "apply": lambda ps: apply(OU, 3, 0.5, _data(ps), GRID),
+    "evolve_sequence": lambda ps: evolve_sequence(OU, 3, [0.5], _data(ps), GRID),
+    "similarity_defect": lambda ps: similarity_defect(3, 0.5, _data(ps), GRID),
+    "solve_star": lambda ps: solve_star(ou_coefficients(), _data(ps), CFG),
+    "solve_line_dirichlet": lambda ps: solve_line_dirichlet(LINE, ps[0](np.abs(CFG.grid())), CFG),
+    "truncation_study": lambda ps: truncation_study(ou_coefficients(), _data(ps), CFG,
+                                                    [1.0, 2.0]),
 }
 # a profile non-finite past radius 0.2 gives non-finite samples; one
 # non-finite past 0.6 is finite on the stored grid, which the constructor
@@ -372,4 +376,37 @@ def test_non_finite_data_are_one_refusal_everywhere(entry, past, bad):
     def profile(r):
         return np.where(np.asarray(r, dtype=float) > past, bad, 1.0)
 
-    assert _refusal(DomainError, TAKES_DATA[entry], profile) == f"data must be finite, got {bad}"
+    assert _refusal(DomainError, TAKES_DATA[entry], (profile,) * 3) == (
+        f"data must be finite, got {bad}")
+
+
+# powers of two across the float range: its ends and the edges of
+# errors.DATA_WINDOW, and any between
+SCALES = st.one_of(
+    st.sampled_from([-1074, -1022, -DATA_WINDOW - 1, -DATA_WINDOW, DATA_WINDOW,
+                     DATA_WINDOW + 1, 1022, 1023]),
+    st.integers(min_value=-1074, max_value=1023))
+
+
+@settings(max_examples=200)
+@given(odd=st.booleans(), rates=st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3),
+       k=SCALES)
+@pytest.mark.parametrize("entry", sorted(TAKES_DATA))
+def test_finite_data_of_any_size_answer_everywhere(entry, odd, rates, k):
+    # edges of peak at most 1, times 2^k: smooth ones through the vertex
+    # value 1, or pure-odd ones, 0 at the vertex, whose edge average
+    # vanishes (three phases of one cosine).  Every entry answers them, or
+    # refuses an answer past the float maximum; a warning is an error.  The
+    # odd data's vertex once rounded past the continuity tolerance in
+    # apply's output, and the similarity defect overflowed in from_flat's
+    # exp(+x^2/2)
+    if odd:
+        weights = np.cos(rates[0] + 2.0 * np.pi * np.arange(3) / 3.0)
+        profiles = tuple((lambda r, w=w: np.ldexp(w * np.tanh(r), k)) for w in weights)
+    else:
+        profiles = tuple((lambda r, a=a: np.ldexp(np.cos(a * r), k)) for a in rates)
+    try:
+        TAKES_DATA[entry](profiles)
+    except StabilityError as exc:  # apply's refusal, or the march's
+        assert str(exc).startswith(("the answer passes the float maximum",
+                                    "solution became non-finite")), exc

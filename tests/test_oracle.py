@@ -134,6 +134,16 @@ def test_peclet_guard():
             solve_line_dirichlet(bad, 1.0 - np.abs(x) / 8.0, cfg)
 
 
+def test_a_mesh_width_whose_square_overflows_gives_a_zero_stencil():
+    # h = 1e299: h^2 passes the float maximum, so q/h^2 rounds to 0 and a
+    # step leaves the data as they are (the ends pinned).  Squared as a
+    # Python power, h^2 ended in a bare OverflowError
+    cfg = OracleConfig(n=1e300, h=1e299, dt=0.1, t_final=0.1)
+    u0 = np.exp(-np.square(cfg.grid() / 3e299))
+    levels = solve_line_dirichlet(heat_coefficients(), u0, cfg)
+    assert np.array_equal(levels[1, 1:-1], u0[1:-1]) and not levels[1, [0, -1]].any()
+
+
 def test_growth_monitor_triggers():
     # reaction hidden beyond the coefficient sampling window: the declared
     # bound says no growth, the run grows like e^{50 t} and must abort
@@ -173,6 +183,14 @@ def test_growth_monitor_triggers():
         continuous_at_vertex=True,
     )
     with pytest.raises(StabilityError, match="line 0 .* at t = 0.001$"):
+        solve_star(sneaky, f, cfg)
+    # equal edges are marched as one line, and the message names the first
+    # edge of the group that outgrows its bound: edges 2 and 3 here
+    f = StarFunction.from_callables(
+        StarGraph(5), grid, (large, large, small, small, lambda r: -2.0 * (small(r) + large(r))),
+        continuous_at_vertex=True,
+    )
+    with pytest.raises(StabilityError, match="line 2 .* at t = 0.001$"):
         solve_star(sneaky, f, cfg)
 
     # a NaN growth bound would switch the monitor off: c = 5 must not pass
@@ -502,6 +520,28 @@ def test_star_solve_marches_the_rank_of_the_deviations(coeffs, case, monkeypatch
     want = _kirchhoff_march(coeffs(), f.values, cfg)
     assert np.abs(run.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
     assert not np.ptp(run.values[..., 0], axis=-1).any()
+
+
+@pytest.mark.parametrize("coeffs", [ou_coefficients, ho_coefficients])
+def test_equal_edges_get_bitwise_equal_levels(coeffs):
+    # edges that carry the same data are the same line: the march groups
+    # them exactly (extension._distinct_edges, as apply does) and stores
+    # each edge from its group's one line.  Factoring all m deviations
+    # instead left every group of 8 edges drawn from 3 profiles unequal, by
+    # up to 1.1e-15 of the peak
+    cfg = OracleConfig(n=8.0, h=1.0 / 64.0, dt=1e-3, t_final=0.05)
+    grid = GridSpec(cutoff=8.0, points_per_edge=cfg.half_intervals + 1)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(size=(3, 4))
+        weights[:, 0] = weights[0, 0]  # one vertex value
+        pool = [PolyGauss(tuple(w), gauss=1.0) for w in weights]
+        kinds = rng.integers(3, size=8)
+        f = StarFunction.from_callables(StarGraph(8), grid, tuple(pool[k] for k in kinds))
+        run = solve_star(coeffs(), f, cfg).values
+        for k in set(kinds.tolist()):
+            same = run[:, kinds == k]
+            assert np.array_equal(same, np.broadcast_to(same[:, :1], same.shape)), (seed, k)
 
 
 def test_a_small_genuine_deviation_is_marched():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stargraph.errors import DomainError, StabilityError, VertexContinuityError
+from stargraph.extension import _distinct_edges
 from stargraph.geometry import (
     GridSpec,
     StarFunction,
@@ -17,7 +18,7 @@ from stargraph.geometry import (
 )
 from stargraph.kernels import HARMONIC, OU, gaussian_form, line_kernel
 from stargraph.semigroup import BAND_EXPONENT, TOLERANCE, _blocks, _column_factors
-from stargraph.semigroup import _distinct_edges, _shared_factors, apply, evolve_sequence
+from stargraph.semigroup import _shared_factors, apply, evolve_sequence
 from stargraph.transform import ground_state
 
 # h = 1/64 puts the probe radii 0.5, 1, 2 on grid nodes
@@ -566,6 +567,24 @@ def test_data_near_the_float_maximum():
     f = StarFunction.constant(StarGraph(1), grid, 1.75e308)
     with pytest.raises(StabilityError, match="^the answer passes the float maximum$"):
         apply(HARMONIC, 1, 0.2, f, grid)
+
+
+@pytest.mark.parametrize("peak", [1e10, 1e70, 1e308])
+def test_odd_data_of_any_size_keep_a_continuous_vertex(peak):
+    # 0 at the vertex and +-peak elsewhere on two edges: the output's vertex
+    # rounds at the size of the data, past the constructor's tolerance of
+    # 1e-9 below 1, so apply writes edge 0's vertex value to both edges.
+    # It once refused these data with VertexContinuityError (a spread of
+    # 1.2e-6 at 1e10)
+    grid = GridSpec(cutoff=6.0, points_per_edge=33)
+    values = np.full((2, 33), peak)
+    values[1] *= -1.0
+    values[:, 0] = 0.0
+    u = apply(OU, 2, 0.5, StarFunction(StarGraph(2), grid, values), grid).values
+    assert u[0, 0] == u[1, 0]
+    # the odd sector only: the edges are each other's negatives away from
+    # the vertex, which is 0 up to rounding
+    assert np.array_equal(u[0, 1:], -u[1, 1:]) and abs(u[0, 0]) <= 1e-15 * peak
 
 
 def test_many_distinct_edges_keep_the_windows_within_budget():

@@ -117,3 +117,14 @@ def test_similarity_defect_matches_manual():
     rhs = to_flat(apply(OU, 2, t, from_flat(f), grid))
     manual = sup_distance(lhs, rhs, radius_max=TRUST_RADIUS)
     assert similarity_defect(2, t, f, grid) == pytest.approx(manual, abs=1e-15)
+
+
+def test_similarity_defect_of_data_near_the_float_maximum():
+    # from_flat multiplies by exp(+x^2/2) out to apply's reach (about 8.6),
+    # which overflowed the constant 1e300 with a RuntimeWarning; both routes
+    # are linear, so they run in the power-of-two units of errors.check_data
+    # and the defect is 1e300 times the constant 1's
+    grid = GridSpec(cutoff=6.0, points_per_edge=65)
+    one, big = (similarity_defect(3, 0.5, StarFunction.constant(StarGraph(3), grid, c), grid)
+                for c in (1.0, 1e300))
+    assert big / 1e300 == pytest.approx(one, rel=1e-6)
