@@ -16,7 +16,8 @@ it, and is never told which one does:
 - the node budget MAX_NODES: ``check_nodes``, ``ShapeError``;
 - strictly increasing times: ``check_increasing``, ``DomainError``;
 - line coefficients: ``extension.check_coefficients``, ``DomainError``;
-- finite data, and the power of two they are evolved in: ``check_data``, ``DomainError``.
+- finite data: ``check_finite``, which returns their peak, and the power of
+  two they are evolved in: ``check_data``, both ``DomainError``.
 """
 
 import math
@@ -163,13 +164,21 @@ def check_increasing(times) -> None:
             raise DomainError(f"times must be strictly increasing, got {earlier} then {later}")
 
 
-def check_data(values: np.ndarray) -> int:
-    """The exponent k to evolve ``values`` in, as 2^k values, exactly (the
-    semigroups are linear): 0 when their peak is 0 or within DATA_WINDOW.
-    DomainError unless they are finite; the peak's scan finds that too."""
+def check_finite(values: np.ndarray) -> float:
+    """The peak max |values| of data, the size their samples are compared at;
+    DomainError unless they are finite, which the peak's scan finds too."""
 
     peak = max(values.max(), -values.min())
     if not peak < math.inf:  # NaN fails too
         raise DomainError(f"data must be finite, got {values[~np.isfinite(values)][0]}")
+    return float(peak)
+
+
+def check_data(values: np.ndarray) -> int:
+    """The exponent k to evolve ``values`` in, as 2^k values, exactly (the
+    semigroups are linear): 0 when their peak is 0 or within DATA_WINDOW.
+    DomainError unless they are finite (``check_finite``)."""
+
+    peak = check_finite(values)
     inside = peak == 0.0 or 2.0**-DATA_WINDOW <= peak <= 2.0**DATA_WINDOW
     return 0 if inside else -math.frexp(peak)[1]

@@ -7,6 +7,12 @@ by an edge index and a radius; all points of radius zero are identified.
 Functions on the graph are stored as per-edge samples on a shared uniform
 radial grid, optionally backed by per-edge callables so that consumers may
 re-sample beyond the stored cutoff.
+
+Two numbers are equal up to rounding when they differ by at most VERTEX_TOL
+of their size, never of a fixed unit, so the verdict is the same for the
+input in any power-of-two units that keep it normal and finite: vertex
+samples are measured against the data's peak, radial grids against their
+cutoff, and a window's edge against its radius.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeError, VertexContinuityError, check_edges, check_integer
-from .errors import check_data, check_nodes, check_points, check_positive, check_radius
+from .errors import check_finite, check_nodes, check_points, check_positive, check_radius
 
 __all__ = [
     "StarGraph",
@@ -38,8 +44,9 @@ __all__ = [
 
 SQRT_PI = math.sqrt(math.pi)
 
-# vertex samples that spread by at most this share of max(1, |value|) are one
-# vertex value
+# sizes that differ by at most this share of their size are equal up to
+# rounding, math.isclose's default; vertex samples that spread by at most
+# this share of the data's peak are one vertex value
 VERTEX_TOL = 1e-9
 
 
@@ -152,15 +159,20 @@ def simpson_weights(n_points: int, h: float) -> np.ndarray:
     return w
 
 
-def vertex_continuous(col: np.ndarray) -> bool:
-    """Whether the vertex samples ``col`` spread by at most VERTEX_TOL * max(1, max |col|).
+def _spread(col: np.ndarray) -> float:
+    return float(col.max()) - float(col.min())  # Python floats: inf, not a warning
 
-    Reads ``col`` in place, so a column view of a sample array costs no copy.
+
+def vertex_continuous(col: np.ndarray, peak: float) -> bool:
+    """Whether the vertex samples ``col`` spread by at most VERTEX_TOL * ``peak``.
+
+    ``peak`` is the data's max |sample|: the vertex rounds at the size of
+    the data, not at its own, which odd data leave near 0.  All-zero data
+    are continuous.  Reads ``col`` in place, so a column view costs no copy.
     """
 
-    hi = float(col.max())
-    lo = float(col.min())
-    return hi - lo <= VERTEX_TOL * max(1.0, abs(hi), abs(lo))
+    spread = _spread(col)
+    return spread == 0.0 or spread / peak <= VERTEX_TOL
 
 
 def vertex_slopes(values: np.ndarray, h: float) -> np.ndarray:
@@ -187,10 +199,10 @@ def vertex_flux(values: np.ndarray, h: float) -> np.ndarray:
     return np.abs(vertex_slopes(values, h).sum(axis=-1))
 
 
-def _disagreement(col: np.ndarray) -> str:
+def _disagreement(col: np.ndarray, peak: float) -> str:
     return (
-        f"vertex values disagree by {float(np.ptp(col)):.3e} "
-        f"(tolerance {VERTEX_TOL:.0e} times max(1, |vertex value|))"
+        f"vertex values disagree by {_spread(col):.3e} "
+        f"(tolerance {VERTEX_TOL:.0e} times the data's peak {peak:.3e})"
     )
 
 
@@ -225,12 +237,12 @@ class StarFunction:
 
     ``values`` has shape (m, points_per_edge).  Vertex continuity is read
     from the samples: when the radius-zero samples agree within VERTEX_TOL
-    they are stored as one value mirrored to every edge, and
-    ``continuous_at_vertex`` is set, so continuity is structural rather than
-    checked downstream.  Passing ``continuous_at_vertex=True`` asks for a
-    ``VertexContinuityError`` when they do not agree.  Optional per-edge
-    ``profiles`` (callables of the radius) allow re-evaluation beyond the
-    stored grid.
+    times the data's peak (``vertex_continuous``) they are stored as one
+    value mirrored to every edge, and ``continuous_at_vertex`` is set, so
+    continuity is structural rather than checked downstream.  Passing
+    ``continuous_at_vertex=True`` asks for a ``VertexContinuityError`` when
+    they do not agree.  Optional per-edge ``profiles`` (callables of the
+    radius) allow re-evaluation beyond the stored grid.
     """
 
     __slots__ = ("graph", "grid", "values", "continuous_at_vertex", "profiles")
@@ -254,13 +266,13 @@ class StarFunction:
                 f"values must have shape {(graph.m, grid.points_per_edge)}, "
                 f"got {values.shape}"
             )
-        check_data(values)
+        peak = check_finite(values)
         col = values[:, 0]
-        continuous = vertex_continuous(col)
+        continuous = vertex_continuous(col, peak)
         if continuous:
             values[:, 0] = col[0]
         elif continuous_at_vertex:
-            raise VertexContinuityError(_disagreement(col))
+            raise VertexContinuityError(_disagreement(col, peak))
         values.flags.writeable = False
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "grid", grid)
@@ -275,7 +287,9 @@ class StarFunction:
         """Raise VertexContinuityError, naming the vertex spread, unless continuous."""
 
         if not self.continuous_at_vertex:
-            raise VertexContinuityError(f"{context}: {_disagreement(self.values[:, 0])}")
+            raise VertexContinuityError(
+                f"{context}: {_disagreement(self.values[:, 0], self.sup_norm())}"
+            )
 
     # -- constructors ------------------------------------------------------
 
@@ -383,20 +397,17 @@ class StarFunction:
         n = counts.pop()
         if n < 2:
             raise ShapeError(f"need >= 2 samples per edge in {path}")
-        values = np.empty((m, n))
-        radii_ref = None
+        radii, values = np.empty((m, n)), np.empty((m, n))
         for edge, rows in per_edge.items():
             rows.sort(key=lambda rv: rv[0])
-            radii = np.array([rv[0] for rv in rows])
-            if radii_ref is None:
-                radii_ref = radii
-            elif not np.allclose(radii, radii_ref, rtol=0.0, atol=1e-12):
-                raise ShapeError(f"edges carry different radial grids in {path}")
-            values[edge - 1] = [rv[1] for rv in rows]
-        spacing = np.diff(radii_ref)
-        if radii_ref[0] != 0.0 or np.any(np.abs(spacing - spacing[0]) > 1e-9 * spacing[0]):
+            radii[edge - 1], values[edge - 1] = np.array(rows).T
+        # every edge's radii are edge 1's to within its size, the cutoff
+        if np.any(np.abs(radii - radii[0]) > VERTEX_TOL * radii[0, -1]):
+            raise ShapeError(f"edges carry different radial grids in {path}")
+        spacing = np.diff(radii[0])
+        if radii[0, 0] != 0.0 or np.any(np.abs(spacing - spacing[0]) > VERTEX_TOL * spacing[0]):
             raise ShapeError(f"radial grid must be uniform starting at 0 in {path}")
-        grid = GridSpec(cutoff=float(radii_ref[-1]), points_per_edge=n)
+        grid = GridSpec(cutoff=float(radii[0, -1]), points_per_edge=n)
         return cls(StarGraph(m), grid, values)
 
 
@@ -409,7 +420,10 @@ def integrate_star(f: StarFunction) -> float:
 
 
 def sup_distance(f: StarFunction, g: StarFunction, radius_max: float | None = None) -> float:
-    """Supremum distance over shared grid nodes, optionally windowed to [0, radius_max]."""
+    """Supremum distance over shared grid nodes, optionally windowed to [0, radius_max].
+
+    A node past ``radius_max`` by at most VERTEX_TOL of it is in the window.
+    """
 
     if f.graph.m != g.graph.m:
         raise ShapeError("functions live on stars with different edge counts")
@@ -419,6 +433,6 @@ def sup_distance(f: StarFunction, g: StarFunction, radius_max: float | None = No
     if radius_max is not None:
         # a window beyond the cutoff is the whole grid, also an infinite one
         radius_max = check_radius(min(radius_max, f.grid.cutoff))
-        mask = f.grid.nodes() <= radius_max + 1e-12
+        mask = f.grid.nodes() <= radius_max * (1.0 + VERTEX_TOL)
         diff = diff[:, mask]
     return float(diff.max())

@@ -75,7 +75,11 @@ class OracleConfig:
     ``n`` is the half-width of the interval, ``h`` the mesh width (n/h must
     be an integer), ``dt`` the step size, ``t_final`` the last time (a whole
     number >= 1 of steps).  Nodes per edge n/h + 1 and levels t_final/dt + 1
-    must stay within the node budget ``errors.MAX_NODES``.
+    must stay within the node budget ``errors.MAX_NODES``.  "Integer" and
+    "whole number" are to within ``math.isclose``, relative to the count's
+    size, and each count is a ratio of two sizes, so the verdict is the same
+    for (n, h) and for (dt, t_final) in any power-of-two units that keep
+    them normal.
     """
 
     n: float
@@ -90,14 +94,14 @@ class OracleConfig:
         # anything is allocated, and before round() can meet an inf
         check_nodes("oracle nodes per edge n/h + 1", self.n / self.h + 1)
         check_nodes("oracle levels t_final/dt + 1", self.t_final / self.dt + 1)
-        if abs(self.n / self.h - round(self.n / self.h)) > 1e-9:
-            raise DomainError(f"n/h must be an integer, got {self.n / self.h}")
         if self.half_intervals < 1:
             raise DomainError(f"n must be at least one mesh width h, got n={self.n}, h={self.h}")
-        if self.steps < 1 or abs(self.steps * self.dt - self.t_final) > _time_tol(self.t_final):
+        if not math.isclose(self.n / self.h, self.half_intervals):
+            raise DomainError(f"n/h must be an integer, got {self.n / self.h}")
+        if self.steps < 1 or not math.isclose(self.t_final / self.dt, self.steps):
             raise DomainError(
-                f"t_final must be a whole number of steps dt, at least one, to within "
-                f"{_time_tol(self.t_final):.0e}, got t_final/dt = {self.t_final / self.dt!r}"
+                f"t_final must be a whole number of steps dt, at least one, to within a "
+                f"relative 1e-09, got t_final/dt = {self.t_final / self.dt!r}"
             )
 
     @property
@@ -115,18 +119,15 @@ class OracleConfig:
         return (np.arange(2 * m + 1) - m) * self.h
 
 
-def _time_tol(t: float) -> float:
-    """How far from t a multiple of dt may lie and still be the level at t."""
-
-    return 1e-9 * max(1.0, abs(t))
-
-
 def _time_level(t: float, dt: float, steps: int) -> int:
-    """The level k in 0..steps whose time k dt is ``t`` to within ``_time_tol(t)``."""
+    """The level k in 0..steps whose step count k is t/dt to within ``math.isclose``.
+
+    Only t = 0 is level 0: the tolerance is relative.
+    """
 
     ratio = t / dt
     k = int(round(ratio)) if -1.0 < ratio < steps + 1.0 else -1  # NaN and inf never round
-    if not 0 <= k <= steps or abs(k * dt - t) > _time_tol(t):
+    if not 0 <= k <= steps or not math.isclose(ratio, k):
         raise DomainError(f"time {t} is not a stored level")
     return k
 
@@ -428,7 +429,9 @@ def solve_star(
     the data itself; the march runs in the power-of-two units of
     ``errors.check_data``, so data from the subnormal range to the float
     maximum answer.  A level whose vertex slopes sum past the float range
-    has a Kirchhoff defect of inf.
+    has a Kirchhoff defect of inf.  Data without profiles must reach n on
+    the oracle mesh: their grid spacing is ``cfg.h`` to within
+    ``math.isclose``, relative to its size, as in any units.
     """
 
     f.require_continuous("reflection extension requires a vertex-continuous function")
@@ -436,7 +439,7 @@ def solve_star(
     mid = x.size // 2
     if f.has_profiles():
         half = f.evaluate_profiles(x[mid:])
-    elif f.grid.points_per_edge < x.size - mid or abs(f.grid.h - cfg.h) > 1e-12:
+    elif f.grid.points_per_edge < x.size - mid or not math.isclose(f.grid.h, cfg.h):
         raise ShapeError(
             "sample-backed initial data must share the oracle mesh width and "
             "reach the truncation radius; provide callable profiles otherwise"

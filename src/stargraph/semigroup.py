@@ -214,8 +214,9 @@ def apply(
             raise StabilityError("the answer passes the float maximum")
     if group is not None:
         out = out[group]  # each edge takes its distinct edge's row
-    # continuous by construction: the vertex's rounding scales with the data,
-    # which the constructor's tolerance does not below 1
+    # continuous by construction: the vertex rounds at the input's size,
+    # which long times can leave far above the output's, and the
+    # constructor's tolerance is a share of the output's
     out[:, 0] = out[0, 0]
 
     return StarFunction(f.graph, grid, out, continuous_at_vertex=True)

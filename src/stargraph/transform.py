@@ -57,7 +57,13 @@ def _scaled(f: StarFunction, scale: float, gauss_delta: float) -> StarFunction:
     values = f.values * factor[None, :]
     profiles = None
     if f.has_profiles():
-        profiles = tuple(_wrap_profile(fn, scale, gauss_delta) for fn in f.profiles)
+        # a profile shared by edges is wrapped once, so ``geometry._sample``
+        # still calls it once
+        wrapped = {}
+        for fn in f.profiles:
+            if id(fn) not in wrapped:
+                wrapped[id(fn)] = _wrap_profile(fn, scale, gauss_delta)
+        profiles = tuple(wrapped[id(fn)] for fn in f.profiles)
     return StarFunction(f.graph, f.grid, values, profiles=profiles)
 
 

@@ -131,7 +131,7 @@ def test_evolve_file_initial_round_trip(tmp_path, capsys):
     assert main(["evolve", "--m", "2", "--times", "0.5", f"--init=file:{split}"]) == EXIT_USAGE
     assert capsys.readouterr().err == (
         "error: semigroup input must be vertex-continuous: vertex values disagree by "
-        "1.000e+00 (tolerance 1e-09 times max(1, |vertex value|))\n"
+        "1.000e+00 (tolerance 1e-09 times the data's peak 1.000e+00)\n"
     )
 
 
@@ -219,6 +219,18 @@ def test_time_between_steps_is_usage_error(capsys):
     argv = ["oracle", "--m", "2", "--n", "2", "--h", "0.25", "--dt", "0.100000001", "--t", "1.0"]
     assert main(argv) == EXIT_USAGE
     assert "t_final must be a whole number of steps dt" in capsys.readouterr().err
+
+
+def test_short_times_between_steps_are_usage_errors(capsys):
+    # 5 steps of 1.9e-9 end at 9.5e-9, not at t = 1e-8: the truncation rows
+    # were once printed under 1e-8, as a tolerance absolute below t = 1 let
+    # the time pass
+    argv = ["oracle", "--m", "2", "--t", "1e-8", "--dt", "1.9e-9", "--n", "4", "--h", "0.0625",
+            "--n-list", "2,4"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t_final/dt = 5.26" in captured.err
 
 
 def test_grid_spacing_that_underflows_is_usage_error(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stargraph.errors import (
@@ -152,7 +152,7 @@ def test_star_function_construction(grid):
     bad[1, 0] = 2.0
     with pytest.raises(VertexContinuityError):
         StarFunction.from_samples(g, grid, bad, continuous_at_vertex=True)
-    # the vertex values may spread by 1e-9 times max(1, |vertex value|)
+    # the vertex values may spread by 1e-9 times the data's peak, here 1
     bad[1, 0] = 1.0 + 1e-8
     with pytest.raises(VertexContinuityError):
         StarFunction.from_samples(g, grid, bad, continuous_at_vertex=True)
@@ -197,16 +197,17 @@ def test_from_callables_detects_continuity(grid):
 
 @given(
     m=st.integers(min_value=2, max_value=5),
-    value=st.floats(min_value=-1e3, max_value=1e3),
+    value=st.floats(min_value=1e-3, max_value=1e3) | st.floats(min_value=-1e3, max_value=-1e-3),
     share=st.floats(min_value=0.0, max_value=0.9) | st.floats(min_value=1.1, max_value=4.0),
 )
 def test_admission_routes_decide_continuity_alike(tmp_path_factory, m, value, share):
-    # edges constant at one value, the last one higher by share * VERTEX_TOL
-    # * max(1, |value|): every way of building a StarFunction reads the same
-    # continuity off the samples, and apply accepts exactly the continuous
+    # edges constant at one value, the last one nearer 0 by share * VERTEX_TOL
+    # * peak, the data's max |sample| |value|: every way of building a
+    # StarFunction reads the same continuity off the samples, and apply
+    # accepts exactly the continuous
     graph, grid = StarGraph(m), GridSpec(cutoff=2.0, points_per_edge=9)
     levels = np.full(m, value)
-    levels[-1] += share * VERTEX_TOL * max(1.0, abs(value))
+    levels[-1] -= share * VERTEX_TOL * value
     vals = np.repeat(levels[:, None], grid.points_per_edge, axis=1)
     profiles = tuple(
         (lambda x, v=v: np.full_like(np.asarray(x, dtype=float), v)) for v in levels
@@ -306,8 +307,8 @@ def test_vertex_defects_measure_continuity_and_flux():
     # continuity is a check, not a measure: equal vertex samples pass and a
     # spread of 1 fails, so a StarFunction refuses it when built continuous
     r = 0.5 * np.arange(5)
-    assert vertex_continuous(np.zeros(2))
-    assert not vertex_continuous(np.array([0.0, 1.0]))
+    assert vertex_continuous(np.zeros(2), 0.0)
+    assert not vertex_continuous(np.array([0.0, 1.0]), 1.0)
     with pytest.raises(VertexContinuityError):
         StarFunction.from_samples(
             StarGraph(2), GridSpec(cutoff=2.0, points_per_edge=5),
@@ -342,3 +343,141 @@ def test_sup_distance_window(grid):
             sup_distance(a, b, radius_max=bad)
     with pytest.raises(ShapeError):
         sup_distance(a, StarFunction.constant(StarGraph(3), grid, 0.0))
+
+
+def _normal_scales(*sizes):
+    """The exponents k for which 2^k times every nonzero size stays normal and finite."""
+
+    exponents = [math.frexp(abs(float(x)))[1] for x in sizes if x != 0.0]
+    return -1021 - min(exponents), 1024 - max(exponents)
+
+
+def test_vertex_continuity_is_read_relative_to_the_data_peak():
+    # a jump as large as the data is refused at every scale: a floor of 1e-9
+    # in absolute units took it as continuous below about 2^-30 and silently
+    # overwrote the vertex
+    graph, grid = StarGraph(2), GridSpec(cutoff=6.0, points_per_edge=33)
+    jump = np.ones((2, 33))
+    jump[1, 0] = 0.0
+    # odd data +-1 whose vertex samples are +-1e-16, rounding of 0: continuous
+    # at every scale, where 1e-9 * max(1, |vertex value|) refused them past 2^23
+    odd = np.stack([np.ones(33), -np.ones(33)])
+    odd[:, 0] = 1e-16, -1e-16
+    for k in (0, -20, -40, -80, 20, 40, 60):
+        f = StarFunction(graph, grid, np.ldexp(jump, k))
+        assert not f.continuous_at_vertex, k
+        with pytest.raises(VertexContinuityError, match="times the data's peak"):
+            apply(OU, 2, 0.5, f, grid)
+        g = StarFunction(graph, grid, np.ldexp(odd, k), continuous_at_vertex=True)
+        assert g.values[1, 0] == g.values[0, 0] == math.ldexp(1e-16, k)
+        assert apply(OU, 2, 0.5, g, grid).continuous_at_vertex
+    # all-zero data are continuous
+    assert StarFunction(graph, grid, np.zeros((2, 33))).continuous_at_vertex
+
+
+@settings(max_examples=100)
+@given(
+    m=st.integers(min_value=2, max_value=4),
+    base=st.just(0.0) | st.floats(min_value=0.01, max_value=1.0)
+    | st.floats(min_value=-1.0, max_value=-0.01),
+    peak=st.floats(min_value=0.5, max_value=4.0),
+    share=st.floats(min_value=0.0, max_value=0.9) | st.floats(min_value=1.1, max_value=4.0),
+    odd=st.booleans(),
+    data=st.data(),
+)
+def test_vertex_continuity_is_scale_free(m, base, peak, share, odd, data):
+    # edges of a peak >= |vertex value|, vertex samples spread by share *
+    # VERTEX_TOL * peak around base (near 0 for odd data): the data times
+    # any power of two that keeps them normal read the same continuity
+    grid = GridSpec(cutoff=2.0, points_per_edge=5)
+    vals = np.full((m, 5), peak)
+    if odd:
+        vals[1::2] *= -1.0
+        base *= 1e-12
+    vals[:, 0] = base
+    vals[-1, 0] = base + share * VERTEX_TOL * peak
+    lo, hi = _normal_scales(*vals.ravel())
+    k = data.draw(st.integers(min_value=lo, max_value=hi))
+    expect = StarFunction(StarGraph(m), grid, vals).continuous_at_vertex
+    for scale in (lo, k, hi):
+        f = StarFunction(StarGraph(m), grid, np.ldexp(vals, scale))
+        assert f.continuous_at_vertex is expect, scale
+
+
+def _two_grids_csv(path, h1, h2, n):
+    rows = [f"{e},{j * h!r},1.0" for e, h in ((1, h1), (2, h2)) for j in range(n)]
+    path.write_text("edge,radius,value\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_csv_grids_are_compared_relative_to_their_size(tmp_path):
+    # radii 0, 1e-13, 2e-13 and 0, 5e-13, 1e-12 are two grids, which an
+    # absolute 1e-12 took as one with h = 1e-13
+    path = _two_grids_csv(tmp_path / "f.csv", 1e-13, 5e-13, 3)
+    with pytest.raises(ShapeError, match="different radial grids"):
+        StarFunction.from_csv(path)
+    # grids that differ by rounding of their size are one grid
+    f = StarFunction.from_csv(_two_grids_csv(tmp_path / "g.csv", 1e-13, 1e-13 * (1 + 1e-12), 3))
+    assert f.grid == GridSpec(cutoff=2e-13, points_per_edge=3)
+
+
+@settings(max_examples=100)
+@given(
+    h=st.floats(min_value=0.01, max_value=100.0),
+    n=st.integers(min_value=2, max_value=9),
+    share=st.floats(min_value=0.0, max_value=0.9) | st.floats(min_value=1.1, max_value=4.0),
+    data=st.data(),
+)
+def test_csv_grid_verdicts_are_scale_free(tmp_path_factory, h, n, share, data):
+    # edge 2's spacing exceeds edge 1's by share * VERTEX_TOL: the files of
+    # the grids times any power of two that keeps them normal read alike
+    h2 = h * (1.0 + share * VERTEX_TOL)
+    lo, hi = _normal_scales(h, (n - 1) * h2)
+    k = data.draw(st.integers(min_value=lo, max_value=hi))
+    folder = tmp_path_factory.mktemp("grids")
+    verdicts = []
+    for scale in (0, lo, k, hi):
+        path = _two_grids_csv(folder / f"{scale}.csv", math.ldexp(h, scale),
+                              math.ldexp(h2, scale), n)
+        try:
+            StarFunction.from_csv(path)
+            verdicts.append("one grid")
+        except ShapeError as exc:
+            verdicts.append(str(exc).split(" in ")[0])
+    assert verdicts == ["one grid" if share < 1.0 else "edges carry different radial grids"] * 4
+
+
+def test_sup_distance_window_slack_is_relative():
+    # on h = 1e-12, a window to 5e-11 ends at the node 5e-11: an absolute
+    # slack of 1e-12 also counted the node at 5.1e-11
+    grid = GridSpec(cutoff=1e-10, points_per_edge=101)
+    x = grid.nodes()
+    a = StarFunction(StarGraph(1), grid, np.zeros((1, 101)))
+    b = StarFunction(StarGraph(1), grid, (x > x[50])[None].astype(float))
+    assert sup_distance(a, b, radius_max=5e-11) == 0.0
+    assert sup_distance(a, b, radius_max=5.1e-11) == 1.0
+
+
+@settings(max_examples=100)
+@given(
+    cutoff=st.floats(min_value=0.01, max_value=100.0),
+    points=st.integers(min_value=2, max_value=33),
+    share=st.floats(min_value=-4.0, max_value=0.9) | st.floats(min_value=1.1, max_value=4.0),
+    data=st.data(),
+)
+def test_sup_distance_windows_are_scale_free(cutoff, points, share, data):
+    # a window ending share * VERTEX_TOL of its radius short of node j holds
+    # it exactly when share < 1; the grid and window times any power of two
+    # that keeps them normal give the same distance
+    j = data.draw(st.integers(min_value=1, max_value=points - 1))
+    graph = StarGraph(1)
+    lo, hi = _normal_scales(cutoff / (points - 1), cutoff)
+    k = data.draw(st.integers(min_value=lo, max_value=hi))
+    distances = []
+    for scale in (0, lo, k, hi):
+        grid = GridSpec(cutoff=math.ldexp(cutoff, scale), points_per_edge=points)
+        x = grid.nodes()
+        a = StarFunction(graph, grid, np.zeros((1, points)))
+        b = StarFunction(graph, grid, (x >= x[j])[None].astype(float))
+        distances.append(sup_distance(a, b, radius_max=x[j] * (1.0 - share * VERTEX_TOL)))
+    assert distances == [float(share < 1.0)] * 4

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.linalg.lapack
 from scipy.linalg import solve_banded
@@ -934,3 +934,116 @@ def test_line_solve_returns_every_level():
             solve_line_dirichlet(coeffs, bad, cfg)
     with pytest.raises(DomainError, match="^data must be finite, got nan$"):
         solve_line_dirichlet(coeffs, np.where(x == 0.0, np.nan, u0), cfg)
+
+
+def _normal_scales(*sizes):
+    """The exponents k for which 2^k times every nonzero size stays normal and finite."""
+
+    exponents = [math.frexp(abs(float(x)))[1] for x in sizes if x != 0.0]
+    return -1021 - min(exponents), 1024 - max(exponents)
+
+
+def test_a_final_time_is_a_whole_number_of_steps_relative_to_its_size():
+    # 5 steps of 1.9e-9 end at 9.5e-9, which a floor of 1e-9 in absolute
+    # units took for 1e-8; the levels were then labelled 1e-8
+    with pytest.raises(DomainError, match="t_final/dt = 5.26"):
+        OracleConfig(n=4.0, h=1.0 / 16.0, dt=1.9e-9, t_final=1e-8)
+    # a stored level is found by its step count, relative to its size:
+    # 9.95e-8 is no level of dt = 2e-8, though 5 dt is within 1e-9 of it, and
+    # only t = 0 is level 0
+    cfg = OracleConfig(n=2.0, h=0.25, dt=2e-8, t_final=1e-7)
+    coeffs = heat_coefficients()
+    with pytest.raises(DomainError, match="time 9.95e-08 is not a stored level"):
+        tabulate_kernel(extend_coefficients(coeffs), cfg, [9.95e-8])
+    table = tabulate_kernel(extend_coefficients(coeffs), cfg, [1e-7 * (1 + 1e-12)])
+    assert table.values.shape == (1, 17, 17)
+    run = solve_star(coeffs, StarFunction.constant(StarGraph(2), GridSpec(2.0, 9), 1.0), cfg)
+    assert np.array_equal(run.at_time(0).values, run.values[0])
+    assert np.array_equal(run.at_time(4e-8).values, run.values[2])
+    for t in (1e-10, 1e-18):
+        with pytest.raises(DomainError, match="is not a stored level"):
+            run.at_time(t)
+
+
+# a share of a whole number's tolerance, clear of 1 in size
+SHARES = (st.floats(min_value=-4.0, max_value=-1.1) | st.floats(min_value=-0.9, max_value=0.9)
+          | st.floats(min_value=1.1, max_value=4.0))
+
+
+@settings(max_examples=100)
+@given(
+    h=st.floats(min_value=0.01, max_value=100.0),
+    count=st.integers(min_value=1, max_value=1000),
+    space=SHARES,
+    dt=st.floats(min_value=0.01, max_value=100.0),
+    steps=st.integers(min_value=1, max_value=1000),
+    time=SHARES,
+    data=st.data(),
+)
+def test_oracle_config_verdicts_are_scale_free(h, count, space, dt, steps, time, data):
+    # n/h and t_final/dt off a whole number by a share of 1e-9 of it: (n, h)
+    # and (dt, t_final) in any power-of-two units that keep them normal give
+    # the same verdict and the same counts
+    n = h * count * (1.0 + space * 1e-9)
+    t_final = dt * steps * (1.0 + time * 1e-9)
+
+    def verdict(a, b):
+        try:
+            cfg = OracleConfig(n=math.ldexp(n, a), h=math.ldexp(h, a),
+                               dt=math.ldexp(dt, b), t_final=math.ldexp(t_final, b))
+        except DomainError as exc:
+            return str(exc).split(",")[0]
+        return cfg.half_intervals, cfg.steps
+
+    (lo_a, hi_a), (lo_b, hi_b) = _normal_scales(n, h), _normal_scales(dt, t_final)
+    a = data.draw(st.integers(min_value=lo_a, max_value=hi_a))
+    b = data.draw(st.integers(min_value=lo_b, max_value=hi_b))
+    expect = ("n/h must be an integer" if abs(space) > 1.0
+              else "t_final must be a whole number of steps dt" if abs(time) > 1.0
+              else (count, steps))
+    for scales in ((0, 0), (a, b), (lo_a, hi_b), (hi_a, lo_b)):
+        assert verdict(*scales) == expect, scales
+
+
+def test_sample_backed_data_share_the_mesh_width_relative_to_its_size():
+    # a grid of h = 5e-13 is not the oracle mesh h = 1e-13, which an
+    # absolute 1e-12 took it for
+    cfg = OracleConfig(n=1e-11, h=1e-13, dt=0.01, t_final=0.01)
+    f = StarFunction(StarGraph(2), GridSpec(cutoff=5e-11, points_per_edge=101), np.ones((2, 101)))
+    with pytest.raises(ShapeError, match="share the oracle mesh width"):
+        solve_star(heat_coefficients(), f, cfg)
+
+
+@settings(max_examples=100)
+@given(
+    h=st.floats(min_value=0.01, max_value=100.0),
+    count=st.integers(min_value=2, max_value=6),
+    extra=st.integers(min_value=0, max_value=3),
+    share=SHARES,
+    data=st.data(),
+)
+def test_star_solve_mesh_verdicts_are_scale_free(h, count, extra, share, data):
+    # a grid whose spacing is h off by share * 1e-9 of it is the oracle mesh
+    # exactly when |share| < 1, for the grid and the mesh times any power of
+    # two 2^k that keeps them normal; the heat step dt = h^2 / 4 goes with
+    # them as 2^2k, so every scale is one problem in other units
+    points = count + 1 + extra
+    cutoff = (points - 1) * h * (1.0 + share * 1e-9)
+    dt = 0.25 * h * h
+    (lo_t, hi_t), (lo_x, hi_x) = _normal_scales(dt), _normal_scales(h, count * h, cutoff)
+    lo, hi = max(-(-lo_t // 2), lo_x), min(hi_t // 2, hi_x)
+    k = data.draw(st.integers(min_value=lo, max_value=hi))
+    refused = []
+    for scale in (0, lo, k, hi):
+        grid = GridSpec(cutoff=math.ldexp(cutoff, scale), points_per_edge=points)
+        step = math.ldexp(dt, 2 * scale)
+        cfg = OracleConfig(n=math.ldexp(count * h, scale), h=math.ldexp(h, scale), dt=step,
+                           t_final=step)
+        f = StarFunction(StarGraph(2), grid, np.ones((2, points)))
+        try:
+            solve_star(heat_coefficients(), f, cfg)
+            refused.append(False)
+        except ShapeError as exc:
+            assert "share the oracle mesh width" in str(exc)
+            refused.append(True)
+    assert refused == [abs(share) > 1.0] * 4

@@ -128,3 +128,25 @@ def test_similarity_defect_of_data_near_the_float_maximum():
     one, big = (similarity_defect(3, 0.5, StarFunction.constant(StarGraph(3), grid, c), grid)
                 for c in (1.0, 1e300))
     assert big / 1e300 == pytest.approx(one, rel=1e-6)
+
+
+def test_a_shared_profile_is_wrapped_once():
+    # to_flat and from_flat wrap each distinct profile once, so a profile
+    # shared by the edges stays shared, and geometry samples it once per
+    # grid: 1000 edges called it 1001 times, and held 1000 wrapped PolyGauss
+    grid = GridSpec(cutoff=6.0, points_per_edge=65)
+    m = 1000
+    calls = []
+
+    def profile(x):
+        calls.append(1)
+        return np.exp(-np.square(x))
+
+    f = StarFunction.from_callables(StarGraph(m), grid, (profile,) * m)
+    assert len(calls) == 1
+    similarity_defect(m, 0.5, f, grid)
+    assert len(calls) <= 1 + 2  # once per route's apply
+    flat = to_flat(ground_state(m, grid))
+    assert len({id(p) for p in flat.profiles}) == 1
+    assert isinstance(flat.profiles[0], PolyGauss)
+    assert len({id(p) for p in from_flat(f).profiles}) == 1
