@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StabilityError, StarGraphError, check_edges
+from .errors import StabilityError, StarGraphError, check_edges, check_radius
 from .extension import ho_coefficients, ou_coefficients
 from .geometry import (
     GridSpec,
@@ -246,6 +246,7 @@ def _oracle_initial(m: int, grid: GridSpec) -> StarFunction:
 
 
 def cmd_oracle(args) -> int:
+    check_radius(args.window)  # on both paths, before any march
     cfg = OracleConfig(n=args.n, h=args.h, dt=args.dt, t_final=args.t)
     grid = GridSpec(cutoff=float(args.n), points_per_edge=cfg.half_intervals + 1)
     f = _oracle_initial(args.m, grid)

@@ -19,10 +19,10 @@ holds by construction, and the flux balance holds at the stencil order
 and is measured.  The lines of a march advance together, the lines as
 right-hand sides (the unit hats of a kernel table, or the r odd lines of a
 star, whose even line has its own step matrix).  Each tridiagonal
-step matrix A = I - (dt/2) T is fixed for the march and factored once: a
-diagonal similarity S, the square root of the discrete density in which T
-is self-adjoint (mu's, for OU), makes S A S^-1 symmetric, and LAPACK pttrf
-factors it as L D L^T where it is positive definite.  The march carries
+step matrix A = I - (dt/2) T is fixed for the march and factored once: the
+diagonal similarity S of T's symmetric form (``_symmetric_form``) makes
+S A S^-1 symmetric, and LAPACK pttrf factors it as L D L^T where it is
+positive definite.  The march carries
 the state in that symmetrized variable, v = S u, so a step is one pttrs
 solve per step matrix, one subtraction, and one scaling by S^-1 back to
 u, from which the lines are formed (for a star, one product with Q) for
@@ -171,7 +171,9 @@ def _stencil(
     """Lower, main and upper stencil entries of q u'' + b u' + c u at x[1:-1].
 
     Refuses, anywhere on x, what ``extension.check_coefficients`` refuses,
-    a cell Peclet number above 1, and entries past the float maximum.
+    a cell Peclet number above 1, entries past the float maximum, and a pair
+    of rows coupled one way only or with opposite signs (a cell Peclet number
+    of 1), which has no symmetric form (``_symmetric_form``).
     """
 
     qv = np.asarray(coeffs.q(x), dtype=float)
@@ -192,6 +194,13 @@ def _stencil(
         raise DomainError(
             f"the stencil entries q/h^2 and b/(2h) pass the float maximum at mesh width "
             f"h = {h:.6g}; coarsen the mesh"
+        )
+    one_way = np.sign(rows[0][1:]) != np.sign(rows[2][:-1])
+    if one_way.any():
+        i = int(np.argmax(one_way))
+        raise DomainError(
+            f"stencil rows {i} and {i + 1} couple one way only or with opposite signs "
+            "(a cell Peclet number of 1 or more); refine h to keep it below 1"
         )
     return rows
 
@@ -220,6 +229,28 @@ def _sector_stencils(
     return even, (lower, diag, upper)
 
 
+def _symmetric_form(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ratio and the coupling of the symmetric form of a stencil (lower, diag, upper).
+
+    T is self-adjoint in its discrete density (mu's, for OU), so S T S^-1 is
+    symmetric for the diagonal S = diag(s) with s[i+1] / s[i] =
+    sqrt(upper[i] / lower[i+1]): it keeps T's diagonal and gives rows i and
+    i + 1 the coupling sqrt(lower[i+1] upper[i]) both ways.  The ratio is 1
+    where a pair does not couple (both entries zero, as at a pinned vertex);
+    the coupling is formed as |lower[i+1]| times the ratio, finite wherever
+    the entries are, though their product passes the float maximum once they
+    pass its square root.  ``_stencil`` refuses the pairs that have no such
+    form.  The march (``_factor_step``) and the spectrum
+    (``spectral._sector_values``) both take the form from here.
+    """
+
+    below, above = lower[1:], upper[:-1]
+    ratio = np.ones_like(below)
+    np.divide(above, below, out=ratio, where=below != 0.0)
+    np.sqrt(ratio, out=ratio)
+    return ratio, np.abs(below) * ratio
+
+
 def _march(
     blocks: Sequence[tuple[slice, np.ndarray, np.ndarray, np.ndarray]],
     u: np.ndarray,
@@ -244,7 +275,8 @@ def _march(
     the stencil rows, and their samples enter the first step only.  Each
     block (rows, lower, diag, upper) holds the stencil T of its rows, and
     its step matrix A = I - (dt/2) T is factored once (``_factor_step``)
-    as S A S^-1 = L D L^T.  The march carries v = S u, row by row with its
+    as S A S^-1 = L D L^T, with S from T's symmetric form
+    (``_symmetric_form``).  The march carries v = S u, row by row with its
     block's S.  A step solves S A S^-1 y = w in place on w = 2v with one
     pttrs call per block, sets v <- y - v, which is S A^-1 B u for
     B = 2I - A, writes u = v / S and then |u| over y, and sets w <- 2v.
@@ -340,31 +372,18 @@ def _factor_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The similarity s and the pttrf factors (d, e) of S A S^-1, A = I - (dt/2) T.
 
-    T is the stencil (lower, diag, upper) of a line's rows.  The scale
-    s[i+1] / s[i] = sqrt(a_upper[i] / a_lower[i]), the square root of the
-    discrete density in which T is self-adjoint (mu's for OU), gives both
-    couplings of rows i and i + 1 the value -sqrt(a_lower[i] a_upper[i]);
-    rows that do not couple (both entries zero, as at a pinned vertex) keep
-    the scale.  s is centred on the midpoint of its logarithm, so s and 1/s
-    stay within the square root of the float range.  Refused: a pair coupled
-    one way only or with opposite signs (a cell Peclet number of 1 or more),
+    T is the stencil (lower, diag, upper) of a line's rows, and S T S^-1 its
+    symmetric form (``_symmetric_form``), so S A S^-1 has the diagonal
+    1 - (dt/2) diag and the couplings -(dt/2) times T's.  s is the running
+    product of the form's ratios, centred on the midpoint of its logarithm,
+    so s and 1/s stay within the square root of the float range.  Refused:
     a scale too wide for floats (DomainError), and a symmetric matrix that
     is not positive definite, whether singular or indefinite (StabilityError).
     """
 
     from scipy.linalg.lapack import dpttrf
 
-    a_lower, a_upper = -0.5 * dt * lower[1:], -0.5 * dt * upper[:-1]
-    one_way = np.sign(a_lower) != np.sign(a_upper)
-    if one_way.any():
-        i = int(np.argmax(one_way))
-        raise DomainError(
-            f"stencil rows {i} and {i + 1} couple one way only or with opposite signs "
-            "(a cell Peclet number of 1 or more); refine h to keep it below 1"
-        )
-    ratio = np.ones_like(a_lower)
-    np.divide(a_upper, a_lower, out=ratio, where=a_lower != 0.0)
-    np.sqrt(ratio, out=ratio)
+    ratio, coupling = _symmetric_form(lower, upper)
     log_s = np.concatenate(([0.0], np.cumsum(np.log(ratio))))
     span = float(np.ptp(log_s))
     if not span <= math.log(sys.float_info.max):  # NaN too
@@ -374,7 +393,7 @@ def _factor_step(
         )
     # a running product keeps each ratio s[i+1] / s[i] to one rounding
     scale = np.cumprod(np.concatenate(([math.exp(-0.5 * (log_s.max() + log_s.min()))], ratio)))
-    off = -np.sqrt(a_lower * a_upper) if diag.size > 1 else np.zeros(1)  # f2py wants one entry
+    off = -0.5 * dt * coupling if diag.size > 1 else np.zeros(1)  # f2py wants one entry
     d, e, info = dpttrf(1.0 - 0.5 * dt * diag, off)
     if info:
         raise StabilityError(

@@ -15,10 +15,11 @@ the sum as two finite geometric series and the integral from
 The stencil splits the same way as the spectrum, into the oracle's two
 sector stencils (``oracle._sector_stencils``): the even sector is the line
 with the Neumann vertex row, and each of the m - 1 odd sectors is the line
-with the vertex pinned.  ``form_spectrum`` makes each one symmetric by its
-discrete density and solves it with ``scipy.linalg.eigh_tridiagonal``; by
-interlacing, the lowest ``count`` star values need only about count/m
-values of each sector, which bisection finds in O(n count/m).
+with the vertex pinned.  ``form_spectrum`` solves each one in its
+symmetric form (``oracle._symmetric_form``), the one the oracle's march
+factors, with ``scipy.linalg.eigh_tridiagonal``; by interlacing, the
+lowest ``count`` star values need only about count/m values of each
+sector, which bisection finds in O(n count/m).
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P, polyutils
 
-from .errors import ShapeError, StabilityError, check_edges, check_integer, check_points, check_time
+from .errors import ShapeError, StabilityError, check_data, check_edges, check_integer
+from .errors import check_points, check_time
 from .extension import ou_coefficients
 from .geometry import GridSpec, StarFunction, StarGraph
 from .kernels import OU, KernelSpec, check_spec, gaussian_form
-from .oracle import _sector_stencils
+from .oracle import _sector_stencils, _symmetric_form
 
 __all__ = [
     "PolyGauss",
@@ -207,22 +209,27 @@ def _sector_values(
 ) -> np.ndarray:
     """Lowest ``count`` eigenvalues (all for None) of minus one sector stencil.
 
-    The diagonal similarity by the square root of the stencil's discrete
-    density, in which it is self-adjoint, gives rows i and i + 1 the
-    coupling sqrt(lower[i+1] upper[i]) both ways; the symmetric tridiagonal
-    matrix is solved by bisection for a count and by the MRRR driver for
-    the whole spectrum.  A LAPACK failure raises ``StabilityError``.
+    The stencil's symmetric form (``oracle._symmetric_form``) has the same
+    eigenvalues, and minus it is solved by bisection for a count and by the
+    MRRR driver for the whole spectrum, in the power-of-two units of
+    ``errors.check_data`` for the diagonal, whose peak bounds every OU
+    coupling, so the solver meets no overflow on any mesh the stencil
+    accepts.  A LAPACK failure raises ``StabilityError``.
     """
 
     from scipy.linalg import eigh_tridiagonal  # scipy.linalg loads when a solve runs
 
     lower, diag, upper = stencil
-    off = np.sqrt(lower[1:] * upper[:-1])
+    _, coupling = _symmetric_form(lower, upper)
+    exponent = check_data(diag)
+    if exponent:
+        diag, coupling = np.ldexp(diag, exponent), np.ldexp(coupling, exponent)
     select = {} if count is None else {"select": "i", "select_range": (0, count - 1)}
     try:
-        return eigh_tridiagonal(-diag, off, eigvals_only=True, **select)
+        values = eigh_tridiagonal(-diag, coupling, eigvals_only=True, **select)
     except np.linalg.LinAlgError as exc:
         raise StabilityError(f"the sector eigensolve failed: {exc}") from exc
+    return np.ldexp(values, -exponent) if exponent else values
 
 
 def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarray:
@@ -235,11 +242,11 @@ def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarra
     truncation at the cutoff alone.  It splits exactly into an even sector
     (the same values on every edge: the line with the Neumann vertex row)
     and m - 1 copies of an odd sector (vertex value 0, edges summing to 0:
-    the line with the vertex pinned), both from ``oracle._sector_stencils``,
-    so two tridiagonal solves of size n - 1 and n - 2 (n points per edge)
-    replace the star
-    problem of size (n - 1) + (m - 1)(n - 2), and each odd value appears
-    m - 1 times by construction.
+    the line with the vertex pinned), both from ``oracle._sector_stencils``
+    and solved in their symmetric form (``oracle._symmetric_form``), so two
+    tridiagonal solves of size n - 1 and n - 2 (n points per edge) replace
+    the star problem of size (n - 1) + (m - 1)(n - 2), and each odd value
+    appears m - 1 times by construction.
 
     ``count`` keeps the lowest values, 1 .. (n - 1) + (m - 1)(n - 2) of
     them, checked before the stencil is built.  The odd matrix is the even
@@ -248,8 +255,9 @@ def form_spectrum(m: int, grid: GridSpec, count: int | None = None) -> np.ndarra
     e_2, ...  Its lowest ``count`` values therefore use only the lowest
     (count - 1)//m + 1 even values and (count - 2)//m + 1 odd ones, found
     by bisection in O(n k) for k values; the whole spectrum takes O(n^2).
-    The stencil refuses a cell Peclet number cutoff h > 1 (``DomainError``),
-    and a solver failure raises ``StabilityError``.
+    The stencil refuses a cell Peclet number cutoff h > 1 and a mesh whose
+    entries q/h^2 pass the float maximum (``DomainError``); every other mesh
+    answers, and a solver failure raises ``StabilityError``.
     """
 
     check_edges(m)

@@ -213,6 +213,21 @@ def test_non_finite_or_negative_numbers_are_usage_errors(capsys):
         assert named in capsys.readouterr().err, argv
 
 
+def test_a_bad_window_is_refused_before_any_solve(monkeypatch, capsys):
+    # the window was once checked after the march and apply, and not at all
+    # for a truncation study
+    def solves(*args, **kwargs):
+        raise AssertionError("a solve ran before the window was checked")
+
+    monkeypatch.setattr(stargraph.cli, "solve_star", solves)
+    monkeypatch.setattr(stargraph.cli, "truncation_study", solves)
+    oracle = ["oracle", "--n", "2", "--h", "0.125", "--dt", "0.1", "--t", "0.2", "--m", "2",
+              "--window", "-1"]
+    for argv in (oracle, oracle + ["--n-list", "2,4"]):
+        assert main(argv) == EXIT_USAGE, argv
+        assert "radius must be finite and >= 0, got -1.0" in capsys.readouterr().err, argv
+
+
 def test_time_between_steps_is_usage_error(capsys):
     # t/dt = 9.9999999 is within 1e-6 of 10, but 10 dt misses t by 1e-8:
     # refused before any march, not after it when the final level is missing

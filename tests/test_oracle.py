@@ -22,6 +22,9 @@ from stargraph.geometry import GridSpec, StarFunction, StarGraph, vertex_slopes
 from stargraph.kernels import OU, line_kernel
 from stargraph.oracle import (
     OracleConfig,
+    _sector_stencils,
+    _stencil,
+    _symmetric_form,
     solve_line_dirichlet,
     solve_star,
     tabulate_kernel,
@@ -249,6 +252,60 @@ def test_step_matrix_without_a_symmetric_form_is_refused():
                 solve_line_dirichlet(ou, u0, cfg)
         else:
             assert np.isfinite(solve_line_dirichlet(ou, u0, cfg)).all()
+
+
+def test_step_couplings_whose_product_overflows_are_marched():
+    # (dt/2) q/h^2 is finite on these meshes, but the square of it passes the
+    # float maximum; the symmetric coupling, once formed as the square root
+    # of that product, read inf, and pttrf refused the positive definite
+    # step matrix (info 2)
+    f = StarFunction.constant(StarGraph(2), GridSpec(1e-78, 5), 1.0)
+    cfg = OracleConfig(n=1e-78, h=2.5e-79, dt=0.01, t_final=0.01)
+    assert np.isfinite(solve_star(ho_coefficients(), f, cfg).values).all()
+    # the heat line at h = 2^-300 is the line at h = 1 with dt 2^600 times
+    # as long: every entry of the march scales by a power of two, so the
+    # levels are the same bits
+    h = 2.0**-300
+    fine = OracleConfig(n=8 * h, h=h, dt=0.01, t_final=0.01)
+    unit = OracleConfig(n=8.0, h=1.0, dt=0.01 * 2.0**600, t_final=0.01 * 2.0**600)
+    u0 = np.exp(-np.square(unit.grid() / 4.0))
+    levels = solve_line_dirichlet(heat_coefficients(), u0, fine)
+    assert np.isfinite(levels).all()
+    assert np.array_equal(levels, solve_line_dirichlet(heat_coefficients(), u0, unit))
+
+
+@given(
+    coeffs=st.sampled_from([ou_coefficients, ho_coefficients]),
+    points=st.integers(min_value=3, max_value=65),
+    exponent=st.integers(min_value=-520, max_value=4),
+    mantissa=st.floats(min_value=0.5, max_value=1.0),
+)
+def test_every_stencil_has_one_symmetric_form(coeffs, points, exponent, mantissa):
+    # the even and the odd sector stencils and a full line, on meshes from
+    # where q/h^2 nears the float maximum to cutoff 16; OU's cutoff stays
+    # within 1, where its cell Peclet number cutoff h is at most 1/2
+    cutoff = math.ldexp(mantissa, exponent if coeffs is ho_coefficients else min(exponent, 0))
+    h = cutoff / (points - 1)
+    try:
+        sectors = _sector_stencils(coeffs(), np.arange(-1, points) * h, h)
+    except DomainError as exc:  # the entries pass the float maximum
+        assert "pass the float maximum" in str(exc)
+        return
+    line = _stencil(coeffs(), np.arange(1 - points, points) * h, h)
+    for lower, _, upper in (*sectors, line):
+        ratio, coupling = _symmetric_form(lower, upper)
+        below, above = lower[1:], upper[:-1]
+        with np.errstate(over="ignore"):
+            product = below * above
+        finite = product < math.inf
+        want = np.sqrt(product[finite])
+        assert np.isfinite(coupling).all()
+        assert np.all(np.abs(coupling[finite] - want) <= 2.0 * np.spacing(want))
+        # diag(s) T diag(s)^-1 with s[i+1] / s[i] the ratio, as the march
+        # builds it; each quotient first, so that no product overflows
+        scale = np.cumprod(np.concatenate(([1.0], ratio)))
+        up, down = above * (scale[:-1] / scale[1:]), below * (scale[1:] / scale[:-1])
+        assert np.all(np.abs(up - down) <= 4.0 * np.finfo(float).eps * np.abs(down))
 
 
 def test_non_finite_solution_is_refused(monkeypatch):

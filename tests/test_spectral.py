@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -233,6 +234,24 @@ def test_a_grid_past_cell_peclet_number_one_is_refused():
     # a mesh fine enough that q/h^2 passes the float maximum
     with pytest.raises(DomainError, match="pass the float maximum"):
         form_spectrum(3, GridSpec(cutoff=1e-300, points_per_edge=9))
+
+
+def test_every_mesh_the_stencil_accepts_answers():
+    # cutoffs 1 to 1e-318: a spectrum is finite and ascending, or the stencil
+    # refuses its mesh.  From about 1e-75 to 1e-153 the product of two
+    # finite stencil entries once passed the float maximum, and bisection
+    # fails on entries near 1e200 outside the power-of-two units
+    answered = 0
+    for k in range(0, 319, 3):
+        for points, m, count in itertools.product((9, 33, 513), (1, 3, 8), (3, None)):
+            try:
+                values = form_spectrum(m, GridSpec(10.0**-k, points), count=count)
+            except DomainError as exc:
+                assert "pass the float maximum" in str(exc)
+                continue
+            assert np.isfinite(values).all() and np.all(np.diff(values) >= 0.0)
+            answered += 1
+    assert answered == 924
 
 
 def test_form_spectrum_clusters():
